@@ -35,7 +35,16 @@ from .params import (
     classify,
     factors_through,
 )
-from .weylnum import ComponentDatum, ConnectedShape, e_number, i_number, sigma, so, sp as sp_factor
+from .weylnum import (
+    ComponentDatum,
+    ConnectedShape,
+    e_number,
+    gl as gl_factor,
+    i_number,
+    sigma,
+    so,
+    sp as sp_factor,
+)
 
 
 class ParseError(Exception):
@@ -309,6 +318,15 @@ class Semantics:
 
 
 def elaborate(doc: ParameterDocument) -> Semantics:
+    """Check a parsed document and build its library objects; every
+    rejection, the library's `ValueError`s included, is a `SemanticError`."""
+    try:
+        return _elaborate(doc)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+
+def _elaborate(doc: ParameterDocument) -> Semantics:
     decls = {}
     for d in doc.decls:
         if d.label in decls:
@@ -336,10 +354,7 @@ def elaborate(doc: ParameterDocument) -> Semantics:
         else:
             duality = ORTHOGONAL if d.sd == "+" else SYMPLECTIC
             constituents.append((SimpleParameter(t.label, d.deg, duality, t.nu), t.mult))
-    try:
-        psi = GlobalParameter(constituents)
-    except ValueError as exc:
-        raise SemanticError(str(exc))
+    psi = GlobalParameter(constituents)
     if psi.total_degree != doc.N:
         raise SemanticError(
             "declared degree %d but constituents sum to %d" % (doc.N, psi.total_degree)
@@ -354,11 +369,8 @@ def elaborate(doc: ParameterDocument) -> Semantics:
         if a == b:
             raise SemanticError("root-number entries pair distinct labels")
         entries[frozenset((a, b))] = s
-    try:
-        table = signs.RootNumberTable(entries)
-        table.validate_against(psi)
-    except ValueError as exc:
-        raise SemanticError(str(exc))
+    table = signs.RootNumberTable(entries)
+    table.validate_against(psi)
     names = set()
     places = []
     for name, kind in doc.places:
@@ -452,8 +464,6 @@ def report_arthur(sem: Semantics) -> dict:
         for _, l in shape.symplectic:
             factors.append(sp_factor(l))
             coset.append(False)
-        from .weylnum import gl as gl_factor
-
         for _, l in shape.general_linear:
             factors.append(gl_factor(l))
             coset.append(False)
@@ -566,6 +576,15 @@ _DOC_COMMANDS = ("classify", "centralizer", "arthur", "epsilon", "multiplicity")
 
 
 def run(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+    """The report of one command; a `ValueError` from the library, such as
+    an out-of-range --n or --k, becomes a `SemanticError`."""
+    try:
+        return _report(command, doc, flags)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+
+def _report(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
     if command in _DOC_COMMANDS:
         if doc is None:
             raise SemanticError("command %r needs an input document" % command)
@@ -618,6 +637,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 doc = parse(handle.read())
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print("parse error: input is not UTF-8 text: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)

@@ -18,21 +18,31 @@ the elliptic-class expansion
 and the constants sigma attached to connected groups by the recursion that
 forces i = e together with sigma(S/Z) = sigma(S) |Z|.
 
-Weyl sets are realized as (signed) permutation matrices on the character
-lattice of a maximal torus: permutations on GL factors (negated under the
-transpose-inverse twist), signed permutations of rank b on Sp(2b), of rank
-floor(m/2) on SO(m) with even sign count for the identity component of
-SO(even) and odd sign count for its O-coset.  det(w - 1) is taken on the
-full lattice, so central torus directions kill regularity.  Elliptic
-elements are enumerated through +-1 eigenvalue patterns: an eigenvalue pair
-{t, 1/t}, t != +-1, would put a GL factor in the centralizer and hence an
-infinite center.  The identity i(S) = e(S) over the supported menu is the
-correctness certificate for both realizations and is asserted in the tests.
+Weyl sets act on the character lattice of a maximal torus: by permutations
+on GL factors (negated under the transpose-inverse twist), by signed
+permutations of rank b on Sp(2b), and of rank floor(m/2) on SO(m), with an
+even sign count on the identity component of SO(even) and an odd one on its
+O-coset.  W(S), sgn^0 and det(w - 1) all split over the factors, and W(S)
+does not see the central quotient, so i(S) is a product of one value per
+factor and coset.  That value is a sum over cycle types, the partitions of
+the rank, not over Weyl elements: a cycle of length k with sign product eps
+contributes (-1)^k (1 - eps) to det(w - 1), so only all-negative cycles (on
+GL: all-odd cycles of the permutation under the twist) give regular
+elements (Carter, Compositio Math. 25, 1972).  `weyl_set` and `sgn0` keep
+the explicit enumeration; the tests use it as the oracle for the cycle-type
+sums at small rank.
+
+Elliptic elements are enumerated through +-1 eigenvalue patterns: an
+eigenvalue pair {t, 1/t}, t != +-1, would put a GL factor in the
+centralizer and hence an infinite center.  The identity i(S) = e(S) over the
+supported menu is the correctness certificate for both expansions and is
+asserted in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -258,31 +268,6 @@ def _apply(mat, vec):
     return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(vec)))
 
 
-def _det_minus_one(mat):
-    """det(mat - I) over the integers (fraction-free elimination)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[Fraction(mat[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """One element of the Weyl set, stored blockwise per factor."""
@@ -328,23 +313,67 @@ def _first_nonzero(vec):
     return 0
 
 
-def det_w_minus_one(w: WeylElement) -> int:
-    d = 1
-    for block in w.blocks:
-        d *= _det_minus_one(block)
-    return d
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(mu) -> int:
+    """z_mu: the order of the centralizer in S_n of a permutation of type mu."""
+    z = 1
+    for k in set(mu):
+        m = mu.count(k)
+        z *= k ** m * math.factorial(m)
+    return z
+
+
+@lru_cache(maxsize=None)
+def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
+    """i of one factor's identity component or outer coset, by cycle type.
+
+    A permutation of type mu has share 1/z_mu of the symmetric group.  On
+    signed permutations a regular element has only negative cycles; its type
+    mu has share 1/(z_mu 2^l) of the hyperoctahedral group, |det(w - 1)| =
+    2^l and sgn^0 = det(w) = (-1)^r, with l = l(mu).  On SO(even) such an
+    element has l sign changes mod 2, which selects the identity component
+    or the O-coset; the set is half the hyperoctahedral group, so shares
+    double, and as the roots e_i are missing, sgn^0 = det(w) (-1)^l gains a
+    factor -1 on the O-coset.  On GL the identity component fixes the
+    central torus; under the twist, -p is regular exactly when p has only
+    odd cycles, with |det| = 2^l, and sgn^0(-p) = (-1)^(r(r-1)/2) sgn(p)
+    with sgn(p) = 1.
+    """
+    if kind == GL:
+        if not twisted:
+            return Fraction(0)
+        odd_types = (mu for mu in _partitions(size) if all(k % 2 for k in mu))
+        total = sum((Fraction(1, _centralizer_order(mu) * 2 ** len(mu)) for mu in odd_types),
+                    Fraction(0))
+        return (-1) ** (size * (size - 1) // 2) * total
+    r = size // 2
+    if kind == SP or size % 2:
+        parities = (0, 1)
+        sign = (-1) ** r
+    else:
+        parities = (1,) if twisted else (0,)
+        sign = 2 * (-1) ** (r + twisted)
+    total = sum((Fraction(1, _centralizer_order(mu) * 4 ** len(mu))
+                 for mu in _partitions(r) if len(mu) % 2 in parities), Fraction(0))
+    return sign * total
 
 
 def i_number(c: ComponentDatum) -> Fraction:
-    """i(S): signed count of regular Weyl classes, exact."""
-    ws = weyl_set(c)
-    total = Fraction(0)
-    for w in ws:
-        d = det_w_minus_one(w)
-        if d == 0:
-            continue
-        total += Fraction(sgn0(c, w), abs(d))
-    return total / len(ws)
+    """i(S): signed count of regular Weyl classes, exact, as the product of
+    the per-factor values (the central quotient does not enter)."""
+    total = Fraction(1)
+    for f, t in zip(c.base.factors, c.coset):
+        total *= _factor_i_number(f.kind, f.size, t)
+    return total
 
 
 # ---------------------------------------------------------------------------

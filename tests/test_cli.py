@@ -7,6 +7,9 @@ import pytest
 from uendo import cli
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
+SCHEMA = pathlib.Path(__file__).parents[1] / "docs" / "report-schema-v1.json"
+JSON_DOCUMENT_COMMANDS = ("classify", "centralizer", "arthur", "endoscopy", "epsilon",
+                          "multiplicity")
 
 
 def run_cli(args, capsys):
@@ -179,6 +182,38 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def _assert_one_line_error(code, out, err, want):
+    assert code == want
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_endoscopy_nonpositive_n_is_semantic_error(capsys):
+    _assert_one_line_error(*run_cli(["endoscopy", "--n", "0"], capsys), 2)
+
+
+def test_tadic_negative_k_is_semantic_error(capsys):
+    _assert_one_line_error(*run_cli(["tadic", "--n", "2", "--k", "-5"], capsys), 2)
+
+
+def test_nu_zero_document_is_semantic_error(tmp_path, capsys):
+    doc = tmp_path / "nu0.txt"
+    doc.write_text("group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(0)\n")
+    _assert_one_line_error(*run_cli(["classify", "--input", str(doc)], capsys), 2)
+
+
+def test_degree_zero_document_is_semantic_error(tmp_path, capsys):
+    doc = tmp_path / "deg0.txt"
+    doc.write_text("group U(0) parity +\nmu a: deg=0, sd=+\npsi = a (x) nu(1)\n")
+    _assert_one_line_error(*run_cli(["arthur", "--input", str(doc)], capsys), 2)
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes(b"group U(1) parity +\nmu \xe9: deg=1, sd=+\npsi = \xe9 (x) nu(1)\n")
+    _assert_one_line_error(*run_cli(["classify", "--input", str(doc)], capsys), 1)
+
+
 def test_check_command_green(capsys):
     code, out, _ = run_cli(["check"], capsys)
     assert code == 0
@@ -191,3 +226,25 @@ def test_print_command(tmp_path, capsys):
     code, out, _ = run_cli(["print", "--input", str(target)], capsys)
     assert code == 0
     assert cli.parse(out) == cli.parse(FIXTURES[0].read_text())
+
+
+# ---------------------------------------------------------------------------
+# Report schema
+
+
+@pytest.fixture(scope="module")
+def report_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA.read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_fixture_reports_match_schema(path, report_validator, capsys):
+    for command in JSON_DOCUMENT_COMMANDS:
+        code, out, _ = run_cli([command, "--input", str(path)], capsys)
+        assert code in (0, 2), command
+        if code == 0:
+            errors = [e.message for e in report_validator.iter_errors(json.loads(out))]
+            assert errors == [], (command, errors)

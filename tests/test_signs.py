@@ -94,19 +94,21 @@ def kron(a, b):
 
 
 def det(m):
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = sign
-        for i in range(n):
-            prod *= m[i][perm[i]]
-        total += prod
-    return total
+    """Leibniz expansion, row by row over the nonzero entries only: a
+    permutation through a zero entry contributes nothing to the sum."""
+
+    def expand(row, used):
+        if row == len(m):
+            return 1
+        total = 0
+        for col, x in enumerate(m[row]):
+            if x and col not in used:
+                # columns already taken to the right of col are inversions
+                inversions = sum(1 for c in used if c > col)
+                total += (-1) ** inversions * x * expand(row + 1, used | {col})
+        return total
+
+    return expand(0, frozenset())
 
 
 @pytest.mark.parametrize("lk,lkp", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 3)])

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
+import uendo.weylnum
 from uendo.weylnum import (
     ComponentDatum,
     ConnectedShape,
@@ -265,3 +267,110 @@ def test_elliptic_classes_structure_sp4():
     classes = elliptic_classes(datum([sp(4)]))
     descs = {c[0] for c in classes}
     assert descs == {(("sp", 0, 4),), (("sp", 2, 2),), (("sp", 4, 0),)}
+
+
+# ---------------------------------------------------------------------------
+# The cycle-type i(S) against the enumeration oracle
+
+
+@lru_cache(maxsize=None)
+def _det_minus_one(mat):
+    """det(mat - I) by Fraction Gaussian elimination."""
+    n = len(mat)
+    a = [[Fraction(mat[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            ratio = a[r][col] / a[col][col]
+            if ratio:
+                for c in range(col, n):
+                    a[r][c] -= ratio * a[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _enumerated_i_number(c):
+    """i(S) as the explicit sum over W(S) of sgn0(w) / |det(w - 1)|; w acts
+    block-diagonally, one block per factor."""
+    ws = weyl_set(c)
+    total = Fraction(0)
+    for w in ws:
+        d = 1
+        for block in w.blocks:
+            d *= _det_minus_one(block)
+        if d:
+            total += Fraction(sgn0(c, w), abs(d))
+    return total / len(ws)
+
+
+def _dressed_factors(max_rank):
+    """Every factor kind and coset with rank <= max_rank."""
+    out = [(so(1), False), (so(1), True)]
+    for r in range(1, max_rank + 1):
+        out += [(gl(r), False), (gl(r), True), (sp(2 * r), False)]
+        for m in (2 * r, 2 * r + 1):
+            out += [(so(m), False), (so(m), True)]
+    return out
+
+
+def test_cycle_type_i_number_matches_enumeration_on_factors():
+    for f, t in _dressed_factors(5):
+        d = datum([f], [t])
+        assert i_number(d) == _enumerated_i_number(d), (f, t)
+
+
+def test_cycle_type_i_number_matches_enumeration_on_pairs():
+    checked = 0
+    dressed = _dressed_factors(4)
+    for (f1, t1), (f2, t2) in itertools.combinations_with_replacement(dressed, 2):
+        if f1.rank + f2.rank > 5:
+            continue
+        want = _enumerated_i_number(datum([f1, f2], [t1, t2]))
+        options = [(1, -1) if f.has_minus_one else (1,) for f in (f1, f2)]
+        for z in itertools.product(*options):
+            quotient = z if -1 in z else None
+            assert i_number(datum([f1, f2], [t1, t2], quotient)) == want, (f1, t1, f2, t2, z)
+            checked += 1
+    assert checked > 800
+
+
+def _series_coefficient(exponent, r):
+    """[t^r] (1 - t)^exponent."""
+    coeff = Fraction(1)
+    for j in range(r):
+        coeff *= Fraction(j - exponent, j + 1)
+    return coeff
+
+
+def test_i_number_generating_functions():
+    quarter = Fraction(1, 4)
+    for r in range(1, 7):
+        minus = _series_coefficient(-quarter, r)
+        plus = _series_coefficient(quarter, r)
+        assert i_number(datum([sp(2 * r)])) == (-1) ** r * minus
+        assert i_number(datum([so(2 * r + 1)])) == (-1) ** r * minus
+        assert i_number(datum([so(2 * r + 1)], [True])) == (-1) ** r * minus
+        assert i_number(datum([so(2 * r)])) == (-1) ** r * (minus + plus)
+        assert i_number(datum([so(2 * r)], [True])) == (-1) ** (r + 1) * (minus - plus)
+
+
+def test_i_number_and_sigma_never_enumerate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Weyl set enumerated")
+
+    monkeypatch.setattr(uendo.weylnum, "weyl_set", refuse)
+    monkeypatch.setattr(uendo.weylnum, "sgn0", refuse)
+    for coset in itertools.product((False, True), repeat=2):
+        d = datum([so(8), so(8)], coset)
+        assert i_number(d) == e_number(d), coset
+    assert sigma(ConnectedShape((so(8), so(8)))) == sigma(ConnectedShape((so(8),))) ** 2
+    gl7 = datum([gl(7)], [True])
+    assert i_number(gl7) == e_number(gl7)
+    assert sigma(ConnectedShape((gl(7),))) == 0
