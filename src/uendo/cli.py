@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from . import centralizer as central
@@ -385,18 +386,68 @@ def _elaborate(doc: ParameterDocument) -> Semantics:
 # Reports
 
 
-def _enc(value):
+def _enc(value, memo=None):
+    """The JSON value of a report: rationals become {"num", "den"} and
+    tuples lists.  A container shared within `value` is encoded once, and
+    its encoding is shared the same way."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, dict):
-        return {k: _enc(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_enc(v) for v in value]
-    return value
+    if not isinstance(value, (dict, list, tuple)):
+        return value
+    if memo is None:
+        memo = {}
+    out = memo.get(id(value))
+    if out is None:
+        if isinstance(value, dict):
+            out = {k: _enc(v, memo) for k, v in sorted(value.items())}
+        else:
+            out = [_enc(v, memo) for v in value]
+        memo[id(value)] = out
+    return out
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(_enc(report), sort_keys=True, indent=2) + "\n"
+    """`_enc(report)` as JSON with sorted keys and a two-space indent, plus
+    a newline: the bytes `json` writes for those settings, without the
+    pure-Python encoder that indenting selects there.  The text of each
+    container is kept per (id, depth), so a subtree that the report shares
+    is rendered once per depth.  Keys must be strings."""
+    memo = {}
+
+    def write(value, depth: int) -> str:
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if kind is int:
+            return int.__repr__(value)
+        if not isinstance(value, (dict, list, tuple)):
+            return json.dumps(value)
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            memo[key] = text = write_container(value, depth)
+        return text
+
+    def write_container(value, depth: int) -> str:
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            body = ("," + inner).join(
+                encode_basestring_ascii(k) + ": " + write(v, depth + 1)
+                for k, v in sorted(value.items())
+            )
+            return "{" + inner + body + "\n" + "  " * depth + "}"
+        body = ("," + inner).join(write(v, depth + 1) for v in value)
+        return "[" + inner + body + "\n" + "  " * depth + "]"
+
+    return write(_enc(report), 0) + "\n"
 
 
 def _flags_dict(flags) -> dict:
@@ -534,16 +585,25 @@ def report_multiplicity(sem: Semantics) -> dict:
 
 
 def report_tadic(n: int, k: int, field: str) -> dict:
+    """The expansion's terms in canonical order (the order `expand` inserts
+    them in), with one symbol dict per distinct symbol shared by its terms."""
     case = tadic.ARCH if field == "arch" else tadic.NONARCH
     combo = tadic.expand("r", n, k, case)
-    terms = []
-    for term, coeff in combo.items():
-        terms.append({
-            "coefficient": coeff,
-            "symbols": [
-                {"k": s.k, "lambda": Fraction(s.lam)} for s in term.symbols
-            ],
-        })
+    encoded = {}  # by id: the terms of `combo` share their symbol objects
+
+    def symbols(term):
+        out = []
+        for s in term.symbols:
+            d = encoded.get(id(s))
+            if d is None:
+                d = encoded[id(s)] = {"k": s.k, "lambda": Fraction(s.lam)}
+            out.append(d)
+        return out
+
+    terms = [
+        {"coefficient": coeff, "symbols": symbols(term)}
+        for term, coeff in combo.coeffs.items()
+    ]
     star_term, star_coeff = tadic.tempered_part(combo)
     return {
         "command": "tadic",
@@ -551,10 +611,7 @@ def report_tadic(n: int, k: int, field: str) -> dict:
         "k": k,
         "field": field,
         "terms": terms,
-        "tempered": {
-            "coefficient": star_coeff,
-            "symbols": [{"k": s.k, "lambda": Fraction(s.lam)} for s in star_term.symbols],
-        },
+        "tempered": {"coefficient": star_coeff, "symbols": symbols(star_term)},
     }
 
 
@@ -572,7 +629,41 @@ def run_check() -> dict:
 # Entry point
 
 
-_DOC_COMMANDS = ("classify", "centralizer", "arthur", "epsilon", "multiplicity")
+# tadic --n above this is refused before expanding: 8! = 40,320 permutations.
+TADIC_MAX_N = 8
+
+
+def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+    if flags.n is not None:
+        return report_endoscopy(flags.n)
+    if doc is None:
+        raise SemanticError("endoscopy needs --n or an input document")
+    return report_endoscopy(doc.N)
+
+
+def _tadic(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+    if flags.n is None or flags.k is None:
+        raise SemanticError("tadic needs --n and --k")
+    if flags.n > TADIC_MAX_N:
+        raise SemanticError(
+            "tadic --n %d is over the size budget of n <= %d" % (flags.n, TADIC_MAX_N)
+        )
+    return report_tadic(flags.n, flags.k, flags.field)
+
+
+# Reports of an elaborated input document, then reports read from flags.
+_DOC_REPORTS = {
+    "classify": report_classify,
+    "centralizer": report_centralizer,
+    "arthur": report_arthur,
+    "epsilon": report_epsilon,
+    "multiplicity": report_multiplicity,
+}
+_FLAG_REPORTS = {
+    "endoscopy": _endoscopy,
+    "tadic": _tadic,
+    "check": lambda doc, flags: run_check(),
+}
 
 
 def run(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
@@ -585,31 +676,12 @@ def run(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespac
 
 
 def _report(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
-    if command in _DOC_COMMANDS:
+    if command in _DOC_REPORTS:
         if doc is None:
             raise SemanticError("command %r needs an input document" % command)
-        sem = elaborate(doc)
-        if command == "classify":
-            return report_classify(sem)
-        if command == "centralizer":
-            return report_centralizer(sem)
-        if command == "arthur":
-            return report_arthur(sem)
-        if command == "epsilon":
-            return report_epsilon(sem)
-        return report_multiplicity(sem)
-    if command == "endoscopy":
-        if flags.n is None:
-            if doc is None:
-                raise SemanticError("endoscopy needs --n or an input document")
-            return report_endoscopy(doc.N)
-        return report_endoscopy(flags.n)
-    if command == "tadic":
-        if flags.n is None or flags.k is None:
-            raise SemanticError("tadic needs --n and --k")
-        return report_tadic(flags.n, flags.k, flags.field)
-    if command == "check":
-        return run_check()
+        return _DOC_REPORTS[command](elaborate(doc))
+    if command in _FLAG_REPORTS:
+        return _FLAG_REPORTS[command](doc, flags)
     raise SemanticError("unknown command %r" % command)
 
 
@@ -624,7 +696,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                  "multiplicity", "tadic", "check", "print"],
     )
     parser.add_argument("--input", help="parameter document file")
-    parser.add_argument("--json", action="store_true", help="JSON output (default)")
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument("--field", choices=["arch", "nonarch"], default="nonarch")

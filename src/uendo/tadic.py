@@ -23,7 +23,6 @@ theta_r(k + n - 1, 0) occurs in it exactly once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -90,15 +89,6 @@ class FormalCharacterCombination:
             if c:
                 self.coeffs[term] = c
 
-    def add(self, term: Optional[IsobaricTerm], c: int) -> None:
-        if term is None or c == 0:
-            return
-        new = self.coeffs.get(term, 0) + c
-        if new:
-            self.coeffs[term] = new
-        else:
-            self.coeffs.pop(term, None)
-
     def items(self):
         return sorted(
             self.coeffs.items(),
@@ -110,16 +100,6 @@ class FormalCharacterCombination:
 
     def __len__(self):
         return len(self.coeffs)
-
-
-def _perm_sign(perm: Tuple[int, ...]) -> int:
-    sign = 1
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Optional[IsobaricTerm]:
@@ -136,17 +116,51 @@ def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Op
 
 def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombination:
     """Signed sum over the symmetric group, after boundary conventions and
-    cancellation."""
+    cancellation; the terms of the result are inserted in canonical order.
+
+    The sum is walked row by row as a Leibniz expansion of the n x n table
+    of normalized symbols, skipping zero-symbol cells, so a permutation
+    through a zero cell is never completed.  Cell (i, j) holds a symbol
+    distinct from every other cell's, so a term is keyed by the sorted
+    ranks of its symbols in canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
     if field_case == NONARCH and k < 0:
         raise ValueError("nonarchimedean expansions need k >= 0")
     if field_case not in (ARCH, NONARCH):
         raise ValueError("unknown field case %r" % field_case)
+    cells = [
+        [_normalize_symbol(base, k - (i - j), (n + 1) - (i + j), field_case)
+         for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    order = sorted(
+        (s for row in cells for s in row if isinstance(s, StandardSymbol)),
+        key=lambda s: (s.base, -s.k, s.lam),
+    )
+    rank = {s: (r,) for r, s in enumerate(order)}
+    # None marks a zero cell, () an empty symbol, (r,) the symbol of rank r.
+    table = [[None if s == 0 else rank.get(s, ()) for s in row] for row in cells]
+    acc: Dict[Tuple[int, ...], int] = {}
+
+    def walk(i: int, free: int, ranks: Tuple[int, ...], sign: int) -> None:
+        if i == n:
+            key = tuple(sorted(ranks))
+            acc[key] = acc.get(key, 0) + sign
+            return
+        row = table[i]
+        # choosing column j adds the parity of the free columns below j
+        for j in range(n):
+            if free >> j & 1:
+                if row[j] is not None:
+                    walk(i + 1, free ^ (1 << j), ranks + row[j], sign)
+                sign = -sign
+
+    walk(0, (1 << n) - 1, (), 1)
     out = FormalCharacterCombination()
-    for perm in itertools.permutations(range(n)):
-        term = term_for_permutation(base, n, k, field_case, perm)
-        out.add(term, _perm_sign(perm))
+    for key in sorted(acc):
+        if acc[key]:
+            out.coeffs[IsobaricTerm(tuple(order[r] for r in key))] = acc[key]
     return out
 
 
@@ -177,7 +191,7 @@ def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
 
 def tempered_part(c: FormalCharacterCombination) -> Tuple[IsobaricTerm, int]:
     """The unique all-lambda-zero term with its coefficient."""
-    found = [(t, coeff) for t, coeff in c.items() if t.is_tempered]
+    found = [(t, coeff) for t, coeff in c.coeffs.items() if t.is_tempered]
     if len(found) != 1:
         raise AssertionError("tempered part is not a single term")
     return found[0]
@@ -193,7 +207,7 @@ def sq_int_multiplicity(term: IsobaricTerm, base: str, n: int, k: int) -> int:
 def mod2_reduce(c: FormalCharacterCombination) -> Dict[IsobaricTerm, int]:
     """Coefficients modulo 2, zero classes absent."""
     out = {}
-    for term, coeff in c.items():
+    for term, coeff in c.coeffs.items():
         if coeff % 2:
             out[term] = coeff % 2
     return out

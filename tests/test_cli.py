@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +198,17 @@ def test_tadic_negative_k_is_semantic_error(capsys):
     _assert_one_line_error(*run_cli(["tadic", "--n", "2", "--k", "-5"], capsys), 2)
 
 
+def test_tadic_over_size_budget_is_refused_before_expanding(monkeypatch, capsys):
+    def expand(*args):
+        raise AssertionError("expanded over the size budget")
+
+    monkeypatch.setattr(cli.tadic, "expand", expand)
+    for n in (cli.TADIC_MAX_N + 1, 12):
+        code, out, err = run_cli(["tadic", "--n", str(n), "--k", "2"], capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "size budget of n <= %d" % cli.TADIC_MAX_N in err
+
+
 def test_nu_zero_document_is_semantic_error(tmp_path, capsys):
     doc = tmp_path / "nu0.txt"
     doc.write_text("group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(0)\n")
@@ -248,3 +261,54 @@ def test_fixture_reports_match_schema(path, report_validator, capsys):
         if code == 0:
             errors = [e.message for e in report_validator.iter_errors(json.loads(out))]
             assert errors == [], (command, errors)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+
+def _json_reference(report):
+    return json.dumps(cli._enc(report), sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_matches_json_on_fixture_reports():
+    flags = argparse.Namespace(n=None, k=None, field="nonarch")
+    for path in FIXTURES:
+        doc = cli.parse(path.read_text())
+        for command in JSON_DOCUMENT_COMMANDS:
+            try:
+                report = cli.run(command, doc, flags)
+            except cli.SemanticError:
+                continue
+            assert cli._dump(report) == _json_reference(report), (path.name, command)
+
+
+def test_dump_matches_json_on_tables_and_check():
+    reports = [
+        cli.report_tadic(n, k, field)
+        for field in ("arch", "nonarch")
+        for n in range(1, 6)
+        for k in range(0, 4)
+    ]
+    reports += [cli.report_endoscopy(n) for n in range(1, 11)]
+    reports.append(cli.run_check())
+    for report in reports:
+        assert cli._dump(report) == _json_reference(report)
+
+
+def test_dump_matches_json_on_synthetic_report():
+    shared = {"x": Fraction(-3, 4), "y": [Fraction(5), -7]}
+    report = {
+        "text": "caf\u00e9 \u2203 \"quoted\"\n",
+        "empty_dict": {},
+        "empty_list": [],
+        "flags": [True, False, None],
+        "ints": [-1, 0, 2 ** 70, -(2 ** 70)],
+        "floats": [-0.5, float("inf")],
+        "nested": {"fractions": [[Fraction(1, 3)], (Fraction(-2),)]},
+        "shared": shared,
+        "deeper": {"again": [shared]},
+    }
+    encoded = cli._enc(report)
+    assert encoded["shared"] is encoded["deeper"]["again"][0]
+    assert cli._dump(report) == _json_reference(report)

@@ -66,21 +66,19 @@ def test_expand_validates_input():
 
 
 def test_expand_accounting_no_silent_loss():
-    # regenerate the raw signed terms and compare with the accumulated map
-    for n, k, case in ((3, 0, NONARCH), (3, 2, NONARCH), (3, 1, ARCH)):
-        raw = {}
-        for perm in itertools.permutations(range(n)):
-            t = term_for_permutation("r", n, k, case, perm)
-            if t is None:
-                continue
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            raw[t] = raw.get(t, 0) + sign
-        combo = expand("r", n, k, case)
-        assert combo.coeffs == {t: c for t, c in raw.items() if c}
+    # the pruned row-by-row expansion against the signed sum of the raw
+    # per-permutation terms, including the canonical order of its terms
+    cases = [(NONARCH, k) for k in range(0, 8)] + [(ARCH, k) for k in range(-2, 8)]
+    for n in range(1, 7):
+        for case, k in cases:
+            raw = {}
+            for perm in itertools.permutations(range(n)):
+                t = term_for_permutation("r", n, k, case, perm)
+                if t is not None:
+                    raw[t] = raw.get(t, 0) + _perm_sign(perm)
+            combo = expand("r", n, k, case)
+            assert combo.coeffs == {t: c for t, c in raw.items() if c}, (n, k, case)
+            assert list(combo.coeffs.items()) == combo.items(), (n, k, case)
 
 
 # ---------------------------------------------------------------------------
