@@ -17,9 +17,10 @@ exact sequences
 
 with S^1 the sign vectors supported on odd indices and R = W/W^0 the sign
 vectors on even indices; the second sequence splits canonically.  These
-groups are realized concretely: N is enumerated as tuples of signed
+groups are realized concretely: an element of N is a tuple of signed
 permutations (one per torus block) plus free component bits on the odd
-orthogonal factors, modulo the central relation.
+orthogonal factors, modulo the central relation.  `levi_diagram` counts N
+block by block; `NormalizerModel.elements` enumerates it.
 """
 
 from __future__ import annotations
@@ -332,10 +333,15 @@ def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     group = model.group
-    elements = model.elements()
-    n_order = len(elements)
-    w_keys = {e.weyl_key for e in elements}
-    w_order = len(w_keys)
+    # N is the product of the blocks' Weyl groups and the canonical odd
+    # bits, so both orders are counted factor by factor rather than by
+    # materializing N; the blocks are still enumerated, so the exactness
+    # check below compares real counts with the closed forms.
+    w_order = 1
+    for block in model.weyl_blocks():
+        w_order *= len(set(block))
+    odd_bits = itertools.product((1, -1), repeat=len(model.odd_labels))
+    n_order = w_order * len({model._canonical((), bits).odd_bits for bits in odd_bits})
     w0 = model.w0_order()
     s_order = group.order
     s1_images = s1_subgroup(shape)

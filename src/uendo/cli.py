@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -386,68 +387,57 @@ def _elaborate(doc: ParameterDocument) -> Semantics:
 # Reports
 
 
-def _enc(value, memo=None):
-    """The JSON value of a report: rationals become {"num", "den"} and
-    tuples lists.  A container shared within `value` is encoded once, and
-    its encoding is shared the same way."""
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if not isinstance(value, (dict, list, tuple)):
-        return value
-    if memo is None:
-        memo = {}
-    out = memo.get(id(value))
-    if out is None:
-        if isinstance(value, dict):
-            out = {k: _enc(v, memo) for k, v in sorted(value.items())}
-        else:
-            out = [_enc(v, memo) for v in value]
-        memo[id(value)] = out
-    return out
-
-
 def _dump(report: dict) -> str:
-    """`_enc(report)` as JSON with sorted keys and a two-space indent, plus
-    a newline: the bytes `json` writes for those settings, without the
-    pure-Python encoder that indenting selects there.  The text of each
-    container is kept per (id, depth), so a subtree that the report shares
-    is rendered once per depth.  Keys must be strings."""
-    memo = {}
+    """The report as JSON with sorted keys and a two-space indent, plus a
+    newline, with rationals as {"num", "den"} objects and tuples as lists:
+    the bytes `json` writes for those settings, without the pure-Python
+    encoder that indenting selects there.  The text of each container is
+    kept per depth and id, so a subtree that the report shares is rendered
+    once per depth.  Keys must be strings."""
+    memos = defaultdict(dict)  # depth -> id of a container -> its text there
 
     def write(value, depth: int) -> str:
         kind = type(value)
         if kind is str:
             return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
         if kind is int:
             return int.__repr__(value)
-        if not isinstance(value, (dict, list, tuple)):
-            return json.dumps(value)
-        key = (id(value), depth)
-        text = memo.get(key)
-        if text is None:
-            memo[key] = text = write_container(value, depth)
-        return text
-
-    def write_container(value, depth: int) -> str:
+        if not (kind is dict or kind is list or kind is tuple):
+            if value is None:
+                return "null"
+            if value is True:
+                return "true"
+            if value is False:
+                return "false"
+            if isinstance(value, Fraction):
+                pad = "\n" + "  " * depth
+                return '{%s  "den": %d,%s  "num": %d%s}' % (
+                    pad, value.denominator, pad, value.numerator, pad)
+            if not isinstance(value, (dict, list, tuple)):
+                return json.dumps(value)
         if not value:
             return "{}" if isinstance(value, dict) else "[]"
+        memo = memos[depth]
+        text = memo.get(id(value))
+        if text is None:
+            memo[id(value)] = text = write_container(value, depth, memos[depth + 1])
+        return text
+
+    def write_container(value, depth: int, child_memo: dict) -> str:
+        # a child the report shares is looked up before any type dispatch;
+        # ids are not reused meanwhile, since the report holds every object
+        get = child_memo.get
         inner = "\n" + "  " * (depth + 1)
         if isinstance(value, dict):
-            body = ("," + inner).join(
-                encode_basestring_ascii(k) + ": " + write(v, depth + 1)
+            body = ("," + inner).join([
+                encode_basestring_ascii(k) + ": " + (get(id(v)) or write(v, depth + 1))
                 for k, v in sorted(value.items())
-            )
+            ])
             return "{" + inner + body + "\n" + "  " * depth + "}"
-        body = ("," + inner).join(write(v, depth + 1) for v in value)
+        body = ("," + inner).join([get(id(v)) or write(v, depth + 1) for v in value])
         return "[" + inner + body + "\n" + "  " * depth + "]"
 
-    return write(_enc(report), 0) + "\n"
+    return write(report, 0) + "\n"
 
 
 def _flags_dict(flags) -> dict:
@@ -685,8 +675,16 @@ def _report(command: str, doc: Optional[ParameterDocument], flags: argparse.Name
     raise SemanticError("unknown command %r" % command)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Refuses bad arguments with one line on stderr and exit 2, like every
+    other refusal, instead of a usage line plus an error line."""
+
+    def error(self, message: str):
+        self.exit(2, "error: %s\n" % message)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="uendo",
         description="exact endoscopic combinatorics for unitary groups",
     )

@@ -33,7 +33,10 @@ NONARCH = "nonarchimedean"
 
 @dataclass(frozen=True)
 class StandardSymbol:
-    """One box-sum factor theta_r(k, lam)."""
+    """One box-sum factor theta_r(k, lam).  Its hash is computed once, when
+    it is built, since every `IsobaricTerm` key hashes its symbols again; it
+    reads only the numbers k and lam, whose hashes do not vary between
+    processes, so a copy made by pickling keeps a valid hash."""
 
     base: str
     k: int
@@ -43,6 +46,10 @@ class StandardSymbol:
     def __post_init__(self):
         if self.field_case not in (ARCH, NONARCH):
             raise ValueError("field case must be archimedean or nonarchimedean")
+        object.__setattr__(self, "_hash", hash((self.k, self.lam)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _normalize_symbol(base: str, k: int, lam, field_case: str):

@@ -151,6 +151,39 @@ def test_levi_diagram_family_exactness():
             assert d.n_order == d.s1_order * d.w_order
 
 
+def test_levi_diagram_counts_match_enumerated_normalizer():
+    # every shape of at most 3 factors; Sp(l) needs l even to factor
+    items = [("O", l) for l in (1, 2, 3, 4)] + [("Sp", 2), ("Sp", 4)]
+    items += [("GL", l) for l in (1, 2, 3, 4)]
+    for size in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(items, size):
+            psi, tag = build(*(tuple(l for kd, l in combo if kd == kind)
+                               for kind in ("O", "Sp", "GL")))
+            model = NormalizerModel(centralizer_shape(psi, tag))
+            elements = model.elements()
+            n_order = len(elements)
+            w_order = len({e.weyl_key for e in elements})
+            d = levi_diagram(psi, tag)
+            assert (d.n_order, d.w_order) == (n_order, w_order), combo
+            exact = (n_order == d.s_order * model.w0_order()
+                     and n_order == d.s1_order * w_order)
+            assert exact and d.exact and d.splitting_ok, combo
+
+
+def test_levi_diagram_never_enumerates_the_normalizer(monkeypatch):
+    def refuse(self):
+        raise AssertionError("normalizer enumerated")
+
+    monkeypatch.setattr(NormalizerModel, "elements", refuse)
+    # O(7) x O(7) and GL(7) x O(1), the ladder's largest rungs of their kinds
+    for mults_plus, mults_gl, w_order, n_order in (((7, 7), (), 48 * 48, 2 * 48 * 48),
+                                                   ((1,), (7,), 5040, 5040)):
+        d = levi_diagram(*build(mults_plus, mults_gl=mults_gl))
+        assert (d.w_order, d.n_order) == (w_order, n_order)
+        assert d.n_order == d.s_order * d.w0_order == d.s1_order * d.w_order
+        assert d.exact and d.splitting_ok
+
+
 def test_s1_composite_to_r_trivial_and_section():
     psi, tag = build((2, 2, 1, 3))
     shape = centralizer_shape(psi, tag)

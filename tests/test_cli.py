@@ -227,6 +227,31 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     _assert_one_line_error(*run_cli(["classify", "--input", str(doc)], capsys), 1)
 
 
+def run_cli_rejected(args, capsys):
+    """Run arguments argparse refuses: `main` exits through `SystemExit`."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main(args)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+def test_non_integer_flag_is_one_line_rejection(capsys):
+    _assert_one_line_error(*run_cli_rejected(["tadic", "--n", "x", "--k", "1"], capsys), 2)
+
+
+def test_unknown_flag_is_one_line_rejection(capsys):
+    _assert_one_line_error(*run_cli_rejected(["check", "--json"], capsys), 2)
+
+
+def test_unknown_command_is_one_line_rejection(capsys):
+    _assert_one_line_error(*run_cli_rejected(["bogus"], capsys), 2)
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli_rejected(["-h"], capsys)
+    assert code == 0 and out.startswith("usage: uendo") and err == ""
+
+
 def test_check_command_green(capsys):
     code, out, _ = run_cli(["check"], capsys)
     assert code == 0
@@ -267,8 +292,29 @@ def test_fixture_reports_match_schema(path, report_validator, capsys):
 # JSON writer
 
 
+def _enc(value, memo=None):
+    """The JSON value of a report: rationals become {"num", "den"} and
+    tuples lists.  A container shared within `value` is encoded once, and
+    its encoding is shared the same way."""
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if not isinstance(value, (dict, list, tuple)):
+        return value
+    if memo is None:
+        memo = {}
+    out = memo.get(id(value))
+    if out is None:
+        if isinstance(value, dict):
+            out = {k: _enc(v, memo) for k, v in sorted(value.items())}
+        else:
+            out = [_enc(v, memo) for v in value]
+        memo[id(value)] = out
+    return out
+
+
 def _json_reference(report):
-    return json.dumps(cli._enc(report), sort_keys=True, indent=2) + "\n"
+    """The bytes `cli._dump` must write, from the standard encoder."""
+    return json.dumps(_enc(report), sort_keys=True, indent=2) + "\n"
 
 
 def test_dump_matches_json_on_fixture_reports():
@@ -290,6 +336,7 @@ def test_dump_matches_json_on_tables_and_check():
         for n in range(1, 6)
         for k in range(0, 4)
     ]
+    reports += [cli.report_tadic(6, 2, field) for field in ("arch", "nonarch")]
     reports += [cli.report_endoscopy(n) for n in range(1, 11)]
     reports.append(cli.run_check())
     for report in reports:
@@ -309,6 +356,6 @@ def test_dump_matches_json_on_synthetic_report():
         "shared": shared,
         "deeper": {"again": [shared]},
     }
-    encoded = cli._enc(report)
+    encoded = _enc(report)
     assert encoded["shared"] is encoded["deeper"]["again"][0]
     assert cli._dump(report) == _json_reference(report)

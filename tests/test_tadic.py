@@ -31,6 +31,19 @@ def term(*symbols):
 # expand
 
 
+def test_symbol_hash_ignores_how_lambda_was_given():
+    for case in (ARCH, NONARCH):
+        for lam in (-3, 0, 2):
+            from_int = StandardSymbol("r", 4, lam, case)
+            from_fraction = StandardSymbol("r", 4, Fraction(lam), case)
+            assert from_int == from_fraction
+            assert hash(from_int) == hash(from_fraction)
+            assert len({from_int: 1, from_fraction: 2}) == 1
+            assert len({term(from_int): 1, term(from_fraction): 2}) == 1
+    assert hash(sym(4, Fraction(1, 2))) == hash(sym(4, Fraction(2, 4)))
+    assert sym(4, 1) != sym(4, 2) and sym(4, 1) != sym(4, 1, ARCH)
+
+
 def test_expand_n1_is_single_symbol():
     for case, k in ((NONARCH, 0), (NONARCH, 3), (ARCH, -2), (ARCH, 5)):
         combo = expand("r", 1, k, case)
