@@ -224,14 +224,16 @@ class NormalizerModel:
                 order *= math.factorial(rank)
         return order
 
+    def block_orders(self) -> List[int]:
+        """The order of each block's Weyl group, by closed form: r! for a GL
+        block of rank r, 2^r r! for the others."""
+        return [
+            math.factorial(rank) * (1 if kind == "GL" else 2 ** rank)
+            for kind, _, _, rank in self.block_meta
+        ]
+
     def w_order(self) -> int:
-        order = 1
-        for kind, _, l, rank in self.block_meta:
-            if kind == "GL":
-                order *= math.factorial(rank)
-            else:
-                order *= 2 ** rank * math.factorial(rank)
-        return order
+        return math.prod(self.block_orders())
 
     def elements(self) -> List[NormalizerElement]:
         """Duplicate-free enumeration of N."""

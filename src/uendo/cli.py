@@ -10,6 +10,11 @@ Grammar (whitespace insensitive, '#' starts a comment):
     roots  := "roots" "{" (IDENT "," IDENT ":" SIGN)* "}"
     places := "places" "[" (IDENT ":" ("inert" | "split"))* "]"
 
+Whitespace is space, tab, CR and LF.  An INT is a run of decimal digits; an
+IDENT starts with a letter or '_' and goes on with letters, numeric
+characters and '_'.  A token that starts with any other character, such as
+a digit that is not decimal ('²'), is a parse error.
+
 Exit codes: 1 parse error, 2 semantic validation failure, 3 internal
 invariant failure.  Rationals are serialized as {"num": ..., "den": ...}.
 """
@@ -17,7 +22,9 @@ invariant failure.  Rationals are serialized as {"num": ..., "den": ...}.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -67,58 +74,21 @@ class InternalInvariantError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | INT | PUNCT
-    text: str
-    line: int
-    column: int
-
-
-_PUNCT = set("(){}[]:,=+-*")
+# A comment runs to the end of its line, so deleting it moves no token.
+_COMMENT = re.compile(r"#[^\n]*")
+# Punctuation, an INT (decimal digits), a word, or any other character but
+# whitespace; a word or character that starts with anything but a letter or
+# '_' is refused when the document is parsed.
+_TOKEN = re.compile(r"[(){}\[\]:,=+\-*]|\d+|[^\W\d]\w*|[^ \t\r\n]")
+_PUNCT = frozenset("(){}[]:,=+-*")
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    return tokens
+def _is_ident(tok: str) -> bool:
+    return tok[0].isalpha() or tok[0] == "_"
+
+
+def _is_valid(tok: str) -> bool:
+    return tok[0] in _PUNCT or tok[0].isdecimal() or _is_ident(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -150,143 +120,164 @@ class ParameterDocument:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Recursive descent over the string tokens of `text`, a document
+    without its comments.  Each token consumed passes a check that an
+    invalid token fails, so the tokens are checked for one only when the
+    parse fails; a token's line and column are found only for its error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append(None)  # end of input, which nothing consumes
         self.pos = 0
 
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _error(self, message: str, index: int) -> ParseError:
+        """A `ParseError` at the token of that index; line 1, column 1 when
+        there are no tokens."""
+        offset = 0
+        if index >= 0:
+            offset = next(itertools.islice(_TOKEN.finditer(self.text), index, None)).start()
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def _fail(self, message: str):
-        tok = self._peek()
+        # an invalid token anywhere is the error, as a lexer would find it first
+        for index, tok in enumerate(self.tokens[:-1]):
+            if not _is_valid(tok):
+                raise self._error("unexpected character %r" % tok[0], index)
+        tok = self.tokens[self.pos]
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("PUNCT", "", 1, 1)
-            raise ParseError(message + " (at end of input)", last.line, last.column)
-        raise ParseError(message + ", got %r" % tok.text, tok.line, tok.column)
+            raise self._error(message + " (at end of input)", len(self.tokens) - 2)
+        raise self._error(message + ", got %r" % tok, self.pos)
 
-    def _take(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self._fail("expected %r" % want)
+    def _take(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self._fail("expected %r" % text)
+        self.pos += 1
+
+    def _at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
+
+    def _ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok is None or not _is_ident(tok):
+            self._fail("expected 'IDENT'")
         self.pos += 1
         return tok
 
-    def _at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+    def _at_int(self) -> bool:
+        tok = self.tokens[self.pos]
+        return tok is not None and tok[0].isdecimal()
 
     def _int(self) -> int:
-        return int(self._take("INT").text)
+        if not self._at_int():
+            self._fail("expected 'INT'")
+        self.pos += 1
+        return int(self.tokens[self.pos - 1])
 
     def _sign(self) -> int:
-        tok = self._peek()
-        if tok is None or tok.text not in ("+", "-"):
+        tok = self.tokens[self.pos]
+        if tok not in ("+", "-"):
             self._fail("expected a sign")
         self.pos += 1
-        return 1 if tok.text == "+" else -1
+        return 1 if tok == "+" else -1
 
     def _signed_one(self) -> int:
         """A sign written as -1 or +1 (the bare sign is also accepted)."""
         sign = self._sign()
-        if self._at("INT", "1"):
+        if self._at("1"):
             self.pos += 1
         return sign
 
     def document(self) -> ParameterDocument:
-        self._take("IDENT", "group")
-        self._take("IDENT", "U")
-        self._take("PUNCT", "(")
+        self._take("group")
+        self._take("U")
+        self._take("(")
         n = self._int()
-        self._take("PUNCT", ")")
-        self._take("IDENT", "parity")
+        self._take(")")
+        self._take("parity")
         parity = self._sign()
         decls = []
-        while self._at("IDENT", "mu"):
+        while self._at("mu"):
             decls.append(self._decl())
-        self._take("IDENT", "psi")
-        self._take("PUNCT", "=")
+        self._take("psi")
+        self._take("=")
         terms = [self._term()]
-        while self._at("PUNCT", "+"):
+        while self._at("+"):
             self.pos += 1
             terms.append(self._term())
         roots: List[Tuple[str, str, int]] = []
-        if self._at("IDENT", "roots"):
+        if self._at("roots"):
             roots = self._roots()
         places: List[Tuple[str, str]] = []
-        if self._at("IDENT", "places"):
+        if self._at("places"):
             places = self._places()
-        if self._peek() is not None:
+        if self.tokens[self.pos] is not None:
             self._fail("unexpected trailing input")
         return ParameterDocument(n, parity, tuple(decls), tuple(terms), tuple(roots), tuple(places))
 
     def _decl(self) -> Decl:
-        self._take("IDENT", "mu")
-        label = self._take("IDENT").text
-        self._take("PUNCT", ":")
-        self._take("IDENT", "deg")
-        self._take("PUNCT", "=")
+        self._take("mu")
+        label = self._ident()
+        self._take(":")
+        self._take("deg")
+        self._take("=")
         deg = self._int()
-        self._take("PUNCT", ",")
-        self._take("IDENT", "sd")
-        self._take("PUNCT", "=")
-        tok = self._peek()
-        if tok is not None and tok.text in ("+", "-"):
-            self.pos += 1
-            sd = tok.text
-        elif self._at("IDENT", "none"):
-            self.pos += 1
-            sd = "none"
-        else:
+        self._take(",")
+        self._take("sd")
+        self._take("=")
+        sd = self.tokens[self.pos]
+        if sd not in ("+", "-", "none"):
             self._fail("expected '+', '-' or 'none'")
+        self.pos += 1
         return Decl(label, deg, sd)
 
     def _term(self) -> Term:
         mult = 1
-        if self._at("INT"):
+        if self._at_int():
             mult = self._int()
-            self._take("PUNCT", "*")
-        label = self._take("IDENT").text
-        self._take("PUNCT", "(")
-        self._take("IDENT", "x")
-        self._take("PUNCT", ")")
-        self._take("IDENT", "nu")
-        self._take("PUNCT", "(")
+            self._take("*")
+        label = self._ident()
+        self._take("(")
+        self._take("x")
+        self._take(")")
+        self._take("nu")
+        self._take("(")
         nu = self._int()
-        self._take("PUNCT", ")")
+        self._take(")")
         return Term(mult, label, nu)
 
     def _roots(self) -> List[Tuple[str, str, int]]:
-        self._take("IDENT", "roots")
-        self._take("PUNCT", "{")
+        self._take("roots")
+        self._take("{")
         out = []
-        while not self._at("PUNCT", "}"):
-            a = self._take("IDENT").text
-            self._take("PUNCT", ",")
-            b = self._take("IDENT").text
-            self._take("PUNCT", ":")
+        while not self._at("}"):
+            a = self._ident()
+            self._take(",")
+            b = self._ident()
+            self._take(":")
             out.append((a, b, self._signed_one()))
-        self._take("PUNCT", "}")
+        self._take("}")
         return out
 
     def _places(self) -> List[Tuple[str, str]]:
-        self._take("IDENT", "places")
-        self._take("PUNCT", "[")
+        self._take("places")
+        self._take("[")
         out = []
-        while not self._at("PUNCT", "]"):
-            name = self._take("IDENT").text
-            self._take("PUNCT", ":")
-            if self._at("IDENT", "inert") or self._at("IDENT", "split"):
-                kind = self._take("IDENT").text
-            else:
+        while not self._at("]"):
+            name = self._ident()
+            self._take(":")
+            kind = self.tokens[self.pos]
+            if kind not in ("inert", "split"):
                 self._fail("expected 'inert' or 'split'")
+            self.pos += 1
             out.append((name, kind))
-        self._take("PUNCT", "]")
+        self._take("]")
         return out
 
 
 def parse(text: str) -> ParameterDocument:
-    return _Parser(tokenize(text)).document()
+    return _Parser(_COMMENT.sub("", text)).document()
 
 
 def print_document(doc: ParameterDocument) -> str:
@@ -470,6 +461,12 @@ def _require_factoring(sem: Semantics):
 def report_centralizer(sem: Semantics) -> dict:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
+    largest = max(central.NormalizerModel(shape).block_orders(), default=1)
+    if largest > CENTRALIZER_MAX_WEYL_BLOCK:
+        raise SemanticError(
+            "centralizer: a Weyl block of order %d is over the size budget of %d"
+            % (largest, CENTRALIZER_MAX_WEYL_BLOCK)
+        )
     diagram = central.levi_diagram(sem.psi, sem.tag)
     if not (diagram.exact and diagram.splitting_ok):
         raise InternalInvariantError("normalizer diagram failed exactness")
@@ -621,6 +618,10 @@ def run_check() -> dict:
 
 # tadic --n above this is refused before expanding: 8! = 40,320 permutations.
 TADIC_MAX_N = 8
+# centralizer is refused before enumerating when a block of the normalizer's
+# Weyl group is larger than this: 2^6 6! = 46,080 signed permutations, the
+# Weyl group of O(12), O(13) or Sp(12) (GL(8) has 8! = 40,320).
+CENTRALIZER_MAX_WEYL_BLOCK = 46080
 
 
 def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
@@ -683,21 +684,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+# Built once: `parse_args` returns a fresh namespace on every call.
+_ARGS = _ArgumentParser(
+    prog="uendo",
+    description="exact endoscopic combinatorics for unitary groups",
+)
+_ARGS.add_argument(
+    "command",
+    choices=["classify", "centralizer", "arthur", "endoscopy", "epsilon",
+             "multiplicity", "tadic", "check", "print"],
+)
+_ARGS.add_argument("--input", help="parameter document file")
+_ARGS.add_argument("--n", type=int, default=None)
+_ARGS.add_argument("--k", type=int, default=None)
+_ARGS.add_argument("--field", choices=["arch", "nonarch"], default="nonarch")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _ArgumentParser(
-        prog="uendo",
-        description="exact endoscopic combinatorics for unitary groups",
-    )
-    parser.add_argument(
-        "command",
-        choices=["classify", "centralizer", "arthur", "endoscopy", "epsilon",
-                 "multiplicity", "tadic", "check", "print"],
-    )
-    parser.add_argument("--input", help="parameter document file")
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--field", choices=["arch", "nonarch"], default="nonarch")
-    args = parser.parse_args(argv)
+    args = _ARGS.parse_args(argv)
 
     doc = None
     try:

@@ -266,14 +266,9 @@ def _kminus_pairs(shape: CentralizerShape, table: RootNumberTable):
     sd = list(shape.orthogonal) + list(shape.symplectic)
     out = []
     for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
-        if k.mu_sign == kp.mu_sign:
-            continue
-        count = even_constituent_count(k.su2_dim, kp.su2_dim)
-        if count == 0:
-            continue
-        if table.epsilon(k, kp) != -1:
-            continue
-        out.append(((k, lk), (kp, lkp), count))
+        count = _pair_count(k, kp, table)
+        if count:
+            out.append(((k, lk), (kp, lkp), count))
     return out
 
 
@@ -370,10 +365,8 @@ def _core_pairs(shape: CentralizerShape, table: RootNumberTable):
     core = [sp for sp, l in shape.orthogonal if l % 2]
     out = []
     for k, kp in itertools.combinations(core, 2):
-        if k.mu_sign == kp.mu_sign:
-            continue
-        count = even_constituent_count(k.su2_dim, kp.su2_dim)
-        if count and table.epsilon(k, kp) == -1:
+        count = _pair_count(k, kp, table)
+        if count:
             out.append((k.label, kp.label, count))
     return out
 
@@ -404,7 +397,9 @@ def _zero_line_sign(block) -> int:
 
 def _pair_count(k: SimpleParameter, kp: SimpleParameter, table: RootNumberTable) -> int:
     """Number of symplectic root-number blocks with even SL(2) part between
-    two self-dual constituents."""
+    two self-dual constituents; the one pair filter of this module.  The
+    table is asked only about pairs of opposite cuspidal parity that have
+    such blocks, so only those can be recorded as defaulted."""
     if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
         return 0
     if k.mu_sign == kp.mu_sign:

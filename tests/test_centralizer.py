@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -168,6 +169,15 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             exact = (n_order == d.s_order * model.w0_order()
                      and n_order == d.s1_order * w_order)
             assert exact and d.exact and d.splitting_ok, combo
+
+
+def test_block_orders_match_enumerated_blocks():
+    for mults_plus, mults_minus, mults_gl in (((1, 2, 3, 4, 5), (2, 4, 6), (1, 2, 3, 4, 5)),
+                                              ((6,), (), (6,))):
+        model = NormalizerModel(centralizer_shape(*build(mults_plus, mults_minus, mults_gl)))
+        orders = model.block_orders()
+        assert orders == [len(set(block)) for block in model.weyl_blocks()]
+        assert model.w_order() == math.prod(orders)
 
 
 def test_levi_diagram_never_enumerates_the_normalizer(monkeypatch):

@@ -2,7 +2,10 @@ import argparse
 import io
 import json
 import pathlib
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -56,6 +59,281 @@ def test_parse_rejects_garbage():
         cli.parse("group U(x) parity -")
     with pytest.raises(cli.ParseError):
         cli.parse("")
+
+
+# The character-by-character lexer and the token-object parser that
+# `cli.parse` replaced, kept as the reference front end.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # IDENT | INT | PUNCT
+    text: str
+    line: int
+    column: int
+
+
+_PUNCT = set("(){}[]:,=+-*")
+
+
+def tokenize(text: str) -> List[Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            tokens.append(Token("INT", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token("IDENT", text[start:i], line, col))
+            col += i - start
+            continue
+        raise cli.ParseError("unexpected character %r" % ch, line, col)
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: List[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def _peek(self) -> Optional[Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _fail(self, message: str):
+        tok = self._peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else Token("PUNCT", "", 1, 1)
+            raise cli.ParseError(message + " (at end of input)", last.line, last.column)
+        raise cli.ParseError(message + ", got %r" % tok.text, tok.line, tok.column)
+
+    def _take(self, kind: str, text: Optional[str] = None) -> Token:
+        tok = self._peek()
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            self._fail("expected %r" % want)
+        self.pos += 1
+        return tok
+
+    def _at(self, kind: str, text: Optional[str] = None) -> bool:
+        tok = self._peek()
+        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+
+    def _int(self) -> int:
+        return int(self._take("INT").text)
+
+    def _sign(self) -> int:
+        tok = self._peek()
+        if tok is None or tok.text not in ("+", "-"):
+            self._fail("expected a sign")
+        self.pos += 1
+        return 1 if tok.text == "+" else -1
+
+    def _signed_one(self) -> int:
+        sign = self._sign()
+        if self._at("INT", "1"):
+            self.pos += 1
+        return sign
+
+    def document(self) -> cli.ParameterDocument:
+        self._take("IDENT", "group")
+        self._take("IDENT", "U")
+        self._take("PUNCT", "(")
+        n = self._int()
+        self._take("PUNCT", ")")
+        self._take("IDENT", "parity")
+        parity = self._sign()
+        decls = []
+        while self._at("IDENT", "mu"):
+            decls.append(self._decl())
+        self._take("IDENT", "psi")
+        self._take("PUNCT", "=")
+        terms = [self._term()]
+        while self._at("PUNCT", "+"):
+            self.pos += 1
+            terms.append(self._term())
+        roots: List[Tuple[str, str, int]] = []
+        if self._at("IDENT", "roots"):
+            roots = self._roots()
+        places: List[Tuple[str, str]] = []
+        if self._at("IDENT", "places"):
+            places = self._places()
+        if self._peek() is not None:
+            self._fail("unexpected trailing input")
+        return cli.ParameterDocument(n, parity, tuple(decls), tuple(terms), tuple(roots),
+                                     tuple(places))
+
+    def _decl(self) -> cli.Decl:
+        self._take("IDENT", "mu")
+        label = self._take("IDENT").text
+        self._take("PUNCT", ":")
+        self._take("IDENT", "deg")
+        self._take("PUNCT", "=")
+        deg = self._int()
+        self._take("PUNCT", ",")
+        self._take("IDENT", "sd")
+        self._take("PUNCT", "=")
+        tok = self._peek()
+        if tok is not None and tok.text in ("+", "-"):
+            self.pos += 1
+            sd = tok.text
+        elif self._at("IDENT", "none"):
+            self.pos += 1
+            sd = "none"
+        else:
+            self._fail("expected '+', '-' or 'none'")
+        return cli.Decl(label, deg, sd)
+
+    def _term(self) -> cli.Term:
+        mult = 1
+        if self._at("INT"):
+            mult = self._int()
+            self._take("PUNCT", "*")
+        label = self._take("IDENT").text
+        self._take("PUNCT", "(")
+        self._take("IDENT", "x")
+        self._take("PUNCT", ")")
+        self._take("IDENT", "nu")
+        self._take("PUNCT", "(")
+        nu = self._int()
+        self._take("PUNCT", ")")
+        return cli.Term(mult, label, nu)
+
+    def _roots(self) -> List[Tuple[str, str, int]]:
+        self._take("IDENT", "roots")
+        self._take("PUNCT", "{")
+        out = []
+        while not self._at("PUNCT", "}"):
+            a = self._take("IDENT").text
+            self._take("PUNCT", ",")
+            b = self._take("IDENT").text
+            self._take("PUNCT", ":")
+            out.append((a, b, self._signed_one()))
+        self._take("PUNCT", "}")
+        return out
+
+    def _places(self) -> List[Tuple[str, str]]:
+        self._take("IDENT", "places")
+        self._take("PUNCT", "[")
+        out = []
+        while not self._at("PUNCT", "]"):
+            name = self._take("IDENT").text
+            self._take("PUNCT", ":")
+            if self._at("IDENT", "inert") or self._at("IDENT", "split"):
+                kind = self._take("IDENT").text
+            else:
+                self._fail("expected 'inert' or 'split'")
+            out.append((name, kind))
+        self._take("PUNCT", "]")
+        return out
+
+
+def _outcome(parse, text):
+    """The document `parse` reads from `text`, or its error and position."""
+    try:
+        return parse(text)
+    except cli.ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _reference_parse(text):
+    return _ReferenceParser(tokenize(text)).document()
+
+
+# Characters of the grammar, with comments and every whitespace the lexer
+# skips, plus stray ones it refuses.
+_GRAMMAR_CHARS = "groupUaitymdesnxvlck_0123456789(){}[]:,=+-*  \n\t\r#"
+_STRAY_CHARS = "@!.;~\x0b\f"
+
+
+def _mutations(rng, text, count):
+    out = []
+    alphabet = _GRAMMAR_CHARS + _STRAY_CHARS
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(chars):
+                del chars[i]
+            elif op == 1:
+                chars.insert(i, rng.choice(alphabet))
+            elif i < len(chars):
+                chars[i] = rng.choice(alphabet)
+        out.append("".join(chars))
+    return out
+
+
+def test_parse_matches_reference_front_end():
+    rng = random.Random(20261018)
+    texts = [path.read_text() for path in FIXTURES]
+    inputs = list(texts)
+    for text in texts:
+        inputs += _mutations(rng, text, 60)
+    alphabet = _GRAMMAR_CHARS + _STRAY_CHARS
+    inputs += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+               for _ in range(1500)]
+    parsed = 0
+    for text in inputs:
+        want = _outcome(_reference_parse, text)
+        assert _outcome(cli.parse, text) == want, repr(text)
+        parsed += isinstance(want, cli.ParameterDocument)
+    # the mutations keep enough documents whole to compare parses, not only errors
+    assert parsed > 100
+
+
+def test_parse_error_at_end_of_input_and_in_comments():
+    cases = ["", "\n\n", "# only a comment\n", "group U(3) parity", "group U(3) parity # -\n",
+             "group U(3) parity +\n  psi = a (x) nu(1) @ # @\n", "group\tU(3)\r parity - ?"]
+    for text in cases:
+        assert _outcome(cli.parse, text) == _outcome(_reference_parse, text), repr(text)
+
+
+NON_DECIMAL_DIGIT_DOCS = {
+    "int": "group U(%s) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\n",
+    "label": "group U(1) parity +\nmu %s: deg=1, sd=+\npsi = a (x) nu(1)\n",
+}
+
+
+@pytest.mark.parametrize("char", ["²", "½"], ids=["superscript-two", "one-half"])
+@pytest.mark.parametrize("where", sorted(NON_DECIMAL_DIGIT_DOCS))
+def test_non_decimal_digit_is_parse_error(where, char, tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(NON_DECIMAL_DIGIT_DOCS[where] % char, encoding="utf-8")
+    code, out, err = run_cli(["classify", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 1)
+    assert err.startswith("parse error: unexpected character %r" % char)
+
+
+def test_unicode_decimal_digits_are_ints():
+    doc = cli.parse("group U(٣) parity +\nmu a: deg=1, sd=+\npsi = ٣*a (x) nu(1)\n")
+    assert doc.N == 3 and doc.terms[0].mult == 3
 
 
 def test_elaborate_semantic_errors():
@@ -250,6 +528,85 @@ def test_unknown_command_is_one_line_rejection(capsys):
 def test_help_still_prints_usage(capsys):
     code, out, err = run_cli_rejected(["-h"], capsys)
     assert code == 0 and out.startswith("usage: uendo") and err == ""
+
+
+def test_argument_parser_is_built_once(monkeypatch, tmp_path, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("argument parser built again")
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", refuse)
+    target = tmp_path / "doc.txt"
+    target.write_text(FIXTURES[0].read_text())
+    for args in (["classify", "--input", str(target)], ["print", "--input", str(target)],
+                 ["endoscopy", "--n", "2"], ["tadic", "--n", "2", "--k", "1"]):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out, args
+    # back-to-back calls share no state
+    _assert_one_line_error(*run_cli(["tadic"], capsys), 2)
+    code, out, err = run_cli_rejected(["-h"], capsys)
+    assert code == 0 and out.startswith("usage: uendo") and err == ""
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    code, _, _ = run_cli(["tadic", "--n", "2", "--k", "1", "--field", "arch"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["tadic"], capsys)
+    _assert_one_line_error(code, out, err, 2)
+    assert err == "error: tadic needs --n and --k\n"
+    code, out, _ = run_cli(["tadic", "--n", "2", "--k", "1"], capsys)
+    assert code == 0 and json.loads(out)["field"] == "nonarch"
+
+
+CENTRALIZER_OVER_BUDGET = {
+    "O(14) x O(14)": "group U(28) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                     "psi = 14*a (x) nu(1) + 14*b (x) nu(1)\n",
+    "Sp(24) x O(1)": "group U(25) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+                     "psi = 24*a (x) nu(1) + b (x) nu(1)\n",
+    "GL(15) x O(1)": "group U(31) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+                     "psi = 15*c (x) nu(1) + b (x) nu(1)\n",
+    "GL(9) x O(1)": "group U(19) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+                    "psi = 9*c (x) nu(1) + b (x) nu(1)\n",
+}
+
+
+def test_centralizer_over_size_budget_is_refused_before_enumerating(monkeypatch, tmp_path,
+                                                                     capsys):
+    def refuse(rank):
+        raise AssertionError("Weyl block enumerated over the size budget")
+
+    monkeypatch.setattr(cli.central, "_signed_perm_group", refuse)
+    monkeypatch.setattr(cli.central, "_perm_group", refuse)
+    for name, text in CENTRALIZER_OVER_BUDGET.items():
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text)
+        code, out, err = run_cli(["centralizer", "--input", str(doc)], capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "size budget of %d" % cli.CENTRALIZER_MAX_WEYL_BLOCK in err, name
+
+
+def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):
+    # O(7) x O(7), Sp(8) x O(1) and GL(7) x O(1) are the largest benchmark
+    # ladder rungs; O(12) x O(13) and GL(8) x O(1) sit just under the budget
+    ladder = [
+        "group U(14) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+        "psi = 7*a (x) nu(1) + 7*b (x) nu(1)\n",
+        "group U(9) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+        "psi = 8*a (x) nu(1) + b (x) nu(1)\n",
+        "group U(15) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+        "psi = 7*c (x) nu(1) + b (x) nu(1)\n",
+        "group U(25) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+        "psi = 12*a (x) nu(1) + 13*b (x) nu(1)\n",
+        "group U(17) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+        "psi = 8*c (x) nu(1) + b (x) nu(1)\n",
+    ]
+    for index, text in enumerate(ladder):
+        doc = tmp_path / ("rung%d.txt" % index)
+        doc.write_text(text)
+        code, out, _ = run_cli(["centralizer", "--input", str(doc)], capsys)
+        assert code == 0 and json.loads(out)["diagram"]["w"] > 1, text
+    for path in FIXTURES:
+        code, _, err = run_cli(["centralizer", "--input", str(path)], capsys)
+        assert "size budget" not in err, path.name
 
 
 def test_check_command_green(capsys):

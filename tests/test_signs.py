@@ -293,6 +293,45 @@ def test_epsilon_central_value_random_family():
         tested += 1
 
 
+class _LoggingTable(RootNumberTable):
+    """A root-number table that records every pair it is asked about."""
+
+    def __init__(self, entries=None):
+        super().__init__(entries)
+        self.asked = []
+
+    def epsilon(self, k, kp):
+        self.asked.append((k.label, kp.label))
+        return super().epsilon(k, kp)
+
+
+def test_pair_filter_asks_table_only_for_even_opposite_pairs():
+    # the table is asked, in pair order, exactly about the self-dual pairs of
+    # opposite cuspidal parity with even SL(2) parts; its record of defaulted
+    # pairs is what the epsilon report prints
+    rng = random.Random(7)
+    tested = 0
+    while tested < 200:
+        psi = _random_shape(rng)
+        parity = rng.choice((1, -1))
+        tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
+        if not factors_through(psi, tag):
+            continue
+        shape = centralizer_shape(psi, tag)
+        entries = _random_table(psi, rng).entries
+        table = _LoggingTable({k: v for k, v in entries.items() if rng.random() < 0.5})
+        epsilon_character(psi, tag, table)
+        sds = [sp for sp, _ in shape.orthogonal + shape.symplectic]
+        want = [
+            (k.label, kp.label)
+            for k, kp in itertools.combinations(sds, 2)
+            if k.mu_sign != kp.mu_sign and even_constituent_count(k.su2_dim, kp.su2_dim)
+        ]
+        assert table.asked == want
+        assert table.warned_pairs == {frozenset(p) for p in want} - set(table.entries)
+        tested += 1
+
+
 def test_epsilon_two_formulas_agree():
     # the even-count formula against the full product over all constituents
     rng = random.Random(5)
