@@ -293,7 +293,10 @@ def _mutations(rng, text, count):
 def test_parse_matches_reference_front_end():
     rng = random.Random(20261018)
     texts = [path.read_text() for path in FIXTURES]
-    inputs = list(texts)
+    # errors at the end of input, in and after comments, and after CR and tab
+    inputs = texts + ["", "\n\n", "# only a comment\n", "group U(3) parity",
+                      "group U(3) parity # -\n", "group U(3) parity +\n  psi = a (x) nu(1) @ # @\n",
+                      "group\tU(3)\r parity - ?"]
     for text in texts:
         inputs += _mutations(rng, text, 60)
     alphabet = _GRAMMAR_CHARS + _STRAY_CHARS
@@ -306,13 +309,6 @@ def test_parse_matches_reference_front_end():
         parsed += isinstance(want, cli.ParameterDocument)
     # the mutations keep enough documents whole to compare parses, not only errors
     assert parsed > 100
-
-
-def test_parse_error_at_end_of_input_and_in_comments():
-    cases = ["", "\n\n", "# only a comment\n", "group U(3) parity", "group U(3) parity # -\n",
-             "group U(3) parity +\n  psi = a (x) nu(1) @ # @\n", "group\tU(3)\r parity - ?"]
-    for text in cases:
-        assert _outcome(cli.parse, text) == _outcome(_reference_parse, text), repr(text)
 
 
 NON_DECIMAL_DIGIT_DOCS = {
@@ -538,23 +534,17 @@ def test_argument_parser_is_built_once(monkeypatch, tmp_path, capsys):
     target = tmp_path / "doc.txt"
     target.write_text(FIXTURES[0].read_text())
     for args in (["classify", "--input", str(target)], ["print", "--input", str(target)],
-                 ["endoscopy", "--n", "2"], ["tadic", "--n", "2", "--k", "1"]):
+                 ["endoscopy", "--n", "2"], ["tadic", "--n", "2", "--k", "1", "--field", "arch"]):
         code, out, _ = run_cli(args, capsys)
         assert code == 0 and out, args
     # back-to-back calls share no state
-    _assert_one_line_error(*run_cli(["tadic"], capsys), 2)
-    code, out, err = run_cli_rejected(["-h"], capsys)
-    assert code == 0 and out.startswith("usage: uendo") and err == ""
-
-
-def test_flags_do_not_carry_over_between_calls(capsys):
-    code, _, _ = run_cli(["tadic", "--n", "2", "--k", "1", "--field", "arch"], capsys)
-    assert code == 0
     code, out, err = run_cli(["tadic"], capsys)
     _assert_one_line_error(code, out, err, 2)
     assert err == "error: tadic needs --n and --k\n"
     code, out, _ = run_cli(["tadic", "--n", "2", "--k", "1"], capsys)
     assert code == 0 and json.loads(out)["field"] == "nonarch"
+    code, out, err = run_cli_rejected(["-h"], capsys)
+    assert code == 0 and out.startswith("usage: uendo") and err == ""
 
 
 CENTRALIZER_OVER_BUDGET = {
