@@ -18,9 +18,12 @@ exact sequences
 with S^1 the sign vectors supported on odd indices and R = W/W^0 the sign
 vectors on even indices; the second sequence splits canonically.  These
 groups are realized concretely: an element of N is a tuple of signed
-permutations (one per torus block) plus free component bits on the odd
-orthogonal factors, modulo the central relation.  `levi_diagram` counts N
-block by block; `NormalizerModel.elements` enumerates it.
+permutations (one `weylnum.signed_perms` pair per torus block) plus free
+component bits on the odd orthogonal factors, modulo the central relation.
+`levi_diagram` takes every order from closed forms, |W| from the block
+orders and |N| = |W| 2^max(#odd - 1, 0), and checks exactness against |W^0|
+and the component 2-group without enumerating anything;
+`NormalizerModel.elements` enumerates N for the relative signs.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
+from .weylnum import signed_perms
 
 
 @dataclass(frozen=True)
@@ -145,19 +149,6 @@ def brute_force_order(shape: CentralizerShape) -> int:
 # Normalizer model
 
 
-def _signed_perm_group(rank: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Signed permutations of the given rank as (perm, signs) pairs."""
-    out = []
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            out.append((perm, signs))
-    return out
-
-
-def _perm_group(rank: int):
-    return [(perm, (1,) * rank) for perm in itertools.permutations(range(rank))]
-
-
 def _flip_parity(elem) -> int:
     return elem[1].count(-1) % 2
 
@@ -202,12 +193,11 @@ class NormalizerModel:
         self.group = component_group(shape)
 
     def weyl_blocks(self):
+        """Each block's Weyl group as (perm, signs) pairs: permutations on a
+        GL block, signed permutations on the others."""
         per_block = []
         for kind, _, _, rank in self.block_meta:
-            if kind == "GL":
-                per_block.append(_perm_group(rank))
-            else:
-                per_block.append(_signed_perm_group(rank))
+            per_block.append(signed_perms(rank, ((1,) * rank,) if kind == "GL" else None))
         return per_block
 
     def w0_order(self) -> int:
@@ -335,15 +325,11 @@ def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     group = model.group
-    # N is the product of the blocks' Weyl groups and the canonical odd
-    # bits, so both orders are counted factor by factor rather than by
-    # materializing N; the blocks are still enumerated, so the exactness
-    # check below compares real counts with the closed forms.
-    w_order = 1
-    for block in model.weyl_blocks():
-        w_order *= len(set(block))
-    odd_bits = itertools.product((1, -1), repeat=len(model.odd_labels))
-    n_order = w_order * len({model._canonical((), bits).odd_bits for bits in odd_bits})
+    # N is W times the odd component bits modulo the central flip, so
+    # |N| = |W| 2^max(#odd - 1, 0); exactness then checks these closed
+    # forms against |W0| and the component 2-group.
+    w_order = model.w_order()
+    n_order = w_order * 2 ** max(len(model.odd_labels) - 1, 0)
     w0 = model.w0_order()
     s_order = group.order
     s1_images = s1_subgroup(shape)
@@ -355,11 +341,11 @@ def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
     for r_vec in itertools.product((1, -1), repeat=even_count):
         img = section(tuple(r_vec))
         # project back to R: read off the even coordinates of either rep
-        back = _project_to_r(shape, group, img)
+        back = _project_to_r(shape, img)
         if back != tuple(r_vec):
             splitting_ok = False
     for v in s1_images:
-        if _project_to_r(shape, group, v) != (1,) * even_count:
+        if _project_to_r(shape, v) != (1,) * even_count:
             splitting_ok = False
     return LeviDiagram(
         w0_order=w0,
@@ -373,7 +359,7 @@ def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
     )
 
 
-def _project_to_r(shape: CentralizerShape, group: FiniteTwoGroup, vec) -> Tuple[int, ...]:
+def _project_to_r(shape: CentralizerShape, vec) -> Tuple[int, ...]:
     """Projection S -> R; well defined because sigma_bar is trivial on the
     even coordinates."""
     even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]

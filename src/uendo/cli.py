@@ -461,12 +461,6 @@ def _require_factoring(sem: Semantics):
 def report_centralizer(sem: Semantics) -> dict:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
-    largest = max(central.NormalizerModel(shape).block_orders(), default=1)
-    if largest > CENTRALIZER_MAX_WEYL_BLOCK:
-        raise SemanticError(
-            "centralizer: a Weyl block of order %d is over the size budget of %d"
-            % (largest, CENTRALIZER_MAX_WEYL_BLOCK)
-        )
     diagram = central.levi_diagram(sem.psi, sem.tag)
     if not (diagram.exact and diagram.splitting_ok):
         raise InternalInvariantError("normalizer diagram failed exactness")
@@ -618,10 +612,6 @@ def run_check() -> dict:
 
 # tadic --n above this is refused before expanding: 8! = 40,320 permutations.
 TADIC_MAX_N = 8
-# centralizer is refused before enumerating when a block of the normalizer's
-# Weyl group is larger than this: 2^6 6! = 46,080 signed permutations, the
-# Weyl group of O(12), O(13) or Sp(12) (GL(8) has 8! = 40,320).
-CENTRALIZER_MAX_WEYL_BLOCK = 46080
 
 
 def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:

@@ -29,6 +29,7 @@ over the tested families.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -46,6 +47,7 @@ from .params import (
     SimpleParameter,
     factors_through,
 )
+from .weylnum import is_negative
 
 ORTH = "orthogonal"
 SYMP = "symplectic"
@@ -375,24 +377,8 @@ def _zero_line_sign(block) -> int:
     """Determinant of the lift of a signed permutation on the zero-weight
     line of the odd orthogonal standard representation: -1 per cycle with
     an odd number of sign flips (lift independent, since the torus acts
-    trivially on that line)."""
-    perm, signs = block
-    n = len(perm)
-    seen = [False] * n
-    val = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        flips = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            if signs[i] == -1:
-                flips += 1
-            i = perm[i]
-        if flips % 2:
-            val = -val
-    return val
+    trivially on that line), which is the product of all the signs."""
+    return math.prod(block[1])
 
 
 def _pair_count(k: SimpleParameter, kp: SimpleParameter, table: RootNumberTable) -> int:
@@ -474,12 +460,6 @@ def relative_signs(
     return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
 
 
-def _signed_perm_image(block, pos: int) -> Tuple[int, int]:
-    """Image of basis vector pos under a (perm, signs) block element."""
-    perm, signs = block
-    return perm[pos], signs[pos]
-
-
 def _crossing_sign(model, coords, w_key, core_consts, table) -> int:
     """(-1) to the number of symplectic root-number constituents on the
     positive coordinate roots taken negative by w."""
@@ -493,8 +473,8 @@ def _crossing_sign(model, coords, w_key, core_consts, table) -> int:
     for t, (sp, meta_idx) in enumerate(coords):
         base = block_offsets[meta_idx]
         pos = t - base
-        img_pos, sign = _signed_perm_image(w_key[meta_idx], pos)
-        images.append((base + img_pos, sign))
+        perm, signs = w_key[meta_idx]
+        images.append((base + perm[pos], signs[pos]))
 
     total = 0
     n = len(coords)
@@ -514,18 +494,9 @@ def _crossing_sign(model, coords, w_key, core_consts, table) -> int:
             ia, sa = images[a]
             ib, sb = images[b]
             # e_a - e_b crosses iff the image is a negative root
-            if _is_negative(ia, sa, ib, -sb):
+            if is_negative(ia, sa, ib, -sb):
                 total += cnt
             # e_a + e_b
-            if _is_negative(ia, sa, ib, sb):
+            if is_negative(ia, sa, ib, sb):
                 total += cnt
     return -1 if total % 2 else 1
-
-
-def _is_negative(i1: int, s1: int, i2: int, s2: int) -> bool:
-    """Whether s1 e_{i1} + s2 e_{i2} (i1 != i2) is a negative vector in the
-    first-nonzero-coordinate order."""
-    if i1 == i2:
-        return s1 + s2 < 0
-    lead = s1 if i1 < i2 else s2
-    return lead < 0

@@ -30,7 +30,10 @@ contributes (-1)^k (1 - eps) to det(w - 1), so only all-negative cycles (on
 GL: all-odd cycles of the permutation under the twist) give regular
 elements (Carter, Compositio Math. 25, 1972).  `weyl_set` and `sgn0` keep
 the explicit enumeration; the tests use it as the oracle for the cycle-type
-sums at small rank.
+sums at small rank.  A Weyl element is stored as one (perm, signs) pair per
+factor, from `signed_perms`, the package's one signed-permutation type; the
+twisted GL action is the all-(-1) sign vector, and `sgn0` reads a root's
+image off the pair by index lookup, with no matrices.
 
 Elliptic elements are enumerated through +-1 eigenvalue patterns: an
 eigenvalue pair {t, 1/t}, t != +-1, would put a GL factor in the
@@ -189,128 +192,67 @@ def identity_component(shape: ConnectedShape) -> ComponentDatum:
 # Weyl sets
 
 
-def _perm_matrix(perm, signs=None):
-    n = len(perm)
-    signs = signs or (1,) * n
-    rows = [[0] * n for _ in range(n)]
-    for j, (i, s) in enumerate(zip(perm, signs)):
-        rows[i][j] = s
-    return tuple(tuple(r) for r in rows)
+@lru_cache(maxsize=None)
+def signed_perms(rank: int, sign_vectors=None):
+    """Signed permutations of the given rank as (perm, signs) pairs, the one
+    encoding of Weyl elements in this package: the pair sends e_j to
+    signs[j] e_{perm[j]}.  `sign_vectors`, a tuple, lists the admitted sign
+    vectors, all 2^rank of them by default.  The result is a shared tuple."""
+    if sign_vectors is None:
+        sign_vectors = itertools.product((1, -1), repeat=rank)
+    return tuple(itertools.product(itertools.permutations(range(rank)), sign_vectors))
 
 
-def _signed_perms(rank, sign_parity=None):
-    """All signed permutation matrices of the given rank; sign_parity 0/1
-    restricts the number of -1 signs mod 2."""
-    if rank == 0:
-        yield ()
-        return
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            if sign_parity is not None and signs.count(-1) % 2 != sign_parity:
-                continue
-            yield _perm_matrix(perm, signs)
+def is_negative(i1: int, s1: int, i2: int, s2: int) -> bool:
+    """Whether s1 e_{i1} + s2 e_{i2} (i1 != i2) is a negative vector in the
+    first-nonzero-coordinate order: the image of a root e_i +- e_j under a
+    signed permutation, read off by index."""
+    return (s1 if i1 < i2 else s2) < 0
 
 
-def _factor_weyl_blocks(factor: Factor, twisted: bool):
-    """Action matrices on the factor's lattice for its Weyl set."""
+def _factor_sign_vectors(factor: Factor, twisted: bool):
+    """Sign vectors of the factor's Weyl set: none flipped on GL (all under
+    the transpose-inverse twist), an even count on SO(even) and an odd one
+    on its O-coset, and any (None) on Sp and O(odd) = SO(odd) x {+-1}."""
     r = factor.rank
     if factor.kind == GL:
-        mats = [_perm_matrix(p) for p in itertools.permutations(range(r))]
-        if twisted:
-            mats = [tuple(tuple(-x for x in row) for row in m) for m in mats]
-        return mats
-    if factor.kind == SP:
-        return list(_signed_perms(r))
-    # SO(m)
-    if factor.size % 2 == 1:
-        # O(odd) = SO(odd) x {+-1}: the coset acts through the same matrices.
-        return list(_signed_perms(r))
-    if not twisted:
-        return list(_signed_perms(r, sign_parity=0))
-    return list(_signed_perms(r, sign_parity=1))
-
-
-def _factor_positive_roots(factor: Factor):
-    """Positive roots of the identity component on the factor lattice."""
-    r = factor.rank
-    roots = []
-
-    def e(i, c=1):
-        v = [0] * r
-        v[i] = c
-        return v
-
-    def pair(i, j, cj):
-        v = [0] * r
-        v[i] = 1
-        v[j] = cj
-        return v
-
-    if factor.kind == GL:
-        for i in range(r):
-            for j in range(i + 1, r):
-                roots.append(pair(i, j, -1))
-        return roots
-    for i in range(r):
-        for j in range(i + 1, r):
-            roots.append(pair(i, j, -1))
-            roots.append(pair(i, j, 1))
-    if factor.kind == SP:
-        for i in range(r):
-            roots.append(e(i, 2))
-    elif factor.size % 2 == 1:
-        for i in range(r):
-            roots.append(e(i, 1))
-    return roots
-
-
-def _apply(mat, vec):
-    return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(vec)))
+        return ((-1 if twisted else 1,) * r,)
+    if factor.kind == SO and factor.size % 2 == 0:
+        vectors = itertools.product((1, -1), repeat=r)
+        return tuple(s for s in vectors if s.count(-1) % 2 == twisted)
+    return None
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One element of the Weyl set, stored blockwise per factor."""
+    """One element of the Weyl set: a (perm, signs) pair per factor."""
 
-    blocks: Tuple[Tuple[Tuple[int, ...], ...], ...]
-
-    def matrix(self):
-        n = sum(len(b) for b in self.blocks)
-        rows = [[0] * n for _ in range(n)]
-        off = 0
-        for b in self.blocks:
-            for i, row in enumerate(b):
-                for j, x in enumerate(row):
-                    rows[off + i][off + j] = x
-            off += len(b)
-        return tuple(tuple(r) for r in rows)
+    blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 
 
 def weyl_set(c: ComponentDatum):
     """Complete enumeration of W(S) = Norm(T, S)/T as lattice actions."""
     per_factor = [
-        _factor_weyl_blocks(f, t) for f, t in zip(c.base.factors, c.coset)
+        signed_perms(f.rank, _factor_sign_vectors(f, t))
+        for f, t in zip(c.base.factors, c.coset)
     ]
     return [WeylElement(blocks) for blocks in itertools.product(*per_factor)]
 
 
 def sgn0(c: ComponentDatum, w: WeylElement) -> int:
-    """(-1) to the number of positive roots of (S^0, T) sent to negative."""
+    """(-1) to the number of positive roots of (S^0, T) sent to negative:
+    e_i - e_j (i < j) on every factor, e_i + e_j off GL, and e_i (2 e_i on
+    Sp) on Sp and SO(odd)."""
     flips = 0
-    for f, block in zip(c.base.factors, w.blocks):
-        for root in _factor_positive_roots(f):
-            img = _apply(block, tuple(root))
-            # roots of these lattices are sign-definite: compare to -root
-            if _first_nonzero(img) < 0:
-                flips += 1
+    for f, (perm, signs) in zip(c.base.factors, w.blocks):
+        for i in range(f.rank):
+            for j in range(i + 1, f.rank):
+                flips += is_negative(perm[i], signs[i], perm[j], -signs[j])
+                if f.kind != GL:
+                    flips += is_negative(perm[i], signs[i], perm[j], signs[j])
+        if f.kind == SP or (f.kind == SO and f.size % 2):
+            flips += signs.count(-1)
     return -1 if flips % 2 else 1
-
-
-def _first_nonzero(vec):
-    for x in vec:
-        if x:
-            return x
-    return 0
 
 
 def _partitions(n, largest=None):
@@ -525,7 +467,9 @@ def sigma(shape: ConnectedShape) -> Fraction:
 @lru_cache(maxsize=None)
 def _sigma_canonical(shape: ConnectedShape, depth: int) -> Fraction:
     if depth > _MAX_SIGMA_DEPTH:
-        raise RecursionError("sigma recursion exceeds configured depth")
+        raise ValueError(
+            "sigma recursion is over the size budget of depth <= %d" % _MAX_SIGMA_DEPTH
+        )
     if shape.center_dim > 0:
         return Fraction(0)
     if not shape.factors:

@@ -185,6 +185,7 @@ def test_levi_diagram_never_enumerates_the_normalizer(monkeypatch):
         raise AssertionError("normalizer enumerated")
 
     monkeypatch.setattr(NormalizerModel, "elements", refuse)
+    monkeypatch.setattr(NormalizerModel, "weyl_blocks", refuse)
     # O(7) x O(7) and GL(7) x O(1), the ladder's largest rungs of their kinds
     for mults_plus, mults_gl, w_order, n_order in (((7, 7), (), 48 * 48, 2 * 48 * 48),
                                                    ((1,), (7,), 5040, 5040)):

@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from uendo import cli
+from uendo import cli, weylnum
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
 SCHEMA = pathlib.Path(__file__).parents[1] / "docs" / "report-schema-v1.json"
@@ -547,58 +547,6 @@ def test_argument_parser_is_built_once(monkeypatch, tmp_path, capsys):
     assert code == 0 and out.startswith("usage: uendo") and err == ""
 
 
-CENTRALIZER_OVER_BUDGET = {
-    "O(14) x O(14)": "group U(28) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
-                     "psi = 14*a (x) nu(1) + 14*b (x) nu(1)\n",
-    "Sp(24) x O(1)": "group U(25) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
-                     "psi = 24*a (x) nu(1) + b (x) nu(1)\n",
-    "GL(15) x O(1)": "group U(31) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
-                     "psi = 15*c (x) nu(1) + b (x) nu(1)\n",
-    "GL(9) x O(1)": "group U(19) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
-                    "psi = 9*c (x) nu(1) + b (x) nu(1)\n",
-}
-
-
-def test_centralizer_over_size_budget_is_refused_before_enumerating(monkeypatch, tmp_path,
-                                                                     capsys):
-    def refuse(rank):
-        raise AssertionError("Weyl block enumerated over the size budget")
-
-    monkeypatch.setattr(cli.central, "_signed_perm_group", refuse)
-    monkeypatch.setattr(cli.central, "_perm_group", refuse)
-    for name, text in CENTRALIZER_OVER_BUDGET.items():
-        doc = tmp_path / "doc.txt"
-        doc.write_text(text)
-        code, out, err = run_cli(["centralizer", "--input", str(doc)], capsys)
-        _assert_one_line_error(code, out, err, 2)
-        assert "size budget of %d" % cli.CENTRALIZER_MAX_WEYL_BLOCK in err, name
-
-
-def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):
-    # O(7) x O(7), Sp(8) x O(1) and GL(7) x O(1) are the largest benchmark
-    # ladder rungs; O(12) x O(13) and GL(8) x O(1) sit just under the budget
-    ladder = [
-        "group U(14) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
-        "psi = 7*a (x) nu(1) + 7*b (x) nu(1)\n",
-        "group U(9) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
-        "psi = 8*a (x) nu(1) + b (x) nu(1)\n",
-        "group U(15) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
-        "psi = 7*c (x) nu(1) + b (x) nu(1)\n",
-        "group U(25) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
-        "psi = 12*a (x) nu(1) + 13*b (x) nu(1)\n",
-        "group U(17) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
-        "psi = 8*c (x) nu(1) + b (x) nu(1)\n",
-    ]
-    for index, text in enumerate(ladder):
-        doc = tmp_path / ("rung%d.txt" % index)
-        doc.write_text(text)
-        code, out, _ = run_cli(["centralizer", "--input", str(doc)], capsys)
-        assert code == 0 and json.loads(out)["diagram"]["w"] > 1, text
-    for path in FIXTURES:
-        code, _, err = run_cli(["centralizer", "--input", str(path)], capsys)
-        assert "size budget" not in err, path.name
-
-
 def test_check_command_green(capsys):
     code, out, _ = run_cli(["check"], capsys)
     assert code == 0
@@ -633,6 +581,53 @@ def test_fixture_reports_match_schema(path, report_validator, capsys):
         if code == 0:
             errors = [e.message for e in report_validator.iter_errors(json.loads(out))]
             assert errors == [], (command, errors)
+
+
+# Normalizers whose Weyl blocks are far too large to enumerate (2^20 20! signed
+# permutations per O(40) block), and O(12) x O(13) with two 46,080-element blocks.
+LARGE_CENTRALIZERS = {
+    "O(40) x O(40)": "group U(80) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                     "psi = 40*a (x) nu(1) + 40*b (x) nu(1)\n",
+    "Sp(48) x O(1)": "group U(49) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+                     "psi = 48*a (x) nu(1) + b (x) nu(1)\n",
+    "GL(30) x O(1)": "group U(61) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+                     "psi = 30*c (x) nu(1) + b (x) nu(1)\n",
+    "O(12) x O(13)": "group U(25) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                     "psi = 12*a (x) nu(1) + 13*b (x) nu(1)\n",
+}
+
+
+def test_centralizer_answers_large_shapes_from_closed_forms(monkeypatch, tmp_path,
+                                                           report_validator, capsys):
+    def refuse(*args):
+        raise AssertionError("Weyl block enumerated")
+
+    monkeypatch.setattr(cli.central, "signed_perms", refuse)
+    monkeypatch.setattr(weylnum, "signed_perms", refuse)
+    for name, text in LARGE_CENTRALIZERS.items():
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text)
+        code, out, err = run_cli(["centralizer", "--input", str(doc)], capsys)
+        assert (code, err) == (0, ""), name
+        report = json.loads(out)
+        assert [e.message for e in report_validator.iter_errors(report)] == [], name
+        diagram = report["diagram"]
+        assert diagram["n"] == diagram["s"] * diagram["w0"] == diagram["s1"] * diagram["w"], name
+
+
+def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("group U(16) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                   "psi = 8*a (x) nu(1) + 8*b (x) nu(1)\n")
+    weylnum._sigma_canonical.cache_clear()
+    monkeypatch.setattr(weylnum, "_MAX_SIGMA_DEPTH", 1)
+    try:
+        for command in ("arthur", "multiplicity"):
+            code, out, err = run_cli([command, "--input", str(doc)], capsys)
+            _assert_one_line_error(code, out, err, 2)
+            assert "size budget of depth <= 1" in err, command
+    finally:
+        weylnum._sigma_canonical.cache_clear()
 
 
 # ---------------------------------------------------------------------------

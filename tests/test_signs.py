@@ -15,6 +15,7 @@ from uendo.params import (
 )
 from uendo.signs import (
     RootNumberTable,
+    _zero_line_sign,
     adjoint_decomposition,
     alt2_dims,
     epsilon_character,
@@ -26,6 +27,7 @@ from uendo.signs import (
     su2_tensor_dims,
     sym2_dims,
 )
+from uendo.weylnum import signed_perms
 
 
 def sd(label, deg=1, parity=ORTHOGONAL, n=1):
@@ -461,6 +463,33 @@ def test_relative_signs_identity_weyl_element_trivial():
 
 def _flip_count(w_key):
     return sum(block[1].count(-1) for block in w_key)
+
+
+def _zero_line_sign_by_cycles(block):
+    """The zero-weight-line determinant walked cycle by cycle: -1 per cycle
+    with an odd number of sign flips."""
+    perm, signs = block
+    seen = [False] * len(perm)
+    val = 1
+    for start in range(len(perm)):
+        flips = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            flips += signs[i] == -1
+            i = perm[i]
+        if flips % 2:
+            val = -val
+    return val
+
+
+def test_zero_line_sign_matches_cycle_walk():
+    checked = 0
+    for rank in range(6):
+        for block in signed_perms(rank):
+            assert _zero_line_sign(block) == _zero_line_sign_by_cycles(block), block
+            checked += 1
+    assert checked == 4283
 
 
 def test_relative_signs_requires_proper_levi():

@@ -6,6 +6,7 @@ import uendo.weylnum
 from uendo.weylnum import (
     ComponentDatum,
     ConnectedShape,
+    WeylElement,
     e_number,
     elliptic_classes,
     gl,
@@ -28,10 +29,39 @@ def datum(factors, coset=None, quotient=None):
 # Weyl sets
 
 
+def _block_matrix(perm, signs):
+    """The matrix of a (perm, signs) pair: column j is signs[j] e_{perm[j]}."""
+    n = len(perm)
+    rows = [[0] * n for _ in range(n)]
+    for j, (i, s) in enumerate(zip(perm, signs)):
+        rows[i][j] = s
+    return tuple(tuple(r) for r in rows)
+
+
+def _matrix(w):
+    """The block-diagonal matrix of a Weyl element, one block per factor."""
+    n = sum(len(perm) for perm, _ in w.blocks)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for block in w.blocks:
+        m = _block_matrix(*block)
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                rows[off + i][off + j] = x
+        off += len(m)
+    return tuple(tuple(r) for r in rows)
+
+
+def _compose(a, b):
+    """The (perm, signs) pair of a b: e_j -> sb[j] sa[pb[j]] e_{pa[pb[j]]}."""
+    (pa, sa), (pb, sb) = a, b
+    return (tuple(pa[i] for i in pb), tuple(s * sa[i] for i, s in zip(pb, sb)))
+
+
 def test_weyl_set_sp2():
     d = datum([sp(2)])
     ws = weyl_set(d)
-    mats = sorted(w.matrix() for w in ws)
+    mats = sorted(_matrix(w) for w in ws)
     assert mats == [((-1,),), ((1,),)]
 
 
@@ -41,13 +71,13 @@ def test_weyl_set_o2_nonidentity():
     d = datum([so(2)], [True])
     ws = weyl_set(d)
     assert len(ws) == 1
-    assert ws[0].matrix() == ((-1,),)
+    assert _matrix(ws[0]) == ((-1,),)
 
 
 def test_weyl_set_gl2():
     d = datum([gl(2)])
     ws = weyl_set(d)
-    mats = {w.matrix() for w in ws}
+    mats = {_matrix(w) for w in ws}
     assert mats == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
 
@@ -68,7 +98,7 @@ def test_weyl_count_matches_identity_component():
 def test_weyl_elements_have_unit_determinant_blocks():
     d = datum([sp(4), gl(2)], [False, True])
     for w in weyl_set(d):
-        m = w.matrix()
+        m = _matrix(w)
         n = len(m)
         # the action has finite order: some power is the identity
         power = m
@@ -92,19 +122,8 @@ def test_sgn0_multiplicative_against_w0():
     ws = weyl_set(twisted)
     for w0 in w0s:
         for w in ws:
-            prod_block = tuple(
-                tuple(
-                    tuple(
-                        sum(a[i][k] * b[k][j] for k in range(len(a)))
-                        for j in range(len(a))
-                    )
-                    for i in range(len(a))
-                )
-                for a, b in zip(w0.blocks, w.blocks)
-            )
-            from uendo.weylnum import WeylElement
-
-            prod = WeylElement(prod_block)
+            prod = WeylElement(tuple(_compose(a, b) for a, b in zip(w0.blocks, w.blocks)))
+            assert _matrix(prod) == _matmul(_matrix(w0), _matrix(w))
             assert sgn0(twisted, prod) == sgn0(base, w0) * sgn0(twisted, w)
 
 
@@ -113,9 +132,15 @@ def test_sgn0_equals_determinant_on_weyl_groups():
     for factors in ([sp(2)], [sp(4)], [so(3)], [so(4)], [gl(3)]):
         d = datum(factors)
         for w in weyl_set(d):
-            m = w.matrix()
+            m = _matrix(w)
             det = _det(m)
             assert sgn0(d, w) == det
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 def _det(m):
@@ -274,8 +299,10 @@ def test_elliptic_classes_structure_sp4():
 
 
 @lru_cache(maxsize=None)
-def _det_minus_one(mat):
-    """det(mat - I) by Fraction Gaussian elimination."""
+def _det_minus_one(block):
+    """det(w - I) of a (perm, signs) pair, by Fraction Gaussian elimination
+    on its matrix."""
+    mat = _block_matrix(*block)
     n = len(mat)
     a = [[Fraction(mat[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
     det = Fraction(1)
