@@ -615,6 +615,32 @@ def test_centralizer_answers_large_shapes_from_closed_forms(monkeypatch, tmp_pat
         assert diagram["n"] == diagram["s"] * diagram["w0"] == diagram["s1"] * diagram["w"], name
 
 
+def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):
+    # O(7) x O(7), Sp(8) x O(1) and GL(7) x O(1) are the largest benchmark
+    # ladder rungs; O(12) x O(13) and GL(8) x O(1) sat just under the Weyl-block
+    # budget that the closed-form diagram made unnecessary
+    ladder = [
+        "group U(14) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+        "psi = 7*a (x) nu(1) + 7*b (x) nu(1)\n",
+        "group U(9) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+        "psi = 8*a (x) nu(1) + b (x) nu(1)\n",
+        "group U(15) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+        "psi = 7*c (x) nu(1) + b (x) nu(1)\n",
+        "group U(25) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+        "psi = 12*a (x) nu(1) + 13*b (x) nu(1)\n",
+        "group U(17) parity +\nmu c: deg=1, sd=none\nmu b: deg=1, sd=+\n"
+        "psi = 8*c (x) nu(1) + b (x) nu(1)\n",
+    ]
+    for index, text in enumerate(ladder):
+        doc = tmp_path / ("rung%d.txt" % index)
+        doc.write_text(text)
+        code, out, _ = run_cli(["centralizer", "--input", str(doc)], capsys)
+        assert code == 0 and json.loads(out)["diagram"]["w"] > 1, text
+    for path in FIXTURES:
+        code, _, err = run_cli(["centralizer", "--input", str(path)], capsys)
+        assert "size budget" not in err, path.name
+
+
 def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     doc.write_text("group U(16) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
