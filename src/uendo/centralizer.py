@@ -113,14 +113,12 @@ class FiniteTwoGroup:
         return vector if key(vector) <= key(other) else other
 
     def elements(self) -> List[Tuple[int, ...]]:
-        seen = []
-        found = set()
-        for vec in itertools.product((1, -1), repeat=len(self.labels)):
-            rep = self.canonical(vec)
-            if rep not in found:
-                found.add(rep)
-                seen.append(rep)
-        return seen
+        """The canonical representatives in product order: the vectors with
+        +1 at the first index where sigma_bar is -1, or all vectors when
+        sigma_bar is trivial."""
+        j = next((i for i, s in enumerate(self.sigma_bar) if s == -1), None)
+        vectors = itertools.product((1, -1), repeat=len(self.labels))
+        return [v for v in vectors if j is None or v[j] == 1]
 
     def same_class(self, u: Tuple[int, ...], v: Tuple[int, ...]) -> bool:
         return self.canonical(u) == self.canonical(v)
@@ -226,23 +224,19 @@ class NormalizerModel:
         return math.prod(self.block_orders())
 
     def elements(self) -> List[NormalizerElement]:
-        """Duplicate-free enumeration of N."""
-        out = []
-        seen = set()
+        """Duplicate-free enumeration of N: every Weyl element with every
+        canonical choice of odd component bits.  The central flip pairs each
+        choice with its negative; the canonical one has first bit -1."""
         n_odd = len(self.odd_labels)
-        for blocks in itertools.product(*self.weyl_blocks()):
-            for bits in itertools.product((1, -1), repeat=n_odd):
-                elem = self._canonical(blocks, bits)
-                if elem not in seen:
-                    seen.add(elem)
-                    out.append(elem)
-        return out
-
-    def _canonical(self, blocks, bits) -> NormalizerElement:
-        if self.odd_labels:
-            flipped = tuple(-b for b in bits)
-            bits = min(bits, flipped)
-        return NormalizerElement(tuple(blocks), tuple(bits))
+        if n_odd:
+            bit_choices = [(-1,) + t for t in itertools.product((-1, 1), repeat=n_odd - 1)]
+        else:
+            bit_choices = [()]
+        return [
+            NormalizerElement(blocks, bits)
+            for blocks in itertools.product(*self.weyl_blocks())
+            for bits in bit_choices
+        ]
 
     def component_vector(self, elem: NormalizerElement) -> Tuple[int, ...]:
         """Image of the element in the sign vectors on I+ (before the

@@ -562,6 +562,7 @@ def report_multiplicity(sem: Semantics) -> dict:
             for m in members
         )
         report["packet"] = {"members": len(members), "selected": selected}
+    report["defaulted_pairs"] = sorted(sorted(p) for p in sem.table.warned_pairs)
     return report
 
 

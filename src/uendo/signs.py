@@ -22,8 +22,10 @@ Away from square-integrable parameters the same bookkeeping runs relative
 to the Levi determined by the parameter: the character pulled back from the
 Levi core, and the root-crossing sign that multiplies -1 per symplectic
 root-number block crossed by a Weyl element.  Their product depends only on
-the Weyl image and reproduces the crossing sign; this identity is asserted
-over the tested families.
+the Weyl image and reproduces the crossing sign.  The crossing sign is a
+character of the Weyl group, so it is evaluated from its values on one
+transposition and one sign flip per torus block; the tests keep the
+per-element crossing count as the oracle on every Weyl element.
 """
 
 from __future__ import annotations
@@ -288,7 +290,11 @@ def epsilon_character(
     """The sign character on the component group and its value at the
     canonical central element."""
     table.validate_against(psi)
-    shape = centralizer_shape(psi, tag)
+    return _epsilon_character(centralizer_shape(psi, tag), table)
+
+
+def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignCharacter:
+    """`epsilon_character` on a built shape and an already validated table."""
     labels = shape.plus_labels
     exps = {lab: 0 for lab in labels}
     for (k, lk), (kp, lkp), count in _kminus_pairs(shape, table):
@@ -402,101 +408,140 @@ def relative_signs(
     """Run the relative-sign bookkeeping over the torus normalizer.
 
     Requires a proper Levi (the parameter must not be square-integrable).
-    Torus coordinates correspond to the general linear blocks of the Levi:
-    floor(l/2) copies of each orthogonal constituent, l/2 of each symplectic
-    one, l of each partnered orbit; the core collects one copy of each
-    odd-multiplicity orthogonal constituent.  The crossing sign of w is -1
-    to the number of symplectic root-number blocks on roots taken negative
-    by w, counting pairs of coordinates twice (the two root signs) and
-    coordinate-against-core once.
+    eps1 is the determinant of an element of N on the multiplicity lines of
+    the core sign-character pairs: per constituent in such a pair with an
+    odd even-SL(2) count, its component bit times the sign of its Weyl part
+    on the zero-weight line (`_zero_line_sign`).
+
+    The crossing sign r^- is (-1) to a weighted count of the roots that w
+    takes negative (see `_crossing_sign`).  The weights are constant on
+    W-orbits because W preserves the torus blocks, so r^- is a character of
+    W = prod W_block: N(w1 w2) = N(w2) + w2^-1 N(w1) modulo 2.  It is
+    evaluated from `_crossing_sign` on one transposition per block of rank
+    at least 2 and one sign flip per non-GL block, as alpha_b^parity(perm_b)
+    beta_b^flips_b over the blocks.
     """
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     if model.w_order() == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    eps = epsilon_character(psi, tag, table)
-    core_pairs = _core_pairs(shape, table)
-    core_consts = [sp for sp, l in shape.orthogonal if l % 2]
+    eps = _epsilon_character(shape, table)
 
-    # torus coordinates: (constituent, block meta index) per rank unit
-    coords: List[Tuple[SimpleParameter, int]] = []
-    for meta_idx, (kind, sp, l, rank) in enumerate(model.block_meta):
-        coords.extend((sp, meta_idx) for _ in range(rank))
+    # eps1 as (odd-bit index, block index) factors; a constituent in an even
+    # number of odd-count core pairs cancels
+    odd_core = set()
+    for lab_k, lab_kp, count in _core_pairs(shape, table):
+        if count % 2:
+            odd_core ^= {lab_k, lab_kp}
+    block_of = {sp.label: idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
+    eps1_factors = [
+        (bit, block_of[lab]) for bit, lab in enumerate(model.odd_labels) if lab in odd_core
+    ]
+    # eps on the component vector: the free bit of an odd orthogonal factor,
+    # the flip parity (the zero-line sign) of an even one's block
+    odd_bit = {lab: bit for bit, lab in enumerate(model.odd_labels)}
+    eps_bits, eps_blocks = [], []
+    for lab, e in zip(eps.labels, eps.exponents):
+        if e:
+            if lab in odd_bit:
+                eps_bits.append(odd_bit[lab])
+            else:
+                eps_blocks.append(block_of[lab])
+
+    # r^- on generators: the blocks whose transpositions, and those whose
+    # sign flips, cross an odd count
+    identity = tuple(
+        (tuple(range(rank)), (1,) * rank) for _, _, _, rank in model.block_meta
+    )
+
+    def generator_sign(idx, block) -> int:
+        return _crossing_sign(model, identity[:idx] + (block,) + identity[idx + 1:], table)
+
+    odd_perm_blocks, odd_flip_blocks = [], []
+    for idx, (kind, _, _, rank) in enumerate(model.block_meta):
+        perm, signs = identity[idx]
+        if rank >= 2 and generator_sign(idx, ((1, 0) + perm[2:], signs)) == -1:
+            odd_perm_blocks.append(idx)
+        if kind != "GL" and rank >= 1 and generator_sign(idx, (perm, (-1,) + signs[1:])) == -1:
+            odd_flip_blocks.append(idx)
 
     eps1: Dict[NormalizerElement, int] = {}
-    eps_gm_by_w: Dict[tuple, set] = {}
+    eps_gm: Dict[tuple, int] = {}
     r_minus: Dict[tuple, int] = {}
-
-    odd_index = {lab: i for i, lab in enumerate(model.odd_labels)}
-    block_of = {sp.label: idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
-    elements = model.elements()
-    for elem in elements:
-        # eps1: determinant of the element on the multiplicity lines of the
-        # core sign-character pairs: component bit times the zero-weight-line
-        # sign of the Weyl part, per constituent in the pair
+    fibers_constant = True
+    for elem in model.elements():
         val = 1
-        for lab_k, lab_kp, count in core_pairs:
-            if count % 2 == 0:
-                continue
-            for lab in (lab_k, lab_kp):
-                if elem.odd_bits[odd_index[lab]] == -1:
-                    val = -val
-                if _zero_line_sign(elem.blocks[block_of[lab]]) == -1:
-                    val = -val
+        for bit, block in eps1_factors:
+            val *= elem.odd_bits[bit] * _zero_line_sign(elem.blocks[block])
         eps1[elem] = val
-        x_vec = model.component_vector(elem)
-        g_val = eps.evaluate(x_vec)
-        eps_gm_by_w.setdefault(elem.weyl_key, set()).add(g_val * val)
+        g_val = val
+        for bit in eps_bits:
+            g_val *= elem.odd_bits[bit]
+        for block in eps_blocks:
+            g_val *= _zero_line_sign(elem.blocks[block])
+        w_key = elem.weyl_key
+        if w_key not in eps_gm:
+            eps_gm[w_key] = g_val
+            odd = sum(_perm_parity(w_key[b][0]) for b in odd_perm_blocks)
+            odd += sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
+            r_minus[w_key] = -1 if odd % 2 else 1
+        elif eps_gm[w_key] != g_val:
+            fibers_constant = False
 
-    for w_key in {e.weyl_key for e in elements}:
-        r_minus[w_key] = _crossing_sign(model, coords, w_key, core_consts, table)
-
-    fibers_constant = all(len(v) == 1 for v in eps_gm_by_w.values())
-    eps_gm = {k: next(iter(v)) for k, v in eps_gm_by_w.items()}
-    spectral = fibers_constant and all(
-        r_minus[w] == eps_gm[w] for w in r_minus
-    )
+    spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
     return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
 
 
-def _crossing_sign(model, coords, w_key, core_consts, table) -> int:
+def _perm_parity(perm: Tuple[int, ...]) -> int:
+    """Parity of a permutation: its length minus its number of cycles."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) % 2
+
+
+def _crossing_sign(model: NormalizerModel, w_key, table: RootNumberTable) -> int:
     """(-1) to the number of symplectic root-number constituents on the
-    positive coordinate roots taken negative by w."""
-    # absolute coordinate images: coordinate t -> (image coord, sign)
+    positive coordinate roots taken negative by w.
+
+    Torus coordinates correspond to the general linear blocks of the Levi:
+    floor(l/2) copies of each orthogonal constituent, l/2 of each symplectic
+    one, l of each partnered orbit; the core collects one copy of each
+    odd-multiplicity orthogonal constituent.  A pair of coordinates carries
+    the two roots e_a - e_b and e_a + e_b, a coordinate against the core
+    the root e_a.
+    """
+    core_consts = [sp for sp, l in model.shape.orthogonal if l % 2]
+    # per coordinate: its constituent and its image (coordinate, sign)
+    coords: List[SimpleParameter] = []
     images: List[Tuple[int, int]] = []
     offset = 0
-    block_offsets = []
-    for meta_idx, (kind, sp, l, rank) in enumerate(model.block_meta):
-        block_offsets.append(offset)
+    for (_, sp, _, rank), (perm, signs) in zip(model.block_meta, w_key):
+        for pos in range(rank):
+            coords.append(sp)
+            images.append((offset + perm[pos], signs[pos]))
         offset += rank
-    for t, (sp, meta_idx) in enumerate(coords):
-        base = block_offsets[meta_idx]
-        pos = t - base
-        perm, signs = w_key[meta_idx]
-        images.append((base + perm[pos], signs[pos]))
 
     total = 0
     n = len(coords)
     for a in range(n):
-        ka = coords[a][0]
+        ka = coords[a]
+        ia, sa = images[a]
         # root e_a against the core (and its double 2e_a, which carries the
         # Asai family and never contributes)
-        if core_consts:
-            _, sign = images[a]
-            if sign == -1:
-                total += sum(_pair_count(ka, c, table) for c in core_consts)
+        if sa == -1:
+            total += sum(_pair_count(ka, c, table) for c in core_consts)
         for b in range(a + 1, n):
-            kb = coords[b][0]
-            cnt = _pair_count(ka, kb, table)
-            if cnt == 0:
-                continue
-            ia, sa = images[a]
             ib, sb = images[b]
-            # e_a - e_b crosses iff the image is a negative root
-            if is_negative(ia, sa, ib, -sb):
-                total += cnt
-            # e_a + e_b
-            if is_negative(ia, sa, ib, sb):
-                total += cnt
+            # e_a - e_b and e_a + e_b cross iff their images are negative
+            # roots; when both cross they add an even count
+            if is_negative(ia, sa, ib, -sb) != is_negative(ia, sa, ib, sb):
+                total += _pair_count(ka, coords[b], table)
     return -1 if total % 2 else 1

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from uendo.centralizer import (
+    FiniteTwoGroup,
+    NormalizerElement,
     NormalizerModel,
     brute_force_order,
     centralizer_shape,
@@ -43,6 +45,36 @@ def build(mults_plus, mults_minus=(), mults_gl=(), degs_plus=None):
     n = psi.total_degree
     tag = SimpleDatumTag(n, (-1) ** (n - 1))  # datum parity +1
     return psi, tag
+
+
+def seen_set_elements(model):
+    """The normalizer enumerated with a duplicate filter: every Weyl element
+    with every choice of odd bits, canonicalized modulo the central flip to
+    the smaller of the bits and their negative, first occurrence kept."""
+    out = []
+    seen = set()
+    for blocks in itertools.product(*model.weyl_blocks()):
+        for bits in itertools.product((1, -1), repeat=len(model.odd_labels)):
+            if model.odd_labels:
+                bits = min(bits, tuple(-b for b in bits))
+            elem = NormalizerElement(tuple(blocks), tuple(bits))
+            if elem not in seen:
+                seen.add(elem)
+                out.append(elem)
+    return out
+
+
+def found_set_elements(group):
+    """Component-group representatives through `canonical` and a set, in
+    order of first occurrence over the sign vectors."""
+    out = []
+    found = set()
+    for vec in itertools.product((1, -1), repeat=len(group.labels)):
+        rep = group.canonical(vec)
+        if rep not in found:
+            found.add(rep)
+            out.append(rep)
+    return out
 
 
 def brute_sigma_classes(mults):
@@ -105,6 +137,16 @@ def test_component_group_examples(mults):
     assert group.order == brute_force_order(shape)
 
 
+def test_component_group_elements_match_found_set_enumeration():
+    checked = 0
+    for n in range(7):
+        for sigma_bar in itertools.product((1, -1), repeat=n):
+            group = FiniteTwoGroup(tuple("x%d" % i for i in range(n)), sigma_bar)
+            assert group.elements() == found_set_elements(group), sigma_bar
+            checked += 1
+    assert checked == 127
+
+
 def test_component_group_order_family():
     for k in range(1, 5):
         for mults in itertools.product((1, 2, 3, 4), repeat=k):
@@ -156,12 +198,15 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
     # every shape of at most 3 factors; Sp(l) needs l even to factor
     items = [("O", l) for l in (1, 2, 3, 4)] + [("Sp", 2), ("Sp", 4)]
     items += [("GL", l) for l in (1, 2, 3, 4)]
+    checked = 0
     for size in (1, 2, 3):
         for combo in itertools.combinations_with_replacement(items, size):
             psi, tag = build(*(tuple(l for kd, l in combo if kd == kind)
                                for kind in ("O", "Sp", "GL")))
             model = NormalizerModel(centralizer_shape(psi, tag))
             elements = model.elements()
+            assert elements == seen_set_elements(model), combo
+            checked += 1
             n_order = len(elements)
             w_order = len({e.weyl_key for e in elements})
             d = levi_diagram(psi, tag)
@@ -169,6 +214,7 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             exact = (n_order == d.s_order * model.w0_order()
                      and n_order == d.s1_order * w_order)
             assert exact and d.exact and d.splitting_ok, combo
+    assert checked == 285
 
 
 def test_block_orders_match_enumerated_blocks():

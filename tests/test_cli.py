@@ -434,6 +434,19 @@ def test_multiplicity_command(tmp_path, capsys):
     assert report["packet"]["selected"] == 2
 
 
+def test_multiplicity_reports_defaulted_pairs(tmp_path, capsys):
+    # doc01 declares the root number of its one opposite-parity pair; without
+    # the roots line that pair defaults to +1, and both sign reports say so
+    text = FIXTURES[0].read_text()
+    target = tmp_path / "doc.txt"
+    for doc, want in ((text, []), (text.replace("roots { m1, m2 : -1 }\n", ""), [["m1", "m2"]])):
+        target.write_text(doc)
+        for command in ("epsilon", "multiplicity"):
+            code, out, _ = run_cli([command, "--input", str(target)], capsys)
+            assert code == 0
+            assert json.loads(out)["defaulted_pairs"] == want, (command, want)
+
+
 def test_deterministic_reports(tmp_path, capsys):
     target = tmp_path / "doc.txt"
     target.write_text(FIXTURES[0].read_text())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from uendo.centralizer import centralizer_shape, component_group
+from uendo.centralizer import NormalizerModel, centralizer_shape, component_group
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -15,6 +15,8 @@ from uendo.params import (
 )
 from uendo.signs import (
     RootNumberTable,
+    _crossing_sign,
+    _perm_parity,
     _zero_line_sign,
     adjoint_decomposition,
     alt2_dims,
@@ -492,6 +494,13 @@ def test_zero_line_sign_matches_cycle_walk():
     assert checked == 4283
 
 
+def test_perm_parity_matches_inversion_count():
+    for rank in range(6):
+        for perm in itertools.permutations(range(rank)):
+            inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+            assert _perm_parity(perm) == inversions % 2, perm
+
+
 def test_relative_signs_requires_proper_levi():
     psi = GlobalParameter([(sd("a"), 1), (sd("b"), 1)])
     tag = SimpleDatumTag(2, -1)
@@ -499,12 +508,13 @@ def test_relative_signs_requires_proper_levi():
         relative_signs(psi, tag, RootNumberTable())
 
 
-def test_spectral_identity_small_family():
+def _small_family():
+    """(psi, tag) with a proper Levi: one to three constituents of SL(2)
+    dimension at most 3 and multiplicity at most 3, on both datum parities."""
     kinds = []
     for musign in (1, -1):
         for n in (1, 2, 3):
             kinds.append((musign, n))
-    tested = 0
     for r in (1, 2, 3):
         for combo in itertools.combinations_with_replacement(kinds, r):
             for ls in itertools.product((1, 2, 3), repeat=r):
@@ -522,9 +532,88 @@ def test_spectral_identity_small_family():
                     shape = centralizer_shape(psi, tag)
                     if all(l == 1 for _, l in shape.orthogonal) and not shape.symplectic:
                         continue  # square integrable: no proper Levi
-                    for table in _tables_for(psi):
-                        rec = relative_signs(psi, tag, table)
-                        assert rec.fibers_constant, (combo, ls, parity)
-                        assert rec.spectral_identity, (combo, ls, parity)
-                        tested += 1
+                    yield psi, tag
+
+
+def test_spectral_identity_small_family():
+    tested = 0
+    for psi, tag in _small_family():
+        for table in _tables_for(psi):
+            rec = relative_signs(psi, tag, table)
+            assert rec.fibers_constant, (psi, tag)
+            assert rec.spectral_identity, (psi, tag)
+            tested += 1
     assert tested > 200
+
+
+def _levi_case(cons, parity):
+    """A parameter and the datum of the given parity it factors through."""
+    psi = GlobalParameter(cons)
+    n = psi.total_degree
+    tag = SimpleDatumTag(n, parity * (-1) ** (n - 1))
+    assert factors_through(psi, tag)
+    return psi, tag
+
+
+def _gl_pair(label, l):
+    a = SimpleParameter(label, 1, NOT_SELF_DUAL, 1, partner=label + "x")
+    b = SimpleParameter(label + "x", 1, NOT_SELF_DUAL, 1, partner=label)
+    return [(a, l), (b, l)]
+
+
+# Blocks of rank 2 and 3 with odd core constituents, as (parameter, datum,
+# block kinds and ranks).  In each orthogonal pair the labels have opposite
+# cuspidal parity and an odd number of even SL(2) parts, so the tables of
+# `_tables_for` give root number -1 between them.
+RANK_CASES = [
+    # O(6) x O(5)
+    (*_levi_case([(sd("a", 1, ORTHOGONAL, 2), 6), (sd("b", 1, SYMPLECTIC, 1), 5)], -1),
+     [("O", 2), ("O", 3)]),
+    # Sp(6) x O(3)
+    (*_levi_case([(sd("a", 1, ORTHOGONAL, 2), 6), (sd("b", 1, SYMPLECTIC, 2), 3)], 1),
+     [("O", 1), ("Sp", 3)]),
+    # GL(3) x O(1)
+    (*_levi_case(_gl_pair("g", 3) + [(sd("b", 1, ORTHOGONAL, 1), 1)], 1),
+     [("O", 0), ("GL", 3)]),
+    # O(4) x Sp(4) x O(1)
+    (*_levi_case([(sd("a", 1, ORTHOGONAL, 2), 4), (sd("s", 1, ORTHOGONAL, 1), 4),
+                  (sd("b", 1, SYMPLECTIC, 1), 1)], -1),
+     [("O", 0), ("O", 2), ("Sp", 2)]),
+]
+
+
+def test_r_minus_matches_per_element_crossing_sign():
+    # the crossing sign evaluated on every Weyl element is the oracle for
+    # r^- built as a character from its generators
+    cases = [(psi, tag, None) for psi, tag in _small_family()] + RANK_CASES
+    nontrivial = 0
+    for psi, tag, blocks in cases:
+        model = NormalizerModel(centralizer_shape(psi, tag))
+        if blocks is not None:
+            assert [(kind, rank) for kind, _, _, rank in model.block_meta] == blocks
+        keys = {e.weyl_key for e in model.elements()}
+        for table in _tables_for(psi):
+            rec = relative_signs(psi, tag, table)
+            assert set(rec.r_minus) == keys
+            for w_key in keys:
+                assert rec.r_minus[w_key] == _crossing_sign(model, w_key, table), (psi, w_key)
+            nontrivial += -1 in rec.r_minus.values()
+    assert nontrivial > 100
+
+
+def test_relative_signs_evaluates_crossing_sign_on_generators_only(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _crossing_sign(*args)
+
+    monkeypatch.setattr("uendo.signs._crossing_sign", counted)
+    psi, tag, _ = RANK_CASES[0]  # O(6) x O(5): |W| = 48 * 8
+    model = NormalizerModel(centralizer_shape(psi, tag))
+    assert model.w_order() == 384
+    for table in _tables_for(psi):
+        calls.clear()
+        rec = relative_signs(psi, tag, table)
+        assert len(rec.r_minus) == 384
+        assert len(calls) <= 2 * len(model.block_meta)
