@@ -288,16 +288,17 @@ class LeviDiagram:
 
 def s1_subgroup(shape: CentralizerShape) -> List[Tuple[int, ...]]:
     """Image in the component group of the sign vectors supported on the
-    odd-multiplicity orthogonal indices."""
-    group = component_group(shape)
+    odd-multiplicity orthogonal indices.  sigma_bar flips exactly those
+    indices, so the canonical images are the vectors supported there with
+    +1 at the first of them, listed in product order (+1 before -1)."""
     odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
-    images = set()
-    for bits in itertools.product((1, -1), repeat=len(odd_idx)):
+    out = []
+    for bits in itertools.product((1, -1), repeat=max(len(odd_idx) - 1, 0)):
         vec = [1] * len(shape.orthogonal)
-        for pos, b in zip(odd_idx, bits):
+        for pos, b in zip(odd_idx[1:], bits):
             vec[pos] = b
-        images.add(group.canonical(tuple(vec)))
-    return sorted(images, key=lambda v: tuple(0 if x == 1 else 1 for x in v))
+        out.append(tuple(vec))
+    return out
 
 
 def splitting_section(shape: CentralizerShape):

@@ -23,9 +23,10 @@ to the Levi determined by the parameter: the character pulled back from the
 Levi core, and the root-crossing sign that multiplies -1 per symplectic
 root-number block crossed by a Weyl element.  Their product depends only on
 the Weyl image and reproduces the crossing sign.  The crossing sign is a
-character of the Weyl group, so it is evaluated from its values on one
-transposition and one sign flip per torus block; the tests keep the
-per-element crossing count as the oracle on every Weyl element.
+character of the Weyl group, trivial on transpositions, so it is read off
+the sign flips of each torus block with a closed-form value per block; the
+tests keep the per-element crossing count as the oracle on every Weyl
+element.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .centralizer import (
     CentralizerShape,
+    FiniteTwoGroup,
     NormalizerElement,
     NormalizerModel,
     centralizer_shape,
@@ -49,7 +51,6 @@ from .params import (
     SimpleParameter,
     factors_through,
 )
-from .weylnum import is_negative
 
 ORTH = "orthogonal"
 SYMP = "symplectic"
@@ -266,7 +267,8 @@ class SignCharacter:
 
 def _kminus_pairs(shape: CentralizerShape, table: RootNumberTable):
     """Unordered pairs of self-dual constituents contributing symplectic
-    root-number blocks with even SL(2) parts, with their multiplicities."""
+    root-number blocks with even SL(2) parts, with their multiplicities and
+    counts: one `_pair_count` per unordered pair."""
     sd = list(shape.orthogonal) + list(shape.symplectic)
     out = []
     for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
@@ -290,21 +292,22 @@ def epsilon_character(
     """The sign character on the component group and its value at the
     canonical central element."""
     table.validate_against(psi)
-    return _epsilon_character(centralizer_shape(psi, tag), table)
+    shape = centralizer_shape(psi, tag)
+    return _epsilon_character(shape, component_group(shape), _kminus_pairs(shape, table))
 
 
-def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignCharacter:
-    """`epsilon_character` on a built shape and an already validated table."""
+def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup, pairs) -> SignCharacter:
+    """`epsilon_character` on a built shape, its component group and its
+    `_kminus_pairs`."""
     labels = shape.plus_labels
     exps = {lab: 0 for lab in labels}
-    for (k, lk), (kp, lkp), count in _kminus_pairs(shape, table):
+    for (k, lk), (kp, lkp), count in pairs:
         # det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k) per constituent
         if k.label in exps:
             exps[k.label] = (exps[k.label] + lkp * count) % 2
         if kp.label in exps:
             exps[kp.label] = (exps[kp.label] + lk * count) % 2
     exponents = tuple(exps[lab] for lab in labels)
-    group = component_group(shape)
     char = SignCharacter(labels, exponents, 1)
     if char.evaluate(group.sigma_bar) != 1:
         raise AssertionError("sign character not defined on the component group")
@@ -366,19 +369,6 @@ class RelativeSigns:
     spectral_identity: bool
 
 
-def _core_pairs(shape: CentralizerShape, table: RootNumberTable):
-    """The sign-character pairs of the Levi core (the sum of the
-    odd-multiplicity orthogonal constituents, each once), with their even
-    SL(2) counts."""
-    core = [sp for sp, l in shape.orthogonal if l % 2]
-    out = []
-    for k, kp in itertools.combinations(core, 2):
-        count = _pair_count(k, kp, table)
-        if count:
-            out.append((k.label, kp.label, count))
-    return out
-
-
 def _zero_line_sign(block) -> int:
     """Determinant of the lift of a signed permutation on the zero-weight
     line of the odd orthogonal standard representation: -1 per cycle with
@@ -411,29 +401,51 @@ def relative_signs(
     eps1 is the determinant of an element of N on the multiplicity lines of
     the core sign-character pairs: per constituent in such a pair with an
     odd even-SL(2) count, its component bit times the sign of its Weyl part
-    on the zero-weight line (`_zero_line_sign`).
+    on the zero-weight line (`_zero_line_sign`).  The core is the sum of
+    the odd-multiplicity orthogonal constituents, each once.
 
-    The crossing sign r^- is (-1) to a weighted count of the roots that w
-    takes negative (see `_crossing_sign`).  The weights are constant on
-    W-orbits because W preserves the torus blocks, so r^- is a character of
-    W = prod W_block: N(w1 w2) = N(w2) + w2^-1 N(w1) modulo 2.  It is
-    evaluated from `_crossing_sign` on one transposition per block of rank
-    at least 2 and one sign flip per non-GL block, as alpha_b^parity(perm_b)
-    beta_b^flips_b over the blocks.
+    The crossing sign r^- is (-1) to the number of symplectic root-number
+    constituents on the positive coordinate roots that w takes negative.
+    The torus coordinates are floor(l/2) copies of each orthogonal
+    constituent, l/2 of each symplectic one and l of each partnered orbit;
+    a pair of coordinates carries e_a - e_b and e_a + e_b, a coordinate
+    against the core the root e_a.  The count is constant on W-orbits
+    because W preserves the torus blocks, so r^- is a character of
+    W = prod W_block, fixed by two values per block:
+      - a transposition inside a block crosses only roots that pair up with
+        equal weights, so its value is +1;
+      - the sign flip of a block's first coordinate crosses only the roots
+        e_a against the core, so its value is beta_b = (-1)^(sum over core
+        constituents c of the pair count of (k_b, c)).
+    Hence r^-(w) is the product of beta_b^(flips_b) over the non-GL blocks.
+
+    Every pair count comes from one pass over the unordered pairs of
+    self-dual constituents (`_kminus_pairs`), shared by the sign character,
+    eps1's core pairs and the beta_b.
     """
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     if model.w_order() == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    eps = _epsilon_character(shape, table)
+    pairs = _kminus_pairs(shape, table)
+    eps = _epsilon_character(shape, model.group, pairs)
 
-    # eps1 as (odd-bit index, block index) factors; a constituent in an even
-    # number of odd-count core pairs cancels
+    # from the core pairs: the constituents in an odd number of odd-count
+    # core pairs (the others cancel in eps1), and per constituent its
+    # count against the core (the exponent of beta_b)
+    core = {sp.label for sp, l in shape.orthogonal if l % 2}
     odd_core = set()
-    for lab_k, lab_kp, count in _core_pairs(shape, table):
-        if count % 2:
-            odd_core ^= {lab_k, lab_kp}
+    against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
+    for (k, _), (kp, _), count in pairs:
+        if k.label in core and kp.label in core and count % 2:
+            odd_core ^= {k.label, kp.label}
+        if kp.label in core:
+            against_core[k.label] += count
+        if k.label in core:
+            against_core[kp.label] += count
+
+    # eps1 as (odd-bit index, block index) factors
     block_of = {sp.label: idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
     eps1_factors = [
         (bit, block_of[lab]) for bit, lab in enumerate(model.odd_labels) if lab in odd_core
@@ -448,23 +460,11 @@ def relative_signs(
                 eps_bits.append(odd_bit[lab])
             else:
                 eps_blocks.append(block_of[lab])
-
-    # r^- on generators: the blocks whose transpositions, and those whose
-    # sign flips, cross an odd count
-    identity = tuple(
-        (tuple(range(rank)), (1,) * rank) for _, _, _, rank in model.block_meta
-    )
-
-    def generator_sign(idx, block) -> int:
-        return _crossing_sign(model, identity[:idx] + (block,) + identity[idx + 1:], table)
-
-    odd_perm_blocks, odd_flip_blocks = [], []
-    for idx, (kind, _, _, rank) in enumerate(model.block_meta):
-        perm, signs = identity[idx]
-        if rank >= 2 and generator_sign(idx, ((1, 0) + perm[2:], signs)) == -1:
-            odd_perm_blocks.append(idx)
-        if kind != "GL" and rank >= 1 and generator_sign(idx, (perm, (-1,) + signs[1:])) == -1:
-            odd_flip_blocks.append(idx)
+    # the blocks with beta_b = -1
+    odd_flip_blocks = [
+        idx for idx, (kind, sp, _, rank) in enumerate(model.block_meta)
+        if kind != "GL" and rank >= 1 and against_core[sp.label] % 2
+    ]
 
     eps1: Dict[NormalizerElement, int] = {}
     eps_gm: Dict[tuple, int] = {}
@@ -483,65 +483,10 @@ def relative_signs(
         w_key = elem.weyl_key
         if w_key not in eps_gm:
             eps_gm[w_key] = g_val
-            odd = sum(_perm_parity(w_key[b][0]) for b in odd_perm_blocks)
-            odd += sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
+            odd = sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
             r_minus[w_key] = -1 if odd % 2 else 1
         elif eps_gm[w_key] != g_val:
             fibers_constant = False
 
     spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
     return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
-
-
-def _perm_parity(perm: Tuple[int, ...]) -> int:
-    """Parity of a permutation: its length minus its number of cycles."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-    return (len(perm) - cycles) % 2
-
-
-def _crossing_sign(model: NormalizerModel, w_key, table: RootNumberTable) -> int:
-    """(-1) to the number of symplectic root-number constituents on the
-    positive coordinate roots taken negative by w.
-
-    Torus coordinates correspond to the general linear blocks of the Levi:
-    floor(l/2) copies of each orthogonal constituent, l/2 of each symplectic
-    one, l of each partnered orbit; the core collects one copy of each
-    odd-multiplicity orthogonal constituent.  A pair of coordinates carries
-    the two roots e_a - e_b and e_a + e_b, a coordinate against the core
-    the root e_a.
-    """
-    core_consts = [sp for sp, l in model.shape.orthogonal if l % 2]
-    # per coordinate: its constituent and its image (coordinate, sign)
-    coords: List[SimpleParameter] = []
-    images: List[Tuple[int, int]] = []
-    offset = 0
-    for (_, sp, _, rank), (perm, signs) in zip(model.block_meta, w_key):
-        for pos in range(rank):
-            coords.append(sp)
-            images.append((offset + perm[pos], signs[pos]))
-        offset += rank
-
-    total = 0
-    n = len(coords)
-    for a in range(n):
-        ka = coords[a]
-        ia, sa = images[a]
-        # root e_a against the core (and its double 2e_a, which carries the
-        # Asai family and never contributes)
-        if sa == -1:
-            total += sum(_pair_count(ka, c, table) for c in core_consts)
-        for b in range(a + 1, n):
-            ib, sb = images[b]
-            # e_a - e_b and e_a + e_b cross iff their images are negative
-            # roots; when both cross they add an even count
-            if is_negative(ia, sa, ib, -sb) != is_negative(ia, sa, ib, sb):
-                total += _pair_count(ka, coords[b], table)
-    return -1 if total % 2 else 1

@@ -15,8 +15,8 @@ the elliptic-class expansion
 
     e(S) = sum_{s in E_ell(S)} |pi_0(S_s)|^-1 sigma(S_s^0),
 
-and the constants sigma attached to connected groups by the recursion that
-forces i = e together with sigma(S/Z) = sigma(S) |Z|.
+and the constants sigma attached to connected groups by the condition
+i = e (Arthur 2013, section 4.1), with sigma(S/Z) = sigma(S) |Z|.
 
 Weyl sets act on the character lattice of a maximal torus: by permutations
 on GL factors (negated under the transpose-inverse twist), by signed
@@ -37,9 +37,18 @@ image off the pair by index lookup, with no matrices.
 
 Elliptic elements are enumerated through +-1 eigenvalue patterns: an
 eigenvalue pair {t, 1/t}, t != +-1, would put a GL factor in the
-centralizer and hence an infinite center.  The identity i(S) = e(S) over the
-supported menu is the correctness certificate for both expansions and is
-asserted in the tests.
+centralizer and hence an infinite center.  The classes, their centralizers
+and their component counts are products over the factors, and sigma is
+multiplicative over factors, so e(S) is a product of one cached value per
+factor and coset, like i(S), and sigma(S) a product of one cached value per
+factor, each solved from i = e on that factor alone; no sum runs over
+products of classes.  A central quotient changes neither i nor e,
+e(S/Z) = e(S), and doubles sigma, sigma(S/Z) = 2 sigma(S).  i, e and sigma
+refuse a factor of rank above MAX_FACTOR_RANK with a ValueError naming the
+budget.  The identity i(S) = e(S) over the supported menu is the
+correctness certificate for both expansions and is asserted in the tests,
+which keep the recursion over products of classes as the oracle for sigma
+and e.
 """
 
 from __future__ import annotations
@@ -55,7 +64,10 @@ GL = "GL"
 SP = "Sp"
 SO = "SO"
 
-_MAX_SIGMA_DEPTH = 16
+# The size budget: the largest factor rank that i, e and sigma accept.  The
+# per-factor values sum over the partitions of the rank, 8,349 of them at
+# rank 32, and a sigma solve visits every smaller rank as well.
+MAX_FACTOR_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -309,11 +321,23 @@ def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
     return sign * total
 
 
+def _within_budget(factors):
+    """The factors, once each is checked against MAX_FACTOR_RANK."""
+    for f in factors:
+        if f.rank > MAX_FACTOR_RANK:
+            raise ValueError(
+                "factor %s(%d) of rank %d is over the size budget of factor rank <= %d"
+                % (f.kind, f.size, f.rank, MAX_FACTOR_RANK)
+            )
+    return factors
+
+
 def i_number(c: ComponentDatum) -> Fraction:
     """i(S): signed count of regular Weyl classes, exact, as the product of
-    the per-factor values (the central quotient does not enter)."""
+    the per-factor values (the central quotient does not enter).  Each
+    factor's rank is checked against MAX_FACTOR_RANK."""
     total = Fraction(1)
-    for f, t in zip(c.base.factors, c.coset):
+    for f, t in zip(_within_budget(c.base.factors), c.coset):
         total *= _factor_i_number(f.kind, f.size, t)
     return total
 
@@ -326,7 +350,7 @@ def i_number(c: ComponentDatum) -> Fraction:
 class _EllClass:
     """One elliptic class of a single factor component.
 
-    descriptor: canonical label used for central-translation bookkeeping;
+    descriptor: the kind and the sizes of the two eigenspace blocks;
     cent_factors: factors of the identity component of the centralizer;
     pi0: component count of the full centralizer in S^0.
     """
@@ -388,16 +412,6 @@ def _factor_elliptic_classes(factor: Factor, twisted: bool):
     return out
 
 
-def _translate_descriptor(desc, flip):
-    """Action of the central sign -1 on a class descriptor."""
-    if not flip:
-        return desc
-    kind = desc[0]
-    if kind in ("sp", "so"):
-        return (kind, desc[2], desc[1])
-    return desc  # glinv classes are fixed: -g is congruent to g
-
-
 def elliptic_classes(c: ComponentDatum):
     """Elliptic classes of the component as products of factor classes,
     before any central quotient.  Returns (descriptor tuple, centralizer
@@ -416,35 +430,36 @@ def elliptic_classes(c: ComponentDatum):
     return out
 
 
-def e_number(c: ComponentDatum) -> Fraction:
-    """e(S): sum over elliptic classes of sigma(S_s^0) / |pi_0(S_s)|.
+def _sigma_of(factors) -> Fraction:
+    """The product of the per-factor sigma constants."""
+    total = Fraction(1)
+    for f in factors:
+        total *= _sigma_factor(f.kind, f.size)
+    return total
 
-    A central quotient fuses classes under translation by the nontrivial
-    central element z and rescales; per z-orbit the contribution is
-    sigma(S_s^0) |Z| / (|Z_s| pi0) with Z_s the stabilizer of the class.
-    """
-    classes = elliptic_classes(c)
-    z = c.base.central_quotient
-    if z is None:
-        total = Fraction(0)
-        for _, cent, pi0 in classes:
-            s = sigma(cent)
-            if s:
-                total += Fraction(1, pi0) * s
-        return total
-    flips = tuple(s == -1 for s in z)
-    seen = set()
+
+@lru_cache(maxsize=None)
+def _factor_e_number(kind: str, size: int, twisted: bool) -> Fraction:
+    """e of one factor's identity component or outer coset: the sum of
+    sigma(S_s^0) / |pi_0(S_s)| over its elliptic classes."""
     total = Fraction(0)
-    for desc, cent, pi0 in classes:
-        if desc in seen:
-            continue
-        tdesc = tuple(_translate_descriptor(d, f) for d, f in zip(desc, flips))
-        stab = 2 if tdesc == desc else 1
-        seen.add(desc)
-        seen.add(tdesc)
-        s = sigma(cent)
-        if s:
-            total += s * Fraction(2, stab * pi0)
+    for cl in _factor_elliptic_classes(Factor(kind, size), twisted):
+        total += _sigma_of(cl.cent_factors) / cl.pi0
+    return total
+
+
+def e_number(c: ComponentDatum) -> Fraction:
+    """e(S): sum over elliptic classes of sigma(S_s^0) / |pi_0(S_s)|, exact.
+
+    The elliptic classes, their centralizers and their component counts are
+    products over the factors, and sigma is multiplicative, so e(S) is the
+    product of the per-factor values, like `i_number`.  A central quotient
+    does not change it: e(S/Z) = e(S), as i(S/Z) = i(S).  Each factor's rank
+    is checked against MAX_FACTOR_RANK.
+    """
+    total = Fraction(1)
+    for f, t in zip(_within_budget(c.base.factors), c.coset):
+        total *= _factor_e_number(f.kind, f.size, t)
     return total
 
 
@@ -453,55 +468,35 @@ def e_number(c: ComponentDatum) -> Fraction:
 
 
 def sigma(shape: ConnectedShape) -> Fraction:
-    """The constant sigma of a connected reductive group, by rank recursion.
+    """The constant sigma of a connected reductive group.
 
     sigma vanishes on positive-dimensional centers, equals 1 on the trivial
-    group, is fixed on semisimple groups by solving i(S) = e(S) for the
-    identity component (central elliptic classes contribute sigma(S) itself,
-    the others sigma of strictly smaller centralizers), and rescales under a
-    finite central quotient as sigma(S/Z) = sigma(S) |Z|.
+    group and is multiplicative over the factors of a semisimple group,
+    each factor's value fixed by solving i = e (`_sigma_factor`).  Under
+    the order-2 central quotient it doubles: sigma(S/Z) = 2 sigma(S).  Each
+    factor's rank is checked against MAX_FACTOR_RANK.
     """
-    return _sigma_canonical(shape.canonical(), 0)
+    total = _sigma_of(_within_budget(shape.factors))
+    if shape.central_quotient is not None:
+        total *= 2
+    return total
 
 
 @lru_cache(maxsize=None)
-def _sigma_canonical(shape: ConnectedShape, depth: int) -> Fraction:
-    if depth > _MAX_SIGMA_DEPTH:
-        raise ValueError(
-            "sigma recursion is over the size budget of depth <= %d" % _MAX_SIGMA_DEPTH
-        )
-    if shape.center_dim > 0:
+def _sigma_factor(kind: str, size: int) -> Fraction:
+    """sigma of one simple factor, by solving i = e for its identity
+    component (Arthur 2013, section 4.1).
+
+    The central elliptic classes, with all eigenvalues +1 or all -1, are one
+    per central element and each contributes sigma of the factor itself;
+    every other class has a centralizer of strictly smaller factors, whose
+    sigma values are products of this function at smaller sizes.
+    """
+    factor = Factor(kind, size)
+    if factor.center_dim:
         return Fraction(0)
-    if not shape.factors:
-        return Fraction(1)
-    cover = ConnectedShape(shape.factors)
-    quot = 2 if shape.central_quotient is not None else 1
-    return _sigma_semisimple(cover, depth) * quot
-
-
-def _sigma_semisimple(shape: ConnectedShape, depth: int) -> Fraction:
-    datum = identity_component(shape)
-    i_val = i_number(datum)
-    central = 1
-    for f in shape.factors:
-        central *= f.center_order
     rest = Fraction(0)
-    for desc, cent, pi0 in elliptic_classes(datum):
-        if _is_central_class(desc, shape.factors):
-            continue
-        s = _sigma_canonical(cent.canonical(), depth + 1)
-        if s:
-            rest += Fraction(1, pi0) * s
-    return (i_val - rest) / central
-
-
-def _is_central_class(desc, factors):
-    for d, f in zip(desc, factors):
-        kind = d[0]
-        if kind == "sp" and 0 not in (d[1], d[2]):
-            return False
-        if kind == "so" and 0 not in (d[1], d[2]):
-            return False
-        if kind == "glinv":
-            return False
-    return True
+    for cl in _factor_elliptic_classes(factor, False):
+        if 0 not in cl.descriptor[1:]:
+            rest += _sigma_of(cl.cent_factors) / cl.pi0
+    return (_factor_i_number(kind, size, False) - rest) / factor.center_order

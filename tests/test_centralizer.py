@@ -4,6 +4,7 @@ import math
 import pytest
 
 from uendo.centralizer import (
+    CentralizerShape,
     FiniteTwoGroup,
     NormalizerElement,
     NormalizerModel,
@@ -75,6 +76,20 @@ def found_set_elements(group):
             found.add(rep)
             out.append(rep)
     return out
+
+
+def set_s1_subgroup(shape):
+    """S^1 by canonicalizing every sign vector supported on the odd indices
+    through a set, sorted with +1 before -1."""
+    group = component_group(shape)
+    odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
+    images = set()
+    for bits in itertools.product((1, -1), repeat=len(odd_idx)):
+        vec = [1] * len(shape.orthogonal)
+        for pos, b in zip(odd_idx, bits):
+            vec[pos] = b
+        images.add(group.canonical(tuple(vec)))
+    return sorted(images, key=lambda v: tuple(0 if x == 1 else 1 for x in v))
 
 
 def brute_sigma_classes(mults):
@@ -252,6 +267,17 @@ def test_s1_composite_to_r_trivial_and_section():
     for r_vec in itertools.product((1, -1), repeat=len(even_idx)):
         img = section(tuple(r_vec))
         assert tuple(img[i] for i in even_idx) == tuple(r_vec)
+
+
+def test_s1_subgroup_matches_set_enumeration():
+    checked = 0
+    for n in range(7):
+        for mults in itertools.product((1, 2, 3), repeat=n):
+            orth = tuple((sd("p%d" % i), l) for i, l in enumerate(mults))
+            shape = CentralizerShape(orth, (), ())
+            assert s1_subgroup(shape) == set_s1_subgroup(shape), mults
+            checked += 1
+    assert checked == 1093
 
 
 def test_normalizer_component_vectors_cover_group():

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -658,15 +659,34 @@ def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys
     doc = tmp_path / "doc.txt"
     doc.write_text("group U(16) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
                    "psi = 8*a (x) nu(1) + 8*b (x) nu(1)\n")
-    weylnum._sigma_canonical.cache_clear()
-    monkeypatch.setattr(weylnum, "_MAX_SIGMA_DEPTH", 1)
-    try:
-        for command in ("arthur", "multiplicity"):
-            code, out, err = run_cli([command, "--input", str(doc)], capsys)
-            _assert_one_line_error(code, out, err, 2)
-            assert "size budget of depth <= 1" in err, command
-    finally:
-        weylnum._sigma_canonical.cache_clear()
+    # the budget is checked before the per-factor caches are consulted
+    monkeypatch.setattr(weylnum, "MAX_FACTOR_RANK", 1)
+    for command in ("arthur", "multiplicity"):
+        code, out, err = run_cli([command, "--input", str(doc)], capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "size budget of factor rank <= 1" in err, command
+
+
+def test_sigma_answers_large_factors_and_refuses_over_budget(tmp_path, report_validator,
+                                                             capsys):
+    for cache in (weylnum._factor_i_number, weylnum._factor_e_number, weylnum._sigma_factor):
+        cache.cache_clear()
+    doc = tmp_path / "doc.txt"
+    doc.write_text(LARGE_CENTRALIZERS["O(40) x O(40)"])
+    start = time.perf_counter()
+    for command in ("arthur", "multiplicity"):
+        code, out, err = run_cli([command, "--input", str(doc)], capsys)
+        assert (code, err) == (0, ""), command
+        report = json.loads(out)
+        assert [e.message for e in report_validator.iter_errors(report)] == [], command
+    assert time.perf_counter() - start < 2.0
+    # Sp(80) has rank 40
+    doc.write_text("group U(81) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+                   "psi = 80*a (x) nu(1) + b (x) nu(1)\n")
+    for command in ("arthur", "multiplicity"):
+        code, out, err = run_cli([command, "--input", str(doc)], capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "size budget of factor rank <= %d" % weylnum.MAX_FACTOR_RANK in err, command
 
 
 # ---------------------------------------------------------------------------

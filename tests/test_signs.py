@@ -15,8 +15,7 @@ from uendo.params import (
 )
 from uendo.signs import (
     RootNumberTable,
-    _crossing_sign,
-    _perm_parity,
+    _pair_count,
     _zero_line_sign,
     adjoint_decomposition,
     alt2_dims,
@@ -29,7 +28,7 @@ from uendo.signs import (
     su2_tensor_dims,
     sym2_dims,
 )
-from uendo.weylnum import signed_perms
+from uendo.weylnum import is_negative, signed_perms
 
 
 def sd(label, deg=1, parity=ORTHOGONAL, n=1):
@@ -494,6 +493,20 @@ def test_zero_line_sign_matches_cycle_walk():
     assert checked == 4283
 
 
+def _perm_parity(perm):
+    """Parity of a permutation: its length minus its number of cycles."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) % 2
+
+
 def test_perm_parity_matches_inversion_count():
     for rank in range(6):
         for perm in itertools.permutations(range(rank)):
@@ -582,6 +595,46 @@ RANK_CASES = [
 ]
 
 
+def _crossing_sign(model, w_key, table):
+    """(-1) to the number of symplectic root-number constituents on the
+    positive coordinate roots taken negative by w, counted root by root.
+
+    Torus coordinates correspond to the general linear blocks of the Levi:
+    floor(l/2) copies of each orthogonal constituent, l/2 of each symplectic
+    one, l of each partnered orbit; the core collects one copy of each
+    odd-multiplicity orthogonal constituent.  A pair of coordinates carries
+    the two roots e_a - e_b and e_a + e_b, a coordinate against the core
+    the root e_a.
+    """
+    core_consts = [sp for sp, l in model.shape.orthogonal if l % 2]
+    # per coordinate: its constituent and its image (coordinate, sign)
+    coords = []
+    images = []
+    offset = 0
+    for (_, sp, _, rank), (perm, signs) in zip(model.block_meta, w_key):
+        for pos in range(rank):
+            coords.append(sp)
+            images.append((offset + perm[pos], signs[pos]))
+        offset += rank
+
+    total = 0
+    n = len(coords)
+    for a in range(n):
+        ka = coords[a]
+        ia, sa = images[a]
+        # root e_a against the core (and its double 2e_a, which carries the
+        # Asai family and never contributes)
+        if sa == -1:
+            total += sum(_pair_count(ka, c, table) for c in core_consts)
+        for b in range(a + 1, n):
+            ib, sb = images[b]
+            # e_a - e_b and e_a + e_b cross iff their images are negative
+            # roots; when both cross they add an even count
+            if is_negative(ia, sa, ib, -sb) != is_negative(ia, sa, ib, sb):
+                total += _pair_count(ka, coords[b], table)
+    return -1 if total % 2 else 1
+
+
 def test_r_minus_matches_per_element_crossing_sign():
     # the crossing sign evaluated on every Weyl element is the oracle for
     # r^- built as a character from its generators
@@ -601,19 +654,20 @@ def test_r_minus_matches_per_element_crossing_sign():
     assert nontrivial > 100
 
 
-def test_relative_signs_evaluates_crossing_sign_on_generators_only(monkeypatch):
+def test_relative_signs_counts_each_pair_once(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _crossing_sign(*args)
+        return _pair_count(*args)
 
-    monkeypatch.setattr("uendo.signs._crossing_sign", counted)
+    monkeypatch.setattr("uendo.signs._pair_count", counted)
     psi, tag, _ = RANK_CASES[0]  # O(6) x O(5): |W| = 48 * 8
-    model = NormalizerModel(centralizer_shape(psi, tag))
-    assert model.w_order() == 384
+    shape = centralizer_shape(psi, tag)
+    assert NormalizerModel(shape).w_order() == 384
+    self_dual = len(shape.orthogonal) + len(shape.symplectic)
     for table in _tables_for(psi):
         calls.clear()
         rec = relative_signs(psi, tag, table)
         assert len(rec.r_minus) == 384
-        assert len(calls) <= 2 * len(model.block_meta)
+        assert len(calls) <= self_dual * (self_dual - 1) // 2

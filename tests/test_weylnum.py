@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 import uendo.weylnum
 from uendo.weylnum import (
     ComponentDatum,
@@ -18,6 +20,7 @@ from uendo.weylnum import (
     sp,
     weyl_set,
 )
+from uendo.weylnum import SP
 
 
 def datum(factors, coset=None, quotient=None):
@@ -224,10 +227,19 @@ def test_sigma_multiplicative():
     assert sigma(ab) == sigma(a) * sigma(b)
 
 
-def test_sigma_depth_guard_exists():
-    from uendo.weylnum import _MAX_SIGMA_DEPTH
+def test_sigma_depth_guard_exists(monkeypatch):
+    from uendo.weylnum import MAX_FACTOR_RANK
 
-    assert _MAX_SIGMA_DEPTH > 0
+    assert MAX_FACTOR_RANK > 0
+    # at a small budget: rank 3 is admitted, rank 4 refused by i, e and sigma
+    monkeypatch.setattr(uendo.weylnum, "MAX_FACTOR_RANK", 3)
+    assert sigma(ConnectedShape((so(3), sp(6)))) == sigma(ConnectedShape((so(3),))) * sigma(
+        ConnectedShape((sp(6),)))
+    for call in (lambda: sigma(ConnectedShape((so(3), sp(8)))),
+                 lambda: i_number(datum([sp(8)])),
+                 lambda: e_number(datum([so(3), so(9)]))):
+        with pytest.raises(ValueError, match="size budget of factor rank <= 3"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +398,114 @@ def test_i_number_generating_functions():
         assert i_number(datum([so(2 * r + 1)], [True])) == (-1) ** r * minus
         assert i_number(datum([so(2 * r)])) == (-1) ** r * (minus + plus)
         assert i_number(datum([so(2 * r)], [True])) == (-1) ** (r + 1) * (minus - plus)
+
+
+# ---------------------------------------------------------------------------
+# sigma and e by the recursion over products of classes, as the oracle for
+# the per-factor products
+
+
+def _translate_descriptor(desc, flip):
+    """Action of the central sign -1 on a class descriptor."""
+    if not flip:
+        return desc
+    kind = desc[0]
+    if kind in ("sp", "so"):
+        return (kind, desc[2], desc[1])
+    return desc  # glinv classes are fixed: -g is congruent to g
+
+
+def _is_central_class(desc, factors):
+    for d, f in zip(desc, factors):
+        kind = d[0]
+        if kind == "sp" and 0 not in (d[1], d[2]):
+            return False
+        if kind == "so" and 0 not in (d[1], d[2]):
+            return False
+        if kind == "glinv":
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _sigma_canonical(shape):
+    if shape.center_dim > 0:
+        return Fraction(0)
+    if not shape.factors:
+        return Fraction(1)
+    cover = ConnectedShape(shape.factors)
+    quot = 2 if shape.central_quotient is not None else 1
+    return _sigma_semisimple(cover) * quot
+
+
+def _sigma_semisimple(shape):
+    """Solve i = e on the whole product: the central classes contribute
+    sigma(S) itself, the others sigma of strictly smaller centralizers."""
+    datum = identity_component(shape)
+    i_val = i_number(datum)
+    central = 1
+    for f in shape.factors:
+        central *= f.center_order
+    rest = Fraction(0)
+    for desc, cent, pi0 in elliptic_classes(datum):
+        if _is_central_class(desc, shape.factors):
+            continue
+        s = _sigma_canonical(cent.canonical())
+        if s:
+            rest += Fraction(1, pi0) * s
+    return (i_val - rest) / central
+
+
+def _recursive_sigma(shape):
+    return _sigma_canonical(shape.canonical())
+
+
+def _recursive_e_number(c):
+    """e(S) summed over the products of factor classes.  A central quotient
+    fuses classes under translation by the nontrivial central element z and
+    rescales; per z-orbit the contribution is sigma(S_s^0) |Z| / (|Z_s| pi0)
+    with Z_s the stabilizer of the class."""
+    classes = elliptic_classes(c)
+    z = c.base.central_quotient
+    if z is None:
+        return sum((Fraction(1, pi0) * _recursive_sigma(cent) for _, cent, pi0 in classes),
+                   Fraction(0))
+    flips = tuple(s == -1 for s in z)
+    seen = set()
+    total = Fraction(0)
+    for desc, cent, pi0 in classes:
+        if desc in seen:
+            continue
+        tdesc = tuple(_translate_descriptor(d, f) for d, f in zip(desc, flips))
+        stab = 2 if tdesc == desc else 1
+        seen.add(desc)
+        seen.add(tdesc)
+        total += _recursive_sigma(cent) * Fraction(2, stab * pi0)
+    return total
+
+
+def test_sigma_and_e_match_recursion_over_class_products():
+    # every shape of rank <= 12 with at most two factors, under every
+    # order-2 central quotient and, for e, on every coset
+    singles = [so(1)]
+    for r in range(1, 13):
+        singles += [gl(r), sp(2 * r), so(2 * r), so(2 * r + 1)]
+    shapes = [()] + [(f,) for f in singles]
+    shapes += [(f, g) for f, g in itertools.combinations_with_replacement(singles, 2)
+               if f.rank + g.rank <= 12]
+    checked = 0
+    for factors in shapes:
+        quotients = [(1, -1) if f.has_minus_one else (1,) for f in factors]
+        cosets = [(False,) if f.kind == SP else (False, True) for f in factors]
+        for z in itertools.product(*quotients):
+            shape = ConnectedShape(factors, z if -1 in z else None)
+            assert sigma(shape) == _recursive_sigma(shape), shape
+            checked += 1
+            for coset in itertools.product(*cosets):
+                c = ComponentDatum(shape, coset)
+                assert e_number(c) == _recursive_e_number(c), c
+                checked += 1
+    assert checked == 7138
 
 
 def test_i_number_and_sigma_never_enumerate(monkeypatch):
