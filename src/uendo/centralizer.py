@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .params import (
@@ -40,16 +39,21 @@ from .params import (
     constituent_sign,
     factors_through,
 )
+from .values import Value, set_field
 from .weylnum import signed_perms
 
 
-@dataclass(frozen=True)
-class CentralizerShape:
+class CentralizerShape(Value):
     """Shape data of S: (constituent, multiplicity) per factor family."""
 
-    orthogonal: Tuple[Tuple[SimpleParameter, int], ...]
-    symplectic: Tuple[Tuple[SimpleParameter, int], ...]
-    general_linear: Tuple[Tuple[SimpleParameter, int], ...]
+    __slots__ = ("orthogonal", "symplectic", "general_linear")
+
+    def __init__(self, orthogonal: Tuple[Tuple[SimpleParameter, int], ...],
+                 symplectic: Tuple[Tuple[SimpleParameter, int], ...],
+                 general_linear: Tuple[Tuple[SimpleParameter, int], ...]):
+        set_field(self, "orthogonal", orthogonal)
+        set_field(self, "symplectic", symplectic)
+        set_field(self, "general_linear", general_linear)
 
     @property
     def plus_labels(self) -> Tuple[str, ...]:
@@ -89,12 +93,14 @@ def centralizer_shape(psi: GlobalParameter, tag: SimpleDatumTag) -> CentralizerS
     return CentralizerShape(tuple(orth), tuple(symp), psi.dual_pair_orbits)
 
 
-@dataclass(frozen=True)
-class FiniteTwoGroup:
+class FiniteTwoGroup(Value):
     """Sign vectors on `labels` modulo the subgroup generated by sigma_bar."""
 
-    labels: Tuple[str, ...]
-    sigma_bar: Tuple[int, ...]
+    __slots__ = ("labels", "sigma_bar")
+
+    def __init__(self, labels: Tuple[str, ...], sigma_bar: Tuple[int, ...]):
+        set_field(self, "labels", labels)
+        set_field(self, "sigma_bar", sigma_bar)
 
     @property
     def ambient_order(self) -> int:
@@ -151,13 +157,16 @@ def _flip_parity(elem) -> int:
     return elem[1].count(-1) % 2
 
 
-@dataclass(frozen=True)
-class NormalizerElement:
+class NormalizerElement(Value):
     """An element of N: per-block signed permutations plus the component
     bits of the odd orthogonal factors (canonicalized modulo the center)."""
 
-    blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-    odd_bits: Tuple[int, ...]
+    __slots__ = ("blocks", "odd_bits")
+
+    def __init__(self, blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...],
+                 odd_bits: Tuple[int, ...]):
+        set_field(self, "blocks", blocks)
+        set_field(self, "odd_bits", odd_bits)
 
     @property
     def weyl_key(self):
@@ -264,18 +273,23 @@ class NormalizerModel:
         return tuple(vec)
 
 
-@dataclass(frozen=True)
-class LeviDiagram:
+class LeviDiagram(Value):
     """Orders and realizations of the groups in the normalizer diagram."""
 
-    w0_order: int
-    w_order: int
-    n_order: int
-    s_order: int
-    s1_elements: Tuple[Tuple[int, ...], ...]
-    r_labels: Tuple[str, ...]
-    exact: bool
-    splitting_ok: bool
+    __slots__ = ("w0_order", "w_order", "n_order", "s_order", "s1_elements", "r_labels",
+                 "exact", "splitting_ok")
+
+    def __init__(self, w0_order: int, w_order: int, n_order: int, s_order: int,
+                 s1_elements: Tuple[Tuple[int, ...], ...], r_labels: Tuple[str, ...],
+                 exact: bool, splitting_ok: bool):
+        set_field(self, "w0_order", w0_order)
+        set_field(self, "w_order", w_order)
+        set_field(self, "n_order", n_order)
+        set_field(self, "s_order", s_order)
+        set_field(self, "s1_elements", s1_elements)
+        set_field(self, "r_labels", r_labels)
+        set_field(self, "exact", exact)
+        set_field(self, "splitting_ok", splitting_ok)
 
     @property
     def r_order(self) -> int:

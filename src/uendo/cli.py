@@ -27,7 +27,6 @@ import json
 import re
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
@@ -44,16 +43,8 @@ from .params import (
     classify,
     factors_through,
 )
-from .weylnum import (
-    ComponentDatum,
-    ConnectedShape,
-    e_number,
-    gl as gl_factor,
-    i_number,
-    sigma,
-    so,
-    sp as sp_factor,
-)
+from .values import Value, set_field
+from .weylnum import ComponentDatum, ConnectedShape, e_number, i_number, sigma
 
 
 class ParseError(Exception):
@@ -95,28 +86,35 @@ def _is_valid(tok: str) -> bool:
 # AST
 
 
-@dataclass(frozen=True)
-class Decl:
-    label: str
-    deg: int
-    sd: str  # "+", "-", "none"
+class Decl(Value):
+    __slots__ = ("label", "deg", "sd")
+
+    def __init__(self, label: str, deg: int, sd: str):
+        set_field(self, "label", label)
+        set_field(self, "deg", deg)
+        set_field(self, "sd", sd)  # "+", "-", "none"
 
 
-@dataclass(frozen=True)
-class Term:
-    mult: int
-    label: str
-    nu: int
+class Term(Value):
+    __slots__ = ("mult", "label", "nu")
+
+    def __init__(self, mult: int, label: str, nu: int):
+        set_field(self, "mult", mult)
+        set_field(self, "label", label)
+        set_field(self, "nu", nu)
 
 
-@dataclass(frozen=True)
-class ParameterDocument:
-    N: int
-    parity: int
-    decls: Tuple[Decl, ...]
-    terms: Tuple[Term, ...]
-    roots: Tuple[Tuple[str, str, int], ...]
-    places: Tuple[Tuple[str, str], ...]
+class ParameterDocument(Value):
+    __slots__ = ("N", "parity", "decls", "terms", "roots", "places")
+
+    def __init__(self, N: int, parity: int, decls: Tuple[Decl, ...], terms: Tuple[Term, ...],
+                 roots: Tuple[Tuple[str, str, int], ...], places: Tuple[Tuple[str, str], ...]):
+        set_field(self, "N", N)
+        set_field(self, "parity", parity)
+        set_field(self, "decls", decls)
+        set_field(self, "terms", terms)
+        set_field(self, "roots", roots)
+        set_field(self, "places", places)
 
 
 class _Parser:
@@ -302,12 +300,15 @@ def print_document(doc: ParameterDocument) -> str:
 # Semantics
 
 
-@dataclass(frozen=True)
-class Semantics:
-    psi: GlobalParameter
-    tag: SimpleDatumTag
-    table: signs.RootNumberTable
-    places: Tuple[multiplicity.Place, ...]
+class Semantics(Value):
+    __slots__ = ("psi", "tag", "table", "places")
+
+    def __init__(self, psi: GlobalParameter, tag: SimpleDatumTag, table: signs.RootNumberTable,
+                 places: Tuple[multiplicity.Place, ...]):
+        set_field(self, "psi", psi)
+        set_field(self, "tag", tag)
+        set_field(self, "table", table)
+        set_field(self, "places", places)
 
 
 def elaborate(doc: ParameterDocument) -> Semantics:
@@ -486,30 +487,35 @@ def report_arthur(sem: Semantics) -> dict:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
     group = central.component_group(shape)
+    base = multiplicity.identity_component_shape(shape)
+    # i and e are products over the factors of one value per factor and
+    # coset bit, and only the orthogonal factors' bits (the row's signs)
+    # vary: each of those values is computed once, with None for a 1, which
+    # the rows skip
+    n_orth = len(shape.orthogonal)
+
+    def numbers(factors, coset):
+        datum = ComponentDatum(ConnectedShape(factors), coset)
+        return i_number(datum), e_number(datum)
+
+    twists = [tuple(tuple(None if v == 1 else v for v in numbers((f,), (bit,)))
+                    for bit in (False, True)) for f in base.factors[:n_orth]]
+    rest = base.factors[n_orth:]
+    fixed_i, fixed_e = numbers(rest, (False,) * len(rest))
     rows = []
     for vec in group.elements():
-        factors = []
-        coset = []
-        for (sp_c, l), sign in zip(shape.orthogonal, vec):
-            factors.append(so(l))
-            coset.append(sign == -1)
-        for _, l in shape.symplectic:
-            factors.append(sp_factor(l))
-            coset.append(False)
-        for _, l in shape.general_linear:
-            factors.append(gl_factor(l))
-            coset.append(False)
-        datum = ComponentDatum(ConnectedShape(tuple(factors)), tuple(coset))
-        rows.append({
-            "component": list(vec),
-            "i": i_number(datum),
-            "e": e_number(datum),
-        })
-    sig = sigma(multiplicity.identity_component_shape(shape))
+        i, e = fixed_i, fixed_e
+        for values, sign in zip(twists, vec):
+            vi, ve = values[sign == -1]
+            if vi is not None:
+                i *= vi
+            if ve is not None:
+                e *= ve
+        rows.append({"component": list(vec), "i": i, "e": e})
     return {
         "command": "arthur",
         "components": rows,
-        "sigma_bar0": sig,
+        "sigma_bar0": sigma(base),
     }
 
 
@@ -557,10 +563,7 @@ def report_multiplicity(sem: Semantics) -> dict:
         shape = central.centralizer_shape(sem.psi, sem.tag)
         model = multiplicity.GlobalPlacesModel(shape, sem.places)
         members = multiplicity.enumerate_members(model)
-        selected = sum(
-            multiplicity.spectral_multiplicity(sem.psi, sem.tag, sem.table, m, model)
-            for m in members
-        )
+        selected = sum(multiplicity._multiplicities(sem.psi, sem.tag, sem.table, model, members))
         report["packet"] = {"members": len(members), "selected": selected}
     report["defaulted_pairs"] = sorted(sorted(p) for p in sem.table.warned_pairs)
     return report

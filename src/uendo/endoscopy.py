@@ -18,33 +18,36 @@ to the pair (U(N+) x U(N-), psi+ x psi-) cut out by the eigenspaces of s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .centralizer import centralizer_shape, component_group
 from .params import GlobalParameter, SimpleDatumTag
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class StandardDatum:
-    split: Tuple[int, int]
-    out_order: int
-    iota: Fraction
+class StandardDatum(Value):
+    __slots__ = ("split", "out_order", "iota")
 
-    def __post_init__(self):
-        n1, n2 = self.split
+    def __init__(self, split: Tuple[int, int], out_order: int, iota: Fraction):
+        n1, n2 = split
         if n1 < n2 or n2 < 0 or n1 + n2 < 1:
             raise ValueError("split must satisfy N1 >= N2 >= 0, N >= 1")
+        set_field(self, "split", split)
+        set_field(self, "out_order", out_order)
+        set_field(self, "iota", iota)
 
 
-@dataclass(frozen=True)
-class TwistedDatum:
-    split: Tuple[int, int]
-    signature: Tuple[int, int]
-    is_simple: bool
-    iota_twisted: Fraction
-    parity: Optional[int] = None  # only for simple data
+class TwistedDatum(Value):
+    __slots__ = ("split", "signature", "is_simple", "iota_twisted", "parity")
+
+    def __init__(self, split: Tuple[int, int], signature: Tuple[int, int], is_simple: bool,
+                 iota_twisted: Fraction, parity: Optional[int] = None):
+        set_field(self, "split", split)
+        set_field(self, "signature", signature)
+        set_field(self, "is_simple", is_simple)
+        set_field(self, "iota_twisted", iota_twisted)
+        set_field(self, "parity", parity)  # only for simple data
 
 
 def _standard_iota(n1: int, n2: int) -> Fraction:
@@ -104,16 +107,19 @@ def enumerate_twisted(N: int) -> List[TwistedDatum]:
 # (psi, s) <-> (G', psi')
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Value):
     """Output of `correspond`: the datum, the two parameter halves, and the
     size of the outer-orbit of the ordered pair (2 when the two halves play
     symmetric roles on a datum with nontrivial outer group)."""
 
-    datum: StandardDatum
-    psi_plus: Optional[GlobalParameter]
-    psi_minus: Optional[GlobalParameter]
-    orbit: int
+    __slots__ = ("datum", "psi_plus", "psi_minus", "orbit")
+
+    def __init__(self, datum: StandardDatum, psi_plus: Optional[GlobalParameter],
+                 psi_minus: Optional[GlobalParameter], orbit: int):
+        set_field(self, "datum", datum)
+        set_field(self, "psi_plus", psi_plus)
+        set_field(self, "psi_minus", psi_minus)
+        set_field(self, "orbit", orbit)
 
 
 def _half(shape_entries, plus_mults) -> Optional[GlobalParameter]:

@@ -14,11 +14,11 @@ the shift attached to the twisting character, multiplying parities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
+from .values import Value, set_field
 
 ARCH = "archimedean"
 UNRAMIFIED = "unramified"
@@ -31,14 +31,13 @@ def _as_half_integer(a) -> Fraction:
     return a
 
 
-@dataclass(frozen=True)
-class ArchCharacter:
+class ArchCharacter(Value):
     """z -> (z / zbar)^a with a in (1/2) Z."""
 
-    a: Fraction
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_half_integer(self.a))
+    def __init__(self, a: Fraction):
+        set_field(self, "a", _as_half_integer(a))
 
     @property
     def parity(self) -> str:
@@ -55,15 +54,14 @@ def arch_parity(a) -> str:
     return ArchCharacter(_as_half_integer(a)).parity
 
 
-@dataclass(frozen=True)
-class UnramifiedCharacter:
+class UnramifiedCharacter(Value):
     """Unramified character of the quadratic unramified extension, stored
     through the Frobenius value exp(2 pi i q)."""
 
-    q: Fraction
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q) % 1)
+    def __init__(self, q: Fraction):
+        set_field(self, "q", Fraction(q) % 1)
 
     @property
     def is_self_dual(self) -> bool:
@@ -97,19 +95,15 @@ def unramified_parity(character: str) -> str:
 # Archimedean discrete parameters
 
 
-@dataclass(frozen=True)
-class ArchParameter:
+class ArchParameter(Value):
     """Exponents (a_1, ..., a_N) of a monomial archimedean parameter, and
     the shift c of the datum character."""
 
-    exponents: Tuple[Fraction, ...]
-    shift: Fraction = Fraction(0)
+    __slots__ = ("exponents", "shift")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "exponents", tuple(_as_half_integer(a) for a in self.exponents)
-        )
-        object.__setattr__(self, "shift", _as_half_integer(self.shift))
+    def __init__(self, exponents: Tuple[Fraction, ...], shift: Fraction = Fraction(0)):
+        set_field(self, "exponents", tuple(_as_half_integer(a) for a in exponents))
+        set_field(self, "shift", _as_half_integer(shift))
 
     @property
     def infinitesimal_character(self) -> Tuple[Fraction, ...]:
@@ -170,19 +164,19 @@ def phi_identities_hold(N: int) -> bool:
     return _transpose(m) == _scalar_mul(sign, m) and _mat_mul(m, m) == _scalar_mul(sign, ident)
 
 
-@dataclass(frozen=True)
-class MonomialLocalParameter:
+class MonomialLocalParameter(Value):
     """A multiplicity-free direct sum of exact characters, archimedean or
     unramified, supporting the matrix search below."""
 
-    characters: Tuple
-    case: str
+    __slots__ = ("characters", "case")
 
-    def __post_init__(self):
-        if self.case not in (ARCH, UNRAMIFIED):
+    def __init__(self, characters: Tuple, case: str):
+        if case not in (ARCH, UNRAMIFIED):
             raise ValueError("case must be archimedean or unramified")
-        if len(set(self.characters)) != len(self.characters):
+        if len(set(characters)) != len(characters):
             raise ValueError("monomial search needs multiplicity-free characters")
+        set_field(self, "characters", characters)
+        set_field(self, "case", case)
 
     @property
     def N(self) -> int:

@@ -22,7 +22,6 @@ computed and compared in the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +41,7 @@ from .params import (
     factors_through,
 )
 from .signs import RootNumberTable, epsilon_character
+from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
 
@@ -79,18 +79,19 @@ def stable_coefficient(
 # Places and packet members
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of the model: split places carry a trivial local group,
     inert places a localization refinement of the orthogonal labels."""
 
-    name: str
-    kind: str  # "inert" | "split"
-    refinement: Optional[Dict[str, Tuple[str, ...]]] = None
+    __slots__ = ("name", "kind", "refinement")
 
-    def __post_init__(self):
-        if self.kind not in ("inert", "split"):
+    def __init__(self, name: str, kind: str,
+                 refinement: Optional[Dict[str, Tuple[str, ...]]] = None):
+        if kind not in ("inert", "split"):
             raise ValueError("place kind must be inert or split")
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "refinement", refinement)
 
 
 class GlobalPlacesModel:
@@ -112,12 +113,14 @@ class GlobalPlacesModel:
         return tuple(p.name for p in self.places if p.kind == "inert")
 
 
-@dataclass(frozen=True)
-class PacketMember:
+class PacketMember(Value):
     """Local characters, one sign per local orthogonal label per inert
     place; split places are singletons with the trivial pairing."""
 
-    local_characters: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    __slots__ = ("local_characters",)
+
+    def __init__(self, local_characters: Tuple[Tuple[str, Tuple[int, ...]], ...]):
+        set_field(self, "local_characters", local_characters)
 
     def character_at(self, place: str) -> Tuple[int, ...]:
         for name, chi in self.local_characters:
@@ -168,21 +171,32 @@ def spectral_multiplicity(
     model: GlobalPlacesModel,
 ) -> int:
     """Multiplicity |S|^-1 sum_x eps(x) <x, pi> of a packet member; 0 or 1."""
-    flags = classify(psi, tag)
-    if not flags.in_2:
+    return _multiplicities(psi, tag, table, model, [member])[0]
+
+
+def _multiplicities(
+    psi: GlobalParameter,
+    tag: SimpleDatumTag,
+    table: RootNumberTable,
+    model: GlobalPlacesModel,
+    members: Sequence[PacketMember],
+) -> List[int]:
+    """`spectral_multiplicity` of each member, with the parameter's
+    component group and eps evaluated once for all of them; the CLI's
+    `multiplicity` report and `decompose_discrete_spectrum` count with it."""
+    if not classify(psi, tag).in_2:
         raise ValueError("spectral multiplicity needs a square-integrable parameter")
-    shape = centralizer_shape(psi, tag)
-    group = component_group(shape)
+    group = component_group(centralizer_shape(psi, tag))
     eps = epsilon_character(psi, tag, table)
-    total = Fraction(0)
-    vectors = list(itertools.product((1, -1), repeat=len(group.labels)))
-    member_vals = _member_global_character(member, model, group)
-    for vec, mval in zip(vectors, member_vals):
-        total += eps.evaluate(vec) * mval
-    total /= len(vectors)
-    if total not in (0, 1):
-        raise AssertionError("spectral multiplicity must be 0 or 1")
-    return int(total)
+    eps_vals = [eps.evaluate(v) for v in itertools.product((1, -1), repeat=len(group.labels))]
+    out = []
+    for member in members:
+        member_vals = _member_global_character(member, model, group)
+        total = sum(e * m for e, m in zip(eps_vals, member_vals))
+        if total not in (0, len(eps_vals)):
+            raise AssertionError("spectral multiplicity must be 0 or 1")
+        out.append(total // len(eps_vals))
+    return out
 
 
 def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:
@@ -203,11 +217,13 @@ def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:
     return out
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    psi: GlobalParameter
-    members_selected: int
-    members_total: int
+class SpectrumLine(Value):
+    __slots__ = ("psi", "members_selected", "members_total")
+
+    def __init__(self, psi: GlobalParameter, members_selected: int, members_total: int):
+        set_field(self, "psi", psi)
+        set_field(self, "members_selected", members_selected)
+        set_field(self, "members_total", members_total)
 
 
 def decompose_discrete_spectrum(
@@ -241,9 +257,7 @@ def decompose_discrete_spectrum(
             shape = centralizer_shape(psi, tag)
             model = GlobalPlacesModel(shape, places)
             members = enumerate_members(model)
-            selected = sum(
-                spectral_multiplicity(psi, tag, table, m, model) for m in members
-            )
+            selected = sum(_multiplicities(psi, tag, table, model, members))
             out.append(SpectrumLine(psi, selected, len(members)))
     out.sort(key=lambda line: repr(line.psi))
     return out

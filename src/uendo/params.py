@@ -12,8 +12,9 @@ to a unitary datum (N, kappa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .values import Value, set_field
 
 ORTHOGONAL = "conjugate-orthogonal"
 SYMPLECTIC = "conjugate-symplectic"
@@ -22,8 +23,7 @@ NOT_SELF_DUAL = "not-self-dual"
 _DUALITIES = (ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL)
 
 
-@dataclass(frozen=True)
-class SimpleParameter:
+class SimpleParameter(Value):
     """One simple constituent mu (x) nu(n) of a formal parameter.
 
     `duality` is the duality class of the cuspidal part mu alone; the class
@@ -32,21 +32,23 @@ class SimpleParameter:
     self-dual.
     """
 
-    label: str
-    deg_mu: int
-    duality: str
-    su2_dim: int = 1
-    partner: Optional[str] = None
+    __slots__ = ("label", "deg_mu", "duality", "su2_dim", "partner")
 
-    def __post_init__(self):
-        if self.deg_mu < 1 or self.su2_dim < 1:
+    def __init__(self, label: str, deg_mu: int, duality: str, su2_dim: int = 1,
+                 partner: Optional[str] = None):
+        if deg_mu < 1 or su2_dim < 1:
             raise ValueError("degrees must be positive")
-        if self.duality not in _DUALITIES:
-            raise ValueError("unknown duality %r" % (self.duality,))
-        if (self.partner is not None) != (self.duality == NOT_SELF_DUAL):
+        if duality not in _DUALITIES:
+            raise ValueError("unknown duality %r" % (duality,))
+        if (partner is not None) != (duality == NOT_SELF_DUAL):
             raise ValueError("partner must be given iff mu is not self-dual")
-        if self.partner == self.label:
+        if partner == label:
             raise ValueError("partnering must be fixed-point free")
+        set_field(self, "label", label)
+        set_field(self, "deg_mu", deg_mu)
+        set_field(self, "duality", duality)
+        set_field(self, "su2_dim", su2_dim)
+        set_field(self, "partner", partner)
 
     @property
     def degree(self) -> int:
@@ -78,18 +80,18 @@ def constituent_sign(sp: SimpleParameter) -> Optional[int]:
     return sp.mu_sign * (-1) ** (sp.su2_dim - 1)
 
 
-@dataclass(frozen=True)
-class SimpleDatumTag:
+class SimpleDatumTag(Value):
     """A simple twisted datum (U(N), kappa); its parity is (-1)^(N-1) kappa."""
 
-    N: int
-    kappa: int
+    __slots__ = ("N", "kappa")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int, kappa: int):
+        if N < 1:
             raise ValueError("N must be positive")
-        if self.kappa not in (1, -1):
+        if kappa not in (1, -1):
             raise ValueError("kappa must be +1 or -1")
+        set_field(self, "N", N)
+        set_field(self, "kappa", kappa)
 
     @property
     def parity(self) -> int:
@@ -177,20 +179,23 @@ class GlobalParameter:
         return all(sp.su2_dim == 1 for sp, _ in self.constituents)
 
 
-@dataclass(frozen=True)
-class ChainMembership:
+class ChainMembership(Value):
     """Membership flags in the discreteness chains of parameter sets.
 
     Satisfies in_sim => in_2 => in_ell => in_disc and
     in_2 => in_s_disc => in_disc.
     """
 
-    in_sim: bool
-    in_2: bool
-    in_ell: bool
-    in_s_disc: bool
-    in_disc: bool
-    is_generic: bool
+    __slots__ = ("in_sim", "in_2", "in_ell", "in_s_disc", "in_disc", "is_generic")
+
+    def __init__(self, in_sim: bool, in_2: bool, in_ell: bool, in_s_disc: bool,
+                 in_disc: bool, is_generic: bool):
+        set_field(self, "in_sim", in_sim)
+        set_field(self, "in_2", in_2)
+        set_field(self, "in_ell", in_ell)
+        set_field(self, "in_s_disc", in_s_disc)
+        set_field(self, "in_disc", in_disc)
+        set_field(self, "is_generic", is_generic)
 
 
 def factors_through(psi: GlobalParameter, tag: SimpleDatumTag) -> bool:

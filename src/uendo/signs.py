@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .centralizer import (
@@ -51,6 +50,7 @@ from .params import (
     SimpleParameter,
     factors_through,
 )
+from .values import Value, set_field
 
 ORTH = "orthogonal"
 SYMP = "symplectic"
@@ -157,8 +157,7 @@ class RootNumberTable:
 # Adjoint decomposition
 
 
-@dataclass(frozen=True)
-class AdjointTerm:
+class AdjointTerm(Value):
     """One sigma-isotypic group of the adjoint decomposition.
 
     kind: ("RS", k, k'), ("RSdual", k, k*), ("Asai+", k) or ("Asai-", k);
@@ -167,10 +166,13 @@ class AdjointTerm:
     lam: descriptor of the centralizer part.
     """
 
-    kind: Tuple[str, ...]
-    duality: str
-    su2_dims: Tuple[int, ...]
-    lam: str
+    __slots__ = ("kind", "duality", "su2_dims", "lam")
+
+    def __init__(self, kind: Tuple[str, ...], duality: str, su2_dims: Tuple[int, ...], lam: str):
+        set_field(self, "kind", kind)
+        set_field(self, "duality", duality)
+        set_field(self, "su2_dims", su2_dims)
+        set_field(self, "lam", lam)
 
 
 def _pair_duality(k: SimpleParameter, kp: SimpleParameter) -> str:
@@ -243,15 +245,18 @@ def adjoint_decomposition(psi: GlobalParameter, tag: SimpleDatumTag) -> Tuple[Ad
 # The sign character
 
 
-@dataclass(frozen=True)
-class SignCharacter:
+class SignCharacter(Value):
     """A character of the component group given by exponents of the
     orthogonal-coordinate determinants, plus its value at the image of
     -1 under the principal SL(2)."""
 
-    labels: Tuple[str, ...]
-    exponents: Tuple[int, ...]  # mod 2, aligned with labels
-    value_at_s_psi: int
+    __slots__ = ("labels", "exponents", "value_at_s_psi")
+
+    def __init__(self, labels: Tuple[str, ...], exponents: Tuple[int, ...],
+                 value_at_s_psi: int):
+        set_field(self, "labels", labels)
+        set_field(self, "exponents", exponents)  # mod 2, aligned with labels
+        set_field(self, "value_at_s_psi", value_at_s_psi)
 
     @property
     def is_trivial(self) -> bool:
@@ -357,16 +362,19 @@ def is_epsilon_parameter(psi: GlobalParameter) -> bool:
 # Relative signs on the normalizer
 
 
-@dataclass(frozen=True)
-class RelativeSigns:
+class RelativeSigns(Value):
     """eps1 on N, eps^(G/M) on W, and the crossing sign r^- on W, with the
     consistency flags of the factorization."""
 
-    eps1: Dict[NormalizerElement, int]
-    eps_gm: Dict[tuple, int]
-    r_minus: Dict[tuple, int]
-    fibers_constant: bool
-    spectral_identity: bool
+    __slots__ = ("eps1", "eps_gm", "r_minus", "fibers_constant", "spectral_identity")
+
+    def __init__(self, eps1: Dict[NormalizerElement, int], eps_gm: Dict[tuple, int],
+                 r_minus: Dict[tuple, int], fibers_constant: bool, spectral_identity: bool):
+        set_field(self, "eps1", eps1)
+        set_field(self, "eps_gm", eps_gm)
+        set_field(self, "r_minus", r_minus)
+        set_field(self, "fibers_constant", fibers_constant)
+        set_field(self, "spectral_identity", spectral_identity)
 
 
 def _zero_line_sign(block) -> int:

@@ -23,30 +23,31 @@ theta_r(k + n - 1, 0) occurs in it exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
+
+from .values import Value, set_field
 
 ARCH = "archimedean"
 NONARCH = "nonarchimedean"
 
 
-@dataclass(frozen=True)
-class StandardSymbol:
+class StandardSymbol(Value):
     """One box-sum factor theta_r(k, lam).  Its hash is computed once, when
     it is built, since every `IsobaricTerm` key hashes its symbols again; it
-    reads only the numbers k and lam, whose hashes do not vary between
-    processes, so a copy made by pickling keeps a valid hash."""
+    reads only the numbers k and lam.  Copying and pickling rebuild the
+    symbol through `__init__`, so a copy computes its hash afresh."""
 
-    base: str
-    k: int
-    lam: Fraction
-    field_case: str
+    __slots__ = ("base", "k", "lam", "field_case", "_hash")
 
-    def __post_init__(self):
-        if self.field_case not in (ARCH, NONARCH):
+    def __init__(self, base: str, k: int, lam: Fraction, field_case: str):
+        if field_case not in (ARCH, NONARCH):
             raise ValueError("field case must be archimedean or nonarchimedean")
-        object.__setattr__(self, "_hash", hash((self.k, self.lam)))
+        set_field(self, "base", base)
+        set_field(self, "k", k)
+        set_field(self, "lam", lam)
+        set_field(self, "field_case", field_case)
+        set_field(self, "_hash", hash((k, lam)))
 
     def __hash__(self):
         return self._hash
@@ -63,11 +64,13 @@ def _normalize_symbol(base: str, k: int, lam, field_case: str):
     return StandardSymbol(base, k, lam, field_case)
 
 
-@dataclass(frozen=True)
-class IsobaricTerm:
+class IsobaricTerm(Value):
     """A box-sum of standard symbols, in canonical sorted order."""
 
-    symbols: Tuple[StandardSymbol, ...]
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: Tuple[StandardSymbol, ...]):
+        set_field(self, "symbols", symbols)
 
     @classmethod
     def build(cls, symbols) -> Optional["IsobaricTerm"]:

@@ -28,12 +28,14 @@ factor and coset.  That value is a sum over cycle types, the partitions of
 the rank, not over Weyl elements: a cycle of length k with sign product eps
 contributes (-1)^k (1 - eps) to det(w - 1), so only all-negative cycles (on
 GL: all-odd cycles of the permutation under the twist) give regular
-elements (Carter, Compositio Math. 25, 1972).  `weyl_set` and `sgn0` keep
-the explicit enumeration; the tests use it as the oracle for the cycle-type
-sums at small rank.  A Weyl element is stored as one (perm, signs) pair per
-factor, from `signed_perms`, the package's one signed-permutation type; the
-twisted GL action is the all-(-1) sign vector, and `sgn0` reads a root's
-image off the pair by index lookup, with no matrices.
+elements (Carter, Compositio Math. 25, 1972).  The sum over cycle types is
+a coefficient of a power series, (1 - t)^(-1/4) and its kin, read off in
+O(rank) terms.  `weyl_set` and `sgn0` keep the explicit enumeration; the
+tests use it as the oracle for the cycle-type sums at small rank.  A Weyl
+element is stored as one (perm, signs) pair per factor, from
+`signed_perms`, the package's one signed-permutation type; the twisted GL
+action is the all-(-1) sign vector, and `sgn0` reads a root's image off the
+pair by index lookup, with no matrices.
 
 Elliptic elements are enumerated through +-1 eigenvalue patterns: an
 eigenvalue pair {t, 1/t}, t != +-1, would put a GL factor in the
@@ -54,38 +56,39 @@ and e.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
+
+from .values import Value, set_field
 
 GL = "GL"
 SP = "Sp"
 SO = "SO"
 
 # The size budget: the largest factor rank that i, e and sigma accept.  The
-# per-factor values sum over the partitions of the rank, 8,349 of them at
-# rank 32, and a sigma solve visits every smaller rank as well.
+# per-factor i takes O(rank) series terms, and a sigma solve visits every
+# smaller rank with O(rank) elliptic classes each; the exact rationals, with
+# denominators near 4^rank, grow with it.
 MAX_FACTOR_RANK = 32
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Value):
     """One classical factor: GL(size), Sp(size) with size even, or SO(size)."""
 
-    kind: str
-    size: int
+    __slots__ = ("kind", "size")
 
-    def __post_init__(self):
-        if self.kind not in (GL, SP, SO):
-            raise ValueError("unsupported factor type %r" % (self.kind,))
-        if self.kind == GL and self.size < 1:
+    def __init__(self, kind: str, size: int):
+        if kind not in (GL, SP, SO):
+            raise ValueError("unsupported factor type %r" % (kind,))
+        if kind == GL and size < 1:
             raise ValueError("GL factor needs size >= 1")
-        if self.kind == SP and (self.size < 2 or self.size % 2):
+        if kind == SP and (size < 2 or size % 2):
             raise ValueError("Sp factor needs positive even size")
-        if self.kind == SO and self.size < 1:
+        if kind == SO and size < 1:
             raise ValueError("SO factor needs size >= 1")
+        set_field(self, "kind", kind)
+        set_field(self, "size", size)
 
     @property
     def rank(self) -> int:
@@ -134,27 +137,28 @@ def so(m: int) -> Factor:
     return Factor(SO, m)
 
 
-@dataclass(frozen=True)
-class ConnectedShape:
+class ConnectedShape(Value):
     """A product of classical factors, optionally modulo an order-2 central
     subgroup given by one sign per factor (-1 only where the factor contains
     the scalar -1)."""
 
-    factors: Tuple[Factor, ...]
-    central_quotient: Optional[Tuple[int, ...]] = None
+    __slots__ = ("factors", "central_quotient")
 
-    def __post_init__(self):
-        z = self.central_quotient
+    def __init__(self, factors: Tuple[Factor, ...],
+                 central_quotient: Optional[Tuple[int, ...]] = None):
+        z = central_quotient
         if z is not None:
-            if len(z) != len(self.factors):
+            if len(z) != len(factors):
                 raise ValueError("central element needs one sign per factor")
             if any(s not in (1, -1) for s in z):
                 raise ValueError("central element entries must be +-1")
             if all(s == 1 for s in z):
                 raise ValueError("central quotient by the identity; use None")
-            for f, s in zip(self.factors, z):
+            for f, s in zip(factors, z):
                 if s == -1 and not f.has_minus_one:
                     raise ValueError("-1 is not central in %r" % (f,))
+        set_field(self, "factors", factors)
+        set_field(self, "central_quotient", central_quotient)
 
     @property
     def rank(self) -> int:
@@ -172,8 +176,7 @@ class ConnectedShape:
         return ConnectedShape(fs, zs if any(s == -1 for s in zs) else None)
 
 
-@dataclass(frozen=True)
-class ComponentDatum:
+class ComponentDatum(Value):
     """A connected component: a ConnectedShape plus per-factor coset flags.
 
     A True flag means the non-identity coset: the O(m) coset over an SO(m)
@@ -181,15 +184,16 @@ class ComponentDatum:
     connected and admit no twist.
     """
 
-    base: ConnectedShape
-    coset: Tuple[bool, ...]
+    __slots__ = ("base", "coset")
 
-    def __post_init__(self):
-        if len(self.coset) != len(self.base.factors):
+    def __init__(self, base: ConnectedShape, coset: Tuple[bool, ...]):
+        if len(coset) != len(base.factors):
             raise ValueError("one coset flag per factor required")
-        for f, t in zip(self.base.factors, self.coset):
+        for f, t in zip(base.factors, coset):
             if t and f.kind == SP:
                 raise ValueError("Sp factors have no outer coset")
+        set_field(self, "base", base)
+        set_field(self, "coset", coset)
 
     @property
     def is_identity(self) -> bool:
@@ -235,11 +239,13 @@ def _factor_sign_vectors(factor: Factor, twisted: bool):
     return None
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """One element of the Weyl set: a (perm, signs) pair per factor."""
 
-    blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]):
+        set_field(self, "blocks", blocks)
 
 
 def weyl_set(c: ComponentDatum):
@@ -267,28 +273,21 @@ def sgn0(c: ComponentDatum, w: WeylElement) -> int:
     return -1 if flips % 2 else 1
 
 
-def _partitions(n, largest=None):
-    """Partitions of n as non-increasing tuples of parts."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
+_QUARTER = Fraction(1, 4)
 
 
-def _centralizer_order(mu) -> int:
-    """z_mu: the order of the centralizer in S_n of a permutation of type mu."""
-    z = 1
-    for k in set(mu):
-        m = mu.count(k)
-        z *= k ** m * math.factorial(m)
-    return z
+def _series(x: Fraction, r: int):
+    """[t^j] (1 - t)^x for j = 0, ..., r."""
+    out = [Fraction(1)]
+    for j in range(r):
+        out.append(out[-1] * (j - x) / (j + 1))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
-    """i of one factor's identity component or outer coset, by cycle type.
+    """i of one factor's identity component or outer coset, by cycle type,
+    summed in closed form.
 
     A permutation of type mu has share 1/z_mu of the symmetric group.  On
     signed permutations a regular element has only negative cycles; its type
@@ -301,24 +300,30 @@ def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
     central torus; under the twist, -p is regular exactly when p has only
     odd cycles, with |det| = 2^l, and sgn^0(-p) = (-1)^(r(r-1)/2) sgn(p)
     with sgn(p) = 1.
+
+    The sums over cycle types have generating functions:
+    sum_mu x^l(mu) t^|mu| / z_mu = (1 - t)^-x, so the sum over the partitions
+    of r with weight 4^-l is a_r(-1/4) and with weight (-4)^-l is a_r(1/4),
+    where a_r(x) = [t^r] (1 - t)^x; their half-sum and half-difference keep
+    the even and the odd l.  Over the all-odd types with weight 2^-l the
+    function is exp(sum_{k odd} t^k / 2k) = ((1 + t) / (1 - t))^(1/4).  The
+    tests keep the partition sums as the oracle.
     """
     if kind == GL:
         if not twisted:
             return Fraction(0)
-        odd_types = (mu for mu in _partitions(size) if all(k % 2 for k in mu))
-        total = sum((Fraction(1, _centralizer_order(mu) * 2 ** len(mu)) for mu in odd_types),
-                    Fraction(0))
+        # [t^j] (1 + t)^(1/4) = (-1)^j a_j(1/4)
+        plus, minus = _series(_QUARTER, size), _series(-_QUARTER, size)
+        total = sum((-1) ** j * plus[j] * minus[size - j] for j in range(size + 1))
         return (-1) ** (size * (size - 1) // 2) * total
     r = size // 2
+    minus = _series(-_QUARTER, r)[r]
     if kind == SP or size % 2:
-        parities = (0, 1)
-        sign = (-1) ** r
-    else:
-        parities = (1,) if twisted else (0,)
-        sign = 2 * (-1) ** (r + twisted)
-    total = sum((Fraction(1, _centralizer_order(mu) * 4 ** len(mu))
-                 for mu in _partitions(r) if len(mu) % 2 in parities), Fraction(0))
-    return sign * total
+        return (-1) ** r * minus
+    plus = _series(_QUARTER, r)[r]
+    if twisted:
+        return (-1) ** (r + 1) * (minus - plus)
+    return (-1) ** r * (minus + plus)
 
 
 def _within_budget(factors):
@@ -346,8 +351,7 @@ def i_number(c: ComponentDatum) -> Fraction:
 # Elliptic classes and e(S)
 
 
-@dataclass(frozen=True)
-class _EllClass:
+class _EllClass(Value):
     """One elliptic class of a single factor component.
 
     descriptor: the kind and the sizes of the two eigenspace blocks;
@@ -355,9 +359,12 @@ class _EllClass:
     pi0: component count of the full centralizer in S^0.
     """
 
-    descriptor: tuple
-    cent_factors: Tuple[Factor, ...]
-    pi0: int
+    __slots__ = ("descriptor", "cent_factors", "pi0")
+
+    def __init__(self, descriptor: tuple, cent_factors: Tuple[Factor, ...], pi0: int):
+        set_field(self, "descriptor", descriptor)
+        set_field(self, "cent_factors", cent_factors)
+        set_field(self, "pi0", pi0)
 
 
 def _factor_elliptic_classes(factor: Factor, twisted: bool):

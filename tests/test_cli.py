@@ -3,6 +3,8 @@ import io
 import json
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,6 +13,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 from uendo import cli, weylnum
+from uendo.centralizer import centralizer_shape, component_group
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
 SCHEMA = pathlib.Path(__file__).parents[1] / "docs" / "report-schema-v1.json"
@@ -760,3 +763,57 @@ def test_dump_matches_json_on_synthetic_report():
     encoded = _enc(report)
     assert encoded["shared"] is encoded["deeper"]["again"][0]
     assert cli._dump(report) == _json_reference(report)
+
+
+# ---------------------------------------------------------------------------
+# Cold start
+
+
+def test_import_pulls_in_neither_dataclasses_nor_inspect():
+    src = pathlib.Path(cli.__file__).parents[1]
+    code = ("import sys; sys.path.insert(0, %r); import uendo.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(src))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+    sources = sorted((src / "uendo").rglob("*.py"))
+    assert len(sources) >= 11
+    assert [p.name for p in sources if "dataclass" in p.read_text()] == []
+
+
+# ---------------------------------------------------------------------------
+# arthur
+
+
+def _k_labels(k):
+    decls = "".join("mu a%d: deg=1, sd=+\n" % j for j in range(k))
+    terms = " + ".join("a%d (x) nu(1)" % j for j in range(k))
+    return "group U(%d) parity +\n%spsi = %s\n" % (k, decls, terms)
+
+
+def test_arthur_rows_match_i_and_e_of_each_component(tmp_path, capsys):
+    # the oracle builds each row's component in full, as the report once did
+    texts = [path.read_text() for path in FIXTURES] + [_k_labels(k) for k in range(2, 10)]
+    texts += [LARGE_CENTRALIZERS["O(40) x O(40)"]]
+    doc = tmp_path / "doc.txt"
+    checked = 0
+    for text in texts:
+        doc.write_text(text)
+        code, out, _ = run_cli(["arthur", "--input", str(doc)], capsys)
+        if code:
+            continue
+        sem = cli.elaborate(cli.parse(text))
+        shape = centralizer_shape(sem.psi, sem.tag)
+        factors = ([weylnum.so(l) for _, l in shape.orthogonal]
+                   + [weylnum.sp(l) for _, l in shape.symplectic]
+                   + [weylnum.gl(l) for _, l in shape.general_linear])
+        rows = json.loads(out)["components"]
+        assert len(rows) == component_group(shape).order
+        for row in rows:
+            coset = [s == -1 for s in row["component"]]
+            coset += [False] * (len(factors) - len(coset))
+            datum = weylnum.ComponentDatum(weylnum.ConnectedShape(tuple(factors)), tuple(coset))
+            for key, value in (("i", weylnum.i_number(datum)), ("e", weylnum.e_number(datum))):
+                assert Fraction(row[key]["num"], row[key]["den"]) == value, (text, row)
+            checked += 1
+    assert checked > 500

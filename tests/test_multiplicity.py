@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from uendo import multiplicity
 from uendo.centralizer import centralizer_shape, component_group
 from uendo.multiplicity import (
     GlobalPlacesModel,
@@ -251,3 +252,29 @@ def test_decompose_multiplicities_zero_or_one():
     places = [Place("v1", "inert"), Place("v2", "split"), Place("v3", "inert")]
     for line in decompose_discrete_spectrum(seed, tag, RootNumberTable(), places):
         assert 0 <= line.members_selected <= line.members_total
+
+
+def test_packet_work_is_done_once_per_parameter(monkeypatch):
+    # eps and the component group are computed once per parameter, and each
+    # member's multiplicity is the one `spectral_multiplicity` gives alone
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return epsilon_character(*args)
+
+    monkeypatch.setattr(multiplicity, "epsilon_character", counted)
+    for eps_sign in (1, -1):
+        psi, tag, table, shape, model = two_constituent_setup(eps_sign)
+        members = enumerate_members(model)
+        calls.clear()
+        values = multiplicity._multiplicities(psi, tag, table, model, members)
+        assert len(calls) == 1
+        calls.clear()
+        assert values == [spectral_multiplicity(psi, tag, table, m, model) for m in members]
+        assert len(calls) == len(members) == 4
+    seed = [sd("a", 1), sd("b", 1), sd("c", 2)]
+    places = [Place("v1", "inert"), Place("v2", "split"), Place("v3", "inert")]
+    calls.clear()
+    lines = decompose_discrete_spectrum(seed, SimpleDatumTag(4, -1), RootNumberTable(), places)
+    assert len(calls) == len(lines) >= 1

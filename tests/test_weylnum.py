@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -398,6 +399,51 @@ def test_i_number_generating_functions():
         assert i_number(datum([so(2 * r + 1)], [True])) == (-1) ** r * minus
         assert i_number(datum([so(2 * r)])) == (-1) ** r * (minus + plus)
         assert i_number(datum([so(2 * r)], [True])) == (-1) ** (r + 1) * (minus - plus)
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(mu) -> int:
+    """z_mu: the order of the centralizer in S_n of a permutation of type mu."""
+    z = 1
+    for k in set(mu):
+        m = mu.count(k)
+        z *= k ** m * math.factorial(m)
+    return z
+
+
+def _partition_i_number(f, twisted):
+    """i of one factor and coset as the sum over the cycle types of its
+    regular elements (see `weylnum._factor_i_number`)."""
+    if f.kind == "GL":
+        if not twisted:
+            return Fraction(0)
+        odd_types = (mu for mu in _partitions(f.size) if all(k % 2 for k in mu))
+        total = sum(Fraction(1, _centralizer_order(mu) * 2 ** len(mu)) for mu in odd_types)
+        return (-1) ** (f.size * (f.size - 1) // 2) * total
+    r = f.size // 2
+    if f.kind == SP or f.size % 2:
+        parities, sign = (0, 1), (-1) ** r
+    else:
+        parities, sign = ((1,) if twisted else (0,)), 2 * (-1) ** (r + twisted)
+    total = sum(Fraction(1, _centralizer_order(mu) * 4 ** len(mu))
+                for mu in _partitions(r) if len(mu) % 2 in parities)
+    return sign * total
+
+
+def test_closed_form_i_number_matches_partition_sums():
+    dressed = _dressed_factors(20)
+    assert len(dressed) == 2 + 7 * 20
+    for f, t in dressed:
+        assert i_number(datum([f], [t])) == _partition_i_number(f, t), (f, t)
 
 
 # ---------------------------------------------------------------------------
