@@ -21,16 +21,17 @@ groups are realized concretely: an element of N is a tuple of signed
 permutations (one `weylnum.signed_perms` pair per torus block) plus free
 component bits on the odd orthogonal factors, modulo the central relation.
 `levi_diagram` takes every order from closed forms, |W| from the block
-orders and |N| = |W| 2^max(#odd - 1, 0), and checks exactness against |W^0|
-and the component 2-group without enumerating anything;
-`NormalizerModel.elements` enumerates N for the relative signs.
+orders, |S^1| = 2^max(#odd - 1, 0) and |N| = |W| |S^1|, checks exactness
+against |W^0| and the component 2-group, and checks the splitting on
+generators of R and S^1, so its cost is polynomial in the number of
+factors; `NormalizerModel.elements` enumerates N for the relative signs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .params import (
     GlobalParameter,
@@ -67,18 +68,6 @@ class CentralizerShape(Value):
     def even_plus_labels(self) -> Tuple[str, ...]:
         return tuple(sp.label for sp, l in self.orthogonal if l % 2 == 0)
 
-    def mult(self, label: str) -> int:
-        for family in (self.orthogonal, self.symplectic, self.general_linear):
-            for sp, l in family:
-                if sp.label == label:
-                    return l
-        raise KeyError(label)
-
-    @property
-    def center_vector(self) -> Tuple[int, ...]:
-        """Image of -1 as a sign vector on the orthogonal coordinates."""
-        return (-1,) * len(self.orthogonal)
-
 
 def centralizer_shape(psi: GlobalParameter, tag: SimpleDatumTag) -> CentralizerShape:
     """Split the self-dual constituents by parity against the datum."""
@@ -112,22 +101,28 @@ class FiniteTwoGroup(Value):
             return self.ambient_order // 2
         return self.ambient_order
 
+    @property
+    def pivot(self) -> Optional[int]:
+        """The first index where sigma_bar is -1, None when it is trivial:
+        each class has exactly one vector with +1 there."""
+        return next((i for i, s in enumerate(self.sigma_bar) if s == -1), None)
+
     def canonical(self, vector: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Smaller of the two coset representatives (lexicographic, +1 < -1)."""
-        other = tuple(a * b for a, b in zip(vector, self.sigma_bar))
-        key = lambda v: tuple(0 if x == 1 else 1 for x in v)
-        return vector if key(vector) <= key(other) else other
+        """Smaller of the two coset representatives (lexicographic, +1 < -1):
+        the one with +1 at the pivot, where the two first differ."""
+        j = self.pivot
+        if j is None or vector[j] == 1:
+            return vector
+        return tuple(a * b for a, b in zip(vector, self.sigma_bar))
 
     def elements(self) -> List[Tuple[int, ...]]:
         """The canonical representatives in product order: the vectors with
-        +1 at the first index where sigma_bar is -1, or all vectors when
-        sigma_bar is trivial."""
-        j = next((i for i, s in enumerate(self.sigma_bar) if s == -1), None)
-        vectors = itertools.product((1, -1), repeat=len(self.labels))
-        return [v for v in vectors if j is None or v[j] == 1]
-
-    def same_class(self, u: Tuple[int, ...], v: Tuple[int, ...]) -> bool:
-        return self.canonical(u) == self.canonical(v)
+        +1 at the pivot, or all vectors when sigma_bar is trivial."""
+        j = self.pivot
+        if j is None:
+            return list(itertools.product((1, -1), repeat=len(self.labels)))
+        return [v[:j] + (1,) + v[j:]
+                for v in itertools.product((1, -1), repeat=len(self.labels) - 1)]
 
 
 def component_group(shape: CentralizerShape) -> FiniteTwoGroup:
@@ -264,29 +259,21 @@ class NormalizerModel:
     def image_in_s(self, elem: NormalizerElement) -> Tuple[int, ...]:
         return self.group.canonical(self.component_vector(elem))
 
-    def r_vector(self, elem: NormalizerElement) -> Tuple[int, ...]:
-        """Image in R: flip parities of the even orthogonal blocks."""
-        vec = []
-        for idx, (sp, l) in enumerate(self.orth):
-            if l % 2 == 0:
-                vec.append(-1 if _flip_parity(elem.blocks[idx]) else 1)
-        return tuple(vec)
-
 
 class LeviDiagram(Value):
-    """Orders and realizations of the groups in the normalizer diagram."""
+    """Orders of the groups in the normalizer diagram, with the exactness
+    and splitting checks."""
 
-    __slots__ = ("w0_order", "w_order", "n_order", "s_order", "s1_elements", "r_labels",
+    __slots__ = ("w0_order", "w_order", "n_order", "s_order", "s1_order", "r_labels",
                  "exact", "splitting_ok")
 
     def __init__(self, w0_order: int, w_order: int, n_order: int, s_order: int,
-                 s1_elements: Tuple[Tuple[int, ...], ...], r_labels: Tuple[str, ...],
-                 exact: bool, splitting_ok: bool):
+                 s1_order: int, r_labels: Tuple[str, ...], exact: bool, splitting_ok: bool):
         set_field(self, "w0_order", w0_order)
         set_field(self, "w_order", w_order)
         set_field(self, "n_order", n_order)
         set_field(self, "s_order", s_order)
-        set_field(self, "s1_elements", s1_elements)
+        set_field(self, "s1_order", s1_order)
         set_field(self, "r_labels", r_labels)
         set_field(self, "exact", exact)
         set_field(self, "splitting_ok", splitting_ok)
@@ -294,25 +281,6 @@ class LeviDiagram(Value):
     @property
     def r_order(self) -> int:
         return 2 ** len(self.r_labels)
-
-    @property
-    def s1_order(self) -> int:
-        return len(self.s1_elements)
-
-
-def s1_subgroup(shape: CentralizerShape) -> List[Tuple[int, ...]]:
-    """Image in the component group of the sign vectors supported on the
-    odd-multiplicity orthogonal indices.  sigma_bar flips exactly those
-    indices, so the canonical images are the vectors supported there with
-    +1 at the first of them, listed in product order (+1 before -1)."""
-    odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
-    out = []
-    for bits in itertools.product((1, -1), repeat=max(len(odd_idx) - 1, 0)):
-        vec = [1] * len(shape.orthogonal)
-        for pos, b in zip(odd_idx[1:], bits):
-            vec[pos] = b
-        out.append(tuple(vec))
-    return out
 
 
 def splitting_section(shape: CentralizerShape):
@@ -334,34 +302,33 @@ def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     group = model.group
-    # N is W times the odd component bits modulo the central flip, so
-    # |N| = |W| 2^max(#odd - 1, 0); exactness then checks these closed
-    # forms against |W0| and the component 2-group.
+    # S^1 is the sign vectors on the odd indices modulo sigma_bar, which is
+    # -1 on all of them, and N is W times the odd component bits modulo the
+    # central flip, so |S^1| = 2^max(#odd - 1, 0) and |N| = |W| |S^1|;
+    # exactness then checks these closed forms against |W0| and |S|.
+    odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
+    s1_order = 2 ** max(len(odd_idx) - 1, 0)
     w_order = model.w_order()
-    n_order = w_order * 2 ** max(len(model.odd_labels) - 1, 0)
+    n_order = w_order * s1_order
     w0 = model.w0_order()
     s_order = group.order
-    s1_images = s1_subgroup(shape)
-    exact = (n_order == s_order * w0) and (n_order == len(s1_images) * w_order)
-    # the composite S^1 -> S -> R must be trivial and section o proj = id
+    exact = (n_order == s_order * w0) and (n_order == s1_order * w_order)
+    # proj o section = id on R and S^1 -> S -> R trivial; all maps are
+    # homomorphisms, so checking on generators suffices: the basis of R,
+    # and the vectors that are -1 at one odd index past the first
     section = splitting_section(shape)
-    even_count = len(shape.even_plus_labels)
-    splitting_ok = True
-    for r_vec in itertools.product((1, -1), repeat=even_count):
-        img = section(tuple(r_vec))
-        # project back to R: read off the even coordinates of either rep
-        back = _project_to_r(shape, img)
-        if back != tuple(r_vec):
-            splitting_ok = False
-    for v in s1_images:
-        if _project_to_r(shape, v) != (1,) * even_count:
-            splitting_ok = False
+    unit = (1,) * len(shape.even_plus_labels)
+    basis = [unit[:j] + (-1,) + unit[j + 1:] for j in range(len(unit))]
+    ones = (1,) * len(shape.orthogonal)
+    s1_generators = [group.canonical(ones[:i] + (-1,) + ones[i + 1:]) for i in odd_idx[1:]]
+    splitting_ok = (all(_project_to_r(shape, section(r_vec)) == r_vec for r_vec in basis)
+                    and all(_project_to_r(shape, v) == unit for v in s1_generators))
     return LeviDiagram(
         w0_order=w0,
         w_order=w_order,
         n_order=n_order,
         s_order=s_order,
-        s1_elements=tuple(s1_images),
+        s1_order=s1_order,
         r_labels=shape.even_plus_labels,
         exact=exact,
         splitting_ok=splitting_ok,

@@ -122,13 +122,6 @@ class Correspondence(Value):
         set_field(self, "orbit", orbit)
 
 
-def _half(shape_entries, plus_mults) -> Optional[GlobalParameter]:
-    parts = [(sp, m) for (sp, _), m in zip(shape_entries, plus_mults) if m > 0]
-    if not parts:
-        return None
-    return GlobalParameter(parts)
-
-
 def correspond(
     psi: GlobalParameter,
     tag: SimpleDatumTag,

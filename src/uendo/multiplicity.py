@@ -12,11 +12,14 @@ component modulo the central +-1.
 The packet model is purely combinatorial: a member is a tuple of local
 characters of the localized component groups (sign-vector functionals),
 almost all trivial; its global character is the product of the local ones
-pulled back through the localization maps.  The multiplicity of a member
-is 1 when that product equals eps_psi and 0 otherwise, by orthogonality of
-characters of the finite 2-group, so the spectral multiplicity formula
-|S|^-1 sum_x eps(x) <x, pi> needs no further evaluation; both routes are
-computed and compared in the tests.
+pulled back through the localization maps.  A character of sign vectors is
+its exponent vector mod 2, and a local exponent pulls back to the global
+constituents refining into its label, so the global exponents are a sum
+over places.  By orthogonality of characters of the finite 2-group, the
+spectral multiplicity |S|^-1 sum_x eps(x) <x, pi> of a member is 1 when its
+exponents equal those of eps_psi and 0 otherwise; the tests compare this
+with the character sum itself.  A member costs labels x places; the
+members number the product over inert places of the local group orders.
 """
 
 from __future__ import annotations
@@ -132,27 +135,24 @@ class PacketMember(Value):
 def _member_global_character(
     member: PacketMember, model: GlobalPlacesModel, group: FiniteTwoGroup
 ) -> Tuple[int, ...]:
-    """Exponent vector (as evaluations on the generators) of the product
-    character x -> prod_v <x_v, pi_v>, checked well defined on the
-    component group."""
+    """Exponent vector, mod 2 and aligned with the group's labels, of the
+    product character x -> prod_v <x_v, pi_v>, checked well defined on the
+    component group: each local exponent adds to the exponents of the
+    global constituents refining into its label."""
+    exponents = [0] * len(group.labels)
     for name, locmap in model.maps.items():
         chi = member.character_at(name)
         if len(chi) != len(locmap.local_labels):
             raise ValueError("character at %r has wrong arity" % name)
         if _char_value(chi, locmap.local_sigma_bar) != 1:
             raise ValueError("local character at %r not defined on the local group" % name)
-    values = {}
-    for vec in itertools.product((1, -1), repeat=len(group.labels)):
-        val = 1
-        for name, locmap in model.maps.items():
-            chi = member.character_at(name)
-            val *= _char_value(chi, locmap.apply(vec))
-        values[vec] = val
-    for vec, val in values.items():
-        twin = tuple(a * b for a, b in zip(vec, group.sigma_bar))
-        if values[twin] != val:
-            raise ValueError("global character not defined on the component group")
-    return tuple(values[vec] for vec in itertools.product((1, -1), repeat=len(group.labels)))
+        for c, label in zip(chi, locmap.local_labels):
+            if c == -1:
+                for i in locmap.local_sources[label]:
+                    exponents[i] ^= 1
+    if sum(e for e, s in zip(exponents, group.sigma_bar) if s == -1) % 2:
+        raise ValueError("global character not defined on the component group")
+    return tuple(exponents)
 
 
 def _char_value(chi: Sequence[int], vector: Sequence[int]) -> int:
@@ -188,15 +188,8 @@ def _multiplicities(
         raise ValueError("spectral multiplicity needs a square-integrable parameter")
     group = component_group(centralizer_shape(psi, tag))
     eps = epsilon_character(psi, tag, table)
-    eps_vals = [eps.evaluate(v) for v in itertools.product((1, -1), repeat=len(group.labels))]
-    out = []
-    for member in members:
-        member_vals = _member_global_character(member, model, group)
-        total = sum(e * m for e, m in zip(eps_vals, member_vals))
-        if total not in (0, len(eps_vals)):
-            raise AssertionError("spectral multiplicity must be 0 or 1")
-        out.append(total // len(eps_vals))
-    return out
+    return [int(_member_global_character(member, model, group) == eps.exponents)
+            for member in members]
 
 
 def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:

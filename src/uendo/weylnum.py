@@ -195,10 +195,6 @@ class ComponentDatum(Value):
         set_field(self, "base", base)
         set_field(self, "coset", coset)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.coset)
-
 
 def identity_component(shape: ConnectedShape) -> ComponentDatum:
     return ComponentDatum(shape, (False,) * len(shape.factors))

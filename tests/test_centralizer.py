@@ -13,7 +13,6 @@ from uendo.centralizer import (
     component_group,
     levi_diagram,
     localization_map,
-    s1_subgroup,
     splitting_section,
 )
 from uendo.params import (
@@ -76,6 +75,45 @@ def found_set_elements(group):
             found.add(rep)
             out.append(rep)
     return out
+
+
+def s1_subgroup(shape):
+    """Image in the component group of the sign vectors supported on the
+    odd-multiplicity orthogonal indices.  sigma_bar flips exactly those
+    indices, so the canonical images are the vectors supported there with
+    +1 at the first of them, listed in product order (+1 before -1)."""
+    odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
+    out = []
+    for bits in itertools.product((1, -1), repeat=max(len(odd_idx) - 1, 0)):
+        vec = [1] * len(shape.orthogonal)
+        for pos, b in zip(odd_idx[1:], bits):
+            vec[pos] = b
+        out.append(tuple(vec))
+    return out
+
+
+def enumerated_splitting_ok(shape):
+    """The splitting checked on every element: proj o section = id on all of
+    R, and every element of S^1 projects to the identity of R."""
+    even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]
+    section = splitting_section(shape)
+    ok = True
+    for r_vec in itertools.product((1, -1), repeat=len(even_idx)):
+        img = section(tuple(r_vec))
+        if tuple(img[i] for i in even_idx) != tuple(r_vec):
+            ok = False
+    for v in s1_subgroup(shape):
+        if tuple(v[i] for i in even_idx) != (1,) * len(even_idx):
+            ok = False
+    return ok
+
+
+def lexicographic_min(group, vector):
+    """The smaller of a vector and its product with sigma_bar, ordered
+    lexicographically with +1 before -1."""
+    other = tuple(a * b for a, b in zip(vector, group.sigma_bar))
+    key = lambda v: tuple(0 if x == 1 else 1 for x in v)
+    return vector if key(vector) <= key(other) else other
 
 
 def set_s1_subgroup(shape):
@@ -162,6 +200,17 @@ def test_component_group_elements_match_found_set_enumeration():
     assert checked == 127
 
 
+def test_component_group_canonical_is_lexicographic_min():
+    checked = 0
+    for n in range(7):
+        for sigma_bar in itertools.product((1, -1), repeat=n):
+            group = FiniteTwoGroup(tuple("x%d" % i for i in range(n)), sigma_bar)
+            for vec in itertools.product((1, -1), repeat=n):
+                assert group.canonical(vec) == lexicographic_min(group, vec), (sigma_bar, vec)
+            checked += 1
+    assert checked == 127
+
+
 def test_component_group_order_family():
     for k in range(1, 5):
         for mults in itertools.product((1, 2, 3, 4), repeat=k):
@@ -218,7 +267,8 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
         for combo in itertools.combinations_with_replacement(items, size):
             psi, tag = build(*(tuple(l for kd, l in combo if kd == kind)
                                for kind in ("O", "Sp", "GL")))
-            model = NormalizerModel(centralizer_shape(psi, tag))
+            shape = centralizer_shape(psi, tag)
+            model = NormalizerModel(shape)
             elements = model.elements()
             assert elements == seen_set_elements(model), combo
             checked += 1
@@ -229,6 +279,8 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             exact = (n_order == d.s_order * model.w0_order()
                      and n_order == d.s1_order * w_order)
             assert exact and d.exact and d.splitting_ok, combo
+            assert d.s1_order == len(s1_subgroup(shape)), combo
+            assert d.splitting_ok == enumerated_splitting_ok(shape), combo
     assert checked == 285
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -630,6 +631,56 @@ def test_centralizer_answers_large_shapes_from_closed_forms(monkeypatch, tmp_pat
         assert [e.message for e in report_validator.iter_errors(report)] == [], name
         diagram = report["diagram"]
         assert diagram["n"] == diagram["s"] * diagram["w0"] == diagram["s1"] * diagram["w"], name
+
+
+def distinct_labels_document(count, mult, places=""):
+    """U(count * mult) with `count` distinct `sd=+` labels of multiplicity `mult`."""
+    labels = ["l%d" % i for i in range(count)]
+    lines = ["group U(%d) parity +" % (count * mult)]
+    lines += ["mu %s: deg=1, sd=+" % lab for lab in labels]
+    prefix = "%d*" % mult if mult > 1 else ""
+    lines.append("psi = " + " + ".join("%s%s (x) nu(1)" % (prefix, lab) for lab in labels))
+    if places:
+        lines.append(places)
+    return "\n".join(lines) + "\n"
+
+
+def refuse_sign_vector_enumeration(monkeypatch):
+    """Make every enumeration of sign vectors in the component 2-group raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sign vectors enumerated")
+
+    monkeypatch.setattr(cli.central, "itertools", types.SimpleNamespace(product=refuse))
+    monkeypatch.setattr(cli.central.FiniteTwoGroup, "elements", refuse)
+    monkeypatch.setattr(cli.central.LocalizationMap, "apply", refuse)
+    monkeypatch.setattr(cli.central, "signed_perms", refuse)
+
+
+def test_centralizer_answers_many_labels_from_closed_forms(monkeypatch, tmp_path,
+                                                           report_validator, capsys):
+    refuse_sign_vector_enumeration(monkeypatch)
+    doc = tmp_path / "doc.txt"
+    for mult, s1, r in ((1, 2 ** 23, 1), (2, 1, 2 ** 24)):
+        doc.write_text(distinct_labels_document(24, mult))
+        code, out, err = run_cli(["centralizer", "--input", str(doc)], capsys)
+        assert (code, err) == (0, ""), mult
+        report = json.loads(out)
+        assert [e.message for e in report_validator.iter_errors(report)] == [], mult
+        diagram = report["diagram"]
+        assert (diagram["s1"], diagram["r"]) == (s1, r), mult
+        assert diagram["n"] == diagram["s"] * diagram["w0"] == diagram["s1"] * diagram["w"]
+
+
+def test_multiplicity_compares_exponents_without_the_character_sum(monkeypatch, tmp_path,
+                                                                  report_validator, capsys):
+    refuse_sign_vector_enumeration(monkeypatch)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(distinct_labels_document(8, 1, "places [ v0 : inert v1 : inert ]"))
+    code, out, err = run_cli(["multiplicity", "--input", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [e.message for e in report_validator.iter_errors(report)] == []
+    assert report["packet"] == {"members": 16384, "selected": 128}
 
 
 def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):

@@ -22,7 +22,7 @@ from uendo.params import (
     SimpleDatumTag,
     SimpleParameter,
 )
-from uendo.signs import RootNumberTable, epsilon_character
+from uendo.signs import RootNumberTable, SignCharacter, epsilon_character
 from uendo.weylnum import sigma
 
 
@@ -278,3 +278,129 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
     calls.clear()
     lines = decompose_discrete_spectrum(seed, SimpleDatumTag(4, -1), RootNumberTable(), places)
     assert len(calls) == len(lines) >= 1
+
+
+# ---------------------------------------------------------------------------
+# The character sum as the oracle of the exponent comparison
+
+
+def character_sum_table(member, model, group):
+    """The member's global character as its values on every sign vector in
+    product order, each pushed to the places through `LocalizationMap.apply`,
+    with the arity, local and global well-definedness checks."""
+    for name, locmap in model.maps.items():
+        chi = member.character_at(name)
+        if len(chi) != len(locmap.local_labels):
+            raise ValueError("character at %r has wrong arity" % name)
+        if multiplicity._char_value(chi, locmap.local_sigma_bar) != 1:
+            raise ValueError("local character at %r not defined on the local group" % name)
+    values = {}
+    for vec in itertools.product((1, -1), repeat=len(group.labels)):
+        val = 1
+        for name, locmap in model.maps.items():
+            val *= multiplicity._char_value(member.character_at(name), locmap.apply(vec))
+        values[vec] = val
+    for vec, val in values.items():
+        twin = tuple(a * b for a, b in zip(vec, group.sigma_bar))
+        if values[twin] != val:
+            raise ValueError("global character not defined on the component group")
+    return [values[vec] for vec in itertools.product((1, -1), repeat=len(group.labels))]
+
+
+def character_sum_multiplicities(psi, tag, table, model, members):
+    """|S|^-1 sum_x eps(x) <x, pi> for each member, summed over every sign
+    vector x."""
+    if not multiplicity.classify(psi, tag).in_2:
+        raise ValueError("spectral multiplicity needs a square-integrable parameter")
+    group = component_group(centralizer_shape(psi, tag))
+    eps = epsilon_character(psi, tag, table)
+    eps_vals = [eps.evaluate(v) for v in itertools.product((1, -1), repeat=len(group.labels))]
+    out = []
+    for member in members:
+        total = sum(e * m for e, m in zip(eps_vals, character_sum_table(member, model, group)))
+        assert total in (0, len(eps_vals))
+        out.append(total // len(eps_vals))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def oracle_setups():
+    """Shapes of at most four orthogonal labels with multiplicities 1-3,
+    alternating orthogonal nu(1) and symplectic nu(2) constituents so that
+    every neighbouring pair has a root number; places with identity
+    refinements, with p0 split into two local labels, and with p0 and p1
+    merged into one."""
+    for n in range(1, 5):
+        labels = ["p%d" % i for i in range(n)]
+        for mults in itertools.combinations_with_replacement((1, 2, 3), n):
+            cons = [(sd(lab, 1, ORTHOGONAL, 1) if i % 2 == 0 else sd(lab, 1, SYMPLECTIC, 2), l)
+                    for i, (lab, l) in enumerate(zip(labels, mults))]
+            psi = GlobalParameter(cons)
+            tag = tag_for(psi)
+            shape = centralizer_shape(psi, tag)
+            identity = {lab: (lab,) for lab in labels}
+            refinements = [identity, dict(identity, p0=("p0a", "p0b"))]
+            if n >= 2:
+                refinements.append(dict(identity, p0=("z",), p1=("z",)))
+            pairs = [frozenset(p) for p in itertools.combinations(labels, 2)
+                     if (int(p[0][1:]) + int(p[1][1:])) % 2]
+            tables = [RootNumberTable(), RootNumberTable({p: -1 for p in pairs})]
+            for refinement in refinements:
+                places = [Place("v1", "inert", refinement), Place("v2", "split"),
+                          Place("v3", "inert")]
+                yield psi, tag, shape, tables, GlobalPlacesModel(shape, places)
+
+
+def test_multiplicities_match_character_sum():
+    models = nontrivial_eps = selected = 0
+    for psi, tag, shape, tables, model in oracle_setups():
+        models += 1
+        group = component_group(shape)
+        members = enumerate_members(model)
+        for member in members:
+            exponents = multiplicity._member_global_character(member, model, group)
+            table = [SignCharacter(group.labels, exponents, 1).evaluate(v)
+                     for v in itertools.product((1, -1), repeat=len(group.labels))]
+            assert table == character_sum_table(member, model, group), (psi, member)
+        for table in tables:
+            expected = outcome(character_sum_multiplicities, psi, tag, table, model, members)
+            got = outcome(multiplicity._multiplicities, psi, tag, table, model, members)
+            assert got == expected, (psi, model.places)
+            if isinstance(got, list):
+                nontrivial_eps += not epsilon_character(psi, tag, table).is_trivial
+                selected += sum(got)
+    assert models == 99
+    assert nontrivial_eps > 0 and selected > 0
+
+
+def test_malformed_members_raise_the_character_sum_errors():
+    checked = 0
+    for psi, tag, shape, tables, model in oracle_setups():
+        if not multiplicity.classify(psi, tag).in_2:
+            continue
+        group = component_group(shape)
+        good = enumerate_members(model)[0]
+        v1 = model.maps["v1"]
+        bad_local = tuple(-1 if i == 0 else 1 for i in range(len(v1.local_labels)))
+        malformed = [
+            PacketMember((("v1", good.character_at("v1") + (1,)),
+                          ("v3", good.character_at("v3")))),
+            PacketMember((("v1", good.character_at("v1")),)),
+        ]
+        if multiplicity._char_value(bad_local, v1.local_sigma_bar) != 1:
+            malformed.append(PacketMember((("v1", bad_local), ("v3", good.character_at("v3")))))
+        for member in malformed:
+            expected = outcome(character_sum_table, member, model, group)
+            assert expected[0] == "ValueError", member
+            assert outcome(multiplicity._member_global_character, member, model, group) == expected
+            for table in tables:
+                assert outcome(multiplicity._multiplicities, psi, tag, table, model,
+                               [good, member]) == expected
+            checked += 1
+    assert checked == 32
