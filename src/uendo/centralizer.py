@@ -24,13 +24,17 @@ component bits on the odd orthogonal factors, modulo the central relation.
 orders, |S^1| = 2^max(#odd - 1, 0) and |N| = |W| |S^1|, checks exactness
 against |W^0| and the component 2-group, and checks the splitting on
 generators of R and S^1, so its cost is polynomial in the number of
-factors; `NormalizerModel.elements` enumerates N for the relative signs.
+factors.  `element_table` enumerates N once per block signature, the
+(kind, rank) of each torus block and the number of odd orthogonal factors,
+with each element's Weyl key and its sign data as bit masks; the relative
+signs read it directly and `NormalizerModel.elements` lists its elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .params import (
@@ -152,6 +156,12 @@ def _flip_parity(elem) -> int:
     return elem[1].count(-1) % 2
 
 
+def _weyl_block(kind: str, rank: int):
+    """A block's Weyl group as (perm, signs) pairs: permutations on a GL
+    block, signed permutations on the others."""
+    return signed_perms(rank, ((1,) * rank,) if kind == "GL" else None)
+
+
 class NormalizerElement(Value):
     """An element of N: per-block signed permutations plus the component
     bits of the odd orthogonal factors (canonicalized modulo the center)."""
@@ -191,16 +201,13 @@ class NormalizerModel:
             self.block_meta.append(("Sp", sp, l, l // 2))
         for sp, l in self.gl:
             self.block_meta.append(("GL", sp, l, l))
+        self.blocks = tuple((kind, rank) for kind, _, _, rank in self.block_meta)
         self.odd_labels = shape.odd_plus_labels
         self.group = component_group(shape)
 
     def weyl_blocks(self):
-        """Each block's Weyl group as (perm, signs) pairs: permutations on a
-        GL block, signed permutations on the others."""
-        per_block = []
-        for kind, _, _, rank in self.block_meta:
-            per_block.append(signed_perms(rank, ((1,) * rank,) if kind == "GL" else None))
-        return per_block
+        """Each block's Weyl group as (perm, signs) pairs."""
+        return [_weyl_block(kind, rank) for kind, rank in self.blocks]
 
     def w0_order(self) -> int:
         order = 1
@@ -228,19 +235,8 @@ class NormalizerModel:
         return math.prod(self.block_orders())
 
     def elements(self) -> List[NormalizerElement]:
-        """Duplicate-free enumeration of N: every Weyl element with every
-        canonical choice of odd component bits.  The central flip pairs each
-        choice with its negative; the canonical one has first bit -1."""
-        n_odd = len(self.odd_labels)
-        if n_odd:
-            bit_choices = [(-1,) + t for t in itertools.product((-1, 1), repeat=n_odd - 1)]
-        else:
-            bit_choices = [()]
-        return [
-            NormalizerElement(blocks, bits)
-            for blocks in itertools.product(*self.weyl_blocks())
-            for bits in bit_choices
-        ]
+        """Duplicate-free enumeration of N, in `element_table` order."""
+        return [row[0] for row in element_table(self.blocks, len(self.odd_labels))]
 
     def component_vector(self, elem: NormalizerElement) -> Tuple[int, ...]:
         """Image of the element in the sign vectors on I+ (before the
@@ -258,6 +254,32 @@ class NormalizerModel:
 
     def image_in_s(self, elem: NormalizerElement) -> Tuple[int, ...]:
         return self.group.canonical(self.component_vector(elem))
+
+
+@lru_cache(maxsize=None)
+def element_table(blocks: Tuple[Tuple[str, int], ...], n_odd: int):
+    """N for a block signature: `blocks` is the (kind, rank) of each torus
+    block and `n_odd` the number of odd orthogonal factors.
+
+    A row is (element, Weyl key, flip mask, bit mask) for every Weyl element
+    with every canonical choice of odd component bits (first bit -1, since
+    the central flip pairs each choice with its negative).  Bit b of the
+    flip mask is set when block b flips an odd number of signs, which makes
+    its determinant on the zero-weight line -1; bit j of the bit mask when
+    odd component bit j is -1.  The result is a shared tuple, kept for the
+    life of the process like `signed_perms`.
+    """
+    if n_odd:
+        bit_choices = [(-1,) + t for t in itertools.product((-1, 1), repeat=n_odd - 1)]
+    else:
+        bit_choices = [()]
+    bit_masks = [sum(1 << j for j, b in enumerate(bits) if b == -1) for bits in bit_choices]
+    rows = []
+    for w_key in itertools.product(*(_weyl_block(kind, rank) for kind, rank in blocks)):
+        flips = sum(1 << b for b, block in enumerate(w_key) if _flip_parity(block))
+        rows.extend((NormalizerElement(w_key, bits), w_key, flips, mask)
+                    for bits, mask in zip(bit_choices, bit_masks))
+    return tuple(rows)
 
 
 class LeviDiagram(Value):
@@ -392,14 +414,35 @@ class LocalizationMap:
         return self.local_group.canonical(tuple(out))
 
     def is_injective(self) -> bool:
-        group = component_group(self.shape)
-        images = {}
-        for vec in group.elements():
-            img = self.apply(vec)
-            if img in images and images[img] != group.canonical(vec):
-                return False
-            images[img] = group.canonical(vec)
-        return True
+        """Whether the induced map Sigma/<sigma_bar> -> Sigma_loc/<sigma_bar_loc>
+        has trivial kernel, by ranks over GF(2).  With A the matrix of the
+        pushforward, the kernel upstairs is the preimage of <sigma_bar_loc>,
+        of dimension n - (rank[A | sigma_bar_loc] - dim<sigma_bar_loc>); the
+        map is injective exactly when that is dim<sigma_bar>."""
+        bit = {k: 1 << j for j, k in enumerate(self.local_labels)}
+        columns = [0] * len(self.shape.orthogonal)
+        for k, sources in self.local_sources.items():
+            for i in sources:
+                columns[i] ^= bit[k]
+        sigma_loc = sum(bit[k] for k, s in zip(self.local_labels, self.local_sigma_bar)
+                        if s == -1)
+        dim_loc = 1 if sigma_loc else 0
+        dim_global = 1 if any(l % 2 for _, l in self.shape.orthogonal) else 0
+        kernel = len(columns) - (_gf2_rank(columns + [sigma_loc]) - dim_loc)
+        return kernel == dim_global
+
+
+def _gf2_rank(vectors: List[int]) -> int:
+    """Rank over GF(2) of vectors given as int bit masks."""
+    basis: Dict[int, int] = {}  # leading bit -> reduced vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 def localization_map(shape: CentralizerShape, refinement: Dict[str, Iterable[str]]) -> LocalizationMap:

@@ -483,10 +483,18 @@ def report_centralizer(sem: Semantics) -> dict:
     }
 
 
+# arthur writes one row per element of the component group; a larger group
+# is refused before any row is computed.
+ARTHUR_MAX_ROWS = 2 ** 16
+
+
 def report_arthur(sem: Semantics) -> dict:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
     group = central.component_group(shape)
+    if group.order > ARTHUR_MAX_ROWS:
+        raise SemanticError("arthur has %d component rows, over the size budget of %d rows"
+                            % (group.order, ARTHUR_MAX_ROWS))
     base = multiplicity.identity_component_shape(shape)
     # i and e are products over the factors of one value per factor and
     # coset bit, and only the orthogonal factors' bits (the row's signs)
@@ -616,14 +624,23 @@ def run_check() -> dict:
 
 # tadic --n above this is refused before expanding: 8! = 40,320 permutations.
 TADIC_MAX_N = 8
+# endoscopy's tables grow linearly in N (about 300 bytes per unit of N); a
+# larger N, from --n or the document, is refused before enumerating.
+ENDOSCOPY_MAX_N = 10_000
 
 
 def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
     if flags.n is not None:
-        return report_endoscopy(flags.n)
-    if doc is None:
+        n = flags.n
+    elif doc is not None:
+        n = doc.N
+    else:
         raise SemanticError("endoscopy needs --n or an input document")
-    return report_endoscopy(doc.N)
+    if n > ENDOSCOPY_MAX_N:
+        raise SemanticError(
+            "endoscopy N = %d is over the size budget of N <= %d" % (n, ENDOSCOPY_MAX_N)
+        )
+    return report_endoscopy(n)
 
 
 def _tadic(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:

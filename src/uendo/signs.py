@@ -27,12 +27,18 @@ character of the Weyl group, trivial on transpositions, so it is read off
 the sign flips of each torus block with a closed-form value per block; the
 tests keep the per-element crossing count as the oracle on every Weyl
 element.
+
+The relative signs on the normalizer N are parities of masked bit counts:
+`centralizer.element_table` gives each element of N a mask of the torus
+blocks with an odd number of sign flips and one of its odd component bits
+that are -1, and a parameter's signs reduce to five masks.  The tests keep
+the loop over `NormalizerModel.elements` as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .centralizer import (
@@ -42,6 +48,7 @@ from .centralizer import (
     NormalizerModel,
     centralizer_shape,
     component_group,
+    element_table,
 )
 from .params import (
     NOT_SELF_DUAL,
@@ -377,14 +384,6 @@ class RelativeSigns(Value):
         set_field(self, "spectral_identity", spectral_identity)
 
 
-def _zero_line_sign(block) -> int:
-    """Determinant of the lift of a signed permutation on the zero-weight
-    line of the odd orthogonal standard representation: -1 per cycle with
-    an odd number of sign flips (lift independent, since the torus acts
-    trivially on that line), which is the product of all the signs."""
-    return math.prod(block[1])
-
-
 def _pair_count(k: SimpleParameter, kp: SimpleParameter, table: RootNumberTable) -> int:
     """Number of symplectic root-number blocks with even SL(2) part between
     two self-dual constituents; the one pair filter of this module.  The
@@ -409,8 +408,11 @@ def relative_signs(
     eps1 is the determinant of an element of N on the multiplicity lines of
     the core sign-character pairs: per constituent in such a pair with an
     odd even-SL(2) count, its component bit times the sign of its Weyl part
-    on the zero-weight line (`_zero_line_sign`).  The core is the sum of
-    the odd-multiplicity orthogonal constituents, each once.
+    on the zero-weight line, which is -1 exactly when the block flips an
+    odd number of signs.  The core is the sum of the odd-multiplicity
+    orthogonal constituents, each once.  eps^(G/M) is eps1 times the sign
+    character on the element's component vector: the free bit of an odd
+    orthogonal factor, the flip parity of an even one's block.
 
     The crossing sign r^- is (-1) to the number of symplectic root-number
     constituents on the positive coordinate roots that w takes negative.
@@ -429,7 +431,12 @@ def relative_signs(
 
     Every pair count comes from one pass over the unordered pairs of
     self-dual constituents (`_kminus_pairs`), shared by the sign character,
-    eps1's core pairs and the beta_b.
+    eps1's core pairs and the beta_b.  The signs then become five masks
+    against the rows of `element_table`: component bits and blocks for eps1
+    and for eps^(G/M), and the blocks with beta_b = -1.  The loop over N is
+    memoized on the block signature and the masks; validation, the pair
+    pass (which records defaulted root numbers in `table.warned_pairs`) and
+    the sign character run on every call, and the dicts returned are copies.
     """
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
@@ -453,48 +460,50 @@ def relative_signs(
         if k.label in core:
             against_core[kp.label] += count
 
-    # eps1 as (odd-bit index, block index) factors
-    block_of = {sp.label: idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
-    eps1_factors = [
-        (bit, block_of[lab]) for bit, lab in enumerate(model.odd_labels) if lab in odd_core
-    ]
-    # eps on the component vector: the free bit of an odd orthogonal factor,
-    # the flip parity (the zero-line sign) of an even one's block
-    odd_bit = {lab: bit for bit, lab in enumerate(model.odd_labels)}
-    eps_bits, eps_blocks = [], []
+    block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
+    odd_bit = {lab: 1 << bit for bit, lab in enumerate(model.odd_labels)}
+    # eps1: the odd core constituents' bits and blocks
+    eps1_bits = eps1_blocks = 0
+    for lab in odd_core:
+        eps1_bits |= odd_bit[lab]
+        eps1_blocks |= block_of[lab]
+    # eps^(G/M) = eps1 times eps on the component vector
+    gm_bits, gm_blocks = eps1_bits, eps1_blocks
     for lab, e in zip(eps.labels, eps.exponents):
         if e:
             if lab in odd_bit:
-                eps_bits.append(odd_bit[lab])
+                gm_bits ^= odd_bit[lab]
             else:
-                eps_blocks.append(block_of[lab])
+                gm_blocks ^= block_of[lab]
     # the blocks with beta_b = -1
-    odd_flip_blocks = [
-        idx for idx, (kind, sp, _, rank) in enumerate(model.block_meta)
-        if kind != "GL" and rank >= 1 and against_core[sp.label] % 2
-    ]
+    beta_blocks = 0
+    for kind, sp, _, rank in model.block_meta:
+        if kind != "GL" and rank >= 1 and against_core[sp.label] % 2:
+            beta_blocks |= block_of[sp.label]
 
+    eps1, eps_gm, r_minus, fibers_constant, spectral = _signs_on_table(
+        model.blocks, len(model.odd_labels),
+        eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
+    return RelativeSigns(dict(eps1), dict(eps_gm), dict(r_minus), fibers_constant, spectral)
+
+
+@lru_cache(maxsize=None)
+def _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks):
+    """eps1, eps^(G/M), r^- and the two flags on the rows of
+    `element_table(blocks, n_odd)`: a sign is -1 when its masks select an
+    odd number of set bits of the row's bit and flip masks."""
     eps1: Dict[NormalizerElement, int] = {}
     eps_gm: Dict[tuple, int] = {}
     r_minus: Dict[tuple, int] = {}
     fibers_constant = True
-    for elem in model.elements():
-        val = 1
-        for bit, block in eps1_factors:
-            val *= elem.odd_bits[bit] * _zero_line_sign(elem.blocks[block])
-        eps1[elem] = val
-        g_val = val
-        for bit in eps_bits:
-            g_val *= elem.odd_bits[bit]
-        for block in eps_blocks:
-            g_val *= _zero_line_sign(elem.blocks[block])
-        w_key = elem.weyl_key
+    for elem, w_key, flips, bits in element_table(blocks, n_odd):
+        eps1[elem] = -1 if ((bits & eps1_bits).bit_count()
+                            + (flips & eps1_blocks).bit_count()) % 2 else 1
+        g_val = -1 if ((bits & gm_bits).bit_count() + (flips & gm_blocks).bit_count()) % 2 else 1
         if w_key not in eps_gm:
             eps_gm[w_key] = g_val
-            odd = sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
-            r_minus[w_key] = -1 if odd % 2 else 1
+            r_minus[w_key] = -1 if (flips & beta_blocks).bit_count() % 2 else 1
         elif eps_gm[w_key] != g_val:
             fibers_constant = False
-
     spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
-    return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
+    return eps1, eps_gm, r_minus, fibers_constant, spectral

@@ -377,6 +377,57 @@ def test_localization_fusion_detected_noninjective():
     assert not loc.is_injective()
 
 
+def injective_by_elements(loc):
+    """Injectivity of the localization map, image by image over the
+    component group's representatives."""
+    group = component_group(loc.shape)
+    images = {}
+    for vec in group.elements():
+        img = loc.apply(vec)
+        if img in images and images[img] != group.canonical(vec):
+            return False
+        images[img] = group.canonical(vec)
+    return True
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def refinements(labels):
+    """Identity, split, merged (one local label per block of a set
+    partition) and merged-and-split refinements of the labels."""
+    yield {lab: (lab,) for lab in labels}
+    yield {lab: tuple(lab + x for x in "abc"[:1 + i % 3]) for i, lab in enumerate(labels)}
+    for part in set_partitions(list(labels)):
+        merged = {lab: ("m%d" % j,) for j, block in enumerate(part) for lab in block}
+        yield merged
+        yield {lab: merged[lab] + (lab,) for lab in labels}
+
+
+def test_is_injective_matches_image_enumeration():
+    checked, verdicts = 0, set()
+    for n in range(5):
+        for mults in itertools.product((1, 2, 3), repeat=n):
+            orth = tuple((sd("p%d" % i), l) for i, l in enumerate(mults))
+            shape = CentralizerShape(orth, (), ())
+            for refinement in refinements(shape.plus_labels):
+                loc = localization_map(shape, refinement)
+                want = injective_by_elements(loc)
+                assert loc.is_injective() == want, (mults, refinement)
+                verdicts.add(want)
+                checked += 1
+    assert verdicts == {True, False}
+    assert checked == 2986
+
+
 def test_localization_rejects_non_orthogonal_keys():
     cons = [(sd("a", 1, SYMPLECTIC, 1), 2), (sd("b"), 1)]
     psi = GlobalParameter(cons)

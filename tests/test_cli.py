@@ -709,6 +709,52 @@ def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):
         assert "size budget" not in err, path.name
 
 
+def test_arthur_over_row_budget_is_refused_before_any_row(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("arthur rows computed over the size budget")
+
+    monkeypatch.setattr(cli.central.FiniteTwoGroup, "elements", refuse)
+    for name in ("i_number", "e_number", "sigma"):
+        monkeypatch.setattr(cli, name, refuse)
+    doc = tmp_path / "doc.txt"
+    # k distinct labels of multiplicity 1 give 2^(k - 1) rows
+    for count in (18, 40):
+        doc.write_text(distinct_labels_document(count, 1))
+        code, out, err = run_cli(["arthur", "--input", str(doc)], capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "%d component rows" % 2 ** (count - 1) in err
+        assert "size budget of %d rows" % cli.ARTHUR_MAX_ROWS in err
+
+
+def test_endoscopy_over_n_budget_is_refused_before_enumerating(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("endoscopic data enumerated over the size budget")
+
+    monkeypatch.setattr(cli.endoscopy, "enumerate_standard", refuse)
+    monkeypatch.setattr(cli.endoscopy, "enumerate_twisted", refuse)
+    doc = tmp_path / "doc.txt"
+    doc.write_text("group U(10001) parity +\nmu a: deg=1, sd=+\npsi = 10001*a (x) nu(1)\n")
+    for argv in (["--n", str(cli.ENDOSCOPY_MAX_N + 1)], ["--n", "1000000"],
+                 ["--input", str(doc)]):
+        code, out, err = run_cli(["endoscopy"] + argv, capsys)
+        _assert_one_line_error(code, out, err, 2)
+        assert "size budget of N <= %d" % cli.ENDOSCOPY_MAX_N in err, argv
+
+
+def test_row_and_n_budgets_admit_fixtures_and_ladder(perfbench_workloads, tmp_path, capsys):
+    docs = {path.name: path.read_text() for path in FIXTURES}
+    docs.update(perfbench_workloads.ladder_documents())
+    assert len(docs) == 38
+    doc = tmp_path / "doc.txt"
+    for name, text in docs.items():
+        doc.write_text(text)
+        for command in ("arthur", "endoscopy"):
+            code, _, err = run_cli([command, "--input", str(doc)], capsys)
+            assert "size budget" not in err, (name, command)
+    for n in (1, perfbench_workloads.ENDOSCOPY_MAX_N, cli.ENDOSCOPY_MAX_N):
+        assert cli._endoscopy(None, argparse.Namespace(n=n))["N"] == n
+
+
 def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     doc.write_text("group U(16) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from uendo.centralizer import NormalizerModel, centralizer_shape, component_group
+import uendo.signs
+from uendo.centralizer import NormalizerModel, centralizer_shape, component_group, element_table
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -14,9 +16,11 @@ from uendo.params import (
     factors_through,
 )
 from uendo.signs import (
+    RelativeSigns,
     RootNumberTable,
+    _epsilon_character,
+    _kminus_pairs,
     _pair_count,
-    _zero_line_sign,
     adjoint_decomposition,
     alt2_dims,
     epsilon_character,
@@ -484,9 +488,24 @@ def _zero_line_sign_by_cycles(block):
     return val
 
 
+def _zero_line_sign(block) -> int:
+    """Determinant of the lift of a signed permutation on the zero-weight
+    line of the odd orthogonal standard representation: -1 per cycle with
+    an odd number of sign flips (lift independent, since the torus acts
+    trivially on that line), which is the product of all the signs."""
+    return math.prod(block[1])
+
+
 def test_zero_line_sign_matches_cycle_walk():
+    # and the element table's flip mask is the zero-line sign of each block
     checked = 0
     for rank in range(6):
+        for kind in ("O", "Sp"):
+            rows = element_table(((kind, rank),), 0)
+            assert [w_key for _, w_key, _, _ in rows] == [(b,) for b in signed_perms(rank)]
+            for _, (block,), flips, bits in rows:
+                assert bits == 0
+                assert flips == (_zero_line_sign(block) == -1), block
         for block in signed_perms(rank):
             assert _zero_line_sign(block) == _zero_line_sign_by_cycles(block), block
             checked += 1
@@ -652,6 +671,181 @@ def test_r_minus_matches_per_element_crossing_sign():
                 assert rec.r_minus[w_key] == _crossing_sign(model, w_key, table), (psi, w_key)
             nontrivial += -1 in rec.r_minus.values()
     assert nontrivial > 100
+
+
+def _relative_signs_by_elements(psi, tag, table):
+    """`relative_signs` evaluated element by element over
+    `NormalizerModel.elements`, with per-factor sign products in place of
+    bit masks and no memo: the oracle for the element table."""
+    table.validate_against(psi)
+    shape = centralizer_shape(psi, tag)
+    model = NormalizerModel(shape)
+    if model.w_order() == 1:
+        raise ValueError("parameter is square-integrable; no proper Levi")
+    pairs = _kminus_pairs(shape, table)
+    eps = _epsilon_character(shape, model.group, pairs)
+    core = {sp.label for sp, l in shape.orthogonal if l % 2}
+    odd_core = set()
+    against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
+    for (k, _), (kp, _), count in pairs:
+        if k.label in core and kp.label in core and count % 2:
+            odd_core ^= {k.label, kp.label}
+        if kp.label in core:
+            against_core[k.label] += count
+        if k.label in core:
+            against_core[kp.label] += count
+    block_of = {sp.label: idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
+    eps1_factors = [
+        (bit, block_of[lab]) for bit, lab in enumerate(model.odd_labels) if lab in odd_core
+    ]
+    odd_bit = {lab: bit for bit, lab in enumerate(model.odd_labels)}
+    eps_bits, eps_blocks = [], []
+    for lab, e in zip(eps.labels, eps.exponents):
+        if e:
+            if lab in odd_bit:
+                eps_bits.append(odd_bit[lab])
+            else:
+                eps_blocks.append(block_of[lab])
+    odd_flip_blocks = [
+        idx for idx, (kind, sp, _, rank) in enumerate(model.block_meta)
+        if kind != "GL" and rank >= 1 and against_core[sp.label] % 2
+    ]
+    eps1, eps_gm, r_minus = {}, {}, {}
+    fibers_constant = True
+    for elem in model.elements():
+        val = 1
+        for bit, block in eps1_factors:
+            val *= elem.odd_bits[bit] * _zero_line_sign(elem.blocks[block])
+        eps1[elem] = val
+        g_val = val
+        for bit in eps_bits:
+            g_val *= elem.odd_bits[bit]
+        for block in eps_blocks:
+            g_val *= _zero_line_sign(elem.blocks[block])
+        w_key = elem.weyl_key
+        if w_key not in eps_gm:
+            eps_gm[w_key] = g_val
+            odd = sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
+            r_minus[w_key] = -1 if odd % 2 else 1
+        elif eps_gm[w_key] != g_val:
+            fibers_constant = False
+    spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
+    return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
+
+
+def _assert_matches_oracle(psi, tag, entries):
+    """relative_signs against the oracle, each on a fresh table built from
+    `entries`; returns the record."""
+    table, oracle_table = RootNumberTable(entries), RootNumberTable(entries)
+    rec = relative_signs(psi, tag, table)
+    want = _relative_signs_by_elements(psi, tag, oracle_table)
+    assert list(rec.eps1.items()) == list(want.eps1.items()), (psi, tag)
+    assert list(rec.eps_gm.items()) == list(want.eps_gm.items()), (psi, tag)
+    assert list(rec.r_minus.items()) == list(want.r_minus.items()), (psi, tag)
+    assert (rec.fibers_constant, rec.spectral_identity) == (
+        want.fibers_constant, want.spectral_identity), (psi, tag)
+    assert table.warned_pairs == oracle_table.warned_pairs, (psi, tag)
+    return rec
+
+
+def test_relative_signs_match_oracle_on_sweep_family(perfbench_workloads):
+    # criterion 8's family as the benchmark's sweep builds it; the memo runs
+    # the loop over N once per distinct (signature, masks) key, of which the
+    # family has 125
+    family = perfbench_workloads.build_sweep_families()["rs"]
+    assert len(family) == 2382
+    uendo.signs._signs_on_table.cache_clear()
+    for psi, tag, table in family:
+        _assert_matches_oracle(psi, tag, table.entries)
+    info = uendo.signs._signs_on_table.cache_info()
+    assert info.misses <= 125 and info.hits + info.misses == len(family)
+
+
+def _seeded_levi_case(rng):
+    """Two or three constituents with torus blocks of rank at most 3 and a
+    proper Levi: self-dual ones of SL(2) dimension 1 or 2 (which make the
+    pairs with even SL(2) parts) and partnered GL pairs, with a table of random signs on some opposite-parity pairs (the
+    rest default); None when the draw does not qualify."""
+    cons = []
+    for i in range(rng.randint(2, 3)):
+        if rng.random() < 0.25:
+            cons += _gl_pair("g%d" % i, rng.randint(1, 3))
+        else:
+            parity = rng.choice((ORTHOGONAL, SYMPLECTIC))
+            cons.append((sd("c%d" % i, 1, parity, rng.randint(1, 2)), rng.randint(1, 7)))
+    psi = GlobalParameter(cons)
+    parity = rng.choice((1, -1))
+    tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
+    if not factors_through(psi, tag):
+        return None
+    model = NormalizerModel(centralizer_shape(psi, tag))
+    n_order = model.w_order() * 2 ** max(len(model.odd_labels) - 1, 0)
+    if model.w_order() == 1 or n_order > 3000 or any(r > 3 for _, r in model.blocks):
+        return None
+    sds = [sp for sp, _ in psi.self_dual]
+    entries = {
+        frozenset((a.label, b.label)): -1 if rng.random() < 0.7 else 1
+        for a, b in itertools.combinations(sds, 2)
+        if a.mu_sign != b.mu_sign and rng.random() < 0.8
+    }
+    return psi, tag, entries, model
+
+
+def test_relative_signs_match_oracle_on_seeded_shapes():
+    rng = random.Random(20261018)
+    tested = with_gl = with_minus = eps1_minus = r_minus_minus = 0
+    while tested < 320:
+        case = _seeded_levi_case(rng)
+        if case is None:
+            continue
+        psi, tag, entries, model = case
+        rec = _assert_matches_oracle(psi, tag, entries)
+        tested += 1
+        with_gl += any(kind == "GL" for kind, _ in model.blocks)
+        with_minus += -1 in entries.values()
+        eps1_minus += -1 in rec.eps1.values()
+        r_minus_minus += -1 in rec.r_minus.values()
+    assert with_gl > 100 and with_minus > 40 and eps1_minus > 3 and r_minus_minus > 15
+
+
+def test_relative_signs_results_are_copies():
+    psi, tag, _ = RANK_CASES[0]
+    for entries in (table.entries for table in _tables_for(psi)):
+        rec = relative_signs(psi, tag, RootNumberTable(entries))
+        for elem in rec.eps1:
+            rec.eps1[elem] = 0
+        rec.eps_gm.clear()
+        rec.r_minus.popitem()
+        _assert_matches_oracle(psi, tag, entries)
+
+
+def test_relative_signs_same_signature_different_labels():
+    # two parameters with one block signature, O(2) x O(4) x O(1), and root
+    # number -1 against the core on different blocks: different masks
+    def case(a, b, c, minus):
+        cons = [(sd(a, 1, ORTHOGONAL, 2), 2), (sd(b, 1, ORTHOGONAL, 2), 4),
+                (sd(c, 1, SYMPLECTIC, 1), 1)]
+        return (*_levi_case(cons, -1), {frozenset((minus, c)): -1})
+
+    first, second = case("a", "b", "c", "a"), case("x", "y", "z", "y")
+    signatures = [NormalizerModel(centralizer_shape(psi, tag)).blocks
+                  for psi, tag, _ in (first, second)]
+    assert signatures[0] == signatures[1] == (("O", 0), ("O", 1), ("O", 2))
+    recs = [_assert_matches_oracle(*first), _assert_matches_oracle(*second),
+            _assert_matches_oracle(*first)]
+    assert recs[0].r_minus != recs[1].r_minus
+    assert recs[2] == recs[0]
+
+
+def test_relative_signs_records_defaulted_pairs_on_memo_hit():
+    psi, tag, _ = RANK_CASES[0]
+    relative_signs(psi, tag, RootNumberTable())
+    hits = uendo.signs._signs_on_table.cache_info().hits
+    table = RootNumberTable()
+    rec = relative_signs(psi, tag, table)
+    assert uendo.signs._signs_on_table.cache_info().hits == hits + 1
+    assert table.warned_pairs == {frozenset(("a", "b"))}
+    assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable())
 
 
 def test_relative_signs_counts_each_pair_once(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from uendo.weylnum import (
     sp,
     weyl_set,
 )
-from uendo.weylnum import SP
+from uendo.weylnum import SP, _factor_elliptic_classes
 
 
 def datum(factors, coset=None, quotient=None):
@@ -474,6 +475,39 @@ def _is_central_class(desc, factors):
 
 
 @lru_cache(maxsize=None)
+def _identity_class_tally(factors):
+    """The elliptic classes of the identity component of `factors`, as
+    {(canonical centralizer factors, pi0, central): number of class
+    products}.  The products are tallied factor by factor and cached on the
+    leading factors, which many shapes of the recursion share; a product is
+    central when every factor's class is."""
+    if not factors:
+        return {((), 1, True): 1}
+    *head, last = factors
+    tally = Counter()
+    for cl in _factor_elliptic_classes(last, False):
+        central = _is_central_class((cl.descriptor,), (last,))
+        for (cent, pi0, head_central), n in _identity_class_tally(tuple(head)).items():
+            cent = ConnectedShape(cent + cl.cent_factors).canonical().factors
+            tally[cent, pi0 * cl.pi0, head_central and central] += n
+    return tally
+
+
+@lru_cache(maxsize=None)
+def _sigma_of_centralizer(factors):
+    """sigma of a centralizer's identity component, cached on its factors
+    in the order a class product lists them."""
+    return _sigma_canonical(ConnectedShape(factors).canonical())
+
+
+def _weighted_sigma_sum(counts):
+    """Sum of count * sigma / weight over {(centralizer factors, weight): count}:
+    the class products tallied by centralizer, one rational term per tally."""
+    return sum((Fraction(n, w) * _sigma_of_centralizer(factors)
+                for (factors, w), n in counts.items()), Fraction(0))
+
+
+@lru_cache(maxsize=None)
 def _sigma_canonical(shape):
     if shape.center_dim > 0:
         return Fraction(0)
@@ -484,21 +518,19 @@ def _sigma_canonical(shape):
     return _sigma_semisimple(cover) * quot
 
 
+@lru_cache(maxsize=None)
 def _sigma_semisimple(shape):
     """Solve i = e on the whole product: the central classes contribute
-    sigma(S) itself, the others sigma of strictly smaller centralizers."""
-    datum = identity_component(shape)
-    i_val = i_number(datum)
+    sigma(S) itself, the others sigma of strictly smaller centralizers.
+    Cached, since a shape and its central quotient share the cover."""
+    i_val = i_number(identity_component(shape))
     central = 1
     for f in shape.factors:
         central *= f.center_order
-    rest = Fraction(0)
-    for desc, cent, pi0 in elliptic_classes(datum):
-        if _is_central_class(desc, shape.factors):
-            continue
-        s = _sigma_canonical(cent.canonical())
-        if s:
-            rest += Fraction(1, pi0) * s
+    rest = _weighted_sigma_sum({
+        (cent, pi0): n
+        for (cent, pi0, is_central), n in _identity_class_tally(shape.factors).items()
+        if not is_central})
     return (i_val - rest) / central
 
 
@@ -514,11 +546,10 @@ def _recursive_e_number(c):
     classes = elliptic_classes(c)
     z = c.base.central_quotient
     if z is None:
-        return sum((Fraction(1, pi0) * _recursive_sigma(cent) for _, cent, pi0 in classes),
-                   Fraction(0))
+        return _weighted_sigma_sum(Counter((cent.factors, pi0) for _, cent, pi0 in classes))
     flips = tuple(s == -1 for s in z)
     seen = set()
-    total = Fraction(0)
+    counts = Counter()
     for desc, cent, pi0 in classes:
         if desc in seen:
             continue
@@ -526,8 +557,8 @@ def _recursive_e_number(c):
         stab = 2 if tdesc == desc else 1
         seen.add(desc)
         seen.add(tdesc)
-        total += _recursive_sigma(cent) * Fraction(2, stab * pi0)
-    return total
+        counts[cent.factors, stab * pi0] += 2
+    return _weighted_sigma_sum(counts)
 
 
 def test_sigma_and_e_match_recursion_over_class_products():
