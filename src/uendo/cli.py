@@ -21,7 +21,7 @@ invariant failure.  Rationals are serialized as {"num": ..., "den": ...}.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import itertools
 import json
 import re
@@ -29,6 +29,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import centralizer as central
@@ -629,7 +630,7 @@ TADIC_MAX_N = 8
 ENDOSCOPY_MAX_N = 10_000
 
 
-def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+def _endoscopy(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
     if flags.n is not None:
         n = flags.n
     elif doc is not None:
@@ -643,7 +644,7 @@ def _endoscopy(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> d
     return report_endoscopy(n)
 
 
-def _tadic(doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+def _tadic(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
     if flags.n is None or flags.k is None:
         raise SemanticError("tadic needs --n and --k")
     if flags.n > TADIC_MAX_N:
@@ -668,7 +669,7 @@ _FLAG_REPORTS = {
 }
 
 
-def run(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+def run(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
     """The report of one command; a `ValueError` from the library, such as
     an out-of-range --n or --k, becomes a `SemanticError`."""
     try:
@@ -677,7 +678,7 @@ def run(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespac
         raise SemanticError(str(exc)) from None
 
 
-def _report(command: str, doc: Optional[ParameterDocument], flags: argparse.Namespace) -> dict:
+def _report(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
     if command in _DOC_REPORTS:
         if doc is None:
             raise SemanticError("command %r needs an input document" % command)
@@ -687,38 +688,86 @@ def _report(command: str, doc: Optional[ParameterDocument], flags: argparse.Name
     raise SemanticError("unknown command %r" % command)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Refuses bad arguments with one line on stderr and exit 2, like every
-    other refusal, instead of a usage line plus an error line."""
-
-    def error(self, message: str):
-        self.exit(2, "error: %s\n" % message)
+_COMMANDS = ("classify", "centralizer", "arthur", "endoscopy", "epsilon", "multiplicity",
+             "tadic", "check", "print")
+_FIELDS = ("arch", "nonarch")
 
 
-# Built once: `parse_args` returns a fresh namespace on every call.
-_ARGS = _ArgumentParser(
-    prog="uendo",
-    description="exact endoscopic combinatorics for unitary groups",
-)
-_ARGS.add_argument(
-    "command",
-    choices=["classify", "centralizer", "arthur", "endoscopy", "epsilon",
-             "multiplicity", "tadic", "check", "print"],
-)
-_ARGS.add_argument("--input", help="parameter document file")
-_ARGS.add_argument("--n", type=int, default=None)
-_ARGS.add_argument("--k", type=int, default=None)
-_ARGS.add_argument("--field", choices=["arch", "nonarch"], default="nonarch")
+def _fast_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The arguments argparse would give for the one argv shape callers
+    send: a command, then each of --input, --n, --k and --field at most
+    once, each with a value that is not empty and does not start with '-'.
+    None for any other argv, such as help, abbreviations, '=' forms,
+    options before the command, repeated flags or bad values; argparse
+    reads those and writes their help and error text."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    args = SimpleNamespace(command=argv[0], input=None, n=None, k=None, field="nonarch")
+    seen = set()
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag in seen or not value or value[0] == "-":
+            return None
+        seen.add(flag)
+        if flag == "--input":
+            args.input = value
+        elif flag == "--n" or flag == "--k":
+            try:
+                setattr(args, flag[2:], int(value))
+            except ValueError:
+                return None
+        elif flag == "--field" and value in _FIELDS:
+            args.field = value
+        else:
+            return None
+    return args
+
+
+@functools.cache
+def _argument_parser():
+    """The argparse parser, imported and built on first use: `parse_args`
+    returns a fresh namespace on every call."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Refuses bad arguments with one line on stderr and exit 2, like
+        every other refusal, instead of a usage line plus an error line."""
+
+        def error(self, message: str):
+            self.exit(2, "error: %s\n" % message)
+
+    parser = _ArgumentParser(
+        prog="uendo",
+        description="exact endoscopic combinatorics for unitary groups",
+    )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--input", help="parameter document file")
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--field", choices=_FIELDS, default="nonarch")
+    return parser
+
+
+def _parse_args(argv: List[str]):
+    return _argument_parser().parse_args(argv)
+
+
+def _read_document(path: str) -> str:
+    """The file's text, with CRLF and lone CR read as LF, as text mode
+    reads it."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _ARGS.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or _parse_args(argv)
 
     doc = None
     try:
         if args.input:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                doc = parse(handle.read())
+            doc = parse(_read_document(args.input))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1

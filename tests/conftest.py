@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -13,3 +14,14 @@ def perfbench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def report_validator():
+    """A validator for `docs/report-schema-v1.json`, the schema of every
+    JSON report."""
+    jsonschema = pytest.importorskip("jsonschema")
+    path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema-v1.json"
+    schema = json.loads(path.read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)

@@ -17,7 +17,6 @@ from uendo import cli, weylnum
 from uendo.centralizer import centralizer_shape, component_group
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
-SCHEMA = pathlib.Path(__file__).parents[1] / "docs" / "report-schema-v1.json"
 JSON_DOCUMENT_COMMANDS = ("classify", "centralizer", "arthur", "endoscopy", "epsilon",
                           "multiplicity")
 
@@ -516,7 +515,48 @@ def test_degree_zero_document_is_semantic_error(tmp_path, capsys):
 def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     doc = tmp_path / "latin1.txt"
     doc.write_bytes(b"group U(1) parity +\nmu \xe9: deg=1, sd=+\npsi = \xe9 (x) nu(1)\n")
-    _assert_one_line_error(*run_cli(["classify", "--input", str(doc)], capsys), 1)
+    code, out, err = run_cli(["classify", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 1)
+    assert err == ("parse error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"
+                   " in position 23: invalid continuation byte\n")
+
+
+def _text_mode_outcome(path, command):
+    """(code, stdout, stderr) of `command` on the document as text mode
+    reads it (universal newlines), the way `main` once read documents."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = cli.parse(handle.read())
+    except cli.ParseError as exc:
+        return 1, "", "parse error: %s\n" % exc
+    except UnicodeDecodeError as exc:
+        return 1, "", "parse error: input is not UTF-8 text: %s\n" % exc
+    if command == "print":
+        return 0, cli.print_document(doc), ""
+    return 0, cli._dump(cli.run(command, doc, None)), ""
+
+
+BYTES_READ_DOCUMENTS = {
+    "crlf": b"group U(3) parity +\r\nmu a: deg=1, sd=+\r\nmu b: deg=1, sd=-\r\n"
+            b"psi = a (x) nu(1) + b (x) nu(2)\r\nroots { a, b : -1 }\r\n",
+    "lone cr, error on line 3": b"group U(2) parity +\rmu a: deg=1, sd=+\rpsi = a (x) nu()\r",
+    "lone cr and crlf mixed": b"# comment\r\rgroup U(1) parity -\r\nmu a: deg=1, sd=+\r"
+                              b"psi = a (x) nu(1)  # end\r\n\r",
+    "bom": b"\xef\xbb\xbfgroup U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\n",
+    "latin-1, crlf": b"group U(1) parity +\r\nmu \xe9: deg=1, sd=+\r\npsi = \xe9 (x) nu(1)\r\n",
+    "truncated utf-8": b"group U(1) parity +\nmu a\xc3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTES_READ_DOCUMENTS))
+def test_bytes_read_matches_text_mode_read(name, tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(BYTES_READ_DOCUMENTS[name])
+    for command in ("print", "classify"):
+        want = _text_mode_outcome(doc, command)
+        assert run_cli([command, "--input", str(doc)], capsys) == want, command
+    if name == "lone cr, error on line 3":
+        assert want[2] == "parse error: expected 'INT', got ')' at line 3, column 16\n"
 
 
 def run_cli_rejected(args, capsys):
@@ -545,24 +585,126 @@ def test_help_still_prints_usage(capsys):
 
 
 def test_argument_parser_is_built_once(monkeypatch, tmp_path, capsys):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("argument parser built again")
+    builds = []
+    build = argparse.ArgumentParser.__init__
 
-    monkeypatch.setattr(cli._ArgumentParser, "__init__", refuse)
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._argument_parser.cache_clear()
     target = tmp_path / "doc.txt"
     target.write_text(FIXTURES[0].read_text())
     for args in (["classify", "--input", str(target)], ["print", "--input", str(target)],
                  ["endoscopy", "--n", "2"], ["tadic", "--n", "2", "--k", "1", "--field", "arch"]):
         code, out, _ = run_cli(args, capsys)
         assert code == 0 and out, args
+    assert builds == []
     # back-to-back calls share no state
     code, out, err = run_cli(["tadic"], capsys)
     _assert_one_line_error(code, out, err, 2)
     assert err == "error: tadic needs --n and --k\n"
     code, out, _ = run_cli(["tadic", "--n", "2", "--k", "1"], capsys)
     assert code == 0 and json.loads(out)["field"] == "nonarch"
+    # two fallbacks to argparse build it once
+    code, out, _ = run_cli(["tadic", "--n=2", "--k", "1"], capsys)
+    assert code == 0 and json.loads(out)["field"] == "nonarch"
     code, out, err = run_cli_rejected(["-h"], capsys)
     assert code == 0 and out.startswith("usage: uendo") and err == ""
+    assert len(builds) == 1
+
+
+ARGV_FLAGS = ("--input", "--n", "--k", "--field")
+ARGV_INTS = ("-5", "+3", "07", " 4", "\u0663", "x", "", "0", "2", "3", "1_0", "2.0")
+ARGV_FIELDS = ("arch", "nonarch", "ARCH", "", "-arch")
+
+
+def argv_corpus(rng, count, paths, ints=ARGV_INTS):
+    """`count` argv lists: the canonical shape (a command, then flags with
+    values) and the forms only argparse reads, namely abbreviations, '='
+    forms, options before the command, repeated flags, help and unknown
+    words.  --n and --k take their values from `ints`."""
+    values = {"--input": tuple(paths) + ("", "-", "--n", " missing.txt "),
+              "--n": ints, "--k": ints, "--field": ARGV_FIELDS}
+    corpus = []
+    for _ in range(count):
+        argv = [rng.choice(cli._COMMANDS)]
+        for flag in rng.sample(ARGV_FLAGS, rng.randint(0, 4)):
+            argv += [flag, rng.choice(values[flag])]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            where = rng.randrange(len(argv) + 1)
+            form = rng.randrange(7)
+            if form == 0:  # abbreviation
+                flag = rng.choice(("--input", "--field"))
+                argv += [flag[:rng.randint(3, len(flag) - 1)], rng.choice(values[flag])]
+            elif form == 1:  # '=' form
+                flag = rng.choice(ARGV_FLAGS)
+                argv.insert(where, "%s=%s" % (flag, rng.choice(values[flag])))
+            elif form == 2:  # options before the command
+                argv.append(argv.pop(0))
+            elif form == 3 and set(argv) & set(ARGV_FLAGS):  # repeated flag
+                flag = rng.choice(sorted(set(argv) & set(ARGV_FLAGS)))
+                argv += [flag, rng.choice(values[flag])]
+            elif form == 4:
+                argv.insert(where, rng.choice(("-h", "--help")))
+            elif form == 5:  # an unknown word or flag
+                argv.insert(where, rng.choice(("bogus", "--json", "-n", "3", "classify")))
+            elif len(argv) > 1:  # a flag without its value
+                del argv[rng.randrange(1, len(argv))]
+        corpus.append(argv)
+    return corpus
+
+
+def test_fast_path_agrees_with_argparse_on_every_argv_it_reads():
+    corpus = argv_corpus(random.Random(13), 2500, [str(p) for p in FIXTURES[:3]])
+    read = 0
+    for argv in corpus:
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == vars(cli._parse_args(argv)), argv
+            read += 1
+    assert 500 < read < len(corpus) - 500
+    refused = [argv for argv in corpus if cli._fast_args(argv) is None]
+    for form in ("-h", "--n=", "--inp", "--k -5"):
+        assert any(form in " ".join(argv) for argv in refused), form
+
+
+def _perfbench_argvs(perfbench_workloads, path):
+    """The distinct argv lists of the benchmark's CLI workloads (one
+    interactive and one ladder pass), with `path` as every document."""
+    requests = (perfbench_workloads.interactive(1, 0)[1]
+                + perfbench_workloads.ladder(1, 0)[1])
+    return {tuple(r["argv"] + ([path] if "doc" in r else [])) for r in requests}
+
+
+def test_benchmark_argvs_never_build_the_argument_parser(monkeypatch, perfbench_workloads,
+                                                         tmp_path, capsys):
+    def refuse():
+        raise AssertionError("argument parser built on the fast path")
+
+    monkeypatch.setattr(cli, "_argument_parser", refuse)
+    target = tmp_path / "doc.txt"
+    target.write_text(FIXTURES[0].read_text())
+    argvs = _perfbench_argvs(perfbench_workloads, str(target))
+    assert len(argvs) > 100 and all(cli._fast_args(list(argv)) for argv in argvs)
+    shapes = {}
+    for argv in sorted(argvs):
+        shapes.setdefault((argv[0],) + argv[1::2], argv)
+    assert len(shapes) == 9
+    for argv in shapes.values():
+        if argv[0] == "tadic":
+            argv = ("tadic", "--n", "2", "--k", "1", "--field", "arch")
+        code, out, err = run_cli(list(argv), capsys)
+        assert (code, err) == (0, "") and out, argv
+
+
+def test_module_entry_point_matches_in_process_call(capsys):
+    argv = ["classify", "--input", str(FIXTURES[0])]
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-m", "uendo.cli"] + argv, capture_output=True,
+                          text=True, timeout=60, env={"PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, capsys)
 
 
 def test_check_command_green(capsys):
@@ -581,14 +723,6 @@ def test_print_command(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # Report schema
-
-
-@pytest.fixture(scope="module")
-def report_validator():
-    jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads(SCHEMA.read_text())
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
@@ -869,7 +1003,8 @@ def test_dump_matches_json_on_synthetic_report():
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
     src = pathlib.Path(cli.__file__).parents[1]
     code = ("import sys; sys.path.insert(0, %r); import uendo.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(src))
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))" % str(src))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
