@@ -104,10 +104,12 @@ class GlobalParameter:
     Constituents are stored in a canonical order, keyed by
     (deg_mu, su2_dim, label), with multiplicities merged.  Construction
     checks that not-self-dual constituents are closed under partnering with
-    equal multiplicities.
+    equal multiplicities.  A parameter is frozen, like the `Value` classes,
+    because it keys memos: its hash is computed once, and copying and
+    pickling rebuild it through `__init__`.
     """
 
-    __slots__ = ("constituents", "total_degree", "_by_label")
+    __slots__ = ("constituents", "total_degree", "_by_label", "_hash")
 
     def __init__(self, constituents: Iterable):
         merged = {}
@@ -137,17 +139,26 @@ class GlobalParameter:
                 if merged[mate] != mult:
                     raise ValueError("partnered constituents need equal multiplicity")
         order = sorted(merged, key=lambda s: (s.deg_mu, s.su2_dim, s.label))
-        self.constituents = tuple((sp, merged[sp]) for sp in order)
-        self.total_degree = sum(sp.degree * l for sp, l in self.constituents)
-        self._by_label = {sp.label: (sp, l) for sp, l in self.constituents}
-        if self.total_degree < 1:
+        constituents = tuple((sp, merged[sp]) for sp in order)
+        total_degree = sum(sp.degree * l for sp, l in constituents)
+        if total_degree < 1:
             raise ValueError("empty parameter")
+        set_field(self, "constituents", constituents)
+        set_field(self, "total_degree", total_degree)
+        set_field(self, "_by_label", {sp.label: (sp, l) for sp, l in constituents})
+        set_field(self, "_hash", hash(constituents))
+
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
+
+    def __reduce__(self):
+        return GlobalParameter, (self.constituents,)
 
     def __eq__(self, other):
         return isinstance(other, GlobalParameter) and self.constituents == other.constituents
 
     def __hash__(self):
-        return hash(self.constituents)
+        return self._hash
 
     def __repr__(self):
         parts = []

@@ -31,8 +31,12 @@ element.
 The relative signs on the normalizer N are parities of masked bit counts:
 `centralizer.element_table` gives each element of N a mask of the torus
 blocks with an odd number of sign flips and one of its odd component bits
-that are -1, and a parameter's signs reduce to five masks.  The tests keep
-the loop over `NormalizerModel.elements` as the oracle.
+that are -1, and a parameter's signs reduce to five masks.  What depends
+only on (psi, tag), the shape, the block signature and each candidate
+pair's contribution to the masks, is built once per (psi, tag) and
+memoized; a call validates the table, asks it about the candidate pairs
+and folds the masks.  The tests keep the loop over
+`NormalizerModel.elements` as the oracle.
 """
 
 from __future__ import annotations
@@ -270,24 +274,39 @@ class SignCharacter(Value):
         return all(e == 0 for e in self.exponents)
 
     def evaluate(self, vector: Sequence[int]) -> int:
-        val = 1
-        for x, e in zip(vector, self.exponents):
-            if e and x == -1:
-                val = -val
-        return val
+        return _evaluate(self.exponents, vector)
+
+
+def _evaluate(exponents: Sequence[int], vector: Sequence[int]) -> int:
+    """The character with these exponents at a sign vector."""
+    val = 1
+    for x, e in zip(vector, exponents):
+        if e and x == -1:
+            val = -val
+    return val
+
+
+def _candidate_pairs(shape: CentralizerShape):
+    """Unordered pairs of self-dual constituents that can carry symplectic
+    root-number blocks with even SL(2) parts, with their multiplicities and
+    counts, in `itertools.combinations` order: opposite cuspidal parity and
+    a nonzero even-constituent count.  This is the one pair filter of the
+    module; only these pairs are asked of a root-number table, so only they
+    can be recorded as defaulted."""
+    sd = shape.orthogonal + shape.symplectic
+    out = []
+    for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
+        if k.mu_sign != kp.mu_sign:
+            count = even_constituent_count(k.su2_dim, kp.su2_dim)
+            if count:
+                out.append(((k, lk), (kp, lkp), count))
+    return out
 
 
 def _kminus_pairs(shape: CentralizerShape, table: RootNumberTable):
-    """Unordered pairs of self-dual constituents contributing symplectic
-    root-number blocks with even SL(2) parts, with their multiplicities and
-    counts: one `_pair_count` per unordered pair."""
-    sd = list(shape.orthogonal) + list(shape.symplectic)
-    out = []
-    for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
-        count = _pair_count(k, kp, table)
-        if count:
-            out.append(((k, lk), (kp, lkp), count))
-    return out
+    """The candidate pairs whose root number in `table` is -1."""
+    return [(a, b, count) for a, b, count in _candidate_pairs(shape)
+            if table.epsilon(a[0], b[0]) == -1]
 
 
 def s_psi_vector(shape: CentralizerShape) -> Tuple[int, ...]:
@@ -320,11 +339,9 @@ def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup, pairs) ->
         if kp.label in exps:
             exps[kp.label] = (exps[kp.label] + lk * count) % 2
     exponents = tuple(exps[lab] for lab in labels)
-    char = SignCharacter(labels, exponents, 1)
-    if char.evaluate(group.sigma_bar) != 1:
+    if _evaluate(exponents, group.sigma_bar) != 1:
         raise AssertionError("sign character not defined on the component group")
-    value = char.evaluate(s_psi_vector(shape))
-    return SignCharacter(labels, exponents, value)
+    return SignCharacter(labels, exponents, _evaluate(exponents, s_psi_vector(shape)))
 
 
 def epsilon_full_product(
@@ -384,21 +401,6 @@ class RelativeSigns(Value):
         set_field(self, "spectral_identity", spectral_identity)
 
 
-def _pair_count(k: SimpleParameter, kp: SimpleParameter, table: RootNumberTable) -> int:
-    """Number of symplectic root-number blocks with even SL(2) part between
-    two self-dual constituents; the one pair filter of this module.  The
-    table is asked only about pairs of opposite cuspidal parity that have
-    such blocks, so only those can be recorded as defaulted."""
-    if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
-        return 0
-    if k.mu_sign == kp.mu_sign:
-        return 0
-    count = even_constituent_count(k.su2_dim, kp.su2_dim)
-    if count == 0 or table.epsilon(k, kp) != -1:
-        return 0
-    return count
-
-
 def relative_signs(
     psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable
 ) -> RelativeSigns:
@@ -429,62 +431,88 @@ def relative_signs(
         constituents c of the pair count of (k_b, c)).
     Hence r^-(w) is the product of beta_b^(flips_b) over the non-GL blocks.
 
-    Every pair count comes from one pass over the unordered pairs of
-    self-dual constituents (`_kminus_pairs`), shared by the sign character,
-    eps1's core pairs and the beta_b.  The signs then become five masks
-    against the rows of `element_table`: component bits and blocks for eps1
-    and for eps^(G/M), and the blocks with beta_b = -1.  The loop over N is
-    memoized on the block signature and the masks; validation, the pair
-    pass (which records defaulted root numbers in `table.warned_pairs`) and
-    the sign character run on every call, and the dicts returned are copies.
+    The signs are five masks against the rows of `element_table`: component
+    bits and blocks for eps1 and for eps^(G/M), and the blocks with
+    beta_b = -1, each the XOR of what the candidate pairs with root number
+    -1 contribute.  Once per (psi, tag), `_sign_structure` builds the
+    shape, refuses a square-integrable parameter and lists the candidate
+    pairs with their contributions.  Every call validates the table, asks
+    it about the candidate pairs only (so `table.warned_pairs` records the
+    defaulted ones, as `epsilon_character` does), folds the masks, checks
+    the sign character on sigma_bar and reads the loop over N from
+    `_signs_on_table`, memoized on the block signature and the masks; the
+    dicts returned are copies.  Refusals are raised on every call, never
+    cached.
     """
     table.validate_against(psi)
+    blocks, n_odd, pairs = _sign_structure(psi, tag)
+    eps1_bits = eps1_blocks = gm_bits = gm_blocks = beta_blocks = 0
+    for k, kp, p_eps1_bits, p_eps1_blocks, p_gm_bits, p_gm_blocks, p_beta in pairs:
+        if table.epsilon(k, kp) == -1:
+            eps1_bits ^= p_eps1_bits
+            eps1_blocks ^= p_eps1_blocks
+            gm_bits ^= p_gm_bits
+            gm_blocks ^= p_gm_blocks
+            beta_blocks ^= p_beta
+    # the sign character's exponents on the odd factors, where sigma_bar is -1
+    if (gm_bits ^ eps1_bits).bit_count() % 2:
+        raise AssertionError("sign character not defined on the component group")
+    eps1, eps_gm, r_minus, fibers_constant, spectral = _signs_on_table(
+        blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
+    return RelativeSigns(dict(eps1), dict(eps_gm), dict(r_minus), fibers_constant, spectral)
+
+
+@lru_cache(maxsize=None)
+def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
+    """The part of `relative_signs` that does not depend on the root numbers:
+    (block signature, number of odd orthogonal factors, pairs).
+
+    A pair is (k, k', eps1 bits, eps1 blocks, eps^(G/M) bits, eps^(G/M)
+    blocks, beta blocks) for each `_candidate_pairs` entry, in order: the
+    masks it toggles when its root number is -1.  With count its
+    even-constituent count, it toggles
+      - eps1 on the bits and blocks of both constituents when both are in
+        the core and count is odd;
+      - the sign character's exponent of an orthogonal constituent k by
+        l_k' count (and of k' by l_k count), which lands on k's free bit
+        when l_k is odd and on its block's flip parity when it is even;
+      - beta_b on the block of k when k' is in the core and count is odd
+        (and the other way round), for non-GL blocks of rank at least 1.
+    The memo lives for the process and holds every parameter passed to
+    `relative_signs`, with ints and the parameter's own constituents only.
+    """
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
     if model.w_order() == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    pairs = _kminus_pairs(shape, table)
-    eps = _epsilon_character(shape, model.group, pairs)
-
-    # from the core pairs: the constituents in an odd number of odd-count
-    # core pairs (the others cancel in eps1), and per constituent its
-    # count against the core (the exponent of beta_b)
-    core = {sp.label for sp, l in shape.orthogonal if l % 2}
-    odd_core = set()
-    against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
-    for (k, _), (kp, _), count in pairs:
-        if k.label in core and kp.label in core and count % 2:
-            odd_core ^= {k.label, kp.label}
-        if kp.label in core:
-            against_core[k.label] += count
-        if k.label in core:
-            against_core[kp.label] += count
-
     block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
     odd_bit = {lab: 1 << bit for bit, lab in enumerate(model.odd_labels)}
-    # eps1: the odd core constituents' bits and blocks
-    eps1_bits = eps1_blocks = 0
-    for lab in odd_core:
-        eps1_bits |= odd_bit[lab]
-        eps1_blocks |= block_of[lab]
-    # eps^(G/M) = eps1 times eps on the component vector
-    gm_bits, gm_blocks = eps1_bits, eps1_blocks
-    for lab, e in zip(eps.labels, eps.exponents):
-        if e:
-            if lab in odd_bit:
-                gm_bits ^= odd_bit[lab]
-            else:
-                gm_blocks ^= block_of[lab]
-    # the blocks with beta_b = -1
-    beta_blocks = 0
-    for kind, sp, _, rank in model.block_meta:
-        if kind != "GL" and rank >= 1 and against_core[sp.label] % 2:
-            beta_blocks |= block_of[sp.label]
-
-    eps1, eps_gm, r_minus, fibers_constant, spectral = _signs_on_table(
-        model.blocks, len(model.odd_labels),
-        eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
-    return RelativeSigns(dict(eps1), dict(eps_gm), dict(r_minus), fibers_constant, spectral)
+    core = odd_bit.keys()  # the odd-multiplicity orthogonal constituents
+    # per orthogonal constituent, where its sign-character exponent lands
+    coordinate = {sp.label: (odd_bit[sp.label], 0) if l % 2 else (0, block_of[sp.label])
+                  for sp, l in shape.orthogonal}
+    flipping = {sp.label for kind, sp, _, rank in model.block_meta
+                if kind != "GL" and rank >= 1}
+    pairs = []
+    for (k, lk), (kp, lkp), count in _candidate_pairs(shape):
+        a, b, odd = k.label, kp.label, count % 2
+        eps1_bits = eps1_blocks = beta = 0
+        if odd and a in core and b in core:
+            eps1_bits = odd_bit[a] | odd_bit[b]
+            eps1_blocks = block_of[a] | block_of[b]
+        gm_bits, gm_blocks = eps1_bits, eps1_blocks
+        # det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k) per constituent
+        for lab, exponent in ((a, lkp * count), (b, lk * count)):
+            if exponent % 2 and lab in coordinate:
+                gm_bits ^= coordinate[lab][0]
+                gm_blocks ^= coordinate[lab][1]
+        if odd:
+            if b in core and a in flipping:
+                beta ^= block_of[a]
+            if a in core and b in flipping:
+                beta ^= block_of[b]
+        pairs.append((k, kp, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta))
+    return model.blocks, len(model.odd_labels), tuple(pairs)
 
 
 @lru_cache(maxsize=None)

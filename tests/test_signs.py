@@ -18,9 +18,9 @@ from uendo.params import (
 from uendo.signs import (
     RelativeSigns,
     RootNumberTable,
+    _candidate_pairs,
     _epsilon_character,
     _kminus_pairs,
-    _pair_count,
     adjoint_decomposition,
     alt2_dims,
     epsilon_character,
@@ -614,6 +614,20 @@ RANK_CASES = [
 ]
 
 
+def _pair_count(k, kp, table):
+    """Number of symplectic root-number blocks with even SL(2) part between
+    two constituents of any kind, asked of the table one pair at a time: the
+    oracle's count per pair of torus coordinates."""
+    if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
+        return 0
+    if k.mu_sign == kp.mu_sign:
+        return 0
+    count = even_constituent_count(k.su2_dim, kp.su2_dim)
+    if count == 0 or table.epsilon(k, kp) != -1:
+        return 0
+    return count
+
+
 def _crossing_sign(model, w_key, table):
     """(-1) to the number of symplectic root-number constituents on the
     positive coordinate roots taken negative by w, counted root by root.
@@ -749,16 +763,21 @@ def _assert_matches_oracle(psi, tag, entries):
 
 
 def test_relative_signs_match_oracle_on_sweep_family(perfbench_workloads):
-    # criterion 8's family as the benchmark's sweep builds it; the memo runs
-    # the loop over N once per distinct (signature, masks) key, of which the
-    # family has 125
+    # criterion 8's family as the benchmark's sweep builds it, with both memos
+    # cold and then warm; the loop over N runs once per distinct (signature,
+    # masks) key, of which the family has 125, and the structure once per
+    # distinct (psi, tag), of which it has 1,152
     family = perfbench_workloads.build_sweep_families()["rs"]
     assert len(family) == 2382
     uendo.signs._signs_on_table.cache_clear()
-    for psi, tag, table in family:
-        _assert_matches_oracle(psi, tag, table.entries)
+    uendo.signs._sign_structure.cache_clear()
+    for _ in range(2):
+        for psi, tag, table in family:
+            _assert_matches_oracle(psi, tag, table.entries)
     info = uendo.signs._signs_on_table.cache_info()
-    assert info.misses <= 125 and info.hits + info.misses == len(family)
+    assert info.misses <= 125 and info.hits + info.misses == 2 * len(family)
+    info = uendo.signs._sign_structure.cache_info()
+    assert info.misses == 1152 and info.hits + info.misses == 2 * len(family)
 
 
 def _seeded_levi_case(rng):
@@ -848,20 +867,71 @@ def test_relative_signs_records_defaulted_pairs_on_memo_hit():
     assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable())
 
 
-def test_relative_signs_counts_each_pair_once(monkeypatch):
-    calls = []
+def test_relative_signs_counts_each_pair_once():
+    # the table is asked about each candidate pair at most once per call, in
+    # pair order, whether the per-(psi, tag) memo is cold or warm
+    # O(2) x O(1) x O(2) x Sp(2): c has the cuspidal parity opposite to b's
+    # and d's but no even SL(2) part with either, so the table is never
+    # asked about those pairs
+    psi, tag = _levi_case([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, SYMPLECTIC, 1), 1),
+                           (sd("c", 1, ORTHOGONAL, 1), 2), (sd("d", 1, SYMPLECTIC, 1), 2)], -1)
+    candidates = [(a[0].label, b[0].label)
+                  for a, b, _ in _candidate_pairs(centralizer_shape(psi, tag))]
+    assert candidates == [("b", "a"), ("d", "a")] and len(_tables_for(psi)) == 3
+    for warm in (False, True):
+        if not warm:
+            uendo.signs._sign_structure.cache_clear()
+        for table in _tables_for(psi):
+            logging = _LoggingTable(table.entries)
+            rec = relative_signs(psi, tag, logging)
+            assert logging.asked == candidates
+            assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable(table.entries))
 
-    def counted(*args):
-        calls.append(args)
-        return _pair_count(*args)
 
-    monkeypatch.setattr("uendo.signs._pair_count", counted)
-    psi, tag, _ = RANK_CASES[0]  # O(6) x O(5): |W| = 48 * 8
-    shape = centralizer_shape(psi, tag)
-    assert NormalizerModel(shape).w_order() == 384
-    self_dual = len(shape.orthogonal) + len(shape.symplectic)
+def test_relative_signs_refusals_are_never_cached():
+    square_integrable = (GlobalParameter([(sd("a"), 1), (sd("b"), 1)]), SimpleDatumTag(2, -1))
+    not_factoring = (GlobalParameter([(sd("a"), 1), (sd("b", 1, ORTHOGONAL, 2), 1)]),
+                     SimpleDatumTag(3, 1))
+    assert not factors_through(*not_factoring)
+    for _ in range(3):
+        for (psi, tag), message in ((square_integrable, "square-integrable"),
+                                    (not_factoring, "does not factor")):
+            with pytest.raises(ValueError, match=message):
+                relative_signs(psi, tag, RootNumberTable())
+    # a bad table is refused on a memo hit too, before the memo is read
+    psi, tag, _ = RANK_CASES[0]
+    relative_signs(psi, tag, RootNumberTable())
+    hits = uendo.signs._sign_structure.cache_info().hits
+    bad = RootNumberTable({frozenset(("a", "zz")): -1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not declared"):
+            relative_signs(psi, tag, bad)
+    assert uendo.signs._sign_structure.cache_info().hits == hits
+
+
+def test_relative_signs_memo_hit_with_an_equal_parameter():
+    psi, tag, _ = RANK_CASES[0]
+    twin = GlobalParameter(psi.constituents)
+    assert twin == psi and twin is not psi
     for table in _tables_for(psi):
-        calls.clear()
-        rec = relative_signs(psi, tag, table)
-        assert len(rec.r_minus) == 384
-        assert len(calls) <= self_dual * (self_dual - 1) // 2
+        relative_signs(psi, tag, RootNumberTable(table.entries))
+        hits = uendo.signs._sign_structure.cache_info().hits
+        rec = _assert_matches_oracle(twin, SimpleDatumTag(tag.N, tag.kappa), table.entries)
+        assert uendo.signs._sign_structure.cache_info().hits == hits + 1
+        assert rec == relative_signs(psi, tag, RootNumberTable(table.entries))
+
+
+def test_relative_signs_memo_hit_builds_no_shape(monkeypatch):
+    psi, tag, _ = RANK_CASES[3]
+    uendo.signs._sign_structure.cache_clear()
+    first = relative_signs(psi, tag, RootNumberTable())
+
+    def refuse(*args):
+        raise AssertionError("shape rebuilt on a memo hit")
+
+    monkeypatch.setattr("uendo.signs.centralizer_shape", refuse)
+    monkeypatch.setattr("uendo.signs.NormalizerModel", refuse)
+    for table in _tables_for(psi):
+        rec = relative_signs(psi, tag, RootNumberTable(table.entries))
+        assert set(rec.r_minus) == set(first.r_minus)
+    assert relative_signs(psi, tag, RootNumberTable()) == first

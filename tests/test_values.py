@@ -203,6 +203,31 @@ def test_standard_symbol_copies_keep_the_hash():
     assert "_hash" not in repr(SYMBOL)
 
 
+def test_global_parameter_is_frozen():
+    psi = GlobalParameter([(A, 2)])
+    for name, value in (("constituents", ()), ("total_degree", 3), ("_hash", 0), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(psi, name, value)
+    for name in ("constituents", "_by_label"):
+        with pytest.raises(AttributeError):
+            delattr(psi, name)
+    assert psi == PSI and hash(psi) == hash(PSI.constituents)
+    assert repr(psi) == "GlobalParameter<2*a(x)nu(1)>"
+
+
+def test_global_parameter_copies_keep_the_hash():
+    b = SimpleParameter("b", 1, NOT_SELF_DUAL, 2, partner="c")
+    c = SimpleParameter("c", 1, NOT_SELF_DUAL, 2, partner="b")
+    psi = GlobalParameter([(A, 3), (b, 1), (c, 1)])
+    for clone in (copy.copy(psi), copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+        assert type(clone) is GlobalParameter and clone is not psi
+        assert clone == psi and repr(clone) == repr(psi)
+        assert hash(clone) == hash(psi) == hash(psi.constituents)
+        assert {clone: 1}[psi] == 1
+        assert clone.total_degree == psi.total_degree == 7
+        assert clone.constituent("b") == (b, 1)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: SimpleParameter("a", 0, ORTHOGONAL), "degrees must be positive"),
     (lambda: SimpleParameter("a", 1, ORTHOGONAL, 0), "degrees must be positive"),
