@@ -275,7 +275,12 @@ class _Parser:
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def parse(text: str) -> ParameterDocument:
+    """The document that `text` spells, or a `ParseError`.  Memoized on the
+    text for the life of the process, so each distinct text is parsed once;
+    the document is frozen, so callers share it.  An error is not stored
+    and is raised again on every call."""
     return _Parser(_COMMENT.sub("", text)).document()
 
 
@@ -314,14 +319,22 @@ class Semantics(Value):
 
 def elaborate(doc: ParameterDocument) -> Semantics:
     """Check a parsed document and build its library objects; every
-    rejection, the library's `ValueError`s included, is a `SemanticError`."""
+    rejection, the library's `ValueError`s included, is a `SemanticError`.
+    What depends only on the document (the checks, psi, the tag, the
+    validated root numbers and the places) is memoized on the document for
+    the life of the process; rejections are not stored.  The root-number
+    table is new on every call, because it records the pairs that one
+    request defaulted to +1."""
     try:
-        return _elaborate(doc)
+        psi, tag, entries, places = _elaborate(doc)
+        return Semantics(psi, tag, signs.RootNumberTable(entries), places)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
 
 
-def _elaborate(doc: ParameterDocument) -> Semantics:
+@functools.lru_cache(maxsize=None)
+def _elaborate(doc: ParameterDocument):
+    """psi, the tag, the validated root-number entries and the places."""
     decls = {}
     for d in doc.decls:
         if d.label in decls:
@@ -373,7 +386,7 @@ def _elaborate(doc: ParameterDocument) -> Semantics:
             raise SemanticError("place %r declared twice" % name)
         names.add(name)
         places.append(multiplicity.Place(name, kind))
-    return Semantics(psi, tag, table, tuple(places))
+    return psi, tag, table.entries, tuple(places)
 
 
 # ---------------------------------------------------------------------------

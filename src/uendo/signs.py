@@ -150,15 +150,15 @@ class RootNumberTable:
     def validate_against(self, psi: GlobalParameter) -> None:
         """Reject entries that touch undeclared or non-self-dual labels or
         pair labels of equal cuspidal parity with sign -1."""
-        by_label = {sp.label: sp for sp, _ in psi.constituents}
+        by_label = psi._by_label  # label -> (constituent, multiplicity)
         for key, val in self.entries.items():
             a, b = sorted(key)
             for lab in (a, b):
                 if lab not in by_label:
                     raise ValueError("root-number label %r not declared" % lab)
-                if by_label[lab].duality == NOT_SELF_DUAL:
+                if by_label[lab][0].duality == NOT_SELF_DUAL:
                     raise ValueError("root-number label %r is not self-dual" % lab)
-            if by_label[a].mu_sign == by_label[b].mu_sign and val == -1:
+            if by_label[a][0].mu_sign == by_label[b][0].mu_sign and val == -1:
                 raise ValueError(
                     "same-parity pair (%s, %s) cannot carry root number -1" % (a, b)
                 )

@@ -4,6 +4,17 @@ import pathlib
 
 import pytest
 
+from uendo import cli
+
+
+@pytest.fixture(autouse=True)
+def cold_document_memos():
+    """Clear the CLI's document memos (`cli.parse` and the elaborate memo)
+    before each test, so that every test starts cold, as a fresh CLI process
+    does, whatever ran before it."""
+    cli.parse.cache_clear()
+    cli._elaborate.cache_clear()
+
 
 @pytest.fixture(scope="session")
 def perfbench_workloads():

@@ -722,6 +722,120 @@ def test_print_command(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Document memos
+
+
+def clear_document_memos():
+    cli.parse.cache_clear()
+    cli._elaborate.cache_clear()
+
+
+def test_memo_hits_report_each_request_defaulted_pairs(tmp_path, capsys):
+    # doc01 with and without the roots line that declares its one
+    # opposite-parity pair
+    text = FIXTURES[0].read_text()
+    target = tmp_path / "doc.txt"
+    for doc, want in ((text.replace("roots { m1, m2 : -1 }\n", ""), [["m1", "m2"]]), (text, [])):
+        target.write_text(doc)
+        runs = []
+        for cold in (True, False):
+            clear_document_memos()
+            rows = []
+            for command in ("epsilon", "multiplicity", "epsilon"):
+                if cold:
+                    clear_document_memos()
+                rows.append(run_cli([command, "--input", str(target)], capsys))
+            runs.append(rows)
+        assert runs[0] == runs[1]
+        for code, out, _ in runs[1]:
+            assert code == 0 and json.loads(out)["defaulted_pairs"] == want
+        # every elaboration gets a table of its own, with no pair recorded yet
+        sem = cli.elaborate(cli.parse(doc))
+        assert sem.table is not cli.elaborate(cli.parse(doc)).table
+        assert sem.table.warned_pairs == set()
+
+
+def test_memos_key_on_the_text_not_the_path(tmp_path, capsys):
+    target = tmp_path / "doc.txt"
+    first, second = FIXTURES[0].read_text(), FIXTURES[10].read_text()
+    cold = {}
+    for text in (first, second):
+        clear_document_memos()
+        target.write_text(text)
+        cold[text] = run_cli(["classify", "--input", str(target)], capsys)
+    assert cold[first] != cold[second]
+    clear_document_memos()
+    for text in (first, second, first):
+        target.write_text(text)
+        assert run_cli(["classify", "--input", str(target)], capsys) == cold[text]
+
+
+def test_refusals_are_never_memoized(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("group U(3 parity -")
+    wrong = tmp_path / "wrong.txt"
+    wrong.write_text("group U(2) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)")
+    errors = {}
+    for path, want in ((bad, 1), (wrong, 2), (bad, 1), (wrong, 2)):
+        code, out, err = run_cli(["epsilon", "--input", str(path)], capsys)
+        _assert_one_line_error(code, out, err, want)
+        errors.setdefault(path.name, set()).add(err)
+    assert errors == {
+        "bad.txt": {"parse error: expected ')', got 'parity' at line 1, column 11\n"},
+        "wrong.txt": {"error: declared degree 2 but constituents sum to 1\n"},
+    }
+    # only the document that parsed is kept, and no elaboration
+    assert cli.parse.cache_info().currsize == 1
+    assert cli._elaborate.cache_info().currsize == 0
+
+
+def test_memo_hit_parses_and_elaborates_nothing(monkeypatch, tmp_path, capsys):
+    text = FIXTURES[10].read_text()  # doc11: two constituents, two places
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text(text)
+    second.write_text(text)
+    want = {command: run_cli([command, "--input", str(first)], capsys)
+            for command in ("classify", "multiplicity", "print")}
+    clear_document_memos()
+    assert run_cli(["epsilon", "--input", str(first)], capsys)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("document parsed or elaborated on a memo hit")
+
+    for name in ("_Parser", "SimpleParameter", "GlobalParameter"):
+        monkeypatch.setattr(cli, name, refuse)
+    for command, outcome in want.items():
+        assert run_cli([command, "--input", str(second)], capsys) == outcome
+
+
+def test_warm_memos_match_cold_requests(perfbench_workloads, tmp_path, capsys):
+    """Every document command on the fixtures, the ladder documents and 320
+    seeded documents gives the same bytes and exit code with the memos warm
+    as with both cleared before each request; the warm run parses each
+    distinct text once."""
+    rng = random.Random(2026)
+    texts = [path.read_text() for path in FIXTURES]
+    texts += perfbench_workloads.ladder_documents().values()
+    texts += [perfbench_workloads.generate_document(rng) for _ in range(320)]
+    paths = []
+    for index, text in enumerate(texts):
+        paths.append(tmp_path / ("doc%03d.txt" % index))
+        paths[-1].write_text(text)
+    requests = [[command, "--input", str(path)]
+                for path in paths for command in JSON_DOCUMENT_COMMANDS + ("print",)]
+    rng.shuffle(requests)
+    clear_document_memos()
+    warm = [run_cli(argv, capsys) for argv in requests]
+    assert cli.parse.cache_info().misses == len(set(texts))
+    cold = []
+    for argv in requests:
+        clear_document_memos()
+        cold.append(run_cli(argv, capsys))
+    assert warm == cold
+    assert sum(code == 0 for code, _, _ in warm) > len(requests) // 2
+
+
+# ---------------------------------------------------------------------------
 # Report schema
 
 

@@ -935,3 +935,29 @@ def test_relative_signs_memo_hit_builds_no_shape(monkeypatch):
         rec = relative_signs(psi, tag, RootNumberTable(table.entries))
         assert set(rec.r_minus) == set(first.r_minus)
     assert relative_signs(psi, tag, RootNumberTable()) == first
+
+
+def test_validate_against_refusal_messages():
+    """The three refusals, word for word: the first bad entry in table order
+    is reported, and within a pair the smaller label is checked first."""
+    g = SimpleParameter("g", 1, NOT_SELF_DUAL, 1, partner="gx")
+    gx = SimpleParameter("gx", 1, NOT_SELF_DUAL, 1, partner="g")
+    psi = GlobalParameter([(sd("a"), 1), (sd("b"), 1), (sd("c", 1, SYMPLECTIC), 1),
+                           (g, 1), (gx, 1)])
+    RootNumberTable().validate_against(psi)
+    RootNumberTable({frozenset("ac"): -1, frozenset("ab"): 1}).validate_against(psi)
+    cases = (
+        ([("z", "y", 1)], "root-number label 'y' not declared"),
+        ([("a", "zz", -1)], "root-number label 'zz' not declared"),
+        ([("g", "zz", 1)], "root-number label 'g' is not self-dual"),
+        ([("gx", "a", 1)], "root-number label 'gx' is not self-dual"),
+        ([("b", "a", -1)], "same-parity pair (a, b) cannot carry root number -1"),
+        ([("a", "b", -1), ("a", "q", 1)], "same-parity pair (a, b) cannot carry root number -1"),
+        ([("a", "q", 1), ("a", "b", -1)], "root-number label 'q' not declared"),
+    )
+    for entries, message in cases:
+        table = RootNumberTable({frozenset((x, y)): s for x, y, s in entries})
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                table.validate_against(psi)
+            assert str(err.value) == message, entries
