@@ -37,13 +37,7 @@ import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .params import (
-    GlobalParameter,
-    SimpleDatumTag,
-    SimpleParameter,
-    constituent_sign,
-    factors_through,
-)
+from .params import GlobalParameter, SimpleDatumTag, SimpleParameter, parity_split
 from .values import Value, set_field
 from .weylnum import signed_perms
 
@@ -75,15 +69,10 @@ class CentralizerShape(Value):
 
 def centralizer_shape(psi: GlobalParameter, tag: SimpleDatumTag) -> CentralizerShape:
     """Split the self-dual constituents by parity against the datum."""
-    if not factors_through(psi, tag):
+    orth, symp = parity_split(psi, tag)
+    if any(l % 2 for _, l in symp):
         raise ValueError("parameter does not factor through the datum")
-    orth, symp = [], []
-    for sp, l in psi.self_dual:
-        if constituent_sign(sp) == tag.parity:
-            orth.append((sp, l))
-        else:
-            symp.append((sp, l))
-    return CentralizerShape(tuple(orth), tuple(symp), psi.dual_pair_orbits)
+    return CentralizerShape(orth, symp, psi.dual_pair_orbits)
 
 
 class FiniteTwoGroup(Value):
@@ -209,20 +198,6 @@ class NormalizerModel:
         """Each block's Weyl group as (perm, signs) pairs."""
         return [_weyl_block(kind, rank) for kind, rank in self.blocks]
 
-    def w0_order(self) -> int:
-        order = 1
-        for kind, _, l, rank in self.block_meta:
-            if kind == "O":
-                if l % 2 == 0 and rank >= 1:
-                    order *= 2 ** max(rank - 1, 0) * math.factorial(rank)
-                else:
-                    order *= 2 ** rank * math.factorial(rank)
-            elif kind == "Sp":
-                order *= 2 ** rank * math.factorial(rank)
-            else:
-                order *= math.factorial(rank)
-        return order
-
     def block_orders(self) -> List[int]:
         """The order of each block's Weyl group, by closed form: r! for a GL
         block of rank r, 2^r r! for the others."""
@@ -233,6 +208,12 @@ class NormalizerModel:
 
     def w_order(self) -> int:
         return math.prod(self.block_orders())
+
+    def w0_order(self) -> int:
+        """|W^0|: the block orders with each even O(l) block halved, since
+        W(SO(l)) for even l changes an even number of signs."""
+        return math.prod(order // 2 if kind == "O" and l % 2 == 0 else order
+                         for (kind, _, l, _), order in zip(self.block_meta, self.block_orders()))
 
     def elements(self) -> List[NormalizerElement]:
         """Duplicate-free enumeration of N, in `element_table` order."""
@@ -443,7 +424,3 @@ def _gf2_rank(vectors: List[int]) -> int:
                 break
             v ^= basis[top]
     return len(basis)
-
-
-def localization_map(shape: CentralizerShape, refinement: Dict[str, Iterable[str]]) -> LocalizationMap:
-    return LocalizationMap(shape, refinement)

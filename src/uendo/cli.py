@@ -171,8 +171,12 @@ class _Parser:
     def _int(self) -> int:
         if not self._at_int():
             self._fail("expected 'INT'")
+        try:
+            value = int(self.tokens[self.pos])
+        except ValueError:  # more digits than int() reads
+            self._fail("expected an INT of at most %d digits" % sys.get_int_max_str_digits())
         self.pos += 1
-        return int(self.tokens[self.pos - 1])
+        return value
 
     def _sign(self) -> int:
         tok = self.tokens[self.pos]
@@ -340,19 +344,18 @@ def _elaborate(doc: ParameterDocument):
         if d.label in decls:
             raise SemanticError("label %r declared twice" % d.label)
         decls[d.label] = d
-    seen = set()
+    nus = {}  # label -> the nu of its term
     constituents = []
     for t in doc.terms:
         if t.label not in decls:
             raise SemanticError("label %r used but not declared" % t.label)
-        key = (t.label, t.nu)
-        if key in seen:
-            raise SemanticError("duplicate term %s (x) nu(%d)" % key)
-        if any(k[0] == t.label for k in seen):
+        if nus.get(t.label) == t.nu:
+            raise SemanticError("duplicate term %s (x) nu(%d)" % (t.label, t.nu))
+        if t.label in nus:
             raise SemanticError(
                 "label %r reused with a different nu; declare a second label" % t.label
             )
-        seen.add(key)
+        nus[t.label] = t.nu
         d = decls[t.label]
         if d.sd == "none":
             base = SimpleParameter(t.label, d.deg, NOT_SELF_DUAL, t.nu, partner=t.label + "*")
@@ -468,7 +471,18 @@ def report_classify(sem: Semantics) -> dict:
     }
 
 
+# centralizer, arthur, epsilon and multiplicity refuse a parameter with more
+# constituents than this, counted with multiplicity, before computing anything
+# from it: the orders they print grow like the factorial of that count, and
+# epsilon's root-number pairs like its square.
+PARAMETER_MAX_SIZE = 256
+
+
 def _require_factoring(sem: Semantics):
+    """Refuse a parameter over the size budget or not of the datum."""
+    if sum(l for _, l in sem.psi.constituents) > PARAMETER_MAX_SIZE:
+        raise SemanticError("parameter is over the size budget of %d constituents counted "
+                            "with multiplicity" % PARAMETER_MAX_SIZE)
     if not factors_through(sem.psi, sem.tag):
         raise SemanticError("parameter does not factor through the declared datum")
 
@@ -479,13 +493,12 @@ def report_centralizer(sem: Semantics) -> dict:
     diagram = central.levi_diagram(sem.psi, sem.tag)
     if not (diagram.exact and diagram.splitting_ok):
         raise InternalInvariantError("normalizer diagram failed exactness")
-    group = central.component_group(shape)
     return {
         "command": "centralizer",
         "orthogonal": [[sp.label, l] for sp, l in shape.orthogonal],
         "symplectic": [[sp.label, l] for sp, l in shape.symplectic],
         "general_linear": [[sp.label, l] for sp, l in shape.general_linear],
-        "component_group_order": group.order,
+        "component_group_order": diagram.s_order,
         "diagram": {
             "w0": diagram.w0_order,
             "w": diagram.w_order,
@@ -686,18 +699,14 @@ def run(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) 
     """The report of one command; a `ValueError` from the library, such as
     an out-of-range --n or --k, becomes a `SemanticError`."""
     try:
-        return _report(command, doc, flags)
+        if command in _DOC_REPORTS:
+            if doc is None:
+                raise SemanticError("command %r needs an input document" % command)
+            return _DOC_REPORTS[command](elaborate(doc))
+        if command in _FLAG_REPORTS:
+            return _FLAG_REPORTS[command](doc, flags)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
-
-
-def _report(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
-    if command in _DOC_REPORTS:
-        if doc is None:
-            raise SemanticError("command %r needs an input document" % command)
-        return _DOC_REPORTS[command](elaborate(doc))
-    if command in _FLAG_REPORTS:
-        return _FLAG_REPORTS[command](doc, flags)
     raise SemanticError("unknown command %r" % command)
 
 

@@ -50,29 +50,21 @@ class TwistedDatum(Value):
         set_field(self, "parity", parity)  # only for simple data
 
 
-def _standard_iota(n1: int, n2: int) -> Fraction:
-    if n1 == 0 or n2 == 0:
-        return Fraction(1)
+def _standard_datum(n1: int, n2: int) -> StandardDatum:
+    """U(n1) x U(n2) with n1 >= n2: coefficient 1 when n2 = 0, else 1/4 with
+    outer group Z/2 when the parts are equal, else 1/2."""
+    if n2 == 0:
+        return StandardDatum((n1, n2), 1, Fraction(1))
     if n1 == n2:
-        return Fraction(1, 4)
-    return Fraction(1, 2)
+        return StandardDatum((n1, n2), 2, Fraction(1, 4))
+    return StandardDatum((n1, n2), 1, Fraction(1, 2))
 
 
 def enumerate_standard(N: int) -> List[StandardDatum]:
     """Equivalence classes of elliptic endoscopic data of U(N)."""
     if N < 1:
         raise ValueError("N must be positive")
-    out = []
-    for n2 in range(0, N // 2 + 1):
-        n1 = N - n2
-        out.append(
-            StandardDatum(
-                split=(n1, n2),
-                out_order=2 if (n1 == n2 and n2 != 0) else 1,
-                iota=_standard_iota(n1, n2),
-            )
-        )
-    return out
+    return [_standard_datum(N - n2, n2) for n2 in range(0, N // 2 + 1)]
 
 
 def enumerate_twisted(N: int) -> List[TwistedDatum]:
@@ -139,16 +131,17 @@ def correspond(
     plus_parts: List[Tuple] = []
     minus_parts: List[Tuple] = []
 
-    def eat(sp, l, kind):
+    def eat(sp, l, kind, *mates):
         p, m = s.get(sp.label, (l, 0))
         if p < 0 or m < 0 or p + m != l:
             raise ValueError("eigenvalue multiplicities for %r must sum to %d" % (sp.label, l))
         if kind == "Sp" and (p % 2 or m % 2):
             raise ValueError("odd eigenvalue count in a symplectic factor %r" % sp.label)
-        if p:
-            plus_parts.append((sp, p))
-        if m:
-            minus_parts.append((sp, m))
+        for block in (sp,) + mates:
+            if p:
+                plus_parts.append((block, p))
+            if m:
+                minus_parts.append((block, m))
 
     for sp, l in shape.orthogonal:
         eat(sp, l, "O")
@@ -157,47 +150,15 @@ def correspond(
     for sp, l in shape.general_linear:
         # the partner block carries the transpose-inverse of s, hence the
         # same +-1 eigenvalue multiplicities
-        p, m = s.get(sp.label, (l, 0))
-        if p < 0 or m < 0 or p + m != l:
-            raise ValueError("eigenvalue multiplicities for %r must sum to %d" % (sp.label, l))
-        partner = psi.constituent(sp.partner)[0]
-        if p:
-            plus_parts.append((sp, p))
-            plus_parts.append((partner, p))
-        if m:
-            minus_parts.append((sp, m))
-            minus_parts.append((partner, m))
+        eat(sp, l, "GL", psi.constituent(sp.partner)[0])
 
     psi_plus = GlobalParameter(plus_parts) if plus_parts else None
     psi_minus = GlobalParameter(minus_parts) if minus_parts else None
     n_plus = psi_plus.total_degree if psi_plus else 0
     n_minus = psi_minus.total_degree if psi_minus else 0
-    split = (max(n_plus, n_minus), min(n_plus, n_minus))
-    datum = StandardDatum(
-        split=split,
-        out_order=2 if (split[0] == split[1] and split[1] != 0) else 1,
-        iota=_standard_iota(*split),
-    )
+    datum = _standard_datum(max(n_plus, n_minus), min(n_plus, n_minus))
     orbit = 2 if (n_plus == n_minus and psi_plus != psi_minus) else 1
     return Correspondence(datum, psi_plus, psi_minus, orbit)
-
-
-def component_order(psi: Optional[GlobalParameter], tag_parity: int) -> int:
-    """|S_psi| of a parameter half relative to a datum of the given parity,
-    with the empty half contributing 1."""
-    if psi is None:
-        return 1
-    plus = [(sp, l) for sp, l in psi.self_dual]
-    # all constituents of a half inherit the ambient datum parity data; the
-    # component group order only needs the orthogonal-factor multiplicities
-    from .params import constituent_sign
-
-    orth = [l for sp, l in plus if constituent_sign(sp) == tag_parity]
-    if not orth:
-        return 1
-    if all(l % 2 == 0 for l in orth):
-        return 2 ** len(orth)
-    return 2 ** (len(orth) - 1)
 
 
 def collapse_check(psi: GlobalParameter, tag: SimpleDatumTag):
@@ -214,6 +175,15 @@ def collapse_check(psi: GlobalParameter, tag: SimpleDatumTag):
         raise ValueError("collapse check requires a square-integrable parameter")
     group = component_group(shape)
     s_order = group.order
+
+    def half_order(half: Optional[GlobalParameter]) -> int:
+        # |S| of a half on U(n) of psi's parity; the empty half gives 1
+        if half is None:
+            return 1
+        n = half.total_degree
+        return component_group(centralizer_shape(half, SimpleDatumTag(
+            n, tag.parity * (-1) ** (n - 1)))).order
+
     records = []
     for vec in group.elements():
         s = {
@@ -221,9 +191,7 @@ def collapse_check(psi: GlobalParameter, tag: SimpleDatumTag):
             for (sp, l), sign in zip(shape.orthogonal, vec)
         }
         corr = correspond(psi, tag, s)
-        split_orders = component_order(corr.psi_plus, tag.parity) * component_order(
-            corr.psi_minus, tag.parity
-        )
+        split_orders = half_order(corr.psi_plus) * half_order(corr.psi_minus)
         lhs = corr.datum.iota * corr.orbit * Fraction(1, split_orders)
         records.append((vec, corr, lhs == Fraction(1, s_order)))
     return records

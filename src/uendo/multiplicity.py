@@ -98,22 +98,24 @@ class Place(Value):
 
 
 class GlobalPlacesModel:
-    """Localization data: one map of component groups per inert place."""
+    """Localization data: one map of component groups per inert place, in
+    the order given.  Place names must be distinct."""
 
     def __init__(self, shape: CentralizerShape, places: Sequence[Place]):
         self.shape = shape
         self.places = tuple(places)
         self.maps: Dict[str, LocalizationMap] = {}
+        names = set()
         for place in self.places:
+            if place.name in names:
+                raise ValueError("place %r declared twice" % place.name)
+            names.add(place.name)
             if place.kind == "split":
                 continue
             refinement = place.refinement
             if refinement is None:
                 refinement = {lab: (lab,) for lab in shape.plus_labels}
             self.maps[place.name] = LocalizationMap(shape, refinement)
-
-    def inert_places(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.places if p.kind == "inert")
 
 
 class PacketMember(Value):
@@ -195,7 +197,7 @@ def _multiplicities(
 def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:
     """All members over the model: every tuple of local characters."""
     per_place = []
-    names = model.inert_places()
+    names = tuple(model.maps)
     for name in names:
         locmap = model.maps[name]
         chars = []

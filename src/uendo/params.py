@@ -209,6 +209,23 @@ class ChainMembership(Value):
         set_field(self, "is_generic", is_generic)
 
 
+def parity_split(psi: GlobalParameter, tag: SimpleDatumTag):
+    """The self-dual constituents whose parity agrees with the datum parity
+    and those whose parity is opposite, as two tuples of (constituent,
+    multiplicity) in canonical order: the O and Sp factors of the
+    centralizer.  Raises `ValueError` when the degrees differ."""
+    if psi.total_degree != tag.N:
+        raise ValueError("degree mismatch: parameter has N=%d, datum N=%d"
+                         % (psi.total_degree, tag.N))
+    parity = tag.parity
+    split = ([], [])  # agree, opposite
+    for pair in psi.constituents:
+        sign = constituent_sign(pair[0])
+        if sign is not None:
+            split[sign != parity].append(pair)
+    return tuple(split[0]), tuple(split[1])
+
+
 def factors_through(psi: GlobalParameter, tag: SimpleDatumTag) -> bool:
     """Whether the parameter defines a parameter of the unitary datum.
 
@@ -217,11 +234,8 @@ def factors_through(psi: GlobalParameter, tag: SimpleDatumTag) -> bool:
     factor Sp(l) is well formed.  Non-self-dual constituents impose nothing
     beyond partnering, which is enforced at construction.
     """
-    if psi.total_degree != tag.N:
-        raise ValueError("degree mismatch: parameter has N=%d, datum N=%d"
-                         % (psi.total_degree, tag.N))
-    for sp, l in psi.self_dual:
-        if constituent_sign(sp) != tag.parity and l % 2 != 0:
+    for _, l in parity_split(psi, tag)[1]:
+        if l % 2:
             return False
     return True
 
@@ -256,10 +270,11 @@ def classify(psi: GlobalParameter, tag: Optional[SimpleDatumTag] = None) -> Chai
     if tag is None:
         return _classify_twisted(psi)
     generic = psi.is_generic
-    if not factors_through(psi, tag):
+    agree, opposite = parity_split(psi, tag)
+    minus = [l for _, l in opposite]
+    if any(l % 2 for l in minus):  # does not factor through
         return ChainMembership(False, False, False, False, False, generic)
-    plus = [l for sp, l in psi.self_dual if constituent_sign(sp) == tag.parity]
-    minus = [l for sp, l in psi.self_dual if constituent_sign(sp) != tag.parity]
+    plus = [l for _, l in agree]
     has_gl = len(psi.dual_pair_orbits) > 0
     in_2 = not has_gl and not minus and all(l == 1 for l in plus)
     in_sim = in_2 and len(plus) == 1

@@ -6,13 +6,13 @@ import pytest
 from uendo.centralizer import (
     CentralizerShape,
     FiniteTwoGroup,
+    LocalizationMap,
     NormalizerElement,
     NormalizerModel,
     brute_force_order,
     centralizer_shape,
     component_group,
     levi_diagram,
-    localization_map,
     splitting_section,
 )
 from uendo.params import (
@@ -349,7 +349,7 @@ def test_localization_identity_refinement_is_identity():
     psi, tag = build((1, 1, 2))
     shape = centralizer_shape(psi, tag)
     refinement = {lab: (lab,) for lab in shape.plus_labels}
-    loc = localization_map(shape, refinement)
+    loc = LocalizationMap(shape, refinement)
     group = component_group(shape)
     for vec in group.elements():
         assert loc.apply(vec) == loc.local_group.canonical(vec)
@@ -364,7 +364,7 @@ def test_localization_distinct_refinements_injective():
         "p0": ("p0a", "p0b"),
         "p1": ("p1a", "p1b", "p1c"),
     }
-    loc = localization_map(shape, refinement)
+    loc = LocalizationMap(shape, refinement)
     assert loc.is_injective()
 
 
@@ -373,7 +373,7 @@ def test_localization_fusion_detected_noninjective():
     psi, tag = build((1, 1, 1))
     shape = centralizer_shape(psi, tag)
     refinement = {"p0": ("z",), "p1": ("z",), "p2": ("w",)}
-    loc = localization_map(shape, refinement)
+    loc = LocalizationMap(shape, refinement)
     assert not loc.is_injective()
 
 
@@ -419,7 +419,7 @@ def test_is_injective_matches_image_enumeration():
             orth = tuple((sd("p%d" % i), l) for i, l in enumerate(mults))
             shape = CentralizerShape(orth, (), ())
             for refinement in refinements(shape.plus_labels):
-                loc = localization_map(shape, refinement)
+                loc = LocalizationMap(shape, refinement)
                 want = injective_by_elements(loc)
                 assert loc.is_injective() == want, (mults, refinement)
                 verdicts.add(want)
@@ -434,7 +434,7 @@ def test_localization_rejects_non_orthogonal_keys():
     tag = SimpleDatumTag(3, 1)
     shape = centralizer_shape(psi, tag)
     with pytest.raises(ValueError):
-        localization_map(shape, {"a": ("a",), "b": ("b",)})
+        LocalizationMap(shape, {"a": ("a",), "b": ("b",)})
 
 
 def test_localization_preserves_central_relation():
@@ -442,7 +442,7 @@ def test_localization_preserves_central_relation():
     psi, tag = build((1, 3))
     shape = centralizer_shape(psi, tag)
     refinement = {"p0": ("u", "v"), "p1": ("w",)}
-    loc = localization_map(shape, refinement)
+    loc = LocalizationMap(shape, refinement)
     group = component_group(shape)
     img_center = loc.apply(group.sigma_bar)
     assert img_center == loc.local_group.canonical(loc.local_sigma_bar)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from uendo.params import (
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
+    factors_through,
 )
 
 
@@ -159,6 +161,52 @@ def test_correspond_central_translation_swaps_roles():
     c2 = correspond(psi, tag, zs)
     assert c1.datum == c2.datum
     assert (c1.psi_plus, c1.psi_minus) == (c2.psi_minus, c2.psi_plus)
+
+
+def _random_factoring_parameter(rng, N):
+    """A parameter of degree N with O-, Sp- and GL-type constituents and a
+    datum it factors through."""
+    while True:
+        cons, left = [], N
+        while left:
+            deg, nu, mult = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3)
+            duality = rng.choice((ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL))
+            size = deg * nu * mult * (2 if duality == NOT_SELF_DUAL else 1)
+            if size > left:
+                continue
+            label = "c%d" % len(cons)
+            if duality == NOT_SELF_DUAL:
+                cons.append((SimpleParameter(label, deg, duality, nu, partner=label + "*"), mult))
+                cons.append((SimpleParameter(label + "*", deg, duality, nu, partner=label), mult))
+            else:
+                cons.append((SimpleParameter(label, deg, duality, nu), mult))
+            left -= size
+        psi = GlobalParameter(cons)
+        tag = _tag_for(psi, rng.choice((1, -1)))
+        if factors_through(psi, tag):
+            return psi, tag
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_correspond_datum_is_the_enumerated_datum_of_its_split(N):
+    rng = random.Random("correspond:%d" % N)
+    table = {d.split: d for d in enumerate_standard(N)}
+    for _ in range(12):
+        psi, tag = _random_factoring_parameter(rng, N)
+        shape = centralizer_shape(psi, tag)
+        for _ in range(4):
+            s = {}
+            for sp, l in shape.orthogonal + shape.general_linear:
+                p = rng.randint(0, l)
+                s[sp.label] = (p, l - p)
+            for sp, l in shape.symplectic:
+                p = 2 * rng.randint(0, l // 2)
+                s[sp.label] = (p, l - p)
+            corr = correspond(psi, tag, s)
+            degrees = sorted((half.total_degree if half else 0
+                              for half in (corr.psi_plus, corr.psi_minus)), reverse=True)
+            assert corr.datum.split == tuple(degrees), (psi, s)
+            assert corr.datum == table[corr.datum.split], (psi, s)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,23 @@ def test_member_count_orthogonality():
     assert selected == 2  # (+,-) and (-,+) give the nontrivial character
 
 
+def test_places_model_refuses_a_repeated_place_name():
+    psi = GlobalParameter([(sd(label), 1) for label in "abc"])
+    tag = tag_for(psi)
+    shape = centralizer_shape(psi, tag)
+    v = Place("v", "inert", {"a": ("x",), "b": ("x",), "c": ("y",)})
+    model = GlobalPlacesModel(shape, [v, Place("w", "inert")])
+    members = enumerate_members(model)
+    selected = sum(spectral_multiplicity(psi, tag, RootNumberTable(), m, model)
+                   for m in members)
+    assert (len(members), selected) == (8, 2)
+    # one map per name would drop a place that its members still counted
+    for places in ([v, Place("v", "inert")], [Place("v", "inert"), v],
+                   [v, Place("v", "split")]):
+        with pytest.raises(ValueError, match="place 'v' declared twice"):
+            GlobalPlacesModel(shape, places)
+
+
 # ---------------------------------------------------------------------------
 # Spectrum decomposition
 
