@@ -376,11 +376,9 @@ class LocalizationMap:
                 local.setdefault(loc, []).append(idx)
         self.local_labels = tuple(sorted(local))
         self.local_sources = {k: tuple(v) for k, v in local.items()}
-        self.local_mults = {
-            k: sum(shape.orthogonal[i][1] for i in v) for k, v in self.local_sources.items()
-        }
         self.local_sigma_bar = tuple(
-            -1 if self.local_mults[k] % 2 else 1 for k in self.local_labels
+            -1 if sum(shape.orthogonal[i][1] for i in self.local_sources[k]) % 2 else 1
+            for k in self.local_labels
         )
         self.local_group = FiniteTwoGroup(self.local_labels, self.local_sigma_bar)
 
@@ -394,23 +392,24 @@ class LocalizationMap:
             out.append(prod)
         return self.local_group.canonical(tuple(out))
 
+    def character_images(self) -> List[int]:
+        """Global exponent masks (bit i for orthogonal factor i), pulled back
+        through `local_sources`, of a basis of the local characters: each even
+        local label alone, and the first odd local label with each later one."""
+        even, odd = [], []
+        for k, s in zip(self.local_labels, self.local_sigma_bar):
+            mask = 0
+            for i in self.local_sources[k]:
+                mask ^= 1 << i
+            (odd if s == -1 else even).append(mask)
+        return even + [odd[0] ^ mask for mask in odd[1:]]
+
     def is_injective(self) -> bool:
         """Whether the induced map Sigma/<sigma_bar> -> Sigma_loc/<sigma_bar_loc>
-        has trivial kernel, by ranks over GF(2).  With A the matrix of the
-        pushforward, the kernel upstairs is the preimage of <sigma_bar_loc>,
-        of dimension n - (rank[A | sigma_bar_loc] - dim<sigma_bar_loc>); the
-        map is injective exactly when that is dim<sigma_bar>."""
-        bit = {k: 1 << j for j, k in enumerate(self.local_labels)}
-        columns = [0] * len(self.shape.orthogonal)
-        for k, sources in self.local_sources.items():
-            for i in sources:
-                columns[i] ^= bit[k]
-        sigma_loc = sum(bit[k] for k, s in zip(self.local_labels, self.local_sigma_bar)
-                        if s == -1)
-        dim_loc = 1 if sigma_loc else 0
-        dim_global = 1 if any(l % 2 for _, l in self.shape.orthogonal) else 0
-        kernel = len(columns) - (_gf2_rank(columns + [sigma_loc]) - dim_loc)
-        return kernel == dim_global
+        has trivial kernel: exactly when the dual map on characters is onto,
+        that is when the pulled-back basis of the local characters spans,
+        over GF(2), the 2^rank characters of the global group."""
+        return 2 ** _gf2_rank(self.character_images()) == component_group(self.shape).order
 
 
 def _gf2_rank(vectors: List[int]) -> int:

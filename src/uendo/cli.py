@@ -147,7 +147,8 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok is None:
             raise self._error(message + " (at end of input)", len(self.tokens) - 2)
-        raise self._error(message + ", got %r" % tok, self.pos)
+        shown = repr(tok) if len(tok) <= 64 else "%r... (%d characters)" % (tok[:16], len(tok))
+        raise self._error(message + ", got " + shown, self.pos)
 
     def _take(self, text: str) -> None:
         if self.tokens[self.pos] != text:
@@ -367,9 +368,11 @@ def _elaborate(doc: ParameterDocument):
             constituents.append((SimpleParameter(t.label, d.deg, duality, t.nu), t.mult))
     psi = GlobalParameter(constituents)
     if psi.total_degree != doc.N:
-        raise SemanticError(
-            "declared degree %d but constituents sum to %d" % (doc.N, psi.total_degree)
-        )
+        try:
+            total = "%d" % psi.total_degree
+        except ValueError:  # more digits than str() writes
+            total = "more than %d digits" % sys.get_int_max_str_digits()
+        raise SemanticError("declared degree %d but constituents sum to %s" % (doc.N, total))
     kappa = doc.parity * (-1) ** (doc.N - 1)
     tag = SimpleDatumTag(doc.N, kappa)
     entries = {}
@@ -593,13 +596,11 @@ def report_multiplicity(sem: Semantics) -> dict:
         "command": "multiplicity",
         "stable_coefficient": coeff,
     }
-    flags = classify(sem.psi, sem.tag)
-    if flags.in_2 and sem.places:
+    if classify(sem.psi, sem.tag).in_2 and sem.places:
         shape = central.centralizer_shape(sem.psi, sem.tag)
         model = multiplicity.GlobalPlacesModel(shape, sem.places)
-        members = multiplicity.enumerate_members(model)
-        selected = sum(multiplicity._multiplicities(sem.psi, sem.tag, sem.table, model, members))
-        report["packet"] = {"members": len(members), "selected": selected}
+        members, selected = multiplicity.packet_counts(sem.psi, sem.tag, sem.table, model)
+        report["packet"] = {"members": members, "selected": selected}
     report["defaulted_pairs"] = sorted(sorted(p) for p in sem.table.warned_pairs)
     return report
 

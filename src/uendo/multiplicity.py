@@ -17,9 +17,10 @@ its exponent vector mod 2, and a local exponent pulls back to the global
 constituents refining into its label, so the global exponents are a sum
 over places.  By orthogonality of characters of the finite 2-group, the
 spectral multiplicity |S|^-1 sum_x eps(x) <x, pi> of a member is 1 when its
-exponents equal those of eps_psi and 0 otherwise; the tests compare this
-with the character sum itself.  A member costs labels x places; the
-members number the product over inert places of the local group orders.
+exponents equal those of eps_psi and 0 otherwise.  Pulling back is linear
+over GF(2), so `packet_counts` counts members by rank, not one by one; the
+tests compare it with `enumerate_members` and `spectral_multiplicity`, and
+those with the character sum itself.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .centralizer import (
     CentralizerShape,
     FiniteTwoGroup,
     LocalizationMap,
+    _gf2_rank,
     centralizer_shape,
     component_group,
 )
@@ -43,7 +45,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, epsilon_character
+from .signs import RootNumberTable, _evaluate, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -146,7 +148,7 @@ def _member_global_character(
         chi = member.character_at(name)
         if len(chi) != len(locmap.local_labels):
             raise ValueError("character at %r has wrong arity" % name)
-        if _char_value(chi, locmap.local_sigma_bar) != 1:
+        if _evaluate([c == -1 for c in chi], locmap.local_sigma_bar) != 1:
             raise ValueError("local character at %r not defined on the local group" % name)
         for c, label in zip(chi, locmap.local_labels):
             if c == -1:
@@ -157,14 +159,6 @@ def _member_global_character(
     return tuple(exponents)
 
 
-def _char_value(chi: Sequence[int], vector: Sequence[int]) -> int:
-    val = 1
-    for c, x in zip(chi, vector):
-        if c == -1 and x == -1:
-            val = -val
-    return val
-
-
 def spectral_multiplicity(
     psi: GlobalParameter,
     tag: SimpleDatumTag,
@@ -173,25 +167,32 @@ def spectral_multiplicity(
     model: GlobalPlacesModel,
 ) -> int:
     """Multiplicity |S|^-1 sum_x eps(x) <x, pi> of a packet member; 0 or 1."""
-    return _multiplicities(psi, tag, table, model, [member])[0]
+    group, eps = _group_and_epsilon(psi, tag, table)
+    return int(_member_global_character(member, model, group) == eps.exponents)
 
 
-def _multiplicities(
-    psi: GlobalParameter,
-    tag: SimpleDatumTag,
-    table: RootNumberTable,
-    model: GlobalPlacesModel,
-    members: Sequence[PacketMember],
-) -> List[int]:
-    """`spectral_multiplicity` of each member, with the parameter's
-    component group and eps evaluated once for all of them; the CLI's
-    `multiplicity` report and `decompose_discrete_spectrum` count with it."""
+def _group_and_epsilon(psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable):
+    """The component group and eps_psi of a square-integrable parameter."""
     if not classify(psi, tag).in_2:
         raise ValueError("spectral multiplicity needs a square-integrable parameter")
-    group = component_group(centralizer_shape(psi, tag))
-    eps = epsilon_character(psi, tag, table)
-    return [int(_member_global_character(member, model, group) == eps.exponents)
-            for member in members]
+    return component_group(centralizer_shape(psi, tag)), epsilon_character(psi, tag, table)
+
+
+def packet_counts(
+    psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable, model: GlobalPlacesModel
+) -> Tuple[int, int]:
+    """(members, selected): 2^d members for the d pulled-back basis characters
+    of the inert places, and 2^(d - rank) of them selected when eps_psi lies
+    in their span, 0 otherwise; each is checked well defined on the group."""
+    group, eps = _group_and_epsilon(psi, tag, table)
+    odd = sum(1 << i for i, s in enumerate(group.sigma_bar) if s == -1)
+    images = [mask for locmap in model.maps.values() for mask in locmap.character_images()]
+    if any((mask & odd).bit_count() % 2 for mask in images):
+        raise ValueError("global character not defined on the component group")
+    rank = _gf2_rank(images)
+    target = sum(e << i for i, e in enumerate(eps.exponents))
+    selected = 0 if _gf2_rank(images + [target]) > rank else 2 ** (len(images) - rank)
+    return 2 ** len(images), selected
 
 
 def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:
@@ -202,7 +203,7 @@ def enumerate_members(model: GlobalPlacesModel) -> List[PacketMember]:
         locmap = model.maps[name]
         chars = []
         for chi in itertools.product((1, -1), repeat=len(locmap.local_labels)):
-            if _char_value(chi, locmap.local_sigma_bar) != 1:
+            if _evaluate([c == -1 for c in chi], locmap.local_sigma_bar) != 1:
                 continue  # not defined on the local component group
             chars.append(chi)
         per_place.append(chars)
@@ -249,10 +250,8 @@ def decompose_discrete_spectrum(
             psi = GlobalParameter([(sp, 1) for sp in combo])
             if not classify(psi, tag).in_2:
                 continue
-            shape = centralizer_shape(psi, tag)
-            model = GlobalPlacesModel(shape, places)
-            members = enumerate_members(model)
-            selected = sum(_multiplicities(psi, tag, table, model, members))
-            out.append(SpectrumLine(psi, selected, len(members)))
+            model = GlobalPlacesModel(centralizer_shape(psi, tag), places)
+            members, selected = packet_counts(psi, tag, table, model)
+            out.append(SpectrumLine(psi, selected, members))
     out.sort(key=lambda line: repr(line.psi))
     return out

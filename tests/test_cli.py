@@ -331,6 +331,38 @@ def test_non_decimal_digit_is_parse_error(where, char, tmp_path, capsys):
     assert err.startswith("parse error: unexpected character %r" % char)
 
 
+LONG_TOKEN_DOCS = {
+    "5,000-digit INT": ("group U(%s) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\n"
+                        % ("9" * 5000), "expected an INT of at most", 1, 9),
+    "3,000-character trailing IDENT": (
+        "group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\n" + "x" * 3000 + "\n",
+        "unexpected trailing input", 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TOKEN_DOCS))
+def test_parse_error_cuts_a_long_token(name, tmp_path, capsys):
+    text, message, line, column = LONG_TOKEN_DOCS[name]
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    code, out, err = run_cli(["classify", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 1)
+    assert len(err.encode()) < 200, err
+    assert err.startswith("parse error: " + message)
+    assert err.endswith(" at line %d, column %d\n" % (line, column)), err
+
+
+def test_degree_sum_too_long_to_print_keeps_the_refusal(tmp_path, capsys):
+    digits = "9" * 4000
+    doc = tmp_path / "doc.txt"
+    doc.write_text("group U(1) parity +\nmu a: deg=%s, sd=+\npsi = %s*a (x) nu(1)\n"
+                   % (digits, digits))
+    code, out, err = run_cli(["classify", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 2)
+    assert err.startswith("error: declared degree 1 but constituents sum to"), err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_unicode_decimal_digits_are_ints():
     doc = cli.parse("group U(٣) parity +\nmu a: deg=1, sd=+\npsi = ٣*a (x) nu(1)\n")
     assert doc.N == 3 and doc.terms[0].mult == 3
@@ -929,6 +961,27 @@ def test_multiplicity_compares_exponents_without_the_character_sum(monkeypatch, 
     report = json.loads(out)
     assert [e.message for e in report_validator.iter_errors(report)] == []
     assert report["packet"] == {"members": 16384, "selected": 128}
+
+
+def test_multiplicity_counts_packets_by_rank_without_listing_members(monkeypatch, tmp_path,
+                                                                     report_validator, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("packet members listed")
+
+    monkeypatch.setattr(cli.multiplicity, "enumerate_members", refuse)
+    monkeypatch.setattr(cli.multiplicity, "_member_global_character", refuse)
+    doc = tmp_path / "doc.txt"
+    places = " ".join("v%d : inert" % j for j in range(4))
+    doc.write_text(distinct_labels_document(40, 1, "places [ %s ]" % places))
+    start = time.perf_counter()
+    code, out, err = run_cli(["multiplicity", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [e.message for e in report_validator.iter_errors(report)] == []
+    # each place gives 39 basis characters; together they span the 39
+    # dimensions of the global group's characters, eps among them
+    assert report["packet"] == {"members": 2 ** 156, "selected": 2 ** 117}
 
 
 def test_centralizer_budget_admits_fixtures_and_ladder(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from uendo.multiplicity import (
     decompose_discrete_spectrum,
     enumerate_members,
     identity_component_shape,
+    packet_counts,
     spectral_multiplicity,
     stable_coefficient,
 )
@@ -22,7 +24,7 @@ from uendo.params import (
     SimpleDatumTag,
     SimpleParameter,
 )
-from uendo.signs import RootNumberTable, SignCharacter, epsilon_character
+from uendo.signs import RootNumberTable, SignCharacter, _evaluate, epsilon_character
 from uendo.weylnum import sigma
 
 
@@ -285,10 +287,11 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
         psi, tag, table, shape, model = two_constituent_setup(eps_sign)
         members = enumerate_members(model)
         calls.clear()
-        values = multiplicity._multiplicities(psi, tag, table, model, members)
+        counts = packet_counts(psi, tag, table, model)
         assert len(calls) == 1
         calls.clear()
-        assert values == [spectral_multiplicity(psi, tag, table, m, model) for m in members]
+        values = [spectral_multiplicity(psi, tag, table, m, model) for m in members]
+        assert counts == (len(values), sum(values))
         assert len(calls) == len(members) == 4
     seed = [sd("a", 1), sd("b", 1), sd("c", 2)]
     places = [Place("v1", "inert"), Place("v2", "split"), Place("v3", "inert")]
@@ -301,6 +304,11 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
 # The character sum as the oracle of the exponent comparison
 
 
+def minus_positions(chi):
+    """A local character's exponents: its -1 positions."""
+    return [c == -1 for c in chi]
+
+
 def character_sum_table(member, model, group):
     """The member's global character as its values on every sign vector in
     product order, each pushed to the places through `LocalizationMap.apply`,
@@ -309,13 +317,13 @@ def character_sum_table(member, model, group):
         chi = member.character_at(name)
         if len(chi) != len(locmap.local_labels):
             raise ValueError("character at %r has wrong arity" % name)
-        if multiplicity._char_value(chi, locmap.local_sigma_bar) != 1:
+        if _evaluate(minus_positions(chi), locmap.local_sigma_bar) != 1:
             raise ValueError("local character at %r not defined on the local group" % name)
     values = {}
     for vec in itertools.product((1, -1), repeat=len(group.labels)):
         val = 1
         for name, locmap in model.maps.items():
-            val *= multiplicity._char_value(member.character_at(name), locmap.apply(vec))
+            val *= _evaluate(minus_positions(member.character_at(name)), locmap.apply(vec))
         values[vec] = val
     for vec, val in values.items():
         twin = tuple(a * b for a, b in zip(vec, group.sigma_bar))
@@ -338,6 +346,10 @@ def character_sum_multiplicities(psi, tag, table, model, members):
         assert total in (0, len(eps_vals))
         out.append(total // len(eps_vals))
     return out
+
+
+def member_multiplicities(psi, tag, table, model, members):
+    return [spectral_multiplicity(psi, tag, table, m, model) for m in members]
 
 
 def outcome(fn, *args):
@@ -387,8 +399,10 @@ def test_multiplicities_match_character_sum():
             assert table == character_sum_table(member, model, group), (psi, member)
         for table in tables:
             expected = outcome(character_sum_multiplicities, psi, tag, table, model, members)
-            got = outcome(multiplicity._multiplicities, psi, tag, table, model, members)
+            got = outcome(member_multiplicities, psi, tag, table, model, members)
             assert got == expected, (psi, model.places)
+            counts = (len(got), sum(got)) if isinstance(got, list) else got
+            assert outcome(packet_counts, psi, tag, table, model) == counts, (psi, model.places)
             if isinstance(got, list):
                 nontrivial_eps += not epsilon_character(psi, tag, table).is_trivial
                 selected += sum(got)
@@ -410,14 +424,80 @@ def test_malformed_members_raise_the_character_sum_errors():
                           ("v3", good.character_at("v3")))),
             PacketMember((("v1", good.character_at("v1")),)),
         ]
-        if multiplicity._char_value(bad_local, v1.local_sigma_bar) != 1:
+        if _evaluate(minus_positions(bad_local), v1.local_sigma_bar) != 1:
             malformed.append(PacketMember((("v1", bad_local), ("v3", good.character_at("v3")))))
         for member in malformed:
             expected = outcome(character_sum_table, member, model, group)
             assert expected[0] == "ValueError", member
             assert outcome(multiplicity._member_global_character, member, model, group) == expected
             for table in tables:
-                assert outcome(multiplicity._multiplicities, psi, tag, table, model,
+                assert outcome(member_multiplicities, psi, tag, table, model,
                                [good, member]) == expected
             checked += 1
     assert checked == 32
+
+
+# ---------------------------------------------------------------------------
+# Packet counts by rank against the enumerated members
+
+
+def enumerated_counts(psi, tag, table, model):
+    """(members, selected) by listing every member and testing each."""
+    values = member_multiplicities(psi, tag, table, model, enumerate_members(model))
+    return len(values), sum(values)
+
+
+def seeded_packet_setup(rng):
+    """Up to five labels of multiplicity 1-3, mostly 1 (square-integrable
+    parameters are multiplicity free), alternating as in `oracle_setups`,
+    with -1 roots drawn on the pairs that allow them and 0-3 places whose
+    refinements keep, split and merge labels at random."""
+    n = rng.randint(1, 5)
+    labels = ["p%d" % i for i in range(n)]
+    cons = [(sd(lab, 1, ORTHOGONAL, 1) if i % 2 == 0 else sd(lab, 1, SYMPLECTIC, 2),
+             1 if rng.random() < 0.9 else rng.randint(2, 3)) for i, lab in enumerate(labels)]
+    psi = GlobalParameter(cons)
+    tag = tag_for(psi)
+    table = RootNumberTable({frozenset(p): -1 for p in itertools.combinations(labels, 2)
+                             if (int(p[0][1:]) + int(p[1][1:])) % 2 and rng.random() < 0.5})
+    places = []
+    for j in range(rng.randint(0, 3)):
+        if rng.random() < 0.25:
+            places.append(Place("v%d" % j, "split"))
+            continue
+        pool = ["z%d" % i for i in range(rng.randint(1, n + 1))]
+        refinement = {lab: tuple(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+                      for lab in labels}
+        places.append(Place("v%d" % j, "inert", refinement))
+    return psi, tag, table, GlobalPlacesModel(centralizer_shape(psi, tag), places)
+
+
+def test_packet_counts_match_enumeration_on_seeded_refinements():
+    rng = random.Random(1457)
+    counted = set()
+    answered = 0
+    for _ in range(400):
+        psi, tag, table, model = seeded_packet_setup(rng)
+        got = outcome(packet_counts, psi, tag, table, model)
+        assert got == outcome(enumerated_counts, psi, tag, table, model), (psi, model.places)
+        if got[0] == "ValueError":
+            continue
+        answered += 1
+        merged = any(len(set(sources)) > 1
+                     for loc in model.maps.values() for sources in loc.local_sources.values())
+        counted.add((got[1] > 0, merged, -1 in table.entries.values()))
+    # both outcomes, each with a merged refinement and -1 roots
+    assert answered > 100
+    assert {(False, True, True), (True, True, True)} <= counted
+
+
+def test_packet_counts_refuse_an_image_of_odd_weight_on_the_odd_labels(monkeypatch):
+    # a pulled-back image never has odd weight there (a local label's
+    # multiplicity has the parity of its odd sources), so force one
+    psi = GlobalParameter([(sd("a"), 1), (sd("b", 2), 1)])
+    tag = tag_for(psi)
+    model = GlobalPlacesModel(centralizer_shape(psi, tag), [Place("v", "inert")])
+    assert packet_counts(psi, tag, RootNumberTable(), model) == (2, 1)
+    monkeypatch.setattr(multiplicity.LocalizationMap, "character_images", lambda self: [0b01])
+    with pytest.raises(ValueError, match="global character not defined on the component group"):
+        packet_counts(psi, tag, RootNumberTable(), model)
