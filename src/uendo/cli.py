@@ -26,7 +26,6 @@ import itertools
 import json
 import re
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -403,10 +402,7 @@ def _dump(report: dict) -> str:
     """The report as JSON with sorted keys and a two-space indent, plus a
     newline, with rationals as {"num", "den"} objects and tuples as lists:
     the bytes `json` writes for those settings, without the pure-Python
-    encoder that indenting selects there.  The text of each container is
-    kept per depth and id, so a subtree that the report shares is rendered
-    once per depth.  Keys must be strings."""
-    memos = defaultdict(dict)  # depth -> id of a container -> its text there
+    encoder that indenting selects there.  Keys must be strings."""
 
     def write(value, depth: int) -> str:
         kind = type(value)
@@ -429,24 +425,14 @@ def _dump(report: dict) -> str:
                 return json.dumps(value)
         if not value:
             return "{}" if isinstance(value, dict) else "[]"
-        memo = memos[depth]
-        text = memo.get(id(value))
-        if text is None:
-            memo[id(value)] = text = write_container(value, depth, memos[depth + 1])
-        return text
-
-    def write_container(value, depth: int, child_memo: dict) -> str:
-        # a child the report shares is looked up before any type dispatch;
-        # ids are not reused meanwhile, since the report holds every object
-        get = child_memo.get
         inner = "\n" + "  " * (depth + 1)
         if isinstance(value, dict):
             body = ("," + inner).join([
-                encode_basestring_ascii(k) + ": " + (get(id(v)) or write(v, depth + 1))
+                encode_basestring_ascii(k) + ": " + write(v, depth + 1)
                 for k, v in sorted(value.items())
             ])
             return "{" + inner + body + "\n" + "  " * depth + "}"
-        body = ("," + inner).join([get(id(v)) or write(v, depth + 1) for v in value])
+        body = ("," + inner).join([write(v, depth + 1) for v in value])
         return "[" + inner + body + "\n" + "  " * depth + "]"
 
     return write(report, 0) + "\n"
@@ -591,49 +577,47 @@ def report_epsilon(sem: Semantics) -> dict:
 
 def report_multiplicity(sem: Semantics) -> dict:
     _require_factoring(sem)
-    coeff = multiplicity.stable_coefficient(sem.psi, sem.tag, sem.table)
+    coeff, counts = multiplicity._coefficient_and_counts(sem.psi, sem.tag, sem.table, sem.places)
     report = {
         "command": "multiplicity",
         "stable_coefficient": coeff,
     }
-    if classify(sem.psi, sem.tag).in_2 and sem.places:
-        shape = central.centralizer_shape(sem.psi, sem.tag)
-        model = multiplicity.GlobalPlacesModel(shape, sem.places)
-        members, selected = multiplicity.packet_counts(sem.psi, sem.tag, sem.table, model)
-        report["packet"] = {"members": members, "selected": selected}
+    if counts is not None:
+        report["packet"] = {"members": counts[0], "selected": counts[1]}
     report["defaulted_pairs"] = sorted(sorted(p) for p in sem.table.warned_pairs)
     return report
 
 
-def report_tadic(n: int, k: int, field: str) -> dict:
-    """The expansion's terms in canonical order (the order `expand` inserts
-    them in), with one symbol dict per distinct symbol shared by its terms."""
+# The v1 layout of a tadic report, of one of its terms and of one symbol, at
+# depth 0; `_dump` writes the same bytes for the report as a dict.
+_TADIC_REPORT = ('{\n  "command": "tadic",\n  "field": %s,\n  "k": %d,\n  "n": %d,\n'
+                 '  "tempered": %s,\n  "terms": [\n    %s\n  ]\n}\n')
+_TADIC_TERM = '{\n  "coefficient": %d,\n  "symbols": [\n    %s\n  ]\n}'
+_TADIC_SYMBOL = '{\n  "k": %d,\n  "lambda": {\n    "den": %d,\n    "num": %d\n  }\n}'
+
+
+def report_tadic(n: int, k: int, field: str) -> str:
+    """The report's JSON text, written straight from the ranked form of the
+    expansion: the text of each distinct symbol is rendered once, and the
+    text of each term is one join of its symbols' texts.  The terms are in
+    canonical order, and every term has a symbol."""
     case = tadic.ARCH if field == "arch" else tadic.NONARCH
     combo = tadic.expand("r", n, k, case)
-    encoded = {}  # by id: the terms of `combo` share their symbol objects
-
-    def symbols(term):
-        out = []
-        for s in term.symbols:
-            d = encoded.get(id(s))
-            if d is None:
-                d = encoded[id(s)] = {"k": s.k, "lambda": Fraction(s.lam)}
-            out.append(d)
-        return out
-
-    terms = [
-        {"coefficient": coeff, "symbols": symbols(term)}
-        for term, coeff in combo.coeffs.items()
-    ]
     star_term, star_coeff = tadic.tempered_part(combo)
-    return {
-        "command": "tadic",
-        "n": n,
-        "k": k,
-        "field": field,
-        "terms": terms,
-        "tempered": {"coefficient": star_coeff, "symbols": symbols(star_term)},
-    }
+
+    def layout(depth: int, symbols):
+        """A term's layout at `depth`, its symbols' separator and texts there."""
+        inner = "\n" + "  " * (depth + 2)
+        symbol = _TADIC_SYMBOL.replace("\n", inner)
+        return (_TADIC_TERM.replace("\n", "\n" + "  " * depth), "," + inner,
+                [symbol % (s.k, s.lam.denominator, s.lam.numerator) for s in symbols])
+
+    term, sep, texts = layout(2, combo.symbols)
+    terms = [term % (c, sep.join([texts[r] for r in ranks])) for ranks, c in combo.ranked]
+    term, sep, texts = layout(1, star_term.symbols)
+    tempered = term % (star_coeff, sep.join(texts))
+    return _TADIC_REPORT % (encode_basestring_ascii(field), k, n, tempered,
+                            ",\n    ".join(terms))
 
 
 def run_check() -> dict:
@@ -671,7 +655,7 @@ def _endoscopy(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict
     return report_endoscopy(n)
 
 
-def _tadic(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
+def _tadic(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> str:
     if flags.n is None or flags.k is None:
         raise SemanticError("tadic needs --n and --k")
     if flags.n > TADIC_MAX_N:
@@ -696,9 +680,9 @@ _FLAG_REPORTS = {
 }
 
 
-def run(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
-    """The report of one command; a `ValueError` from the library, such as
-    an out-of-range --n or --k, becomes a `SemanticError`."""
+def run(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict | str:
+    """The report of one command (for `tadic`, its JSON text); a `ValueError`
+    from the library, such as an out-of-range --n or --k, becomes a `SemanticError`."""
     try:
         if command in _DOC_REPORTS:
             if doc is None:
@@ -814,7 +798,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalInvariantError as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return 3
-    sys.stdout.write(_dump(report))
+    sys.stdout.write(report if type(report) is str else _dump(report))
     return 0
 
 

@@ -45,7 +45,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, _evaluate, epsilon_character
+from .signs import RootNumberTable, _epsilon_character, _evaluate, _kminus_pairs, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -72,12 +72,22 @@ def stable_coefficient(
     """The stable coefficient; 0 when the parameter does not factor."""
     if psi.total_degree != tag.N or not factors_through(psi, tag):
         return Fraction(0)
-    table = table or RootNumberTable()
+    return _coefficient_and_counts(psi, tag, table or RootNumberTable(), ())[0]
+
+
+def _coefficient_and_counts(psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable,
+                            places: Sequence[Place]) -> Tuple[Fraction, Optional[Tuple[int, int]]]:
+    """The stable coefficient of a parameter that factors through the datum
+    and, if it is square-integrable and has places, its `packet_counts`, else
+    None; the shape, the component group and eps_psi are built once for both."""
+    table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     group = component_group(shape)
-    eps = epsilon_character(psi, tag, table)
-    sig = sigma(identity_component_shape(shape))
-    return Fraction(1, group.order) * eps.value_at_s_psi * sig
+    eps = _epsilon_character(shape, group, _kminus_pairs(shape, table))
+    coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component_shape(shape))
+    if not (places and classify(psi, tag).in_2):
+        return coeff, None
+    return coeff, _packet_counts(group, eps, GlobalPlacesModel(shape, places))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +194,10 @@ def packet_counts(
     """(members, selected): 2^d members for the d pulled-back basis characters
     of the inert places, and 2^(d - rank) of them selected when eps_psi lies
     in their span, 0 otherwise; each is checked well defined on the group."""
-    group, eps = _group_and_epsilon(psi, tag, table)
+    return _packet_counts(*_group_and_epsilon(psi, tag, table), model)
+
+
+def _packet_counts(group: FiniteTwoGroup, eps, model: GlobalPlacesModel) -> Tuple[int, int]:
     odd = sum(1 << i for i, s in enumerate(group.sigma_bar) if s == -1)
     images = [mask for locmap in model.maps.values() for mask in locmap.character_images()]
     if any((mask & odd).bit_count() % 2 for mask in images):

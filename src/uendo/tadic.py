@@ -23,6 +23,7 @@ theta_r(k + n - 1, 0) occurs in it exactly once.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -64,6 +65,10 @@ def _normalize_symbol(base: str, k: int, lam, field_case: str):
     return StandardSymbol(base, k, lam, field_case)
 
 
+def _canonical(s: StandardSymbol):
+    return (s.base, -s.k, s.lam)
+
+
 class IsobaricTerm(Value):
     """A box-sum of standard symbols, in canonical sorted order."""
 
@@ -82,34 +87,34 @@ class IsobaricTerm(Value):
             if s is None:
                 continue
             kept.append(s)
-        kept.sort(key=lambda s: (s.base, -s.k, s.lam))
+        kept.sort(key=_canonical)
         return cls(tuple(kept))
-
-    @property
-    def is_tempered(self) -> bool:
-        return all(s.lam == 0 for s in self.symbols)
 
 
 class FormalCharacterCombination:
-    """Integer combination of isobaric terms, zero coefficients pruned."""
+    """Integer combination of isobaric terms, zero coefficients pruned, in
+    ranked form: `symbols` in canonical order (at least those of the terms)
+    and `ranked`, the sorted pairs (ranks of a term's symbols, coefficient).
+    The dict `coeffs` of `IsobaricTerm` keys is built when first read."""
 
-    def __init__(self, coeffs: Dict[IsobaricTerm, int] | None = None):
-        self.coeffs: Dict[IsobaricTerm, int] = {}
-        for term, c in (coeffs or {}).items():
-            if c:
-                self.coeffs[term] = c
+    def __init__(self, coeffs: Dict[IsobaricTerm, int] | None = None, symbols=(), ranked=()):
+        """From a dict of terms to coefficients, or from the ranked form."""
+        if coeffs:
+            symbols = sorted({s for term in coeffs for s in term.symbols}, key=_canonical)
+            rank = {s: r for r, s in enumerate(symbols)}
+            ranked = sorted((tuple(rank[s] for s in term.symbols), c)
+                            for term, c in coeffs.items() if c)
+        self.symbols, self.ranked = tuple(symbols), list(ranked)
+
+    def term(self, ranks: Tuple[int, ...]) -> IsobaricTerm:
+        return IsobaricTerm(tuple(self.symbols[r] for r in ranks))
+
+    @functools.cached_property
+    def coeffs(self) -> Dict[IsobaricTerm, int]:
+        return {self.term(ranks): c for ranks, c in self.ranked}
 
     def items(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: tuple((s.base, -s.k, s.lam) for s in kv[0].symbols),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, FormalCharacterCombination) and self.coeffs == other.coeffs
-
-    def __len__(self):
-        return len(self.coeffs)
+        return list(self.coeffs.items())
 
 
 def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Optional[IsobaricTerm]:
@@ -144,10 +149,8 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
          for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    order = sorted(
-        (s for row in cells for s in row if isinstance(s, StandardSymbol)),
-        key=lambda s: (s.base, -s.k, s.lam),
-    )
+    order = sorted((s for row in cells for s in row if isinstance(s, StandardSymbol)),
+                   key=_canonical)
     rank = {s: (r,) for r, s in enumerate(order)}
     # None marks a zero cell, () an empty symbol, (r,) the symbol of rank r.
     table = [[None if s == 0 else rank.get(s, ()) for s in row] for row in cells]
@@ -167,11 +170,8 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
                 sign = -sign
 
     walk(0, (1 << n) - 1, (), 1)
-    out = FormalCharacterCombination()
-    for key in sorted(acc):
-        if acc[key]:
-            out.coeffs[IsobaricTerm(tuple(order[r] for r in key))] = acc[key]
-    return out
+    return FormalCharacterCombination(
+        symbols=order, ranked=[(key, acc[key]) for key in sorted(acc) if acc[key]])
 
 
 def w_star(n: int, k: int, field_case: str) -> Tuple[int, ...]:
@@ -200,11 +200,13 @@ def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
 
 
 def tempered_part(c: FormalCharacterCombination) -> Tuple[IsobaricTerm, int]:
-    """The unique all-lambda-zero term with its coefficient."""
-    found = [(t, coeff) for t, coeff in c.coeffs.items() if t.is_tempered]
+    """The unique all-lambda-zero term, by its ranks, with its coefficient."""
+    zero = {r for r, s in enumerate(c.symbols) if s.lam == 0}
+    found = [(ranks, coeff) for ranks, coeff in c.ranked if zero.issuperset(ranks)]
     if len(found) != 1:
         raise AssertionError("tempered part is not a single term")
-    return found[0]
+    ranks, coeff = found[0]
+    return c.term(ranks), coeff
 
 
 def sq_int_multiplicity(term: IsobaricTerm, base: str, n: int, k: int) -> int:
