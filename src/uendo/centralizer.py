@@ -162,10 +162,6 @@ class NormalizerElement(Value):
         set_field(self, "blocks", blocks)
         set_field(self, "odd_bits", odd_bits)
 
-    @property
-    def weyl_key(self):
-        return self.blocks
-
 
 class NormalizerModel:
     """Concrete model of the groups in the torus-normalizer diagram.

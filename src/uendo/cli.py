@@ -514,31 +514,27 @@ def report_arthur(sem: Semantics) -> dict:
     base = multiplicity.identity_component_shape(shape)
     # i and e are products over the factors of one value per factor and
     # coset bit, and only the orthogonal factors' bits (the row's signs)
-    # vary: each of those values is computed once, with None for a 1, which
-    # the rows skip
+    # vary: the lists start from the other factors' values, and each
+    # orthogonal factor extends every entry by its untwisted value and,
+    # except at the pivot, by its twisted one, which is the product order
+    # of `group.elements()`; a value of 1 leaves the entry as it is
     n_orth = len(shape.orthogonal)
 
     def numbers(factors, coset):
         datum = ComponentDatum(ConnectedShape(factors), coset)
         return i_number(datum), e_number(datum)
 
-    twists = [tuple(tuple(None if v == 1 else v for v in numbers((f,), (bit,)))
-                    for bit in (False, True)) for f in base.factors[:n_orth]]
     rest = base.factors[n_orth:]
-    fixed_i, fixed_e = numbers(rest, (False,) * len(rest))
-    rows = []
-    for vec in group.elements():
-        i, e = fixed_i, fixed_e
-        for values, sign in zip(twists, vec):
-            vi, ve = values[sign == -1]
-            if vi is not None:
-                i *= vi
-            if ve is not None:
-                e *= ve
-        rows.append({"component": list(vec), "i": i, "e": e})
+    i_values, e_values = ([v] for v in numbers(rest, (False,) * len(rest)))
+    for index, f in enumerate(base.factors[:n_orth]):
+        bits = (False,) if index == group.pivot else (False, True)
+        pairs = [numbers((f,), (bit,)) for bit in bits]
+        i_values = [x if vi == 1 else x * vi for x in i_values for vi, _ in pairs]
+        e_values = [x if ve == 1 else x * ve for x in e_values for _, ve in pairs]
     return {
         "command": "arthur",
-        "components": rows,
+        "components": [{"component": list(vec), "i": i, "e": e}
+                       for vec, i, e in zip(group.elements(), i_values, e_values)],
         "sigma_bar0": sigma(base),
     }
 
@@ -754,10 +750,6 @@ def _argument_parser():
     return parser
 
 
-def _parse_args(argv: List[str]):
-    return _argument_parser().parse_args(argv)
-
-
 def _read_document(path: str) -> str:
     """The file's text, with CRLF and lone CR read as LF, as text mode
     reads it."""
@@ -769,7 +761,7 @@ def _read_document(path: str) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_args(argv) or _parse_args(argv)
+    args = _fast_args(argv) or _argument_parser().parse_args(argv)
 
     doc = None
     try:

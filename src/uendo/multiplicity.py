@@ -261,8 +261,6 @@ def decompose_discrete_spectrum(
             if sum(sp.degree for sp in combo) != tag.N:
                 continue
             psi = GlobalParameter([(sp, 1) for sp in combo])
-            if not classify(psi, tag).in_2:
-                continue
             model = GlobalPlacesModel(centralizer_shape(psi, tag), places)
             members, selected = packet_counts(psi, tag, table, model)
             out.append(SpectrumLine(psi, selected, members))

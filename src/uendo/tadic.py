@@ -97,13 +97,7 @@ class FormalCharacterCombination:
     and `ranked`, the sorted pairs (ranks of a term's symbols, coefficient).
     The dict `coeffs` of `IsobaricTerm` keys is built when first read."""
 
-    def __init__(self, coeffs: Dict[IsobaricTerm, int] | None = None, symbols=(), ranked=()):
-        """From a dict of terms to coefficients, or from the ranked form."""
-        if coeffs:
-            symbols = sorted({s for term in coeffs for s in term.symbols}, key=_canonical)
-            rank = {s: r for r, s in enumerate(symbols)}
-            ranked = sorted((tuple(rank[s] for s in term.symbols), c)
-                            for term, c in coeffs.items() if c)
+    def __init__(self, symbols, ranked):
         self.symbols, self.ranked = tuple(symbols), list(ranked)
 
     def term(self, ranks: Tuple[int, ...]) -> IsobaricTerm:
@@ -112,9 +106,6 @@ class FormalCharacterCombination:
     @functools.cached_property
     def coeffs(self) -> Dict[IsobaricTerm, int]:
         return {self.term(ranks): c for ranks, c in self.ranked}
-
-    def items(self):
-        return list(self.coeffs.items())
 
 
 def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Optional[IsobaricTerm]:
@@ -171,7 +162,7 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
 
     walk(0, (1 << n) - 1, (), 1)
     return FormalCharacterCombination(
-        symbols=order, ranked=[(key, acc[key]) for key in sorted(acc) if acc[key]])
+        order, [(key, acc[key]) for key in sorted(acc) if acc[key]])
 
 
 def w_star(n: int, k: int, field_case: str) -> Tuple[int, ...]:

@@ -161,10 +161,6 @@ class ConnectedShape(Value):
         set_field(self, "central_quotient", central_quotient)
 
     @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
-
-    @property
     def center_dim(self) -> int:
         return sum(f.center_dim for f in self.factors)
 

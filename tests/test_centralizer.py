@@ -273,7 +273,7 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             assert elements == seen_set_elements(model), combo
             checked += 1
             n_order = len(elements)
-            w_order = len({e.weyl_key for e in elements})
+            w_order = len({e.blocks for e in elements})
             d = levi_diagram(psi, tag)
             assert (d.n_order, d.w_order) == (n_order, w_order), combo
             exact = (n_order == d.s_order * model.w0_order()

@@ -370,28 +370,49 @@ def test_unicode_decimal_digits_are_ints():
     assert doc.N == 3 and doc.terms[0].mult == 3
 
 
-def test_elaborate_semantic_errors():
-    # undeclared label
-    doc = cli.parse("group U(1) parity +\npsi = a (x) nu(1)")
-    with pytest.raises(cli.SemanticError):
-        cli.elaborate(doc)
-    # degree mismatch
-    doc = cli.parse("group U(2) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)")
-    with pytest.raises(cli.SemanticError):
-        cli.elaborate(doc)
-    # label reused with a different nu
-    doc = cli.parse(
-        "group U(3) parity -\nmu a: deg=1, sd=+\npsi = a (x) nu(2) + a (x) nu(1)"
-    )
-    with pytest.raises(cli.SemanticError):
-        cli.elaborate(doc)
-    # same-parity root number -1
-    doc = cli.parse(
+SEMANTIC_ERROR_DOCS = {
+    "undeclared label": ("group U(1) parity +\npsi = a (x) nu(1)",
+                         "label 'a' used but not declared"),
+    "degree mismatch": ("group U(2) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)",
+                        "declared degree 2 but constituents sum to 1"),
+    "label reused with another nu": (
+        "group U(3) parity -\nmu a: deg=1, sd=+\npsi = a (x) nu(2) + a (x) nu(1)",
+        "label 'a' reused with a different nu; declare a second label"),
+    "same-parity root number -1": (
         "group U(2) parity -\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
-        "psi = a (x) nu(1) + b (x) nu(1)\nroots { a, b : -1 }"
-    )
-    with pytest.raises(cli.SemanticError):
-        cli.elaborate(doc)
+        "psi = a (x) nu(1) + b (x) nu(1)\nroots { a, b : -1 }",
+        "same-parity pair (a, b) cannot carry root number -1"),
+    "label declared twice": (
+        "group U(1) parity +\nmu a: deg=1, sd=+\nmu a: deg=1, sd=+\npsi = a (x) nu(1)",
+        "label 'a' declared twice"),
+    "duplicate term": ("group U(2) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1) + a (x) nu(1)",
+                       "duplicate term a (x) nu(1)"),
+    # the CLI's own check, which runs before the table is validated
+    "undeclared root-number label": (
+        "group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\nroots { a, z : +1 }",
+        "root-number label 'z' not declared"),
+    "root number on one label": (
+        "group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\nroots { a, a : +1 }",
+        "root-number entries pair distinct labels"),
+    "place declared twice": (
+        "group U(1) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\nplaces [ v : inert v : split ]",
+        "place 'v' declared twice"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMANTIC_ERROR_DOCS))
+def test_elaborate_semantic_errors(name, tmp_path, capsys):
+    text, message = SEMANTIC_ERROR_DOCS[name]
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    code, out, err = run_cli(["classify", "--input", str(doc)], capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_unknown_command_is_semantic_error():
+    with pytest.raises(cli.SemanticError) as caught:
+        cli.run("bogus", None, None)
+    assert str(caught.value) == "unknown command 'bogus'"
 
 
 def test_elaborate_u3_document():
@@ -717,7 +738,7 @@ def test_fast_path_agrees_with_argparse_on_every_argv_it_reads():
     for argv in corpus:
         fast = cli._fast_args(argv)
         if fast is not None:
-            assert vars(fast) == vars(cli._parse_args(argv)), argv
+            assert vars(fast) == vars(cli._argument_parser().parse_args(argv)), argv
             read += 1
     assert 500 < read < len(corpus) - 500
     refused = [argv for argv in corpus if cli._fast_args(argv) is None]
@@ -766,6 +787,35 @@ def test_check_command_green(capsys):
     code, out, _ = run_cli(["check"], capsys)
     assert code == 0
     assert json.loads(out)["status"] == "ok"
+
+
+def test_check_failures_exit_3_with_one_line(monkeypatch, capsys):
+    # one check reports a failure and another raises: `check` names both
+    from uendo import checks
+
+    def fails():
+        return "planted failure"
+
+    def raises():
+        raise ValueError("planted error")
+
+    patched = list(checks._CHECKS)
+    patched[0], patched[-1] = fails, raises
+    monkeypatch.setattr(checks, "_CHECKS", patched)
+    code, out, err = run_cli(["check"], capsys)
+    _assert_one_line_error(code, out, err, 3)
+    assert err == ("invariant failure: planted failure; "
+                   "raises raised ValueError('planted error')\n")
+
+
+def test_inexact_normalizer_diagram_exits_3(monkeypatch, capsys):
+    def inexact(psi, tag):
+        return types.SimpleNamespace(exact=False, splitting_ok=True)
+
+    monkeypatch.setattr(cli.central, "levi_diagram", inexact)
+    code, out, err = run_cli(["centralizer", "--input", str(FIXTURES[0])], capsys)
+    _assert_one_line_error(code, out, err, 3)
+    assert err == "invariant failure: normalizer diagram failed exactness\n"
 
 
 def test_print_command(tmp_path, capsys):
@@ -1173,7 +1223,7 @@ def _tadic_oracle(n, k, field):
         return {"coefficient": coeff, "symbols": [symbol(s) for s in t.symbols]}
 
     return {"command": "tadic", "n": n, "k": k, "field": field,
-            "terms": [term(t, coeff) for t, coeff in combo.items()],
+            "terms": [term(t, coeff) for t, coeff in combo.coeffs.items()],
             "tempered": term(star_term, star_coeff)}
 
 
@@ -1253,24 +1303,54 @@ def _k_labels(k):
     return "group U(%d) parity +\n%spsi = %s\n" % (k, decls, terms)
 
 
+def _arthur_document(rng):
+    """A seeded document that factors through its datum: `sd=+` or `sd=-`
+    labels of the datum's parity with multiplicity 1-5, the others with an
+    even multiplicity, and `sd=none` labels, with SL(2) dimensions 1-3."""
+    parity = rng.choice((1, -1))
+    decls, terms = [], []
+    for j in range(rng.randint(1, 6)):
+        sd, nu = rng.choice(("+", "+", "-", "none")), rng.randint(1, 3)
+        if sd == "none":
+            mult = rng.randint(1, 3)
+        elif (1 if sd == "+" else -1) * (-1) ** (nu - 1) == parity:
+            mult = rng.randint(1, 5)
+        else:
+            mult = rng.choice((2, 4))
+        decls.append((j, rng.randint(1, 2), sd))
+        terms.append((mult, j, nu))
+    n = sum(mult * decls[j][1] * nu * (2 if decls[j][2] == "none" else 1)
+            for mult, j, nu in terms)
+    lines = ["group U(%d) parity %s" % (n, "+" if parity == 1 else "-")]
+    lines += ["mu m%d: deg=%d, sd=%s" % decl for decl in decls]
+    lines.append("psi = " + " + ".join("%d*m%d (x) nu(%d)" % term for term in terms))
+    return "\n".join(lines) + "\n"
+
+
 def test_arthur_rows_match_i_and_e_of_each_component(tmp_path, capsys):
     # the oracle builds each row's component in full, as the report once did
+    rng = random.Random(19)
+    seeded = [_arthur_document(rng) for _ in range(60)]
     texts = [path.read_text() for path in FIXTURES] + [_k_labels(k) for k in range(2, 10)]
-    texts += [LARGE_CENTRALIZERS["O(40) x O(40)"]]
+    texts += [LARGE_CENTRALIZERS["O(40) x O(40)"]] + seeded
     doc = tmp_path / "doc.txt"
-    checked = 0
+    checked, pivots, kinds = 0, set(), set()
     for text in texts:
         doc.write_text(text)
         code, out, _ = run_cli(["arthur", "--input", str(doc)], capsys)
+        assert code == 0 or text not in seeded, text
         if code:
             continue
         sem = cli.elaborate(cli.parse(text))
         shape = centralizer_shape(sem.psi, sem.tag)
+        group = component_group(shape)
         factors = ([weylnum.so(l) for _, l in shape.orthogonal]
                    + [weylnum.sp(l) for _, l in shape.symplectic]
                    + [weylnum.gl(l) for _, l in shape.general_linear])
+        pivots.add(group.pivot)
+        kinds.update(f.kind for f in factors)
         rows = json.loads(out)["components"]
-        assert len(rows) == component_group(shape).order
+        assert [row["component"] for row in rows] == [list(v) for v in group.elements()]
         for row in rows:
             coset = [s == -1 for s in row["component"]]
             coset += [False] * (len(factors) - len(coset))
@@ -1279,3 +1359,23 @@ def test_arthur_rows_match_i_and_e_of_each_component(tmp_path, capsys):
                 assert Fraction(row[key]["num"], row[key]["den"]) == value, (text, row)
             checked += 1
     assert checked > 500
+    assert {None, 0} < pivots and kinds == {weylnum.SO, weylnum.SP, weylnum.GL}
+
+
+def test_arthur_rows_are_expanded_not_multiplied_out(monkeypatch):
+    # 8 labels of multiplicity 16 give 256 rows; expanding the per-factor
+    # values takes about 4 products a row, multiplying out each row about 16
+    sem = cli.elaborate(cli.parse(distinct_labels_document(8, 16)))
+    cli.report_arthur(sem)  # warm: the per-factor values are memoized
+    products = []
+    multiply = Fraction.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    rows = len(cli.report_arthur(sem)["components"])
+    monkeypatch.undo()
+    assert rows == 256
+    assert len(products) <= 6 * rows

@@ -241,6 +241,16 @@ def test_decompose_excludes_wrong_parity():
     assert labels == {("c", "b")}
 
 
+def test_decompose_skips_sums_that_repeat_a_label():
+    # a(1) + a(2) has the datum's degree, but a sum of the seed repeats no label
+    seed = [sd("a", 1), sd("a", 2), sd("b", 2)]
+    tag = SimpleDatumTag(3, 1)
+    lines = decompose_discrete_spectrum(seed, tag, RootNumberTable(), [Place("v", "inert")])
+    labels = [tuple(sp.label for sp, _ in line.psi.constituents) for line in lines]
+    assert labels == [("a", "b")]
+    assert [sp.degree for sp, _ in lines[0].psi.constituents] == [1, 2]
+
+
 def test_single_injective_place_selects_exactly_one_member():
     # with one inert identity place, members correspond bijectively to the
     # characters of the component group, and exactly one matches eps

@@ -677,7 +677,7 @@ def test_r_minus_matches_per_element_crossing_sign():
         model = NormalizerModel(centralizer_shape(psi, tag))
         if blocks is not None:
             assert [(kind, rank) for kind, _, _, rank in model.block_meta] == blocks
-        keys = {e.weyl_key for e in model.elements()}
+        keys = {e.blocks for e in model.elements()}
         for table in _tables_for(psi):
             rec = relative_signs(psi, tag, table)
             assert set(rec.r_minus) == keys
@@ -736,7 +736,7 @@ def _relative_signs_by_elements(psi, tag, table):
             g_val *= elem.odd_bits[bit]
         for block in eps_blocks:
             g_val *= _zero_line_sign(elem.blocks[block])
-        w_key = elem.weyl_key
+        w_key = elem.blocks
         if w_key not in eps_gm:
             eps_gm[w_key] = g_val
             odd = sum(w_key[b][1].count(-1) for b in odd_flip_blocks)
