@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import centralizer as central
 from . import endoscopy, multiplicity, signs, tadic
@@ -584,19 +584,19 @@ def report_multiplicity(sem: Semantics) -> dict:
     return report
 
 
-# The v1 layout of a tadic report, of one of its terms and of one symbol, at
-# depth 0; `_dump` writes the same bytes for the report as a dict.
-_TADIC_REPORT = ('{\n  "command": "tadic",\n  "field": %s,\n  "k": %d,\n  "n": %d,\n'
-                 '  "tempered": %s,\n  "terms": [\n    %s\n  ]\n}\n')
+# The v1 layout of a tadic report up to its terms, of one term and of one
+# symbol, at depth 0; `_dump` writes the same bytes for the report as a dict.
+_TADIC_HEAD = ('{\n  "command": "tadic",\n  "field": %s,\n  "k": %d,\n  "n": %d,\n'
+               '  "tempered": %s,\n  "terms": [')
 _TADIC_TERM = '{\n  "coefficient": %d,\n  "symbols": [\n    %s\n  ]\n}'
 _TADIC_SYMBOL = '{\n  "k": %d,\n  "lambda": {\n    "den": %d,\n    "num": %d\n  }\n}'
 
 
-def report_tadic(n: int, k: int, field: str) -> str:
-    """The report's JSON text, written straight from the ranked form of the
-    expansion: the text of each distinct symbol is rendered once, and the
-    text of each term is one join of its symbols' texts.  The terms are in
-    canonical order, and every term has a symbol."""
+def report_tadic(n: int, k: int, field: str) -> Iterator[str]:
+    """The report's JSON text in pieces, from the ranked expansion: each
+    distinct symbol is rendered once, and each piece after the first is one
+    term, in canonical order.  The expansion and its tempered part are
+    computed before this returns, so a `ValueError` precedes any piece."""
     case = tadic.ARCH if field == "arch" else tadic.NONARCH
     combo = tadic.expand("r", n, k, case)
     star_term, star_coeff = tadic.tempered_part(combo)
@@ -609,11 +609,15 @@ def report_tadic(n: int, k: int, field: str) -> str:
                 [symbol % (s.k, s.lam.denominator, s.lam.numerator) for s in symbols])
 
     term, sep, texts = layout(2, combo.symbols)
-    terms = [term % (c, sep.join([texts[r] for r in ranks])) for ranks, c in combo.ranked]
-    term, sep, texts = layout(1, star_term.symbols)
-    tempered = term % (star_coeff, sep.join(texts))
-    return _TADIC_REPORT % (encode_basestring_ascii(field), k, n, tempered,
-                            ",\n    ".join(terms))
+    head, tail = term.split("%s")
+    heads = {c: ",\n    " + head % c for c in (1, -1)}  # the only coefficients
+    terms = (heads[c] + sep.join(map(texts.__getitem__, ranks)) + tail
+             for ranks, c in combo.ranked)
+    star, star_sep, star_texts = layout(1, star_term.symbols)
+    tempered = star % (star_coeff, star_sep.join(star_texts))
+    # the first piece ends with the first term, which has no comma before it
+    first = _TADIC_HEAD % (encode_basestring_ascii(field), k, n, tempered) + next(terms)[1:]
+    return itertools.chain((first,), terms, ("\n  ]\n}\n",))
 
 
 def run_check() -> dict:
@@ -651,7 +655,7 @@ def _endoscopy(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict
     return report_endoscopy(n)
 
 
-def _tadic(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> str:
+def _tadic(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> Iterator[str]:
     if flags.n is None or flags.k is None:
         raise SemanticError("tadic needs --n and --k")
     if flags.n > TADIC_MAX_N:
@@ -676,8 +680,9 @@ _FLAG_REPORTS = {
 }
 
 
-def run(command: str, doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict | str:
-    """The report of one command (for `tadic`, its JSON text); a `ValueError`
+def run(command: str, doc: Optional[ParameterDocument],
+        flags: SimpleNamespace) -> dict | Iterator[str]:
+    """The report of one command (for `tadic`, its JSON text in pieces); a `ValueError`
     from the library, such as an out-of-range --n or --k, becomes a `SemanticError`."""
     try:
         if command in _DOC_REPORTS:
@@ -790,7 +795,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalInvariantError as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return 3
-    sys.stdout.write(report if type(report) is str else _dump(report))
+    if type(report) is dict:
+        sys.stdout.write(_dump(report))
+    else:
+        sys.stdout.writelines(report)
     return 0
 
 

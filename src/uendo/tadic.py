@@ -10,10 +10,15 @@ z -> (z/|z|)^k |z|^lam.  The Speh-type character expands as
 
 with the boundary conventions, in the non-archimedean case, that a factor
 with first entry -1 is the trivial character on the trivial group (dropped
-from the box-sum) and a factor with first entry below -1 annihilates its
-term.  The distinguished Weyl element w* (the longest one in the
-archimedean case or when n <= k+1, a piecewise variant otherwise) produces
-the unique tempered term
+from the box-sum) and a factor with first entry below -1 annihilates its term.
+Cell (i, j) of the n x n table holds theta_r(k - (i - j), (n+1) - (i + j)), so
+no two cells hold the same symbol; the zero cells are those with i - j > k + 1,
+and the empty ones lie on the diagonal i - j = k + 1 (both non-archimedean
+only).  Each term therefore comes from exactly one permutation: its symbols fix
+their cells, and the empty cells that complete it are forced.  Nothing cancels,
+and every coefficient is +-1.  The distinguished Weyl element w* (the longest
+one in the archimedean case or when n <= k+1, a piecewise variant otherwise)
+produces the unique tempered term
 
     theta_r^(n,*)(k) = box-sum over i <= n* of theta_r(k + n + 1 - 2i, 0),
 
@@ -65,12 +70,8 @@ def _normalize_symbol(base: str, k: int, lam, field_case: str):
     return StandardSymbol(base, k, lam, field_case)
 
 
-def _canonical(s: StandardSymbol):
-    return (s.base, -s.k, s.lam)
-
-
 class IsobaricTerm(Value):
-    """A box-sum of standard symbols, in canonical sorted order."""
+    """A box-sum of standard symbols in canonical order, by (base, -k, lambda)."""
 
     __slots__ = ("symbols",)
 
@@ -87,12 +88,12 @@ class IsobaricTerm(Value):
             if s is None:
                 continue
             kept.append(s)
-        kept.sort(key=_canonical)
+        kept.sort(key=lambda s: (s.base, -s.k, s.lam))
         return cls(tuple(kept))
 
 
 class FormalCharacterCombination:
-    """Integer combination of isobaric terms, zero coefficients pruned, in
+    """Integer combination of isobaric terms with nonzero coefficients, in
     ranked form: `symbols` in canonical order (at least those of the terms)
     and `ranked`, the sorted pairs (ranks of a term's symbols, coefficient).
     The dict `coeffs` of `IsobaricTerm` keys is built when first read."""
@@ -121,48 +122,50 @@ def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Op
 
 
 def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombination:
-    """Signed sum over the symmetric group, after boundary conventions and
-    cancellation; the terms of the result are inserted in canonical order.
-
-    The sum is walked row by row as a Leibniz expansion of the n x n table
-    of normalized symbols, skipping zero-symbol cells, so a permutation
-    through a zero cell is never completed.  Cell (i, j) holds a symbol
-    distinct from every other cell's, so a term is keyed by the sorted
-    ranks of its symbols in canonical order."""
+    """Signed sum over the symmetric group after the boundary conventions,
+    its terms in canonical order and every coefficient +-1 (see the module
+    docstring): a Leibniz expansion of the table of normalized symbols grown
+    one row at a time, its partial terms grouped by the mask of columns
+    still free into a list of + terms and a list of - terms."""
     if n < 1:
         raise ValueError("n must be positive")
     if field_case == NONARCH and k < 0:
         raise ValueError("nonarchimedean expansions need k >= 0")
     if field_case not in (ARCH, NONARCH):
         raise ValueError("unknown field case %r" % field_case)
-    cells = [
-        [_normalize_symbol(base, k - (i - j), (n + 1) - (i + j), field_case)
-         for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    order = sorted((s for row in cells for s in row if isinstance(s, StandardSymbol)),
-                   key=_canonical)
-    rank = {s: (r,) for r, s in enumerate(order)}
-    # None marks a zero cell, () an empty symbol, (r,) the symbol of rank r.
-    table = [[None if s == 0 else rank.get(s, ()) for s in row] for row in cells]
-    acc: Dict[Tuple[int, ...], int] = {}
-
-    def walk(i: int, free: int, ranks: Tuple[int, ...], sign: int) -> None:
-        if i == n:
-            key = tuple(sorted(ranks))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        row = table[i]
-        # choosing column j adds the parity of the free columns below j
-        for j in range(n):
-            if free >> j & 1:
-                if row[j] is not None:
-                    walk(i + 1, free ^ (1 << j), ranks + row[j], sign)
-                sign = -sign
-
-    walk(0, (1 << n) - 1, (), 1)
-    return FormalCharacterCombination(
-        order, [(key, acc[key]) for key in sorted(acc) if acc[key]])
+    # cell (i, j) holds theta(k - d, n + 1 - s), d = i - j, s = i + j: canonical
+    # order is d up, then s down; None marks a zero cell, () an empty one, (r,) rank r
+    order, table = [], [[None] * n for _ in range(n)]
+    for d in range(1 - n, n):
+        for s in range(2 * n - abs(d), abs(d), -2):
+            symbol = _normalize_symbol(base, k - d, n + 1 - s, field_case)
+            if symbol is None:
+                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = ()
+            elif symbol != 0:
+                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = (len(order),)
+                order.append(symbol)
+    groups = {(1 << n) - 1: ([()], [])}
+    for row in table:
+        grown = {}
+        while groups:  # each group is dropped once extended
+            free, (plus, minus) = groups.popitem()
+            # choosing column j adds the parity of the free columns below j
+            for j in range(n):
+                if free >> j & 1:
+                    cell = row[j]
+                    if cell is not None:
+                        into = grown.setdefault(free ^ 1 << j, ([], []))
+                        into[0].extend([t + cell for t in plus])
+                        into[1].extend([t + cell for t in minus])
+                    plus, minus = minus, plus
+        groups = grown
+    (plus, minus), = groups.values()
+    for terms in (plus, minus):  # sorted in place: an unsorted term dies as its key is made
+        for i, t in enumerate(terms):
+            terms[i] = tuple(sorted(t))
+    coeffs = dict.fromkeys(plus, 1)
+    coeffs.update(dict.fromkeys(minus, -1))
+    return FormalCharacterCombination(order, [(key, coeffs[key]) for key in sorted(coeffs)])
 
 
 def w_star(n: int, k: int, field_case: str) -> Tuple[int, ...]:

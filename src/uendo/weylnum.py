@@ -164,13 +164,6 @@ class ConnectedShape(Value):
     def center_dim(self) -> int:
         return sum(f.center_dim for f in self.factors)
 
-    def canonical(self) -> "ConnectedShape":
-        z = self.central_quotient or (1,) * len(self.factors)
-        pairs = sorted(zip(self.factors, z), key=lambda p: (p[0].kind, p[0].size, -p[1]))
-        fs = tuple(p[0] for p in pairs)
-        zs = tuple(p[1] for p in pairs)
-        return ConnectedShape(fs, zs if any(s == -1 for s in zs) else None)
-
 
 class ComponentDatum(Value):
     """A connected component: a ConnectedShape plus per-factor coset flags.
@@ -190,10 +183,6 @@ class ComponentDatum(Value):
                 raise ValueError("Sp factors have no outer coset")
         set_field(self, "base", base)
         set_field(self, "coset", coset)
-
-
-def identity_component(shape: ConnectedShape) -> ComponentDatum:
-    return ComponentDatum(shape, (False,) * len(shape.factors))
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,26 @@ def test_tadic_negative_k_is_semantic_error(capsys):
     _assert_one_line_error(*run_cli(["tadic", "--n", "2", "--k", "-5"], capsys), 2)
 
 
+def test_tadic_error_comes_before_any_piece_of_the_report(monkeypatch, capsys):
+    # the expansion and its tempered part run inside `run`; only the text
+    # is written piece by piece, so a refused --k writes nothing to stdout
+    _assert_one_line_error(
+        *run_cli(["tadic", "--n", "3", "--k", "-1", "--field", "nonarch"], capsys), 2)
+    calls = []
+    for name in ("expand", "tempered_part"):
+        def counted(*args, original=getattr(tadic, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(tadic, name, counted)
+    flags = argparse.Namespace(n=4, k=1, field="arch")
+    pieces = cli.run("tadic", None, flags)
+    assert calls == ["expand", "tempered_part"]
+    text = "".join(pieces)
+    assert text.count('"coefficient"') == 25
+    assert text == _json_reference(_tadic_oracle(4, 1, "arch"))
+
+
 def test_tadic_over_size_budget_is_refused_before_expanding(monkeypatch, capsys):
     def expand(*args):
         raise AssertionError("expanded over the size budget")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -79,18 +80,51 @@ def test_expand_validates_input():
 
 
 def test_expand_accounting_no_silent_loss():
-    # the pruned row-by-row expansion against the signed sum of the raw
-    # per-permutation terms, including the canonical order of its terms
-    cases = [(NONARCH, k) for k in range(0, 8)] + [(ARCH, k) for k in range(-2, 8)]
-    for n in range(1, 7):
-        for case, k in cases:
-            raw = {}
-            for perm in itertools.permutations(range(n)):
-                t = term_for_permutation("r", n, k, case, perm)
-                if t is not None:
-                    raw[t] = raw.get(t, 0) + _perm_sign(perm)
-            combo = expand("r", n, k, case)
-            assert combo.coeffs == {t: c for t, c in raw.items() if c}, (n, k, case)
+    # the level-by-level expansion against the signed sum of the raw
+    # per-permutation terms: the same terms, symbols in canonical order,
+    # and the same ranked form, term order included
+    cases = [(n, NONARCH, k) for n in range(1, 7) for k in range(0, 8)]
+    cases += [(n, ARCH, k) for n in range(1, 7) for k in range(-2, 8)]
+    cases += [(7, case, k) for case in (NONARCH, ARCH) for k in (0, 2)]
+    for n, case, k in cases:
+        raw = {}
+        for perm in itertools.permutations(range(n)):
+            t = term_for_permutation("r", n, k, case, perm)
+            if t is not None:
+                raw[t] = raw.get(t, 0) + _perm_sign(perm)
+        raw = {t: c for t, c in raw.items() if c}
+        combo = expand("r", n, k, case)
+        assert combo.coeffs == raw, (n, k, case)
+        symbols = list(combo.symbols)
+        assert symbols == sorted(set(symbols), key=lambda s: (s.base, -s.k, s.lam))
+        rank = {s: r for r, s in enumerate(symbols)}
+        ranked = sorted((tuple(rank[s] for s in t.symbols), c) for t, c in raw.items())
+        assert combo.ranked == ranked, (n, k, case)
+
+
+def _expansions(n_max):
+    for n in range(1, n_max + 1):
+        for k in range(-3, 10):
+            yield n, k, ARCH, expand("r", n, k, ARCH)
+            if k >= 0:
+                yield n, k, NONARCH, expand("r", n, k, NONARCH)
+
+
+def test_expand_coefficients_are_plus_or_minus_one():
+    # each term comes from exactly one permutation, so nothing cancels
+    for n, k, case, combo in _expansions(6):
+        assert {c for _, c in combo.ranked} <= {1, -1}, (n, k, case)
+
+
+def test_expand_term_count_is_the_count_of_surviving_permutations():
+    # arch: every permutation; nonarch: those that avoid the zero cells
+    # i - j > k + 1, all of them when n <= k + 2
+    for n, k, case, combo in _expansions(7):
+        if case == ARCH or n <= k + 2:
+            want = math.factorial(n)
+        else:
+            want = (k + 2) ** (n - k - 1) * math.factorial(k + 1)
+        assert len(combo.ranked) == want, (n, k, case)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from uendo.weylnum import (
     elliptic_classes,
     gl,
     i_number,
-    identity_component,
     sgn0,
     sigma,
     so,
@@ -28,6 +27,20 @@ from uendo.weylnum import SP, _factor_elliptic_classes
 def datum(factors, coset=None, quotient=None):
     coset = coset or (False,) * len(factors)
     return ComponentDatum(ConnectedShape(tuple(factors), quotient), tuple(coset))
+
+
+def identity_component(shape):
+    return ComponentDatum(shape, (False,) * len(shape.factors))
+
+
+def canonical_shape(shape):
+    """The shape with its factors sorted by kind and size, a factor whose
+    central sign is -1 before an equal one whose sign is +1."""
+    z = shape.central_quotient or (1,) * len(shape.factors)
+    pairs = sorted(zip(shape.factors, z), key=lambda p: (p[0].kind, p[0].size, -p[1]))
+    fs = tuple(p[0] for p in pairs)
+    zs = tuple(p[1] for p in pairs)
+    return ConnectedShape(fs, zs if any(s == -1 for s in zs) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +501,7 @@ def _identity_class_tally(factors):
     for cl in _factor_elliptic_classes(last, False):
         central = _is_central_class((cl.descriptor,), (last,))
         for (cent, pi0, head_central), n in _identity_class_tally(tuple(head)).items():
-            cent = ConnectedShape(cent + cl.cent_factors).canonical().factors
+            cent = canonical_shape(ConnectedShape(cent + cl.cent_factors)).factors
             tally[cent, pi0 * cl.pi0, head_central and central] += n
     return tally
 
@@ -497,7 +510,7 @@ def _identity_class_tally(factors):
 def _sigma_of_centralizer(factors):
     """sigma of a centralizer's identity component, cached on its factors
     in the order a class product lists them."""
-    return _sigma_canonical(ConnectedShape(factors).canonical())
+    return _sigma_canonical(canonical_shape(ConnectedShape(factors)))
 
 
 def _weighted_sigma_sum(counts):
@@ -535,7 +548,7 @@ def _sigma_semisimple(shape):
 
 
 def _recursive_sigma(shape):
-    return _sigma_canonical(shape.canonical())
+    return _sigma_canonical(canonical_shape(shape))
 
 
 def _recursive_e_number(c):
