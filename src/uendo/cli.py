@@ -105,7 +105,7 @@ class Term(Value):
 
 
 class ParameterDocument(Value):
-    __slots__ = ("N", "parity", "decls", "terms", "roots", "places")
+    __slots__ = ("N", "parity", "decls", "terms", "roots", "places", "_hash")
 
     def __init__(self, N: int, parity: int, decls: Tuple[Decl, ...], terms: Tuple[Term, ...],
                  roots: Tuple[Tuple[str, str, int], ...], places: Tuple[Tuple[str, str], ...]):
@@ -115,6 +115,10 @@ class ParameterDocument(Value):
         set_field(self, "terms", terms)
         set_field(self, "roots", roots)
         set_field(self, "places", places)
+        set_field(self, "_hash", hash(self._values(self)))  # the elaboration memo's key
+
+    def __hash__(self):
+        return self._hash
 
 
 class _Parser:
@@ -503,8 +507,20 @@ def report_centralizer(sem: Semantics) -> dict:
 # is refused before any row is computed.
 ARTHUR_MAX_ROWS = 2 ** 16
 
+# The v1 layout of an arthur report up to its rows, of a row up to its signs
+# and after them, and of the report's end, as `_dump` writes it from a dict.
+_ARTHUR = ('{\n  "command": "arthur",\n  "components": [', ',\n    {\n      "component": [',
+           '],\n      "e": {\n        "den": %d,\n        "num": %d\n      },\n'
+           '      "i": {\n        "den": %d,\n        "num": %d\n      }\n    }',
+           '\n  ],\n  "sigma_bar0": {\n    "den": %d,\n    "num": %d\n  }\n}\n')
 
-def report_arthur(sem: Semantics) -> dict:
+
+def report_arthur(sem: Semantics) -> Iterator[str]:
+    """The report's JSON text in pieces, rows in `group.elements()` order; all
+    that can fail runs first.  A row's i and e depend only on how many
+    orthogonal factors of each size it twists, its class, so each class's
+    values and text are made once.  A piece is one row of signs of the first
+    half of the orthogonal factors, joined with every row of the second."""
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
     group = central.component_group(shape)
@@ -512,49 +528,66 @@ def report_arthur(sem: Semantics) -> dict:
         raise SemanticError("arthur has %d component rows, over the size budget of %d rows"
                             % (group.order, ARTHUR_MAX_ROWS))
     base = multiplicity.identity_component_shape(shape)
-    # i and e are products over the factors of one value per factor and
-    # coset bit, and only the orthogonal factors' bits (the row's signs)
-    # vary: the lists start from the other factors' values, and each
-    # orthogonal factor extends every entry by its untwisted value and,
-    # except at the pivot, by its twisted one, which is the product order
-    # of `group.elements()`; a value of 1 leaves the entry as it is
-    n_orth = len(shape.orthogonal)
+    orthogonal, rest = base.factors[:len(shape.orthogonal)], base.factors[len(shape.orthogonal):]
+    sizes, pivot = [f.size for f in orthogonal], group.pivot
 
     def numbers(factors, coset):
         datum = ComponentDatum(ConnectedShape(factors), coset)
         return i_number(datum), e_number(datum)
 
-    rest = base.factors[n_orth:]
-    i_values, e_values = ([v] for v in numbers(rest, (False,) * len(rest)))
-    for index, f in enumerate(base.factors[:n_orth]):
-        bits = (False,) if index == group.pivot else (False, True)
-        pairs = [numbers((f,), (bit,)) for bit in bits]
-        i_values = [x if vi == 1 else x * vi for x in i_values for vi, _ in pairs]
-        e_values = [x if ve == 1 else x * ve for x in e_values for _, ve in pairs]
-    return {
-        "command": "arthur",
-        "components": [{"component": list(vec), "i": i, "e": e}
-                       for vec, i, e in zip(group.elements(), i_values, e_values)],
-        "sigma_bar0": sigma(base),
-    }
+    def times(x, y, n):  # x * y ** n, with no arithmetic for a factor of 1
+        y = 1 if n == 0 else y if n == 1 else y ** n
+        return y if x == 1 else x if y == 1 else x * y
+
+    # (i, e) of each class, keyed by the sum of weights[size] over its twisted factors
+    classes, weights = [numbers(rest, (False,) * len(rest))], {}
+    for size in dict.fromkeys(sizes):
+        f, count = orthogonal[sizes.index(size)], sizes.count(size)
+        twistable = count - (pivot is not None and sizes[pivot] == size)
+        plain = numbers((f,), (False,))
+        twisted = numbers((f,), (True,)) if twistable else plain
+        weights[size] = len(classes)
+        classes = [tuple(times(times(x, u, count - t), v, t) for x, u, v in zip(c, plain, twisted))
+                   for t in range(twistable + 1) for c in classes]
+    sigma_bar0 = sigma(base)
+    head, row, end, tail = _ARTHUR
+    end = "\n      " * bool(sizes) + end
+    ends = [end % (e.denominator, e.numerator, i.denominator, i.numerator) for i, e in classes]
+
+    def signs(start, stop):  # (text, class key) of each row of these factors' signs
+        rows = [("", 0)]
+        for index in range(start, stop):
+            bits = ((",\n        1", 0), (",\n        -1", weights[sizes[index]]))
+            bits = bits[:1 + (index != pivot)]
+            rows = [(text + sign, key + w) for text, key in rows for sign, w in bits]
+        return rows
+
+    middle = (len(sizes) + 1) // 2
+    heads = [(row + text[1:], key) for text, key in signs(0, middle)]
+    tails = signs(middle, len(sizes))
+    pieces = ("".join([lead + text + ends[key + k] for text, k in tails]) for lead, key in heads)
+    return itertools.chain((head + next(pieces)[1:],), pieces,
+                           (tail % (sigma_bar0.denominator, sigma_bar0.numerator),))
 
 
-def report_endoscopy(N: int) -> dict:
-    std = [
-        {"split": list(d.split), "iota": d.iota, "out_order": d.out_order}
-        for d in endoscopy.enumerate_standard(N)
-    ]
-    tw = [
-        {
-            "split": list(d.split),
-            "signature": list(d.signature),
-            "simple": d.is_simple,
-            "iota": d.iota_twisted,
-            "parity": d.parity,
-        }
-        for d in endoscopy.enumerate_twisted(N)
-    ]
-    return {"command": "endoscopy", "N": N, "standard": std, "twisted": tw}
+# The v1 layout of a standard and of a twisted datum in an endoscopy report.
+_IOTA = '{\n      "iota": {\n        "den": %d,\n        "num": %d\n      },\n'
+_SPLIT = '      "split": [\n        %d,\n        %d\n      ]\n    }'
+_STANDARD = _IOTA + '      "out_order": %d,\n' + _SPLIT
+_TWISTED = (_IOTA + '      "parity": %s,\n      "signature": [\n        %d,\n        %d\n'
+            '      ],\n      "simple": %s,\n' + _SPLIT)
+
+
+def report_endoscopy(N: int) -> Tuple[str, ...]:
+    """The report's JSON text in pieces, each list joined once."""
+    std = [_STANDARD % (d.iota.denominator, d.iota.numerator, d.out_order, *d.split)
+           for d in endoscopy.enumerate_standard(N)]
+    tw = [_TWISTED % (d.iota_twisted.denominator, d.iota_twisted.numerator,
+                      "null" if d.parity is None else "%d" % d.parity, *d.signature,
+                      "true" if d.is_simple else "false", *d.split)
+          for d in endoscopy.enumerate_twisted(N)]
+    return ('{\n  "N": %d,\n  "command": "endoscopy",\n  "standard": [\n    ' % N,
+            ",\n    ".join(std), '\n  ],\n  "twisted": [\n    ', ",\n    ".join(tw), "\n  ]\n}\n")
 
 
 def report_epsilon(sem: Semantics) -> dict:
@@ -641,7 +674,7 @@ TADIC_MAX_N = 8
 ENDOSCOPY_MAX_N = 10_000
 
 
-def _endoscopy(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> dict:
+def _endoscopy(doc: Optional[ParameterDocument], flags: SimpleNamespace) -> Tuple[str, ...]:
     if flags.n is not None:
         n = flags.n
     elif doc is not None:
@@ -682,8 +715,8 @@ _FLAG_REPORTS = {
 
 def run(command: str, doc: Optional[ParameterDocument],
         flags: SimpleNamespace) -> dict | Iterator[str]:
-    """The report of one command (for `tadic`, its JSON text in pieces); a `ValueError`
-    from the library, such as an out-of-range --n or --k, becomes a `SemanticError`."""
+    """The report of one command: a dict, or for `arthur`, `endoscopy` and `tadic` its JSON
+    text in pieces.  A library `ValueError`, such as from --n or --k, is a `SemanticError`."""
     try:
         if command in _DOC_REPORTS:
             if doc is None:
@@ -764,6 +797,8 @@ def _read_document(path: str) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line: write its report, a dict through `_dump` or its
+    pieces with `writelines`, or one refusal line on stderr; return the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_args(argv) or _argument_parser().parse_args(argv)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from uendo import centralizer, cli, signs, tadic, weylnum
+from uendo import centralizer, cli, endoscopy, multiplicity, signs, tadic, weylnum
 from uendo.centralizer import centralizer_shape, component_group
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
@@ -1146,7 +1146,8 @@ def test_row_and_n_budgets_admit_fixtures_and_ladder(perfbench_workloads, tmp_pa
             code, _, err = run_cli([command, "--input", str(doc)], capsys)
             assert "size budget" not in err, (name, command)
     for n in (1, perfbench_workloads.ENDOSCOPY_MAX_N, cli.ENDOSCOPY_MAX_N):
-        assert cli._endoscopy(None, argparse.Namespace(n=n))["N"] == n
+        code, out, err = run_cli(["endoscopy", "--n", str(n)], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["N"] == n
 
 
 def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys):
@@ -1214,10 +1215,11 @@ def _json_reference(report):
 
 
 def test_dump_matches_json_on_fixture_reports():
+    # arthur and endoscopy are written as text, not through `_dump`
     flags = argparse.Namespace(n=None, k=None, field="nonarch")
     for path in FIXTURES:
         doc = cli.parse(path.read_text())
-        for command in JSON_DOCUMENT_COMMANDS:
+        for command in ("classify", "centralizer", "epsilon", "multiplicity"):
             try:
                 report = cli.run(command, doc, flags)
             except cli.SemanticError:
@@ -1226,10 +1228,8 @@ def test_dump_matches_json_on_fixture_reports():
 
 
 def test_dump_matches_json_on_tables_and_check():
-    reports = [cli.report_endoscopy(n) for n in range(1, 11)]
-    reports.append(cli.run_check())
-    for report in reports:
-        assert cli._dump(report) == _json_reference(report)
+    report = cli.run_check()
+    assert cli._dump(report) == _json_reference(report)
 
 
 def _tadic_oracle(n, k, field):
@@ -1276,6 +1276,28 @@ def test_tadic_report_builds_no_term_but_the_tempered_one(monkeypatch, capsys):
     assert code == 0 and out.count('"coefficient"') == 5041
     assert len(built) <= 1
     assert calls == ["expand", "tempered_part"]
+
+
+def _endoscopy_oracle(n):
+    """The endoscopy report as a dict, from the two enumerations."""
+    return {"command": "endoscopy", "N": n,
+            "standard": [{"split": list(d.split), "iota": d.iota, "out_order": d.out_order}
+                         for d in endoscopy.enumerate_standard(n)],
+            "twisted": [{"split": list(d.split), "signature": list(d.signature),
+                         "simple": d.is_simple, "iota": d.iota_twisted, "parity": d.parity}
+                        for d in endoscopy.enumerate_twisted(n)]}
+
+
+def test_endoscopy_stdout_matches_json_of_the_enumeration(report_validator, capsys):
+    # the report is written as text, not through `_dump`
+    for n in range(1, 61):
+        code, out, err = run_cli(["endoscopy", "--n", str(n)], capsys)
+        assert (code, out, err) == (0, _json_reference(_endoscopy_oracle(n)), ""), n
+        errors = report_validator.iter_errors(json.loads(out))
+        assert [e.message for e in errors] == [], n
+    for path in FIXTURES:
+        want = _json_reference(_endoscopy_oracle(cli.parse(path.read_text()).N))
+        assert run_cli(["endoscopy", "--input", str(path)], capsys) == (0, want, ""), path.name
 
 
 def test_dump_matches_json_on_synthetic_report():
@@ -1395,7 +1417,123 @@ def test_arthur_rows_are_expanded_not_multiplied_out(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(Fraction, "__mul__", counted)
-    rows = len(cli.report_arthur(sem)["components"])
+    rows = "".join(cli.report_arthur(sem)).count('"component"')
     monkeypatch.undo()
     assert rows == 256
     assert len(products) <= 6 * rows
+
+
+# Documents whose centralizer has no orthogonal factor: GL, Sp, and both.
+NO_ORTHOGONAL_FACTOR = [
+    "group U(2) parity +\nmu a: deg=1, sd=none\npsi = a (x) nu(1)\n",
+    "group U(2) parity +\nmu a: deg=1, sd=-\npsi = 2*a (x) nu(1)\n",
+    "group U(8) parity -\nmu a: deg=1, sd=+\nmu b: deg=2, sd=none\n"
+    "psi = 4*a (x) nu(1) + b (x) nu(1)\n",
+]
+
+
+def _multiplicities_document(mults):
+    """U(sum of mults) with one `sd=+` label per multiplicity in `mults`."""
+    labels = ["l%d" % j for j in range(len(mults))]
+    return "group U(%d) parity +\n%spsi = %s\n" % (
+        sum(mults), "".join("mu %s: deg=1, sd=+\n" % lab for lab in labels),
+        " + ".join("%d*%s (x) nu(1)" % pair for pair in zip(mults, labels)))
+
+
+def _arthur_oracle(text):
+    """The arthur report of a document as a dict, built row by row: i and e
+    of each element of `group.elements()`, on the whole component."""
+    sem = cli.elaborate(cli.parse(text))
+    shape = centralizer_shape(sem.psi, sem.tag)
+    factors = tuple([weylnum.so(l) for _, l in shape.orthogonal]
+                    + [weylnum.sp(l) for _, l in shape.symplectic]
+                    + [weylnum.gl(l) for _, l in shape.general_linear])
+    rows = []
+    for vec in component_group(shape).elements():
+        coset = tuple(s == -1 for s in vec) + (False,) * (len(factors) - len(vec))
+        datum = weylnum.ComponentDatum(weylnum.ConnectedShape(factors), coset)
+        rows.append({"component": list(vec), "i": weylnum.i_number(datum),
+                     "e": weylnum.e_number(datum)})
+    sigma_bar0 = weylnum.sigma(multiplicity.identity_component_shape(shape))
+    return {"command": "arthur", "components": rows, "sigma_bar0": sigma_bar0}
+
+
+def test_arthur_stdout_matches_json_of_each_row(perfbench_workloads, tmp_path, report_validator,
+                                                 capsys):
+    # the report is written as text, by class, not through `_dump`
+    rng = random.Random(23)
+    texts = [path.read_text() for path in FIXTURES] + NO_ORTHOGONAL_FACTOR
+    texts += list(perfbench_workloads.ladder_documents().values())
+    first_seeded = len(texts)
+    texts += [_arthur_document(rng) for _ in range(1000)]
+    doc = tmp_path / "doc.txt"
+    answered, empty, kinds, pivots = 0, 0, set(), set()
+    for index, text in enumerate(texts):
+        doc.write_text(text)
+        code, out, err = run_cli(["arthur", "--input", str(doc)], capsys)
+        assert code == 0 or index < first_seeded, text
+        if code:
+            continue
+        assert (out, err) == (_json_reference(_arthur_oracle(text)), ""), text
+        if index % 16 == 0:
+            assert [e.message for e in report_validator.iter_errors(json.loads(out))] == []
+        sem = cli.elaborate(cli.parse(text))
+        shape = centralizer_shape(sem.psi, sem.tag)
+        pivots.add(component_group(shape).pivot)
+        kinds.update(kind for kind, part in (("SO", shape.orthogonal), ("Sp", shape.symplectic),
+                                             ("GL", shape.general_linear)) if part)
+        empty += not shape.orthogonal
+        answered += 1
+    assert answered > 1000 and empty >= len(NO_ORTHOGONAL_FACTOR)
+    assert {None, 0, 1} < pivots and kinds == {"SO", "Sp", "GL"}
+    for text in NO_ORTHOGONAL_FACTOR:
+        doc.write_text(text)
+        out = run_cli(["arthur", "--input", str(doc)], capsys)[1]
+        assert out.count('"component": []') == 1, text
+
+
+def test_arthur_evaluates_i_and_e_once_per_factor_value(monkeypatch, capsys, tmp_path):
+    calls = []
+    for name in ("i_number", "e_number"):
+        def counted(datum, original=getattr(cli, name), name=name):
+            calls.append(name)
+            return original(datum)
+
+        monkeypatch.setattr(cli, name, counted)
+    doc = tmp_path / "doc.txt"
+    # (sizes of the orthogonal factors, rows, distinct (i, e) values, i and e evaluations
+    # each): one for the other factors, and one per orthogonal size and coset bit; the
+    # classes (twisted factors counted per size) are 9, 12 and 6, and an odd SO has the
+    # same values on both cosets
+    cases = [
+        ((16,) * 8, 256, 9, 3),  # one size, no pivot
+        ((4, 4, 4, 6, 6, 1), 32, 12, 6),  # the size-1 factor is the pivot, never twisted
+        ((5, 5, 4, 4), 8, 3, 5),  # the pivot is one of the two 5s
+    ]
+    for sizes, rows, distinct, evaluations in cases:
+        doc.write_text(_multiplicities_document(sizes))
+        calls.clear()
+        code, out, _ = run_cli(["arthur", "--input", str(doc)], capsys)
+        components = json.loads(out)["components"]
+        values = {(json.dumps(row["i"]), json.dumps(row["e"])) for row in components}
+        assert (code, len(components), len(values)) == (0, rows, distinct), sizes
+        assert sorted(calls) == ["e_number"] * evaluations + ["i_number"] * evaluations, sizes
+
+
+def test_arthur_refuses_before_any_piece(monkeypatch, tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    # 2^17 rows and a factor SO(66) of rank 33: the row budget is checked first
+    doc.write_text(_multiplicities_document([2] * 16 + [66]))
+    calls = []
+    monkeypatch.setattr(cli, "i_number", lambda datum: calls.append(datum))
+    code, out, err = run_cli(["arthur", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 2)
+    assert err == ("error: arthur has 131072 component rows, over the size budget of 65536 "
+                   "rows\n") and calls == []
+    monkeypatch.undo()
+    # under the row budget, the factor's refusal is raised by `run` itself
+    doc.write_text(_multiplicities_document([66, 1]))
+    with pytest.raises(cli.SemanticError, match="factor SO\\(66\\) of rank 33"):
+        cli.run("arthur", cli.parse(doc.read_text()), None)
+    code, out, err = run_cli(["arthur", "--input", str(doc)], capsys)
+    _assert_one_line_error(code, out, err, 2)

@@ -1,0 +1,88 @@
+"""The largest input each report budget admits, and the smallest it refuses.
+
+`endoscopy --n` is admitted up to `ENDOSCOPY_MAX_N` and `arthur` up to
+`ARTHUR_MAX_ROWS` component rows.  Each case runs `python -m uendo.cli` in
+a child process, started by a small launcher process: on Linux a child's
+`ru_maxrss` starts from the resident size of the process that spawned it,
+which for the launcher is about 18 MB and for a test runner could be
+anything.  Each case pins the exit code, stderr (empty, or the one-line
+refusal), the byte count and SHA-256 of stdout, a wall-time limit and a
+bound on the child's peak resident memory.  The digests are those the
+dict-built reports gave before the reports were written from text layouts.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from test_cli import distinct_labels_document
+from uendo import cli
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
+
+# Runs argv[1:] with stdout hashed as it arrives, and prints the exit code,
+# stderr, the byte count and digest of stdout, the wall time and the child's
+# ru_maxrss in kB as one JSON line.
+LAUNCHER = """
+import hashlib, json, os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+digest, size = hashlib.sha256(), 0
+for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+    digest.update(chunk)
+    size += len(chunk)
+err = child.stderr.read().decode()
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps({"code": child.returncode, "err": err, "bytes": size,
+                  "sha256": digest.hexdigest(), "wall_s": time.perf_counter() - start,
+                  "maxrss_kb": usage.ru_maxrss}))
+"""
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# (argv after `uendo`, a document for --input or None, exit code, stderr,
+# stdout bytes, stdout SHA-256, wall limit in s, peak RSS bound in MB)
+CASES = {
+    "endoscopy at the N budget": (
+        ["endoscopy", "--n", "10000"], None, 0, "", 2_952_117,
+        "e1b74a4c8ee0ecccd088266d717e39eb0f4ab8b2f64eb0aa324df8dc301715a0", 1.5, 32),
+    "endoscopy over the N budget": (
+        ["endoscopy", "--n", "10001"], None, 2,
+        "error: endoscopy N = 10001 is over the size budget of N <= 10000\n", 0, EMPTY_SHA256,
+        1.0, 24),
+    "arthur at the row budget, 16 labels of multiplicity 16": (
+        ["arthur"], distinct_labels_document(16, 16), 0, "", 44_801_884,
+        "7ca6b5129d4e230486f50ca777c4d880d36528826a3b534c71e2981f760efbdc", 1.5, 40),
+    "arthur over the row budget, 17 labels of multiplicity 2": (
+        ["arthur"], distinct_labels_document(17, 2), 2,
+        "error: arthur has 131072 component rows, over the size budget of 65536 rows\n", 0,
+        EMPTY_SHA256, 1.0, 24),
+}
+
+
+def test_budgets_are_the_ones_pinned():
+    assert (cli.ENDOSCOPY_MAX_N, cli.ARTHUR_MAX_ROWS) == (10_000, 2 ** 16)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_budget_edge(name, tmp_path):
+    argv, document, code, err, size, sha256, wall_limit_s, rss_bound_mb = CASES[name]
+    if document is not None:
+        path = tmp_path / "doc.txt"
+        path.write_text(document)
+        argv = argv + ["--input", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m", "uendo.cli"]
+                          + argv, capture_output=True, text=True, env=env, timeout=60,
+                          check=True)
+    result = json.loads(done.stdout)
+    assert (result["code"], result["err"]) == (code, err)
+    assert (result["bytes"], result["sha256"]) == (size, sha256)
+    assert result["wall_s"] < wall_limit_s, result
+    assert result["maxrss_kb"] < rss_bound_mb * 1024, result

@@ -228,6 +228,26 @@ def test_global_parameter_copies_keep_the_hash():
         assert clone.constituent("b") == (b, 1)
 
 
+def test_parameter_document_hashes_its_fields_once(monkeypatch):
+    doc, same = _build(ParameterDocument), _build(ParameterDocument)
+    fields = tuple(getattr(doc, name) for name in ParameterDocument._fields)
+    assert hash(doc) == hash(same) == hash(fields) and doc == same
+    # the cached hash is not part of the state: copying and pickling pass
+    # the fields to `__init__`, which hashes them afresh
+    assert doc.__reduce__() == (ParameterDocument, fields)
+    for clone in (copy.copy(doc), copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+        assert clone is not doc and clone == doc and hash(clone) == hash(doc)
+        assert {clone: 1}[doc] == 1
+    assert "_hash" not in repr(doc)
+    hashed = []
+    monkeypatch.setattr(Decl, "__hash__", lambda self: hashed.append(self) or 0)
+    for _ in range(3):
+        hash(doc)
+    assert hashed == []  # the elaboration memo's lookups rehash no field
+    hash(copy.copy(doc))
+    assert hashed == [Decl("a", 1, "+")]
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: SimpleParameter("a", 0, ORTHOGONAL), "degrees must be positive"),
     (lambda: SimpleParameter("a", 1, ORTHOGONAL, 0), "degrees must be positive"),
