@@ -467,7 +467,10 @@ def report_classify(sem: Semantics) -> dict:
 # centralizer, arthur, epsilon and multiplicity refuse a parameter with more
 # constituents than this, counted with multiplicity, before computing anything
 # from it: the orders they print grow like the factorial of that count, and
-# epsilon's root-number pairs like its square.
+# epsilon's root-number pairs like its square.  It is the one bound on a
+# parameter's size: a constituent of multiplicity l gives a factor O(l), Sp(l)
+# or GL(l), and an sd=none one counts twice, so no factor is larger than
+# O(256), Sp(256) or GL(128), of rank 128.
 PARAMETER_MAX_SIZE = 256
 
 

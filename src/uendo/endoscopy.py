@@ -50,14 +50,18 @@ class TwistedDatum(Value):
         set_field(self, "parity", parity)  # only for simple data
 
 
+# The only coefficients, standard and twisted, shared by every datum.
+_ONE, _HALF, _QUARTER = Fraction(1), Fraction(1, 2), Fraction(1, 4)
+
+
 def _standard_datum(n1: int, n2: int) -> StandardDatum:
     """U(n1) x U(n2) with n1 >= n2: coefficient 1 when n2 = 0, else 1/4 with
     outer group Z/2 when the parts are equal, else 1/2."""
     if n2 == 0:
-        return StandardDatum((n1, n2), 1, Fraction(1))
+        return StandardDatum((n1, n2), 1, _ONE)
     if n1 == n2:
-        return StandardDatum((n1, n2), 2, Fraction(1, 4))
-    return StandardDatum((n1, n2), 1, Fraction(1, 2))
+        return StandardDatum((n1, n2), 2, _QUARTER)
+    return StandardDatum((n1, n2), 1, _HALF)
 
 
 def enumerate_standard(N: int) -> List[StandardDatum]:
@@ -75,20 +79,16 @@ def enumerate_twisted(N: int) -> List[TwistedDatum]:
     out = []
     for n2 in range(0, N // 2 + 1):
         n1 = N - n2
-        if (n1 - n2) % 2 == 0:
-            signatures = [(1, -1), (-1, 1)]
-        else:
-            signatures = [(1, 1), (-1, -1)]
-        if n1 == n2:
-            signatures = [(1, -1)]
+        signatures = (((1, -1),) if n1 == n2 else ((1, -1), (-1, 1)) if (n1 - n2) % 2 == 0
+                      else ((1, 1), (-1, -1)))
+        simple = n2 == 0
         for sig in signatures:
-            simple = n2 == 0
             out.append(
                 TwistedDatum(
                     split=(n1, n2),
                     signature=sig,
                     is_simple=simple,
-                    iota_twisted=Fraction(1, 2) if simple else Fraction(1, 4),
+                    iota_twisted=_HALF if simple else _QUARTER,
                     parity=(-1) ** (n1 - 1) * sig[0] if simple else None,
                 )
             )

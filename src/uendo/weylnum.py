@@ -45,12 +45,10 @@ multiplicative over factors, so e(S) is a product of one cached value per
 factor and coset, like i(S), and sigma(S) a product of one cached value per
 factor, each solved from i = e on that factor alone; no sum runs over
 products of classes.  A central quotient changes neither i nor e,
-e(S/Z) = e(S), and doubles sigma, sigma(S/Z) = 2 sigma(S).  i, e and sigma
-refuse a factor of rank above MAX_FACTOR_RANK with a ValueError naming the
-budget.  The identity i(S) = e(S) over the supported menu is the
-correctness certificate for both expansions and is asserted in the tests,
-which keep the recursion over products of classes as the oracle for sigma
-and e.
+e(S/Z) = e(S), and doubles sigma, sigma(S/Z) = 2 sigma(S).  The identity
+i(S) = e(S) over the supported menu is the correctness certificate for both
+expansions and is asserted in the tests, which keep the recursion over
+products of classes as the oracle for sigma and e.
 """
 
 from __future__ import annotations
@@ -65,12 +63,6 @@ from .values import Value, set_field
 GL = "GL"
 SP = "Sp"
 SO = "SO"
-
-# The size budget: the largest factor rank that i, e and sigma accept.  The
-# per-factor i takes O(rank) series terms, and a sigma solve visits every
-# smaller rank with O(rank) elliptic classes each; the exact rationals, with
-# denominators near 4^rank, grow with it.
-MAX_FACTOR_RANK = 32
 
 
 class Factor(Value):
@@ -307,23 +299,11 @@ def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
     return (-1) ** r * (minus + plus)
 
 
-def _within_budget(factors):
-    """The factors, once each is checked against MAX_FACTOR_RANK."""
-    for f in factors:
-        if f.rank > MAX_FACTOR_RANK:
-            raise ValueError(
-                "factor %s(%d) of rank %d is over the size budget of factor rank <= %d"
-                % (f.kind, f.size, f.rank, MAX_FACTOR_RANK)
-            )
-    return factors
-
-
 def i_number(c: ComponentDatum) -> Fraction:
     """i(S): signed count of regular Weyl classes, exact, as the product of
-    the per-factor values (the central quotient does not enter).  Each
-    factor's rank is checked against MAX_FACTOR_RANK."""
+    the per-factor values (the central quotient does not enter)."""
     total = Fraction(1)
-    for f, t in zip(_within_budget(c.base.factors), c.coset):
+    for f, t in zip(c.base.factors, c.coset):
         total *= _factor_i_number(f.kind, f.size, t)
     return total
 
@@ -442,11 +422,10 @@ def e_number(c: ComponentDatum) -> Fraction:
     The elliptic classes, their centralizers and their component counts are
     products over the factors, and sigma is multiplicative, so e(S) is the
     product of the per-factor values, like `i_number`.  A central quotient
-    does not change it: e(S/Z) = e(S), as i(S/Z) = i(S).  Each factor's rank
-    is checked against MAX_FACTOR_RANK.
+    does not change it: e(S/Z) = e(S), as i(S/Z) = i(S).
     """
     total = Fraction(1)
-    for f, t in zip(_within_budget(c.base.factors), c.coset):
+    for f, t in zip(c.base.factors, c.coset):
         total *= _factor_e_number(f.kind, f.size, t)
     return total
 
@@ -461,10 +440,9 @@ def sigma(shape: ConnectedShape) -> Fraction:
     sigma vanishes on positive-dimensional centers, equals 1 on the trivial
     group and is multiplicative over the factors of a semisimple group,
     each factor's value fixed by solving i = e (`_sigma_factor`).  Under
-    the order-2 central quotient it doubles: sigma(S/Z) = 2 sigma(S).  Each
-    factor's rank is checked against MAX_FACTOR_RANK.
+    the order-2 central quotient it doubles: sigma(S/Z) = 2 sigma(S).
     """
-    total = _sigma_of(_within_budget(shape.factors))
+    total = _sigma_of(shape.factors)
     if shape.central_quotient is not None:
         total *= 2
     return total

@@ -1150,20 +1150,7 @@ def test_row_and_n_budgets_admit_fixtures_and_ladder(perfbench_workloads, tmp_pa
         assert (code, err) == (0, "") and json.loads(out)["N"] == n
 
 
-def test_sigma_over_depth_budget_is_semantic_error(monkeypatch, tmp_path, capsys):
-    doc = tmp_path / "doc.txt"
-    doc.write_text("group U(16) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
-                   "psi = 8*a (x) nu(1) + 8*b (x) nu(1)\n")
-    # the budget is checked before the per-factor caches are consulted
-    monkeypatch.setattr(weylnum, "MAX_FACTOR_RANK", 1)
-    for command in ("arthur", "multiplicity"):
-        code, out, err = run_cli([command, "--input", str(doc)], capsys)
-        _assert_one_line_error(code, out, err, 2)
-        assert "size budget of factor rank <= 1" in err, command
-
-
-def test_sigma_answers_large_factors_and_refuses_over_budget(tmp_path, report_validator,
-                                                             capsys):
+def test_sigma_answers_large_factors(tmp_path, report_validator, capsys):
     for cache in (weylnum._factor_i_number, weylnum._factor_e_number, weylnum._sigma_factor):
         cache.cache_clear()
     doc = tmp_path / "doc.txt"
@@ -1180,8 +1167,9 @@ def test_sigma_answers_large_factors_and_refuses_over_budget(tmp_path, report_va
                    "psi = 80*a (x) nu(1) + b (x) nu(1)\n")
     for command in ("arthur", "multiplicity"):
         code, out, err = run_cli([command, "--input", str(doc)], capsys)
-        _assert_one_line_error(code, out, err, 2)
-        assert "size budget of factor rank <= %d" % weylnum.MAX_FACTOR_RANK in err, command
+        assert (code, err) == (0, ""), command
+        report = json.loads(out)
+        assert [e.message for e in report_validator.iter_errors(report)] == [], command
 
 
 # ---------------------------------------------------------------------------
@@ -1531,9 +1519,38 @@ def test_arthur_refuses_before_any_piece(monkeypatch, tmp_path, capsys):
     assert err == ("error: arthur has 131072 component rows, over the size budget of 65536 "
                    "rows\n") and calls == []
     monkeypatch.undo()
-    # under the row budget, the factor's refusal is raised by `run` itself
+    # under the row budget, SO(66) of rank 33 is answered: only the parameter budget
+    # bounds a factor
     doc.write_text(_multiplicities_document([66, 1]))
-    with pytest.raises(cli.SemanticError, match="factor SO\\(66\\) of rank 33"):
-        cli.run("arthur", cli.parse(doc.read_text()), None)
     code, out, err = run_cli(["arthur", "--input", str(doc)], capsys)
-    _assert_one_line_error(code, out, err, 2)
+    assert (code, err) == (0, "")
+    assert out == _json_reference(_arthur_oracle(doc.read_text()))
+
+
+# The largest factors that the parameter budget admits, of rank 128, and two
+# smaller factors of rank above 32.
+LARGEST_FACTORS = {
+    "O(128) x O(128)": "group U(256) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                       "psi = 128*a (x) nu(1) + 128*b (x) nu(1)\n",
+    "O(256)": "group U(256) parity +\nmu a: deg=1, sd=+\npsi = 256*a (x) nu(1)\n",
+    "O(255)": "group U(255) parity +\nmu a: deg=1, sd=+\npsi = 255*a (x) nu(1)\n",
+    "Sp(256)": "group U(256) parity +\nmu a: deg=1, sd=-\npsi = 256*a (x) nu(1)\n",
+    "GL(128)": "group U(256) parity +\nmu c: deg=1, sd=none\npsi = 128*c (x) nu(1)\n",
+    "O(66) x O(1)": _multiplicities_document([66, 1]),
+    "Sp(80) x O(1)": "group U(81) parity +\nmu a: deg=1, sd=-\nmu b: deg=1, sd=+\n"
+                     "psi = 80*a (x) nu(1) + b (x) nu(1)\n",
+}
+
+
+def test_arthur_and_multiplicity_answer_the_largest_factors(tmp_path, report_validator,
+                                                             capsys):
+    doc = tmp_path / "doc.txt"
+    for name, text in LARGEST_FACTORS.items():
+        doc.write_text(text)
+        for command in ("arthur", "multiplicity"):
+            code, out, err = run_cli([command, "--input", str(doc)], capsys)
+            assert (code, err) == (0, ""), (name, command)
+            report = json.loads(out)
+            assert [e.message for e in report_validator.iter_errors(report)] == [], name
+            if command == "arthur":
+                assert out == _json_reference(_arthur_oracle(text)), name

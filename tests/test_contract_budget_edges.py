@@ -1,14 +1,19 @@
 """The largest input each report budget admits, and the smallest it refuses.
 
-`endoscopy --n` is admitted up to `ENDOSCOPY_MAX_N` and `arthur` up to
-`ARTHUR_MAX_ROWS` component rows.  Each case runs `python -m uendo.cli` in
-a child process, started by a small launcher process: on Linux a child's
-`ru_maxrss` starts from the resident size of the process that spawned it,
-which for the launcher is about 18 MB and for a test runner could be
-anything.  Each case pins the exit code, stderr (empty, or the one-line
+`endoscopy --n` is admitted up to `ENDOSCOPY_MAX_N`, `arthur` up to
+`ARTHUR_MAX_ROWS` component rows, `tadic --n` up to `TADIC_MAX_N`, and
+`arthur` and `multiplicity` a parameter of up to `PARAMETER_MAX_SIZE`
+constituents, which bounds every factor of its centralizer: one label of
+multiplicity 256 gives O(256), of rank 128.  Each case runs
+`python -m uendo.cli` in a child process, started by a small launcher
+process: on Linux a child's `ru_maxrss` starts from the resident size of
+the process that spawned it, which for the launcher is about 18 MB and for
+a test runner could be anything.  Each case pins the exit code, stderr (empty, or the one-line
 refusal), the byte count and SHA-256 of stdout, a wall-time limit and a
 bound on the child's peak resident memory.  The digests are those the
-dict-built reports gave before the reports were written from text layouts.
+dict-built reports gave before the reports were written from text layouts;
+that of `arthur` on the 256-constituent parameter is that of its report
+built row by row as a dict, as `test_cli._arthur_oracle` does.
 """
 
 import json
@@ -45,6 +50,8 @@ print(json.dumps({"code": child.returncode, "err": err, "bytes": size,
 
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+OVER_PARAMETER_BUDGET = ("error: parameter is over the size budget of 256 constituents counted "
+                         "with multiplicity\n")
 
 # (argv after `uendo`, a document for --input or None, exit code, stderr,
 # stdout bytes, stdout SHA-256, wall limit in s, peak RSS bound in MB)
@@ -63,11 +70,30 @@ CASES = {
         ["arthur"], distinct_labels_document(17, 2), 2,
         "error: arthur has 131072 component rows, over the size budget of 65536 rows\n", 0,
         EMPTY_SHA256, 1.0, 24),
+    "arthur at the parameter budget, one label of multiplicity 256": (
+        ["arthur"], distinct_labels_document(1, 256), 0, "", 1_593,
+        "5b9ba7b33210cdd8a79c863c2ca6cb5bcaa5ac943761d6c515f6ca7bb348688e", 2.0, 24),
+    "multiplicity at the parameter budget, one label of multiplicity 256": (
+        ["multiplicity"], distinct_labels_document(1, 256), 0, "", 380,
+        "72d4f123d7c0d9f07f54b6f42b0e12bb22c4ca1ad37f2ac84bbe94e19f022159", 1.5, 24),
+    "arthur over the parameter budget, one label of multiplicity 257": (
+        ["arthur"], distinct_labels_document(1, 257), 2, OVER_PARAMETER_BUDGET, 0, EMPTY_SHA256,
+        1.0, 24),
+    "multiplicity over the parameter budget, one label of multiplicity 257": (
+        ["multiplicity"], distinct_labels_document(1, 257), 2, OVER_PARAMETER_BUDGET, 0,
+        EMPTY_SHA256, 1.0, 24),
+    "tadic at the n budget": (
+        ["tadic", "--n", "8", "--k", "2", "--field", "arch"], None, 0, "", 40_194_965,
+        "4476047d138279c807eecc668fe70b21119b326ba0d1ec2cce7614846ce66cc1", 1.5, 32),
+    "tadic over the n budget": (
+        ["tadic", "--n", "9", "--k", "2", "--field", "arch"], None, 2,
+        "error: tadic --n 9 is over the size budget of n <= 8\n", 0, EMPTY_SHA256, 1.0, 24),
 }
 
 
 def test_budgets_are_the_ones_pinned():
     assert (cli.ENDOSCOPY_MAX_N, cli.ARTHUR_MAX_ROWS) == (10_000, 2 ** 16)
+    assert (cli.PARAMETER_MAX_SIZE, cli.TADIC_MAX_N) == (256, 8)
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -10,6 +10,7 @@ from uendo.tadic import (
     FormalCharacterCombination,
     IsobaricTerm,
     StandardSymbol,
+    _normalize_symbol,
     expand,
     mod2_reduce,
     sq_int_multiplicity,
@@ -82,18 +83,28 @@ def test_expand_validates_input():
 def test_expand_accounting_no_silent_loss():
     # the level-by-level expansion against the signed sum of the raw
     # per-permutation terms: the same terms, symbols in canonical order,
-    # and the same ranked form, term order included
+    # and the same ranked form, term order included.  A permutation's term is
+    # built from the cells it picks, each normalized once per case as
+    # `term_for_permutation` does, which must agree at n <= 5.  A cell equal
+    # to a symbol of the expansion is replaced by that symbol, so that the
+    # comparisons below find equal symbols by identity
     cases = [(n, NONARCH, k) for n in range(1, 7) for k in range(0, 8)]
     cases += [(n, ARCH, k) for n in range(1, 7) for k in range(-2, 8)]
     cases += [(7, case, k) for case in (NONARCH, ARCH) for k in (0, 2)]
     for n, case, k in cases:
+        combo = expand("r", n, k, case)
+        same = {s: s for s in combo.symbols}
+        cells = [[_normalize_symbol("r", k - (i - j), Fraction((n + 1) - (i + j)), case)
+                  for j in range(1, n + 1)] for i in range(1, n + 1)]
+        cells = [[same.get(cell, cell) for cell in row] for row in cells]
         raw = {}
         for perm in itertools.permutations(range(n)):
-            t = term_for_permutation("r", n, k, case, perm)
+            t = IsobaricTerm.build([row[w] for row, w in zip(cells, perm)])
+            if n <= 5:
+                assert t == term_for_permutation("r", n, k, case, perm), (n, k, case, perm)
             if t is not None:
                 raw[t] = raw.get(t, 0) + _perm_sign(perm)
         raw = {t: c for t, c in raw.items() if c}
-        combo = expand("r", n, k, case)
         assert combo.coeffs == raw, (n, k, case)
         symbols = list(combo.symbols)
         assert symbols == sorted(set(symbols), key=lambda s: (s.base, -s.k, s.lam))

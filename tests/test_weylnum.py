@@ -4,8 +4,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
-
 import uendo.weylnum
 from uendo.weylnum import (
     ComponentDatum,
@@ -242,21 +240,6 @@ def test_sigma_multiplicative():
     assert sigma(ab) == sigma(a) * sigma(b)
 
 
-def test_sigma_depth_guard_exists(monkeypatch):
-    from uendo.weylnum import MAX_FACTOR_RANK
-
-    assert MAX_FACTOR_RANK > 0
-    # at a small budget: rank 3 is admitted, rank 4 refused by i, e and sigma
-    monkeypatch.setattr(uendo.weylnum, "MAX_FACTOR_RANK", 3)
-    assert sigma(ConnectedShape((so(3), sp(6)))) == sigma(ConnectedShape((so(3),))) * sigma(
-        ConnectedShape((sp(6),)))
-    for call in (lambda: sigma(ConnectedShape((so(3), sp(8)))),
-                 lambda: i_number(datum([sp(8)])),
-                 lambda: e_number(datum([so(3), so(9)]))):
-        with pytest.raises(ValueError, match="size budget of factor rank <= 3"):
-            call()
-
-
 # ---------------------------------------------------------------------------
 # The identity i = e, and the twisted GL cross-check
 
@@ -290,6 +273,14 @@ def test_i_equals_e_on_factor_sample():
     for f, t in dressed:
         d = ComponentDatum(ConnectedShape((f,)), (t,))
         assert i_number(d) == e_number(d), (f, t)
+
+
+def test_i_equals_e_on_the_largest_factors_of_a_parameter():
+    # 256 constituents give at most O(256), Sp(256) or GL(128), of rank 128
+    for f in (so(256), so(255), sp(256), gl(128)):
+        for t in (False,) if f.kind == SP else (False, True):
+            d = datum([f], [t])
+            assert i_number(d) == e_number(d), (f, t)
 
 
 def test_i_equals_e_on_pairs_with_quotients():
