@@ -151,6 +151,15 @@ def _weyl_block(kind: str, rank: int):
     return signed_perms(rank, ((1,) * rank,) if kind == "GL" else None)
 
 
+def torus_blocks(shape: CentralizerShape) -> List[Tuple[str, SimpleParameter, int, int]]:
+    """(kind, constituent, multiplicity l, torus rank) of each torus block:
+    orthogonal factors (rank floor(l/2)), then symplectic factors (rank
+    l/2), then general linear factors (rank l)."""
+    return ([("O", sp, l, l // 2) for sp, l in shape.orthogonal]
+            + [("Sp", sp, l, l // 2) for sp, l in shape.symplectic]
+            + [("GL", sp, l, l) for sp, l in shape.general_linear])
+
+
 class NormalizerElement(Value):
     """An element of N: per-block signed permutations plus the component
     bits of the odd orthogonal factors (canonicalized modulo the center)."""
@@ -166,12 +175,11 @@ class NormalizerElement(Value):
 class NormalizerModel:
     """Concrete model of the groups in the torus-normalizer diagram.
 
-    Blocks are ordered: orthogonal factors (torus rank floor(l/2)), then
-    symplectic factors (rank l/2), then general linear factors (rank l).
-    Elements carry one free component bit per odd orthogonal factor; even
-    orthogonal factors have component equal to the sign-flip parity of
-    their block.  Two elements are identified when they differ by the
-    central element (all bits flipped on the odd orthogonal factors).
+    Blocks are in `torus_blocks` order.  Elements carry one free component
+    bit per odd orthogonal factor; even orthogonal factors have component
+    equal to the sign-flip parity of their block.  Two elements are
+    identified when they differ by the central element (all bits flipped
+    on the odd orthogonal factors).
     """
 
     def __init__(self, shape: CentralizerShape):
@@ -179,13 +187,7 @@ class NormalizerModel:
         self.orth = shape.orthogonal
         self.symp = shape.symplectic
         self.gl = shape.general_linear
-        self.block_meta = []
-        for sp, l in self.orth:
-            self.block_meta.append(("O", sp, l, l // 2))
-        for sp, l in self.symp:
-            self.block_meta.append(("Sp", sp, l, l // 2))
-        for sp, l in self.gl:
-            self.block_meta.append(("GL", sp, l, l))
+        self.block_meta = torus_blocks(shape)
         self.blocks = tuple((kind, rank) for kind, _, _, rank in self.block_meta)
         self.odd_labels = shape.odd_plus_labels
         self.group = component_group(shape)

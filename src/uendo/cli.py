@@ -534,28 +534,28 @@ def report_arthur(sem: Semantics) -> Iterator[str]:
     orthogonal, rest = base.factors[:len(shape.orthogonal)], base.factors[len(shape.orthogonal):]
     sizes, pivot = [f.size for f in orthogonal], group.pivot
 
-    def numbers(factors, coset):
+    def numbers(factors, coset):  # (i, e) as the integers (i num, i den, e num, e den)
         datum = ComponentDatum(ConnectedShape(factors), coset)
-        return i_number(datum), e_number(datum)
+        i, e = i_number(datum), e_number(datum)
+        return i.numerator, i.denominator, e.numerator, e.denominator
 
-    def times(x, y, n):  # x * y ** n, with no arithmetic for a factor of 1
-        y = 1 if n == 0 else y if n == 1 else y ** n
-        return y if x == 1 else x if y == 1 else x * y
-
-    # (i, e) of each class, keyed by the sum of weights[size] over its twisted factors
+    # (i, e) of each class as unreduced integer pairs, keyed by the sum of
+    # weights[size] over its twisted factors
     classes, weights = [numbers(rest, (False,) * len(rest))], {}
     for size in dict.fromkeys(sizes):
         f, count = orthogonal[sizes.index(size)], sizes.count(size)
         twistable = count - (pivot is not None and sizes[pivot] == size)
         plain = numbers((f,), (False,))
         twisted = numbers((f,), (True,)) if twistable else plain
+        steps = [[u ** (count - t) * v ** t for u, v in zip(plain, twisted)]
+                 for t in range(twistable + 1)]
         weights[size] = len(classes)
-        classes = [tuple(times(times(x, u, count - t), v, t) for x, u, v in zip(c, plain, twisted))
-                   for t in range(twistable + 1) for c in classes]
+        classes = [(a * p, b * q, c * r, d * s) for p, q, r, s in steps for a, b, c, d in classes]
     sigma_bar0 = sigma(base)
     head, row, end, tail = _ARTHUR
     end = "\n      " * bool(sizes) + end
-    ends = [end % (e.denominator, e.numerator, i.denominator, i.numerator) for i, e in classes]
+    reduced = ((Fraction(a, b), Fraction(c, d)) for a, b, c, d in classes)
+    ends = [end % (e.denominator, e.numerator, i.denominator, i.numerator) for i, e in reduced]
 
     def signs(start, stop):  # (text, class key) of each row of these factors' signs
         rows = [("", 0)]

@@ -49,10 +49,10 @@ from .centralizer import (
     CentralizerShape,
     FiniteTwoGroup,
     NormalizerElement,
-    NormalizerModel,
     centralizer_shape,
     component_group,
     element_table,
+    torus_blocks,
 )
 from .params import (
     NOT_SELF_DUAL,
@@ -465,7 +465,8 @@ def relative_signs(
 @lru_cache(maxsize=None)
 def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     """The part of `relative_signs` that does not depend on the root numbers:
-    (block signature, number of odd orthogonal factors, pairs).
+    (block signature, number of odd orthogonal factors, pairs), all read
+    off the centralizer shape.
 
     A pair is (k, k', eps1 bits, eps1 blocks, eps^(G/M) bits, eps^(G/M)
     blocks, beta blocks) for each `_candidate_pairs` entry, in order: the
@@ -482,17 +483,17 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     `relative_signs`, with ints and the parameter's own constituents only.
     """
     shape = centralizer_shape(psi, tag)
-    model = NormalizerModel(shape)
-    if model.w_order() == 1:
+    meta = torus_blocks(shape)
+    # W = prod W_block is trivial when every block has rank 0 or is GL(1)
+    if all(rank == 0 or (kind, rank) == ("GL", 1) for kind, _, _, rank in meta):
         raise ValueError("parameter is square-integrable; no proper Levi")
-    block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(model.block_meta)}
-    odd_bit = {lab: 1 << bit for bit, lab in enumerate(model.odd_labels)}
+    block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(meta)}
+    odd_bit = {lab: 1 << bit for bit, lab in enumerate(shape.odd_plus_labels)}
     core = odd_bit.keys()  # the odd-multiplicity orthogonal constituents
     # per orthogonal constituent, where its sign-character exponent lands
     coordinate = {sp.label: (odd_bit[sp.label], 0) if l % 2 else (0, block_of[sp.label])
                   for sp, l in shape.orthogonal}
-    flipping = {sp.label for kind, sp, _, rank in model.block_meta
-                if kind != "GL" and rank >= 1}
+    flipping = {sp.label for kind, sp, _, rank in meta if kind != "GL" and rank >= 1}
     pairs = []
     for (k, lk), (kp, lkp), count in _candidate_pairs(shape):
         a, b, odd = k.label, kp.label, count % 2
@@ -512,7 +513,7 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
             if a in core and b in flipping:
                 beta ^= block_of[b]
         pairs.append((k, kp, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta))
-    return model.blocks, len(model.odd_labels), tuple(pairs)
+    return tuple((kind, rank) for kind, _, _, rank in meta), len(odd_bit), tuple(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,9 @@ and their component counts are products over the factors, and sigma is
 multiplicative over factors, so e(S) is a product of one cached value per
 factor and coset, like i(S), and sigma(S) a product of one cached value per
 factor, each solved from i = e on that factor alone; no sum runs over
-products of classes.  A central quotient changes neither i nor e,
+products of classes.  Each product is taken on integer pairs: the
+numerators multiply together, the denominators together, and one Fraction
+is reduced at the end.  A central quotient changes neither i nor e,
 e(S/Z) = e(S), and doubles sigma, sigma(S/Z) = 2 sigma(S).  The identity
 i(S) = e(S) over the supported menu is the correctness certificate for both
 expansions and is asserted in the tests, which keep the recursion over
@@ -302,10 +304,12 @@ def _factor_i_number(kind: str, size: int, twisted: bool) -> Fraction:
 def i_number(c: ComponentDatum) -> Fraction:
     """i(S): signed count of regular Weyl classes, exact, as the product of
     the per-factor values (the central quotient does not enter)."""
-    total = Fraction(1)
+    num = den = 1
     for f, t in zip(c.base.factors, c.coset):
-        total *= _factor_i_number(f.kind, f.size, t)
-    return total
+        value = _factor_i_number(f.kind, f.size, t)
+        num *= value.numerator
+        den *= value.denominator
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +404,12 @@ def elliptic_classes(c: ComponentDatum):
 
 def _sigma_of(factors) -> Fraction:
     """The product of the per-factor sigma constants."""
-    total = Fraction(1)
+    num = den = 1
     for f in factors:
-        total *= _sigma_factor(f.kind, f.size)
-    return total
+        value = _sigma_factor(f.kind, f.size)
+        num *= value.numerator
+        den *= value.denominator
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -424,10 +430,12 @@ def e_number(c: ComponentDatum) -> Fraction:
     product of the per-factor values, like `i_number`.  A central quotient
     does not change it: e(S/Z) = e(S), as i(S/Z) = i(S).
     """
-    total = Fraction(1)
+    num = den = 1
     for f, t in zip(c.base.factors, c.coset):
-        total *= _factor_e_number(f.kind, f.size, t)
-    return total
+        value = _factor_e_number(f.kind, f.size, t)
+        num *= value.numerator
+        den *= value.denominator
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -1393,22 +1393,40 @@ def test_arthur_rows_match_i_and_e_of_each_component(tmp_path, capsys):
 
 
 def test_arthur_rows_are_expanded_not_multiplied_out(monkeypatch):
-    # 8 labels of multiplicity 16 give 256 rows; expanding the per-factor
-    # values takes about 4 products a row, multiplying out each row about 16
+    # 8 labels of multiplicity 16 give 256 rows.  The class values are
+    # products of integers made from the numerators and denominators of the
+    # per-factor i and e; counting those products and powers, expanding them
+    # class by class takes under one a row, multiplying out each row 32 (four
+    # integers times eight factors)
     sem = cli.elaborate(cli.parse(distinct_labels_document(8, 16)))
-    cli.report_arthur(sem)  # warm: the per-factor values are memoized
+    want = "".join(cli.report_arthur(sem))
     products = []
-    multiply = Fraction.__mul__
 
-    def counted(a, b):
-        products.append(None)
-        return multiply(a, b)
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(None)
+            return Counted(int.__mul__(self, other))
 
-    monkeypatch.setattr(Fraction, "__mul__", counted)
-    rows = "".join(cli.report_arthur(sem)).count('"component"')
+        __rmul__ = __mul__
+
+        def __pow__(self, n):
+            products.append(None)
+            return Counted(int.__pow__(self, n))
+
+    def counted(number):
+        def wrapped(datum):
+            value = number(datum)
+            return types.SimpleNamespace(numerator=Counted(value.numerator),
+                                         denominator=Counted(value.denominator))
+        return wrapped
+
+    monkeypatch.setattr(cli, "i_number", counted(cli.i_number))
+    monkeypatch.setattr(cli, "e_number", counted(cli.e_number))
+    text = "".join(cli.report_arthur(sem))
     monkeypatch.undo()
-    assert rows == 256
-    assert len(products) <= 6 * rows
+    rows = text.count('"component"')
+    assert text == want and rows == 256
+    assert 0 < len(products) <= 6 * rows
 
 
 # Documents whose centralizer has no orthogonal factor: GL, Sp, and both.

@@ -4,10 +4,12 @@
 `ARTHUR_MAX_ROWS` component rows, `tadic --n` up to `TADIC_MAX_N`, and
 `arthur` and `multiplicity` a parameter of up to `PARAMETER_MAX_SIZE`
 constituents, which bounds every factor of its centralizer: one label of
-multiplicity 256 gives O(256), of rank 128.  Each case runs
-`python -m uendo.cli` in a child process, started by a small launcher
-process: on Linux a child's `ru_maxrss` starts from the resident size of
-the process that spawned it, which for the launcher is about 18 MB and for
+multiplicity 256 gives O(256), of rank 128.  The largest `arthur` report
+admitted comes from 17 labels of multiplicities 7..23: 255 constituents
+and 2^16 rows, each its own class, so no two rows share their i and e.
+Each case runs `python -m uendo.cli` in a child process, started by a
+small launcher process: on Linux a child's `ru_maxrss` starts from the
+resident size of the process that spawned it, which for the launcher is about 18 MB and for
 a test runner could be anything.  Each case pins the exit code, stderr (empty, or the one-line
 refusal), the byte count and SHA-256 of stdout, a wall-time limit and a
 bound on the child's peak resident memory.  The digests are those the
@@ -24,7 +26,7 @@ import sys
 
 import pytest
 
-from test_cli import distinct_labels_document
+from test_cli import _multiplicities_document, distinct_labels_document
 from uendo import cli
 
 SRC = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -66,6 +68,9 @@ CASES = {
     "arthur at the row budget, 16 labels of multiplicity 16": (
         ["arthur"], distinct_labels_document(16, 16), 0, "", 44_801_884,
         "7ca6b5129d4e230486f50ca777c4d880d36528826a3b534c71e2981f760efbdc", 1.5, 40),
+    "arthur at the row budget, 17 labels of multiplicities 7..23": (
+        ["arthur"], _multiplicities_document(range(7, 24)), 0, "", 45_142_313,
+        "4702ecf10fa81e2eeeadcf1ded57e372e729c8d85192ba0edb7c3285b448cd3c", 3.0, 100),
     "arthur over the row budget, 17 labels of multiplicity 2": (
         ["arthur"], distinct_labels_document(17, 2), 2,
         "error: arthur has 131072 component rows, over the size budget of 65536 rows\n", 0,

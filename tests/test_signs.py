@@ -827,6 +827,62 @@ def test_relative_signs_match_oracle_on_seeded_shapes():
     assert with_gl > 100 and with_minus > 40 and eps1_minus > 3 and r_minus_minus > 15
 
 
+def test_relative_signs_build_no_normalizer_model(monkeypatch):
+    # the block signature, the odd labels and the refusal are read off the
+    # shape: with NormalizerModel and component_group refusing, cold calls
+    # give the oracle's answers, computed before the refusal is patched in
+    rng = random.Random(20261019)
+    cases = []
+    while len(cases) < 60:
+        case = _seeded_levi_case(rng)
+        if case is not None:
+            psi, tag, entries, _ = case
+            want = _relative_signs_by_elements(psi, tag, RootNumberTable(entries))
+            cases.append((psi, tag, entries, want))
+
+    def refuse(*args):
+        raise AssertionError("normalizer model or component group built")
+
+    monkeypatch.setattr(NormalizerModel, "__init__", refuse)
+    monkeypatch.setattr("uendo.centralizer.component_group", refuse)
+    monkeypatch.setattr("uendo.signs.component_group", refuse)
+    uendo.signs._sign_structure.cache_clear()
+    uendo.signs._signs_on_table.cache_clear()
+    for psi, tag, entries, want in cases:
+        rec = relative_signs(psi, tag, RootNumberTable(entries))
+        for field in ("eps1", "eps_gm", "r_minus"):
+            assert list(getattr(rec, field).items()) == list(getattr(want, field).items())
+        assert (rec.fibers_constant, rec.spectral_identity) == (
+            want.fibers_constant, want.spectral_identity)
+
+
+def test_relative_signs_refuse_exactly_the_trivial_weyl_groups():
+    # the square-integrable refusal, word for word, on every parameter of one
+    # or two constituents from a small menu whose normalizer model has
+    # |W| = 1 (rank-0 blocks and GL(1) blocks), and on no other
+    menu = [[(sd("o%d" % l, 1, ORTHOGONAL), l)] for l in (1, 2, 3)]
+    menu += [[(sd("s%d" % l, 1, SYMPLECTIC), l)] for l in (1, 2, 3)]
+    menu += [_gl_pair("g%d" % l, l) for l in (1, 2)]
+    refused = answered = 0
+    for size in (1, 2):
+        for combo in itertools.combinations(menu, size):
+            psi = GlobalParameter([c for cons in combo for c in cons])
+            for parity in (1, -1):
+                tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
+                if not factors_through(psi, tag):
+                    continue
+                for _ in range(2):  # cold, then with the memo as it stands
+                    if NormalizerModel(centralizer_shape(psi, tag)).w_order() == 1:
+                        with pytest.raises(ValueError) as err:
+                            relative_signs(psi, tag, RootNumberTable())
+                        assert str(err.value) == "parameter is square-integrable; no proper Levi"
+                        refused += 1
+                    else:
+                        _assert_matches_oracle(psi, tag, {})
+                        answered += 1
+    assert refused >= 8 and answered >= 20, (refused, answered)
+
+
 def test_relative_signs_results_are_copies():
     psi, tag, _ = RANK_CASES[0]
     for entries in (table.entries for table in _tables_for(psi)):
@@ -930,7 +986,7 @@ def test_relative_signs_memo_hit_builds_no_shape(monkeypatch):
         raise AssertionError("shape rebuilt on a memo hit")
 
     monkeypatch.setattr("uendo.signs.centralizer_shape", refuse)
-    monkeypatch.setattr("uendo.signs.NormalizerModel", refuse)
+    monkeypatch.setattr("uendo.signs.torus_blocks", refuse)
     for table in _tables_for(psi):
         rec = relative_signs(psi, tag, RootNumberTable(table.entries))
         assert set(rec.r_minus) == set(first.r_minus)

@@ -19,7 +19,13 @@ from uendo.weylnum import (
     sp,
     weyl_set,
 )
-from uendo.weylnum import SP, _factor_elliptic_classes
+from uendo.weylnum import (
+    SP,
+    _factor_e_number,
+    _factor_elliptic_classes,
+    _factor_i_number,
+    _sigma_factor,
+)
 
 
 def datum(factors, coset=None, quotient=None):
@@ -298,6 +304,56 @@ def test_i_equals_e_on_pairs_with_quotients():
             dq = ComponentDatum(ConnectedShape((f1, f2), z), (t1, t2))
             assert i_number(dq) == i_val
             assert e_number(dq) == i_val, (f1, t1, f2, t2, z)
+
+
+def _fraction_loop(values):
+    """The product of `values` as one Fraction product per value, from 1."""
+    total = Fraction(1)
+    for value in values:
+        total *= value
+    return total
+
+
+def _assert_products_are_fraction_loops(c):
+    """i, e and sigma of `c` equal, reduced term for term, the Fraction
+    loop over the cached per-factor values; returns (i, e, sigma)."""
+    pairs = list(zip(c.base.factors, c.coset))
+    i_want = _fraction_loop(_factor_i_number(f.kind, f.size, t) for f, t in pairs)
+    e_want = _fraction_loop(_factor_e_number(f.kind, f.size, t) for f, t in pairs)
+    sigma_want = _fraction_loop(_sigma_factor(f.kind, f.size) for f, _ in pairs)
+    if c.base.central_quotient is not None:
+        sigma_want *= 2
+    got = (i_number(c), e_number(c), sigma(c.base))
+    for value, want in zip(got, (i_want, e_want, sigma_want)):
+        assert type(value) is Fraction, c
+        assert (value.numerator, value.denominator) == (want.numerator, want.denominator), c
+    return got
+
+
+def test_products_match_fraction_loops_on_the_menu(perfbench_workloads):
+    # criterion 1's menu as the benchmark's sweep builds it, central
+    # quotients included; GL identity cosets and SO(2) give exact zeros
+    zeros = Counter()
+    for factors, coset, z in perfbench_workloads.weyl_menu():
+        c = datum([uendo.weylnum.Factor(*f) for f in factors], coset, z)
+        values = _assert_products_are_fraction_loops(c)
+        zeros.update(name for name, v in zip("ies", values) if v == 0)
+    assert zeros["i"] > 100 and zeros["e"] > 100 and zeros["s"] > 100
+
+
+def test_products_match_fraction_loops_on_large_factors():
+    # every SO(m), m <= 257, and Sp(2r) and GL(a), r, a <= 128 (the parameter
+    # budget gives at most O(256), Sp(256) and GL(128)), on each coset, alone
+    # and beside the factor one size smaller of its kind
+    factors = ([so(m) for m in range(1, 258)] + [sp(2 * r) for r in range(1, 129)]
+               + [gl(a) for a in range(1, 129)])
+    previous = {}
+    for f in factors:
+        for t in (False,) if f.kind == SP else (False, True):
+            _assert_products_are_fraction_loops(datum([f], [t]))
+            if f.kind in previous:
+                _assert_products_are_fraction_loops(datum([previous[f.kind], f], [False, t]))
+        previous[f.kind] = f
 
 
 def test_i_zero_when_central_torus_fixed():
