@@ -21,15 +21,17 @@ invariant failure.  Rationals are serialized as {"num": ..., "den": ...}.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
-import json
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import centralizer as central
 from . import endoscopy, multiplicity, signs, tadic
@@ -402,66 +404,35 @@ def _elaborate(doc: ParameterDocument):
 # Reports
 
 
-def _dump(report: dict) -> str:
-    """The report as JSON with sorted keys and a two-space indent, plus a
-    newline, with rationals as {"num", "den"} objects and tuples as lists:
-    the bytes `json` writes for those settings, without the pure-Python
-    encoder that indenting selects there.  Keys must be strings."""
-
-    def write(value, depth: int) -> str:
-        kind = type(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if not (kind is dict or kind is list or kind is tuple):
-            if value is None:
-                return "null"
-            if value is True:
-                return "true"
-            if value is False:
-                return "false"
-            if isinstance(value, Fraction):
-                pad = "\n" + "  " * depth
-                return '{%s  "den": %d,%s  "num": %d%s}' % (
-                    pad, value.denominator, pad, value.numerator, pad)
-            if not isinstance(value, (dict, list, tuple)):
-                return json.dumps(value)
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            body = ("," + inner).join([
-                encode_basestring_ascii(k) + ": " + write(v, depth + 1)
-                for k, v in sorted(value.items())
-            ])
-            return "{" + inner + body + "\n" + "  " * depth + "}"
-        body = ("," + inner).join([write(v, depth + 1) for v in value])
-        return "[" + inner + body + "\n" + "  " * depth + "]"
-
-    return write(report, 0) + "\n"
+def _json_list(items: List[str], depth: int) -> str:
+    """A JSON list of rendered items, as the value of a key at `depth`."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _flags_dict(flags) -> dict:
-    return {
-        "sim": flags.in_sim,
-        "two": flags.in_2,
-        "ell": flags.in_ell,
-        "s_disc": flags.in_s_disc,
-        "disc": flags.in_disc,
-        "generic": flags.is_generic,
-    }
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def report_classify(sem: Semantics) -> dict:
-    return {
-        "command": "classify",
-        "N": sem.tag.N,
-        "parity": sem.tag.parity,
-        "factors_through": factors_through(sem.psi, sem.tag),
-        "group": _flags_dict(classify(sem.psi, sem.tag)),
-        "twisted": _flags_dict(classify(sem.psi)),
-    }
+# The v1 layout of a classify report and of its two sets of chain flags.
+_CLASSIFY = ('{\n  "N": %d,\n  "command": "classify",\n  "factors_through": %s,\n'
+             '  "group": %s,\n  "parity": %d,\n  "twisted": %s\n}\n')
+_FLAGS = ('{\n    "disc": %s,\n    "ell": %s,\n    "generic": %s,\n    "s_disc": %s,\n'
+          '    "sim": %s,\n    "two": %s\n  }')
+
+
+def _flags(flags) -> str:
+    return _FLAGS % (_json_bool(flags.in_disc), _json_bool(flags.in_ell),
+                     _json_bool(flags.is_generic), _json_bool(flags.in_s_disc),
+                     _json_bool(flags.in_sim), _json_bool(flags.in_2))
+
+
+def report_classify(sem: Semantics) -> Tuple[str]:
+    return (_CLASSIFY % (sem.tag.N, _json_bool(factors_through(sem.psi, sem.tag)),
+                         _flags(classify(sem.psi, sem.tag)), sem.tag.parity,
+                         _flags(classify(sem.psi))),)
 
 
 # centralizer, arthur, epsilon and multiplicity refuse a parameter with more
@@ -483,27 +454,24 @@ def _require_factoring(sem: Semantics):
         raise SemanticError("parameter does not factor through the declared datum")
 
 
-def report_centralizer(sem: Semantics) -> dict:
+# The v1 layout of a centralizer report and of one (label, multiplicity) pair.
+_CENTRALIZER = ('{\n  "command": "centralizer",\n  "component_group_order": %d,\n'
+                '  "diagram": {\n    "n": %d,\n    "r": %d,\n    "s": %d,\n    "s1": %d,\n'
+                '    "w": %d,\n    "w0": %d\n  },\n  "general_linear": %s,\n'
+                '  "orthogonal": %s,\n  "symplectic": %s\n}\n')
+_PAIR = '[\n      %s,\n      %d\n    ]'
+
+
+def report_centralizer(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
     diagram = central.levi_diagram(sem.psi, sem.tag)
     if not (diagram.exact and diagram.splitting_ok):
         raise InternalInvariantError("normalizer diagram failed exactness")
-    return {
-        "command": "centralizer",
-        "orthogonal": [[sp.label, l] for sp, l in shape.orthogonal],
-        "symplectic": [[sp.label, l] for sp, l in shape.symplectic],
-        "general_linear": [[sp.label, l] for sp, l in shape.general_linear],
-        "component_group_order": diagram.s_order,
-        "diagram": {
-            "w0": diagram.w0_order,
-            "w": diagram.w_order,
-            "n": diagram.n_order,
-            "s": diagram.s_order,
-            "s1": diagram.s1_order,
-            "r": diagram.r_order,
-        },
-    }
+    factors = [_json_list([_PAIR % (encode_basestring_ascii(sp.label), l) for sp, l in part], 1)
+               for part in (shape.general_linear, shape.orthogonal, shape.symplectic)]
+    return (_CENTRALIZER % (diagram.s_order, diagram.n_order, diagram.r_order, diagram.s_order,
+                            diagram.s1_order, diagram.w_order, diagram.w0_order, *factors),)
 
 
 # arthur writes one row per element of the component group; a larger group
@@ -511,7 +479,9 @@ def report_centralizer(sem: Semantics) -> dict:
 ARTHUR_MAX_ROWS = 2 ** 16
 
 # The v1 layout of an arthur report up to its rows, of a row up to its signs
-# and after them, and of the report's end, as `_dump` writes it from a dict.
+# and after them, and of the report's end: the bytes of
+# `json.dumps(report, sort_keys=True, indent=2)` with rationals as
+# {"num", "den"} objects, plus a newline.
 _ARTHUR = ('{\n  "command": "arthur",\n  "components": [', ',\n    {\n      "component": [',
            '],\n      "e": {\n        "den": %d,\n        "num": %d\n      },\n'
            '      "i": {\n        "den": %d,\n        "num": %d\n      }\n    }',
@@ -554,8 +524,12 @@ def report_arthur(sem: Semantics) -> Iterator[str]:
     sigma_bar0 = sigma(base)
     head, row, end, tail = _ARTHUR
     end = "\n      " * bool(sizes) + end
-    reduced = ((Fraction(a, b), Fraction(c, d)) for a, b, c, d in classes)
-    ends = [end % (e.denominator, e.numerator, i.denominator, i.numerator) for i, e in reduced]
+    # each class's text takes the slot of its integers, which die as it is made
+    ends = classes
+    del classes
+    for index, (a, b, c, d) in enumerate(ends):
+        i, e = Fraction(a, b), Fraction(c, d)
+        ends[index] = end % (e.denominator, e.numerator, i.denominator, i.numerator)
 
     def signs(start, stop):  # (text, class key) of each row of these factors' signs
         rows = [("", 0)]
@@ -587,41 +561,49 @@ def report_endoscopy(N: int) -> Tuple[str, ...]:
            for d in endoscopy.enumerate_standard(N)]
     tw = [_TWISTED % (d.iota_twisted.denominator, d.iota_twisted.numerator,
                       "null" if d.parity is None else "%d" % d.parity, *d.signature,
-                      "true" if d.is_simple else "false", *d.split)
+                      _json_bool(d.is_simple), *d.split)
           for d in endoscopy.enumerate_twisted(N)]
     return ('{\n  "N": %d,\n  "command": "endoscopy",\n  "standard": [\n    ' % N,
             ",\n    ".join(std), '\n  ],\n  "twisted": [\n    ', ",\n    ".join(tw), "\n  ]\n}\n")
 
 
-def report_epsilon(sem: Semantics) -> dict:
+# The v1 layouts of an epsilon and of a multiplicity report, and of a
+# multiplicity report's packet counts.
+_EPSILON = ('{\n  "command": "epsilon",\n  "defaulted_pairs": %s,\n  "exponents": %s,\n'
+            '  "is_epsilon_parameter": %s,\n  "labels": %s,\n  "trivial": %s,\n'
+            '  "value_at_s_psi": %d\n}\n')
+_MULTIPLICITY = ('{\n  "command": "multiplicity",\n  "defaulted_pairs": %s,\n%s'
+                 '  "stable_coefficient": {\n    "den": %d,\n    "num": %d\n  }\n}\n')
+_PACKET = '  "packet": {\n    "members": %d,\n    "selected": %d\n  },\n'
+
+
+def _defaulted_pairs(table: signs.RootNumberTable) -> str:
+    """The sorted label pairs that this request's root numbers defaulted to +1."""
+    pairs = sorted(sorted(p) for p in table.warned_pairs)
+    items = [_json_list(list(map(encode_basestring_ascii, pair)), 2) for pair in pairs]
+    return _json_list(items, 1)
+
+
+def report_epsilon(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
     char = signs.epsilon_character(sem.psi, sem.tag, sem.table)
-    return {
-        "command": "epsilon",
-        "labels": list(char.labels),
-        "exponents": list(char.exponents),
-        "trivial": char.is_trivial,
-        "value_at_s_psi": char.value_at_s_psi,
-        "is_epsilon_parameter": signs.is_epsilon_parameter(sem.psi),
-        "defaulted_pairs": sorted(sorted(p) for p in sem.table.warned_pairs),
-    }
+    return (_EPSILON % (_defaulted_pairs(sem.table),
+                        _json_list(["%d" % x for x in char.exponents], 1),
+                        _json_bool(signs.is_epsilon_parameter(sem.psi)),
+                        _json_list(list(map(encode_basestring_ascii, char.labels)), 1),
+                        _json_bool(char.is_trivial), char.value_at_s_psi),)
 
 
-def report_multiplicity(sem: Semantics) -> dict:
+def report_multiplicity(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
     coeff, counts = multiplicity._coefficient_and_counts(sem.psi, sem.tag, sem.table, sem.places)
-    report = {
-        "command": "multiplicity",
-        "stable_coefficient": coeff,
-    }
-    if counts is not None:
-        report["packet"] = {"members": counts[0], "selected": counts[1]}
-    report["defaulted_pairs"] = sorted(sorted(p) for p in sem.table.warned_pairs)
-    return report
+    packet = "" if counts is None else _PACKET % counts
+    return (_MULTIPLICITY % (_defaulted_pairs(sem.table), packet, coeff.denominator,
+                             coeff.numerator),)
 
 
 # The v1 layout of a tadic report up to its terms, of one term and of one
-# symbol, at depth 0; `_dump` writes the same bytes for the report as a dict.
+# symbol, at depth 0, as `json.dumps(..., sort_keys=True, indent=2)` writes them.
 _TADIC_HEAD = ('{\n  "command": "tadic",\n  "field": %s,\n  "k": %d,\n  "n": %d,\n'
                '  "tempered": %s,\n  "terms": [')
 _TADIC_TERM = '{\n  "coefficient": %d,\n  "symbols": [\n    %s\n  ]\n}'
@@ -656,14 +638,14 @@ def report_tadic(n: int, k: int, field: str) -> Iterator[str]:
     return itertools.chain((first,), terms, ("\n  ]\n}\n",))
 
 
-def run_check() -> dict:
+def run_check() -> Tuple[str]:
     """A condensed invariant battery across the modules; exit 3 on failure."""
     from . import checks
 
     failures = checks.run_all()
     if failures:
         raise InternalInvariantError("; ".join(failures))
-    return {"command": "check", "status": "ok"}
+    return ('{\n  "command": "check",\n  "status": "ok"\n}\n',)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +699,11 @@ _FLAG_REPORTS = {
 
 
 def run(command: str, doc: Optional[ParameterDocument],
-        flags: SimpleNamespace) -> dict | Iterator[str]:
-    """The report of one command: a dict, or for `arthur`, `endoscopy` and `tadic` its JSON
-    text in pieces.  A library `ValueError`, such as from --n or --k, is a `SemanticError`."""
+        flags: SimpleNamespace) -> Iterable[str]:
+    """The JSON text of one command's report in pieces, all rendered before
+    this returns except those of `arthur` and `tadic`, which are rendered as
+    they are written.  A library `ValueError`, such as from --n or --k, is a
+    `SemanticError`."""
     try:
         if command in _DOC_REPORTS:
             if doc is None:
@@ -793,15 +777,25 @@ def _argument_parser():
 
 def _read_document(path: str) -> str:
     """The file's text, with CRLF and lone CR read as LF, as text mode
-    reads it."""
-    with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+    reads it.  Each error is the `OSError` that `open(path, "rb")` raises,
+    a directory's included."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command line: write its report, a dict through `_dump` or its
-    pieces with `writelines`, or one refusal line on stderr; return the exit code."""
+    """Run one command line: write its document (`print`) or its report's
+    pieces with `writelines`, or one refusal line on stderr; return the exit
+    code."""
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_args(argv) or _argument_parser().parse_args(argv)
@@ -833,10 +827,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalInvariantError as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return 3
-    if type(report) is dict:
-        sys.stdout.write(_dump(report))
-    else:
-        sys.stdout.writelines(report)
+    sys.stdout.writelines(report)
     return 0
 
 

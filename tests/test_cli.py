@@ -629,7 +629,7 @@ def _text_mode_outcome(path, command):
         return 1, "", "parse error: input is not UTF-8 text: %s\n" % exc
     if command == "print":
         return 0, cli.print_document(doc), ""
-    return 0, cli._dump(cli.run(command, doc, None)), ""
+    return 0, "".join(cli.run(command, doc, None)), ""
 
 
 BYTES_READ_DOCUMENTS = {
@@ -653,6 +653,58 @@ def test_bytes_read_matches_text_mode_read(name, tmp_path, capsys):
         assert run_cli([command, "--input", str(doc)], capsys) == want, command
     if name == "lone cr, error on line 3":
         assert want[2] == "parse error: expected 'INT', got ')' at line 3, column 16\n"
+
+
+def _open_read_document(path):
+    """The document as `open(path, "rb")` reads it, the reader that `main`
+    used before `os.read`."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# Inputs for the read path: None is a directory, and a missing name is not created.
+READ_PATH_INPUTS = {
+    "directory": None,
+    "non-utf-8": b"group U(1) parity +\nmu \xe9: deg=1, sd=+\npsi = \xe9 (x) nu(1)\n",
+    "empty": b"",
+    "crlf": BYTES_READ_DOCUMENTS["crlf"],
+    "lone cr": b"group U(1) parity +\rmu a: deg=1, sd=+\rpsi = a (x) nu(1)\r",
+    "over 64 KiB": b"# padding\r\n" * 7000 + b"group U(2) parity +\nmu a: deg=1, sd=+\n"
+                   b"psi = 2*a (x) nu(1)\n" + b"# padding\n" * 7000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_PATH_INPUTS) + ["missing"])
+def test_os_read_matches_open_read(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "doc.txt"
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(READ_PATH_INPUTS[name])
+    reads = []
+
+    def counted(fd, size, read=cli.os.read):
+        reads.append(size)
+        return read(fd, size)
+
+    for command in ("print", "classify", "arthur"):
+        argv = [command, "--input", str(path)]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_read_document", _open_read_document)
+            want = run_cli(argv, capsys)
+        cli.parse.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.os, "read", counted)
+            assert run_cli(argv, capsys) == want, (name, command)
+    if name in ("directory", "missing"):
+        assert want[0] == 2 and want[2].startswith("cannot read input: [Errno ")
+        assert want[2].endswith(": %r\n" % str(path)) and reads == []
+    else:
+        chunks = -(-len(READ_PATH_INPUTS[name]) // (1 << 16))
+        assert len(reads) == 3 * (chunks + 1)  # each command reads the chunks, then the end
+        assert (chunks > 1) == (name == "over 64 KiB")
+        assert want[0] == (1 if name in ("empty", "non-utf-8") else 0), want
 
 
 def run_cli_rejected(args, capsys):
@@ -799,7 +851,8 @@ def test_module_entry_point_matches_in_process_call(capsys):
     argv = ["classify", "--input", str(FIXTURES[0])]
     src = pathlib.Path(cli.__file__).parents[1]
     done = subprocess.run([sys.executable, "-m", "uendo.cli"] + argv, capture_output=True,
-                          text=True, timeout=60, env={"PYTHONPATH": str(src)})
+                          text=True, timeout=60,
+                          env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
     assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, capsys)
 
 
@@ -1197,27 +1250,110 @@ def _enc(value, memo=None):
 
 
 def _json_reference(report):
-    """The bytes `cli._dump` must write, from the standard encoder; the
+    """The bytes a report's text must have, from the standard encoder; the
     report has no cycles, so the encoder need not look for them."""
     return json.dumps(_enc(report), sort_keys=True, indent=2, check_circular=False) + "\n"
 
 
-def test_dump_matches_json_on_fixture_reports():
-    # arthur and endoscopy are written as text, not through `_dump`
-    flags = argparse.Namespace(n=None, k=None, field="nonarch")
-    for path in FIXTURES:
-        doc = cli.parse(path.read_text())
-        for command in ("classify", "centralizer", "epsilon", "multiplicity"):
+def _flags_oracle(flags):
+    return {"sim": flags.in_sim, "two": flags.in_2, "ell": flags.in_ell,
+            "s_disc": flags.in_s_disc, "disc": flags.in_disc, "generic": flags.is_generic}
+
+
+def _small_report_oracle(command, text):
+    """The `classify`, `centralizer`, `epsilon` or `multiplicity` report of a
+    document as a dict, built field by field as the CLI once built it before
+    encoding it; a refusal raises the CLI's `SemanticError`."""
+    sem = cli.elaborate(cli.parse(text))
+    psi, tag, table = sem.psi, sem.tag, sem.table
+    if command == "classify":
+        return {"command": "classify", "N": tag.N, "parity": tag.parity,
+                "factors_through": cli.factors_through(psi, tag),
+                "group": _flags_oracle(cli.classify(psi, tag)),
+                "twisted": _flags_oracle(cli.classify(psi))}
+    cli._require_factoring(sem)
+    if command == "centralizer":
+        shape = centralizer_shape(psi, tag)
+        diagram = centralizer.levi_diagram(psi, tag)
+        return {"command": "centralizer",
+                "orthogonal": [[sp.label, l] for sp, l in shape.orthogonal],
+                "symplectic": [[sp.label, l] for sp, l in shape.symplectic],
+                "general_linear": [[sp.label, l] for sp, l in shape.general_linear],
+                "component_group_order": diagram.s_order,
+                "diagram": {"w0": diagram.w0_order, "w": diagram.w_order,
+                            "n": diagram.n_order, "s": diagram.s_order,
+                            "s1": diagram.s1_order, "r": diagram.r_order}}
+    if command == "epsilon":
+        char = signs.epsilon_character(psi, tag, table)
+        return {"command": "epsilon", "labels": list(char.labels),
+                "exponents": list(char.exponents), "trivial": char.is_trivial,
+                "value_at_s_psi": char.value_at_s_psi,
+                "is_epsilon_parameter": signs.is_epsilon_parameter(psi),
+                "defaulted_pairs": sorted(sorted(p) for p in table.warned_pairs)}
+    coeff = multiplicity.stable_coefficient(psi, tag, table)
+    report = {"command": "multiplicity", "stable_coefficient": coeff,
+              "defaulted_pairs": sorted(sorted(p) for p in table.warned_pairs)}
+    if sem.places and cli.classify(psi, tag).in_2:
+        model = multiplicity.GlobalPlacesModel(centralizer_shape(psi, tag), sem.places)
+        members, selected = multiplicity.packet_counts(psi, tag, table, model)
+        report["packet"] = {"members": members, "selected": selected}
+    return report
+
+
+SMALL_REPORTS = ("classify", "centralizer", "epsilon", "multiplicity")
+
+
+def test_small_reports_match_json_of_their_oracles(perfbench_workloads, tmp_path,
+                                                   report_validator, capsys):
+    # the four reports are written from fixed text layouts, each byte of
+    # which `json.dumps` of the oracle's dict must give
+    rng = random.Random(29)
+    texts = [path.read_text() for path in FIXTURES]
+    texts += list(perfbench_workloads.fixture_documents().values())
+    texts += list(perfbench_workloads.ladder_documents().values())
+    texts += [perfbench_workloads.generate_document(rng) for _ in range(1000)]
+    texts += [_arthur_document(rng) for _ in range(200)]
+    texts += NO_ORTHOGONAL_FACTOR + list(LARGEST_FACTORS.values())
+    texts += [distinct_labels_document(16, 16), _multiplicities_document(range(7, 24)),
+              distinct_labels_document(1, 257), distinct_labels_document(17, 2),
+              distinct_labels_document(3, 1, "places [ v0 : inert v1 : split ]")]
+    doc = tmp_path / "doc.txt"
+    seen = collections.Counter()
+    for text in texts:
+        doc.write_text(text)
+        for command in SMALL_REPORTS:
+            outcome = run_cli([command, "--input", str(doc)], capsys)
             try:
-                report = cli.run(command, doc, flags)
-            except cli.SemanticError:
+                report = _small_report_oracle(command, text)
+            except cli.SemanticError as exc:
+                assert outcome == (2, "", "error: %s\n" % exc), (command, text)
+                seen["refused"] += 1
                 continue
-            assert cli._dump(report) == _json_reference(report), (path.name, command)
+            assert outcome == (0, _json_reference(report), ""), (command, text)
+            if seen[command] % 16 == 0:
+                errors = report_validator.iter_errors(json.loads(outcome[1]))
+                assert [e.message for e in errors] == [], (command, text)
+            seen[command] += 1
+            if command == "centralizer":
+                for key in ("orthogonal", "symplectic", "general_linear"):
+                    seen[key, bool(report[key])] += 1
+            elif command != "classify":
+                seen[command, "defaulted", bool(report["defaulted_pairs"])] += 1
+            if command == "multiplicity":
+                seen["packet", "packet" in report] += 1
+                seen["places", bool(cli.parse(text).places)] += 1
+    assert seen["classify"] == len(texts) > 1200 and seen["refused"] > 1000
+    assert min(seen[command] for command in SMALL_REPORTS) > 800
+    for key in ("orthogonal", "symplectic", "general_linear"):
+        assert seen[key, True] and seen[key, False], key
+    for key in [(c, "defaulted", b) for c in ("epsilon", "multiplicity") for b in (True, False)]:
+        assert seen[key], key
+    assert seen["packet", True] and seen["packet", False]
+    assert seen["places", True] > seen["packet", True] and seen["places", False]
 
 
-def test_dump_matches_json_on_tables_and_check():
-    report = cli.run_check()
-    assert cli._dump(report) == _json_reference(report)
+def test_check_stdout_matches_json():
+    assert "".join(cli.run_check()) == _json_reference({"command": "check", "status": "ok"})
 
 
 def _tadic_oracle(n, k, field):
@@ -1286,24 +1422,6 @@ def test_endoscopy_stdout_matches_json_of_the_enumeration(report_validator, caps
     for path in FIXTURES:
         want = _json_reference(_endoscopy_oracle(cli.parse(path.read_text()).N))
         assert run_cli(["endoscopy", "--input", str(path)], capsys) == (0, want, ""), path.name
-
-
-def test_dump_matches_json_on_synthetic_report():
-    shared = {"x": Fraction(-3, 4), "y": [Fraction(5), -7]}
-    report = {
-        "text": "caf\u00e9 \u2203 \"quoted\"\n",
-        "empty_dict": {},
-        "empty_list": [],
-        "flags": [True, False, None],
-        "ints": [-1, 0, 2 ** 70, -(2 ** 70)],
-        "floats": [-0.5, float("inf")],
-        "nested": {"fractions": [[Fraction(1, 3)], (Fraction(-2),)]},
-        "shared": shared,
-        "deeper": {"again": [shared]},
-    }
-    encoded = _enc(report)
-    assert encoded["shared"] is encoded["deeper"]["again"][0]
-    assert cli._dump(report) == _json_reference(report)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ CASES = {
         "7ca6b5129d4e230486f50ca777c4d880d36528826a3b534c71e2981f760efbdc", 1.5, 40),
     "arthur at the row budget, 17 labels of multiplicities 7..23": (
         ["arthur"], _multiplicities_document(range(7, 24)), 0, "", 45_142_313,
-        "4702ecf10fa81e2eeeadcf1ded57e372e729c8d85192ba0edb7c3285b448cd3c", 3.0, 100),
+        "4702ecf10fa81e2eeeadcf1ded57e372e729c8d85192ba0edb7c3285b448cd3c", 3.0, 72),
     "arthur over the row budget, 17 labels of multiplicity 2": (
         ["arthur"], distinct_labels_document(17, 2), 2,
         "error: arthur has 131072 component rows, over the size budget of 65536 rows\n", 0,
