@@ -330,21 +330,18 @@ class Semantics(Value):
 def elaborate(doc: ParameterDocument) -> Semantics:
     """Check a parsed document and build its library objects; every
     rejection, the library's `ValueError`s included, is a `SemanticError`.
-    What depends only on the document (the checks, psi, the tag, the
-    validated root numbers and the places) is memoized on the document for
-    the life of the process; rejections are not stored.  The root-number
-    table is new on every call, because it records the pairs that one
-    request defaulted to +1."""
+    The result depends only on the document and is memoized on it for the
+    life of the process, so every request for one document shares one
+    `Semantics`; rejections are not stored."""
     try:
-        psi, tag, entries, places = _elaborate(doc)
-        return Semantics(psi, tag, signs.RootNumberTable(entries), places)
+        return _elaborate(doc)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
 
 
 @functools.lru_cache(maxsize=None)
-def _elaborate(doc: ParameterDocument):
-    """psi, the tag, the validated root-number entries and the places."""
+def _elaborate(doc: ParameterDocument) -> Semantics:
+    """`elaborate` before a `ValueError` becomes a `SemanticError`."""
     decls = {}
     for d in doc.decls:
         if d.label in decls:
@@ -397,7 +394,7 @@ def _elaborate(doc: ParameterDocument):
             raise SemanticError("place %r declared twice" % name)
         names.add(name)
         places.append(multiplicity.Place(name, kind))
-    return psi, tag, table.entries, tuple(places)
+    return Semantics(psi, tag, table, tuple(places))
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +574,8 @@ _MULTIPLICITY = ('{\n  "command": "multiplicity",\n  "defaulted_pairs": %s,\n%s'
 _PACKET = '  "packet": {\n    "members": %d,\n    "selected": %d\n  },\n'
 
 
-def _defaulted_pairs(table: signs.RootNumberTable) -> str:
-    """The sorted label pairs that this request's root numbers defaulted to +1."""
-    pairs = sorted(sorted(p) for p in table.warned_pairs)
+def _defaulted_pairs(pairs: Tuple[Tuple[str, str], ...]) -> str:
+    """The sorted label pairs whose root numbers defaulted to +1, as JSON."""
     items = [_json_list(list(map(encode_basestring_ascii, pair)), 2) for pair in pairs]
     return _json_list(items, 1)
 
@@ -587,7 +583,7 @@ def _defaulted_pairs(table: signs.RootNumberTable) -> str:
 def report_epsilon(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
     char = signs.epsilon_character(sem.psi, sem.tag, sem.table)
-    return (_EPSILON % (_defaulted_pairs(sem.table),
+    return (_EPSILON % (_defaulted_pairs(char.defaulted),
                         _json_list(["%d" % x for x in char.exponents], 1),
                         _json_bool(signs.is_epsilon_parameter(sem.psi)),
                         _json_list(list(map(encode_basestring_ascii, char.labels)), 1),
@@ -596,9 +592,10 @@ def report_epsilon(sem: Semantics) -> Tuple[str]:
 
 def report_multiplicity(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
-    coeff, counts = multiplicity._coefficient_and_counts(sem.psi, sem.tag, sem.table, sem.places)
+    coeff, counts, defaulted = multiplicity._coefficient_and_counts(
+        sem.psi, sem.tag, sem.table, sem.places)
     packet = "" if counts is None else _PACKET % counts
-    return (_MULTIPLICITY % (_defaulted_pairs(sem.table), packet, coeff.denominator,
+    return (_MULTIPLICITY % (_defaulted_pairs(defaulted), packet, coeff.denominator,
                              coeff.numerator),)
 
 
@@ -778,8 +775,12 @@ def _argument_parser():
 def _read_document(path: str) -> str:
     """The file's text, with CRLF and lone CR read as LF, as text mode
     reads it.  Each error is the `OSError` that `open(path, "rb")` raises,
-    a directory's included."""
-    fd = os.open(path, os.O_RDONLY)
+    a directory's included, or one for a NUL byte in the path, which `open`
+    refuses with a `ValueError`."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except ValueError as exc:  # embedded null byte
+        raise OSError(str(exc)) from None
     try:
         if stat.S_ISDIR(os.fstat(fd).st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

@@ -45,7 +45,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, _epsilon_character, _evaluate, _kminus_pairs, epsilon_character
+from .signs import RootNumberTable, _epsilon_character, _evaluate, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -75,19 +75,20 @@ def stable_coefficient(
     return _coefficient_and_counts(psi, tag, table or RootNumberTable(), ())[0]
 
 
-def _coefficient_and_counts(psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable,
-                            places: Sequence[Place]) -> Tuple[Fraction, Optional[Tuple[int, int]]]:
-    """The stable coefficient of a parameter that factors through the datum
-    and, if it is square-integrable and has places, its `packet_counts`, else
-    None; the shape, the component group and eps_psi are built once for both."""
+def _coefficient_and_counts(
+    psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable, places: Sequence[Place]
+) -> Tuple[Fraction, Optional[Tuple[int, int]], Tuple[Tuple[str, str], ...]]:
+    """The stable coefficient of a parameter that factors through the datum,
+    its `packet_counts` if it is square-integrable and has places (else None)
+    and `eps_psi.defaulted`; the shape, the group and eps_psi are built once."""
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     group = component_group(shape)
-    eps = _epsilon_character(shape, group, _kminus_pairs(shape, table))
+    eps = _epsilon_character(shape, group, table)
     coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component_shape(shape))
     if not (places and classify(psi, tag).in_2):
-        return coeff, None
-    return coeff, _packet_counts(group, eps, GlobalPlacesModel(shape, places))
+        return coeff, None, eps.defaulted
+    return coeff, _packet_counts(group, eps, GlobalPlacesModel(shape, places)), eps.defaulted
 
 
 # ---------------------------------------------------------------------------

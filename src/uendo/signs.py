@@ -99,8 +99,8 @@ def alt2_dims(n: int) -> Tuple[int, ...]:
 class RootNumberTable:
     """Signs epsilon(1/2, mu_k x mu_k'^c) for unordered pairs of self-dual
     labels of opposite cuspidal parity.  Same-parity pairs are forced to +1;
-    missing opposite-parity pairs default to +1 and are recorded in
-    `warned_pairs`.
+    missing opposite-parity pairs default to +1, and `SignCharacter.defaulted`
+    lists those that the sign character asked about.
     """
 
     def __init__(self, entries: Dict[FrozenSet[str], int] | None = None):
@@ -112,40 +112,15 @@ class RootNumberTable:
             if val not in (1, -1):
                 raise ValueError("root numbers must be +-1")
             self.entries[key] = val
-        self.warned_pairs: set = set()
-
-    @classmethod
-    def from_text(cls, text: str) -> "RootNumberTable":
-        """One entry per line: `label1 label2 -1` (or +1); '#' comments."""
-        entries = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("bad root-number line %r" % raw)
-            a, b, val = parts
-            if val not in ("1", "+1", "-1"):
-                raise ValueError("bad sign %r" % val)
-            entries[frozenset((a, b))] = 1 if val in ("1", "+1") else -1
-        return cls(entries)
 
     def epsilon(self, k: SimpleParameter, kp: SimpleParameter) -> int:
         if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
             raise ValueError("root numbers apply to self-dual labels")
         key = frozenset((k.label, kp.label))
-        same_parity = k.mu_sign == kp.mu_sign
-        if same_parity:
-            if self.entries.get(key, 1) != 1:
-                raise ValueError(
-                    "same-parity pair %r cannot carry root number -1" % (tuple(sorted(key)),)
-                )
-            return 1
-        if key not in self.entries:
-            self.warned_pairs.add(key)
-            return 1
-        return self.entries[key]
+        if k.mu_sign == kp.mu_sign and self.entries.get(key, 1) != 1:
+            raise ValueError("same-parity pair %r cannot carry root number -1"
+                             % (tuple(sorted(key)),))
+        return self.entries.get(key, 1)
 
     def validate_against(self, psi: GlobalParameter) -> None:
         """Reject entries that touch undeclared or non-self-dual labels or
@@ -259,15 +234,17 @@ def adjoint_decomposition(psi: GlobalParameter, tag: SimpleDatumTag) -> Tuple[Ad
 class SignCharacter(Value):
     """A character of the component group given by exponents of the
     orthogonal-coordinate determinants, plus its value at the image of
-    -1 under the principal SL(2)."""
+    -1 under the principal SL(2) and the sorted label pairs whose root
+    number it took as +1 because the table lacks them."""
 
-    __slots__ = ("labels", "exponents", "value_at_s_psi")
+    __slots__ = ("labels", "exponents", "value_at_s_psi", "defaulted")
 
     def __init__(self, labels: Tuple[str, ...], exponents: Tuple[int, ...],
-                 value_at_s_psi: int):
+                 value_at_s_psi: int, defaulted: Tuple[Tuple[str, str], ...]):
         set_field(self, "labels", labels)
         set_field(self, "exponents", exponents)  # mod 2, aligned with labels
         set_field(self, "value_at_s_psi", value_at_s_psi)
+        set_field(self, "defaulted", defaulted)
 
     @property
     def is_trivial(self) -> bool:
@@ -291,8 +268,8 @@ def _candidate_pairs(shape: CentralizerShape):
     root-number blocks with even SL(2) parts, with their multiplicities and
     counts, in `itertools.combinations` order: opposite cuspidal parity and
     a nonzero even-constituent count.  This is the one pair filter of the
-    module; only these pairs are asked of a root-number table, so only they
-    can be recorded as defaulted."""
+    module; only these pairs are asked of a root-number table, and
+    `SignCharacter.defaulted` lists those that the table lacks."""
     sd = shape.orthogonal + shape.symplectic
     out = []
     for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
@@ -301,12 +278,6 @@ def _candidate_pairs(shape: CentralizerShape):
             if count:
                 out.append(((k, lk), (kp, lkp), count))
     return out
-
-
-def _kminus_pairs(shape: CentralizerShape, table: RootNumberTable):
-    """The candidate pairs whose root number in `table` is -1."""
-    return [(a, b, count) for a, b, count in _candidate_pairs(shape)
-            if table.epsilon(a[0], b[0]) == -1]
 
 
 def s_psi_vector(shape: CentralizerShape) -> Tuple[int, ...]:
@@ -324,15 +295,21 @@ def epsilon_character(
     canonical central element."""
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
-    return _epsilon_character(shape, component_group(shape), _kminus_pairs(shape, table))
+    return _epsilon_character(shape, component_group(shape), table)
 
 
-def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup, pairs) -> SignCharacter:
-    """`epsilon_character` on a built shape, its component group and its
-    `_kminus_pairs`."""
+def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup,
+                       table: RootNumberTable) -> SignCharacter:
+    """`epsilon_character` on a built shape, its component group and a table
+    validated against the parameter: one pass over the candidate pairs."""
     labels = shape.plus_labels
     exps = {lab: 0 for lab in labels}
-    for (k, lk), (kp, lkp), count in pairs:
+    defaulted = []
+    for (k, lk), (kp, lkp), count in _candidate_pairs(shape):
+        if table.epsilon(k, kp) == 1:
+            if frozenset((k.label, kp.label)) not in table.entries:
+                defaulted.append(tuple(sorted((k.label, kp.label))))
+            continue
         # det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k) per constituent
         if k.label in exps:
             exps[k.label] = (exps[k.label] + lkp * count) % 2
@@ -341,7 +318,8 @@ def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup, pairs) ->
     exponents = tuple(exps[lab] for lab in labels)
     if _evaluate(exponents, group.sigma_bar) != 1:
         raise AssertionError("sign character not defined on the component group")
-    return SignCharacter(labels, exponents, _evaluate(exponents, s_psi_vector(shape)))
+    return SignCharacter(labels, exponents, _evaluate(exponents, s_psi_vector(shape)),
+                         tuple(sorted(defaulted)))
 
 
 def epsilon_full_product(
@@ -437,12 +415,12 @@ def relative_signs(
     -1 contribute.  Once per (psi, tag), `_sign_structure` builds the
     shape, refuses a square-integrable parameter and lists the candidate
     pairs with their contributions.  Every call validates the table, asks
-    it about the candidate pairs only (so `table.warned_pairs` records the
-    defaulted ones, as `epsilon_character` does), folds the masks, checks
-    the sign character on sigma_bar and reads the loop over N from
+    it about the candidate pairs only, folds the masks, checks the sign
+    character on sigma_bar and reads the loop over N from
     `_signs_on_table`, memoized on the block signature and the masks; the
     dicts returned are copies.  Refusals are raised on every call, never
-    cached.
+    cached.  The pairs whose root numbers default to +1 are reported by
+    `epsilon_character`, not here.
     """
     table.validate_against(psi)
     blocks, n_odd, pairs = _sign_structure(psi, tag)

@@ -2,6 +2,7 @@ import argparse
 import collections
 import functools
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -707,6 +708,16 @@ def test_os_read_matches_open_read(name, tmp_path, monkeypatch, capsys):
         assert want[0] == (1 if name in ("empty", "non-utf-8") else 0), want
 
 
+def test_nul_byte_in_input_path_is_refused_in_one_line(tmp_path, capsys):
+    # the path reaches os.open, which refuses a NUL byte with a ValueError
+    # rather than an OSError; the '=' form goes through argparse
+    for path in ("a\x00b", str(tmp_path / "doc\x00.txt")):
+        for argv in (["classify", "--input", path], ["print", "--input", path],
+                     ["epsilon", "--input=" + path]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out, err) == (2, "", "cannot read input: embedded null byte\n"), argv
+
+
 def run_cli_rejected(args, capsys):
     """Run arguments argparse refuses: `main` exits through `SystemExit`."""
     with pytest.raises(SystemExit) as stop:
@@ -927,10 +938,9 @@ def test_memo_hits_report_each_request_defaulted_pairs(tmp_path, capsys):
         assert runs[0] == runs[1]
         for code, out, _ in runs[1]:
             assert code == 0 and json.loads(out)["defaulted_pairs"] == want
-        # every elaboration gets a table of its own, with no pair recorded yet
+        # a memo hit returns the one Semantics of the document
         sem = cli.elaborate(cli.parse(doc))
-        assert sem.table is not cli.elaborate(cli.parse(doc)).table
-        assert sem.table.warned_pairs == set()
+        assert cli.elaborate(cli.parse(doc)) is sem
 
 
 def test_memos_key_on_the_text_not_the_path(tmp_path, capsys):
@@ -1260,6 +1270,19 @@ def _flags_oracle(flags):
             "s_disc": flags.in_s_disc, "disc": flags.in_disc, "generic": flags.is_generic}
 
 
+def _defaulted_pairs_oracle(psi, table):
+    """The sorted label pairs of self-dual constituents of opposite cuspidal
+    parity, with an even dimension in the tensor of their SL(2) parts, that
+    have no root-number entry."""
+    pairs = []
+    for (a, _), (b, _) in itertools.combinations(psi.self_dual, 2):
+        dims = signs.su2_tensor_dims(a.su2_dim, b.su2_dim)
+        if (a.mu_sign != b.mu_sign and any(d % 2 == 0 for d in dims)
+                and frozenset((a.label, b.label)) not in table.entries):
+            pairs.append(sorted((a.label, b.label)))
+    return sorted(pairs)
+
+
 def _small_report_oracle(command, text):
     """The `classify`, `centralizer`, `epsilon` or `multiplicity` report of a
     document as a dict, built field by field as the CLI once built it before
@@ -1289,10 +1312,10 @@ def _small_report_oracle(command, text):
                 "exponents": list(char.exponents), "trivial": char.is_trivial,
                 "value_at_s_psi": char.value_at_s_psi,
                 "is_epsilon_parameter": signs.is_epsilon_parameter(psi),
-                "defaulted_pairs": sorted(sorted(p) for p in table.warned_pairs)}
+                "defaulted_pairs": _defaulted_pairs_oracle(psi, table)}
     coeff = multiplicity.stable_coefficient(psi, tag, table)
     report = {"command": "multiplicity", "stable_coefficient": coeff,
-              "defaulted_pairs": sorted(sorted(p) for p in table.warned_pairs)}
+              "defaulted_pairs": _defaulted_pairs_oracle(psi, table)}
     if sem.places and cli.classify(psi, tag).in_2:
         model = multiplicity.GlobalPlacesModel(centralizer_shape(psi, tag), sem.places)
         members, selected = multiplicity.packet_counts(psi, tag, table, model)

@@ -404,7 +404,7 @@ def test_multiplicities_match_character_sum():
         members = enumerate_members(model)
         for member in members:
             exponents = multiplicity._member_global_character(member, model, group)
-            table = [SignCharacter(group.labels, exponents, 1).evaluate(v)
+            table = [SignCharacter(group.labels, exponents, 1, ()).evaluate(v)
                      for v in itertools.product((1, -1), repeat=len(group.labels))]
             assert table == character_sum_table(member, model, group), (psi, member)
         for table in tables:

@@ -20,7 +20,6 @@ from uendo.signs import (
     RootNumberTable,
     _candidate_pairs,
     _epsilon_character,
-    _kminus_pairs,
     adjoint_decomposition,
     alt2_dims,
     epsilon_character,
@@ -141,7 +140,12 @@ def test_table_defaults_and_warnings():
     a = sd("a", 1, ORTHOGONAL)
     b = sd("b", 1, SYMPLECTIC)
     assert t.epsilon(a, b) == 1
-    assert frozenset(("a", "b")) in t.warned_pairs
+    assert t.entries == {}
+    # the sign character lists the pair it took as +1, and only that one
+    psi, tag, _ = u3_data(-1)
+    assert epsilon_character(psi, tag, RootNumberTable()).defaulted == (("m1", "m2"),)
+    for sign in (1, -1):
+        assert epsilon_character(*u3_data(sign)).defaulted == ()
 
 
 def test_table_rejects_same_parity_minus_one():
@@ -149,14 +153,6 @@ def test_table_rejects_same_parity_minus_one():
     a, b = sd("a"), sd("b")
     with pytest.raises(ValueError):
         t.epsilon(a, b)
-
-
-def test_table_text_parsing():
-    t = RootNumberTable.from_text("# comment\n a b -1 \n\n c d +1\n")
-    assert t.entries[frozenset(("a", "b"))] == -1
-    assert t.entries[frozenset(("c", "d"))] == 1
-    with pytest.raises(ValueError):
-        RootNumberTable.from_text("a b maybe")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +310,8 @@ class _LoggingTable(RootNumberTable):
 
 def test_pair_filter_asks_table_only_for_even_opposite_pairs():
     # the table is asked, in pair order, exactly about the self-dual pairs of
-    # opposite cuspidal parity with even SL(2) parts; its record of defaulted
-    # pairs is what the epsilon report prints
+    # opposite cuspidal parity with even SL(2) parts; the character lists,
+    # sorted, those the table lacks, which the epsilon report prints
     rng = random.Random(7)
     tested = 0
     while tested < 200:
@@ -327,7 +323,7 @@ def test_pair_filter_asks_table_only_for_even_opposite_pairs():
         shape = centralizer_shape(psi, tag)
         entries = _random_table(psi, rng).entries
         table = _LoggingTable({k: v for k, v in entries.items() if rng.random() < 0.5})
-        epsilon_character(psi, tag, table)
+        char = epsilon_character(psi, tag, table)
         sds = [sp for sp, _ in shape.orthogonal + shape.symplectic]
         want = [
             (k.label, kp.label)
@@ -335,7 +331,8 @@ def test_pair_filter_asks_table_only_for_even_opposite_pairs():
             if k.mu_sign != kp.mu_sign and even_constituent_count(k.su2_dim, kp.su2_dim)
         ]
         assert table.asked == want
-        assert table.warned_pairs == {frozenset(p) for p in want} - set(table.entries)
+        assert char.defaulted == tuple(sorted(
+            tuple(sorted(p)) for p in want if frozenset(p) not in table.entries))
         tested += 1
 
 
@@ -696,8 +693,9 @@ def _relative_signs_by_elements(psi, tag, table):
     model = NormalizerModel(shape)
     if model.w_order() == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    pairs = _kminus_pairs(shape, table)
-    eps = _epsilon_character(shape, model.group, pairs)
+    pairs = [(a, b, count) for a, b, count in _candidate_pairs(shape)
+             if table.epsilon(a[0], b[0]) == -1]
+    eps = _epsilon_character(shape, model.group, table)
     core = {sp.label for sp, l in shape.orthogonal if l % 2}
     odd_core = set()
     against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
@@ -748,17 +746,16 @@ def _relative_signs_by_elements(psi, tag, table):
 
 
 def _assert_matches_oracle(psi, tag, entries):
-    """relative_signs against the oracle, each on a fresh table built from
-    `entries`; returns the record."""
-    table, oracle_table = RootNumberTable(entries), RootNumberTable(entries)
+    """relative_signs against the oracle on the table of `entries`; returns
+    the record."""
+    table = RootNumberTable(entries)
     rec = relative_signs(psi, tag, table)
-    want = _relative_signs_by_elements(psi, tag, oracle_table)
+    want = _relative_signs_by_elements(psi, tag, table)
     assert list(rec.eps1.items()) == list(want.eps1.items()), (psi, tag)
     assert list(rec.eps_gm.items()) == list(want.eps_gm.items()), (psi, tag)
     assert list(rec.r_minus.items()) == list(want.r_minus.items()), (psi, tag)
     assert (rec.fibers_constant, rec.spectral_identity) == (
         want.fibers_constant, want.spectral_identity), (psi, tag)
-    assert table.warned_pairs == oracle_table.warned_pairs, (psi, tag)
     return rec
 
 
@@ -912,14 +909,12 @@ def test_relative_signs_same_signature_different_labels():
     assert recs[2] == recs[0]
 
 
-def test_relative_signs_records_defaulted_pairs_on_memo_hit():
+def test_relative_signs_memo_hit_matches_oracle():
     psi, tag, _ = RANK_CASES[0]
     relative_signs(psi, tag, RootNumberTable())
     hits = uendo.signs._signs_on_table.cache_info().hits
-    table = RootNumberTable()
-    rec = relative_signs(psi, tag, table)
+    rec = relative_signs(psi, tag, RootNumberTable())
     assert uendo.signs._signs_on_table.cache_info().hits == hits + 1
-    assert table.warned_pairs == {frozenset(("a", "b"))}
     assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable())
 
 

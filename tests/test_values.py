@@ -68,7 +68,8 @@ SAMPLES = {
     LeviDiagram: dict(w0_order=2, w_order=2, n_order=2, s_order=1, s1_order=1,
                       r_labels=("a",), exact=True, splitting_ok=True),
     AdjointTerm: dict(kind=("Asai+", "a"), duality="orthogonal", su2_dims=(1,), lam="sym2(a)"),
-    SignCharacter: dict(labels=("a",), exponents=(1,), value_at_s_psi=-1),
+    SignCharacter: dict(labels=("a",), exponents=(1,), value_at_s_psi=-1,
+                        defaulted=(("a", "b"),)),
     RelativeSigns: dict(eps1={ELEMENT: 1}, eps_gm={ELEMENT.blocks: -1},
                         r_minus={ELEMENT.blocks: 1}, fibers_constant=True,
                         spectral_identity=False),
