@@ -20,14 +20,13 @@ vectors on even indices; the second sequence splits canonically.  These
 groups are realized concretely: an element of N is a tuple of signed
 permutations (one `weylnum.signed_perms` pair per torus block) plus free
 component bits on the odd orthogonal factors, modulo the central relation.
-`levi_diagram` takes every order from closed forms, |W| from the block
-orders, |S^1| = 2^max(#odd - 1, 0) and |N| = |W| |S^1|, checks exactness
-against |W^0| and the component 2-group, and checks the splitting on
-generators of R and S^1, so its cost is polynomial in the number of
-factors.  `element_table` enumerates N once per block signature, the
-(kind, rank) of each torus block and the number of odd orthogonal factors,
-with each element's Weyl key and its sign data as bit masks; the relative
-signs read it directly and `NormalizerModel.elements` lists its elements.
+`levi_diagram` reads every order off the torus blocks in closed form, at
+a cost polynomial in the number of factors; exactness and the splitting
+hold by construction (see `LeviDiagram`).  `element_table` enumerates N
+once per block signature, the (kind, rank) of each torus block and the
+number of odd orthogonal factors, with each element's Weyl key and its
+sign data as bit masks; the relative signs read it directly and
+`NormalizerModel.elements` lists its elements.
 """
 
 from __future__ import annotations
@@ -186,7 +185,6 @@ class NormalizerModel:
         self.shape = shape
         self.orth = shape.orthogonal
         self.symp = shape.symplectic
-        self.gl = shape.general_linear
         self.block_meta = torus_blocks(shape)
         self.blocks = tuple((kind, rank) for kind, _, _, rank in self.block_meta)
         self.odd_labels = shape.odd_plus_labels
@@ -195,23 +193,6 @@ class NormalizerModel:
     def weyl_blocks(self):
         """Each block's Weyl group as (perm, signs) pairs."""
         return [_weyl_block(kind, rank) for kind, rank in self.blocks]
-
-    def block_orders(self) -> List[int]:
-        """The order of each block's Weyl group, by closed form: r! for a GL
-        block of rank r, 2^r r! for the others."""
-        return [
-            math.factorial(rank) * (1 if kind == "GL" else 2 ** rank)
-            for kind, _, _, rank in self.block_meta
-        ]
-
-    def w_order(self) -> int:
-        return math.prod(self.block_orders())
-
-    def w0_order(self) -> int:
-        """|W^0|: the block orders with each even O(l) block halved, since
-        W(SO(l)) for even l changes an even number of signs."""
-        return math.prod(order // 2 if kind == "O" and l % 2 == 0 else order
-                         for (kind, _, l, _), order in zip(self.block_meta, self.block_orders()))
 
     def elements(self) -> List[NormalizerElement]:
         """Duplicate-free enumeration of N, in `element_table` order."""
@@ -262,85 +243,50 @@ def element_table(blocks: Tuple[Tuple[str, int], ...], n_odd: int):
 
 
 class LeviDiagram(Value):
-    """Orders of the groups in the normalizer diagram, with the exactness
-    and splitting checks."""
+    """Orders of the groups in the normalizer diagram.
 
-    __slots__ = ("w0_order", "w_order", "n_order", "s_order", "s1_order", "r_labels",
-                 "exact", "splitting_ok")
+    Both sequences are exact by construction: with #O orthogonal factors,
+    #odd and #even of them of odd and even multiplicity, |S| =
+    2^(#O - [#odd > 0]) and |W^0| = |W| / 2^(#even), so |S| |W^0| =
+    2^(#odd - [#odd > 0]) |W| = |S^1| |W| = |N|.  The canonical section
+    R -> S writes the R-signs on the even indices only, where sigma_bar is
+    +1, so projecting back to R is the identity and S^1, supported on the
+    odd indices, maps to the identity of R.
+    """
+
+    __slots__ = ("w0_order", "w_order", "n_order", "s_order", "s1_order", "r_labels")
 
     def __init__(self, w0_order: int, w_order: int, n_order: int, s_order: int,
-                 s1_order: int, r_labels: Tuple[str, ...], exact: bool, splitting_ok: bool):
+                 s1_order: int, r_labels: Tuple[str, ...]):
         set_field(self, "w0_order", w0_order)
         set_field(self, "w_order", w_order)
         set_field(self, "n_order", n_order)
         set_field(self, "s_order", s_order)
         set_field(self, "s1_order", s1_order)
         set_field(self, "r_labels", r_labels)
-        set_field(self, "exact", exact)
-        set_field(self, "splitting_ok", splitting_ok)
 
     @property
     def r_order(self) -> int:
         return 2 ** len(self.r_labels)
 
 
-def splitting_section(shape: CentralizerShape):
-    """The canonical section R -> S: put the R-signs on the even indices."""
-    group = component_group(shape)
-    even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]
-
-    def section(r_vec: Tuple[int, ...]) -> Tuple[int, ...]:
-        vec = [1] * len(shape.orthogonal)
-        for pos, b in zip(even_idx, r_vec):
-            vec[pos] = b
-        return group.canonical(tuple(vec))
-
-    return section
-
-
-def levi_diagram(psi: GlobalParameter, tag: SimpleDatumTag) -> LeviDiagram:
-    """Build the diagram data and verify exactness and the splitting."""
-    shape = centralizer_shape(psi, tag)
-    model = NormalizerModel(shape)
-    group = model.group
-    # S^1 is the sign vectors on the odd indices modulo sigma_bar, which is
-    # -1 on all of them, and N is W times the odd component bits modulo the
-    # central flip, so |S^1| = 2^max(#odd - 1, 0) and |N| = |W| |S^1|;
-    # exactness then checks these closed forms against |W0| and |S|.
-    odd_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2]
-    s1_order = 2 ** max(len(odd_idx) - 1, 0)
-    w_order = model.w_order()
-    n_order = w_order * s1_order
-    w0 = model.w0_order()
-    s_order = group.order
-    exact = (n_order == s_order * w0) and (n_order == s1_order * w_order)
-    # proj o section = id on R and S^1 -> S -> R trivial; all maps are
-    # homomorphisms, so checking on generators suffices: the basis of R,
-    # and the vectors that are -1 at one odd index past the first
-    section = splitting_section(shape)
-    unit = (1,) * len(shape.even_plus_labels)
-    basis = [unit[:j] + (-1,) + unit[j + 1:] for j in range(len(unit))]
-    ones = (1,) * len(shape.orthogonal)
-    s1_generators = [group.canonical(ones[:i] + (-1,) + ones[i + 1:]) for i in odd_idx[1:]]
-    splitting_ok = (all(_project_to_r(shape, section(r_vec)) == r_vec for r_vec in basis)
-                    and all(_project_to_r(shape, v) == unit for v in s1_generators))
-    return LeviDiagram(
-        w0_order=w0,
-        w_order=w_order,
-        n_order=n_order,
-        s_order=s_order,
-        s1_order=s1_order,
-        r_labels=shape.even_plus_labels,
-        exact=exact,
-        splitting_ok=splitting_ok,
-    )
-
-
-def _project_to_r(shape: CentralizerShape, vec) -> Tuple[int, ...]:
-    """Projection S -> R; well defined because sigma_bar is trivial on the
-    even coordinates."""
-    even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]
-    return tuple(vec[i] for i in even_idx)
+def levi_diagram(shape: CentralizerShape) -> LeviDiagram:
+    """The diagram's orders in closed form over `torus_blocks(shape)`: a
+    block of rank r has Weyl group of order r! when it is GL and 2^r r!
+    otherwise, and W^0 halves each even O(l) block, whose W(SO(l)) changes
+    an even number of signs.  S^1 is the sign vectors on the odd indices
+    modulo sigma_bar, -1 on all of them, and N is W times the odd component
+    bits modulo the central flip: |S^1| = 2^max(#odd - 1, 0), |N| = |W| |S^1|.
+    """
+    w_order = w0_order = 1
+    for kind, _, l, rank in torus_blocks(shape):
+        order = math.factorial(rank) * (1 if kind == "GL" else 2 ** rank)
+        w_order *= order
+        w0_order *= order // 2 if kind == "O" and l % 2 == 0 else order
+    s1_order = 2 ** max(len(shape.odd_plus_labels) - 1, 0)
+    return LeviDiagram(w0_order=w0_order, w_order=w_order, n_order=w_order * s1_order,
+                       s_order=component_group(shape).order, s1_order=s1_order,
+                       r_labels=shape.even_plus_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,13 @@ def _check_component_group():
         group = central.component_group(shape)
         if group.order != central.brute_force_order(shape):
             return "component group order mismatch at %r" % (mults,)
-        diagram = central.levi_diagram(psi, tag)
-        if not (diagram.exact and diagram.splitting_ok):
-            return "normalizer diagram failed at %r" % (mults,)
+        # the closed-form orders against the enumerated normalizer
+        diagram = central.levi_diagram(shape)
+        rows = central.element_table(
+            tuple((kind, rank) for kind, _, _, rank in central.torus_blocks(shape)),
+            len(shape.odd_plus_labels))
+        if (diagram.n_order, diagram.w_order) != (len(rows), len({row[1] for row in rows})):
+            return "normalizer diagram order mismatch at %r" % (mults,)
     return None
 
 

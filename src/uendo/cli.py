@@ -462,9 +462,7 @@ _PAIR = '[\n      %s,\n      %d\n    ]'
 def report_centralizer(sem: Semantics) -> Tuple[str]:
     _require_factoring(sem)
     shape = central.centralizer_shape(sem.psi, sem.tag)
-    diagram = central.levi_diagram(sem.psi, sem.tag)
-    if not (diagram.exact and diagram.splitting_ok):
-        raise InternalInvariantError("normalizer diagram failed exactness")
+    diagram = central.levi_diagram(shape)
     factors = [_json_list([_PAIR % (encode_basestring_ascii(sp.label), l) for sp, l in part], 1)
                for part in (shape.general_linear, shape.orthogonal, shape.symplectic)]
     return (_CENTRALIZER % (diagram.s_order, diagram.n_order, diagram.r_order, diagram.s_order,

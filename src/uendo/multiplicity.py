@@ -84,7 +84,7 @@ def _coefficient_and_counts(
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     group = component_group(shape)
-    eps = _epsilon_character(shape, group, table)
+    eps = _epsilon_character(shape, table)
     coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component_shape(shape))
     if not (places and classify(psi, tag).in_2):
         return coeff, None, eps.defaulted

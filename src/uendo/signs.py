@@ -47,10 +47,8 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .centralizer import (
     CentralizerShape,
-    FiniteTwoGroup,
     NormalizerElement,
     centralizer_shape,
-    component_group,
     element_table,
     torus_blocks,
 )
@@ -294,14 +292,21 @@ def epsilon_character(
     """The sign character on the component group and its value at the
     canonical central element."""
     table.validate_against(psi)
-    shape = centralizer_shape(psi, tag)
-    return _epsilon_character(shape, component_group(shape), table)
+    return _epsilon_character(centralizer_shape(psi, tag), table)
 
 
-def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup,
-                       table: RootNumberTable) -> SignCharacter:
-    """`epsilon_character` on a built shape, its component group and a table
-    validated against the parameter: one pass over the candidate pairs."""
+def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignCharacter:
+    """`epsilon_character` on a built shape and a table validated against
+    the parameter: one pass over the candidate pairs.
+
+    The character is trivial on sigma_bar, so it is defined on the component
+    group.  A candidate pair has opposite mu signs and n + n' odd, so its two
+    constituents have equal parity: both are orthogonal or both symplectic.
+    On sigma_bar, -1 on the odd-multiplicity orthogonal factors, a symplectic
+    pair adds nothing and an orthogonal one adds l' count [l odd] +
+    l count [l' odd]: (l + l') count when l and l' are both odd, a multiple
+    of the even one when one is even, and even in every case.
+    """
     labels = shape.plus_labels
     exps = {lab: 0 for lab in labels}
     defaulted = []
@@ -316,8 +321,6 @@ def _epsilon_character(shape: CentralizerShape, group: FiniteTwoGroup,
         if kp.label in exps:
             exps[kp.label] = (exps[kp.label] + lk * count) % 2
     exponents = tuple(exps[lab] for lab in labels)
-    if _evaluate(exponents, group.sigma_bar) != 1:
-        raise AssertionError("sign character not defined on the component group")
     return SignCharacter(labels, exponents, _evaluate(exponents, s_psi_vector(shape)),
                          tuple(sorted(defaulted)))
 
@@ -415,12 +418,13 @@ def relative_signs(
     -1 contribute.  Once per (psi, tag), `_sign_structure` builds the
     shape, refuses a square-integrable parameter and lists the candidate
     pairs with their contributions.  Every call validates the table, asks
-    it about the candidate pairs only, folds the masks, checks the sign
-    character on sigma_bar and reads the loop over N from
-    `_signs_on_table`, memoized on the block signature and the masks; the
-    dicts returned are copies.  Refusals are raised on every call, never
-    cached.  The pairs whose root numbers default to +1 are reported by
-    `epsilon_character`, not here.
+    it about the candidate pairs only, folds the masks and reads the loop
+    over N from `_signs_on_table`, memoized on the block signature and the
+    masks; the dicts returned are copies.  Refusals are raised on every
+    call, never cached.  The pairs whose root numbers default to +1 are
+    reported by `epsilon_character`, not here.  Each pair's eps^(G/M) and
+    eps1 bits differ on an even number of odd factors, since the sign
+    character is trivial on sigma_bar (see `_epsilon_character`).
     """
     table.validate_against(psi)
     blocks, n_odd, pairs = _sign_structure(psi, tag)
@@ -432,9 +436,6 @@ def relative_signs(
             gm_bits ^= p_gm_bits
             gm_blocks ^= p_gm_blocks
             beta_blocks ^= p_beta
-    # the sign character's exponents on the odd factors, where sigma_bar is -1
-    if (gm_bits ^ eps1_bits).bit_count() % 2:
-        raise AssertionError("sign character not defined on the component group")
     eps1, eps_gm, r_minus, fibers_constant, spectral = _signs_on_table(
         blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
     return RelativeSigns(dict(eps1), dict(eps_gm), dict(r_minus), fibers_constant, spectral)

@@ -13,7 +13,6 @@ from uendo.centralizer import (
     centralizer_shape,
     component_group,
     levi_diagram,
-    splitting_section,
 )
 from uendo.params import (
     NOT_SELF_DUAL,
@@ -92,20 +91,37 @@ def s1_subgroup(shape):
     return out
 
 
+def splitting_section(shape):
+    """The canonical section R -> S: put the R-signs on the even indices."""
+    group = component_group(shape)
+    even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]
+
+    def section(r_vec):
+        vec = [1] * len(shape.orthogonal)
+        for pos, b in zip(even_idx, r_vec):
+            vec[pos] = b
+        return group.canonical(tuple(vec))
+
+    return section
+
+
+def _project_to_r(shape, vec):
+    """Projection S -> R; well defined because sigma_bar is trivial on the
+    even coordinates."""
+    return tuple(vec[i] for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0)
+
+
 def enumerated_splitting_ok(shape):
     """The splitting checked on every element: proj o section = id on all of
-    R, and every element of S^1 projects to the identity of R."""
-    even_idx = [i for i, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0]
+    R, and every element of S^1 projects to the identity of R.  It holds by
+    construction: the section writes only the even indices, where sigma_bar
+    is +1, so `canonical` leaves them alone, and S^1 is supported on the odd
+    indices."""
     section = splitting_section(shape)
-    ok = True
-    for r_vec in itertools.product((1, -1), repeat=len(even_idx)):
-        img = section(tuple(r_vec))
-        if tuple(img[i] for i in even_idx) != tuple(r_vec):
-            ok = False
-    for v in s1_subgroup(shape):
-        if tuple(v[i] for i in even_idx) != (1,) * len(even_idx):
-            ok = False
-    return ok
+    unit = (1,) * len(shape.even_plus_labels)
+    return (all(_project_to_r(shape, section(r_vec)) == r_vec
+                for r_vec in itertools.product((1, -1), repeat=len(unit)))
+            and all(_project_to_r(shape, v) == unit for v in s1_subgroup(shape)))
 
 
 def lexicographic_min(group, vector):
@@ -224,38 +240,40 @@ def test_component_group_order_family():
 
 
 def test_levi_diagram_221():
-    psi, tag = build((2, 2, 1))
-    d = levi_diagram(psi, tag)
+    d = levi_diagram(centralizer_shape(*build((2, 2, 1))))
     assert d.s_order == 4
     assert d.s1_order == 1
     assert d.r_order == 4
-    assert d.exact and d.splitting_ok
 
 
 def test_levi_diagram_11():
-    psi, tag = build((1, 1))
-    d = levi_diagram(psi, tag)
+    d = levi_diagram(centralizer_shape(*build((1, 1))))
     assert d.s_order == 2
     assert d.s1_order == 2
     assert d.r_order == 1
-    assert d.exact and d.splitting_ok
 
 
 def test_levi_diagram_simple_parameter():
-    psi, tag = build((1,))
-    d = levi_diagram(psi, tag)
+    d = levi_diagram(centralizer_shape(*build((1,))))
     assert d.s_order == 1 and d.s1_order == 1 and d.r_order == 1
-    assert d.exact and d.splitting_ok
+    assert d.w_order == d.w0_order == d.n_order == 1
 
 
 def test_levi_diagram_family_exactness():
+    # exact by construction: |S| |W0| = 2^(#O - [#odd > 0]) |W| / 2^(#even)
+    # = |W| |S1| = |N|
     for k in range(1, 4):
         for mults in itertools.product((1, 2, 3, 4), repeat=k):
-            psi, tag = build(mults)
-            d = levi_diagram(psi, tag)
-            assert d.exact and d.splitting_ok, mults
-            assert d.n_order == d.s_order * d.w0_order
-            assert d.n_order == d.s1_order * d.w_order
+            d = levi_diagram(centralizer_shape(*build(mults)))
+            assert d.n_order == d.s_order * d.w0_order, mults
+            assert d.n_order == d.s1_order * d.w_order, mults
+
+
+def _in_w0(shape, w_key):
+    """Whether a Weyl key lies in W^0: each even O(l) block (the first
+    blocks, in `torus_blocks` order) flips an even number of signs."""
+    return all(w_key[idx][1].count(-1) % 2 == 0
+               for idx, (_, l) in enumerate(shape.orthogonal) if l % 2 == 0)
 
 
 def test_levi_diagram_counts_match_enumerated_normalizer():
@@ -272,40 +290,36 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             elements = model.elements()
             assert elements == seen_set_elements(model), combo
             checked += 1
-            n_order = len(elements)
-            w_order = len({e.blocks for e in elements})
-            d = levi_diagram(psi, tag)
-            assert (d.n_order, d.w_order) == (n_order, w_order), combo
-            exact = (n_order == d.s_order * model.w0_order()
-                     and n_order == d.s1_order * w_order)
-            assert exact and d.exact and d.splitting_ok, combo
+            w_keys = {e.blocks for e in elements}
+            d = levi_diagram(shape)
+            assert (d.n_order, d.w_order) == (len(elements), len(w_keys)), combo
+            assert d.w0_order == sum(_in_w0(shape, w_key) for w_key in w_keys), combo
             assert d.s1_order == len(s1_subgroup(shape)), combo
-            assert d.splitting_ok == enumerated_splitting_ok(shape), combo
+            assert enumerated_splitting_ok(shape), combo
     assert checked == 285
 
 
 def test_block_orders_match_enumerated_blocks():
     for mults_plus, mults_minus, mults_gl in (((1, 2, 3, 4, 5), (2, 4, 6), (1, 2, 3, 4, 5)),
                                               ((6,), (), (6,))):
-        model = NormalizerModel(centralizer_shape(*build(mults_plus, mults_minus, mults_gl)))
-        orders = model.block_orders()
-        assert orders == [len(set(block)) for block in model.weyl_blocks()]
-        assert model.w_order() == math.prod(orders)
+        shape = centralizer_shape(*build(mults_plus, mults_minus, mults_gl))
+        blocks = NormalizerModel(shape).weyl_blocks()
+        assert levi_diagram(shape).w_order == math.prod(len(set(block)) for block in blocks)
 
 
 def test_levi_diagram_never_enumerates_the_normalizer(monkeypatch):
-    def refuse(self):
-        raise AssertionError("normalizer enumerated")
+    def refuse(*args):
+        raise AssertionError("normalizer built or enumerated")
 
-    monkeypatch.setattr(NormalizerModel, "elements", refuse)
-    monkeypatch.setattr(NormalizerModel, "weyl_blocks", refuse)
+    monkeypatch.setattr(NormalizerModel, "__init__", refuse)
+    monkeypatch.setattr("uendo.centralizer.element_table", refuse)
+    monkeypatch.setattr("uendo.centralizer.signed_perms", refuse)
     # O(7) x O(7) and GL(7) x O(1), the ladder's largest rungs of their kinds
     for mults_plus, mults_gl, w_order, n_order in (((7, 7), (), 48 * 48, 2 * 48 * 48),
                                                    ((1,), (7,), 5040, 5040)):
-        d = levi_diagram(*build(mults_plus, mults_gl=mults_gl))
+        d = levi_diagram(centralizer_shape(*build(mults_plus, mults_gl=mults_gl)))
         assert (d.w_order, d.n_order) == (w_order, n_order)
         assert d.n_order == d.s_order * d.w0_order == d.s1_order * d.w_order
-        assert d.exact and d.splitting_ok
 
 
 def test_s1_composite_to_r_trivial_and_section():

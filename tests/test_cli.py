@@ -494,9 +494,9 @@ def test_multiplicity_command(tmp_path, capsys):
     assert report["packet"]["selected"] == 2
 
 
-def test_multiplicity_report_builds_each_parameter_datum_once(monkeypatch, capsys):
-    # doc11 has two inert places: the report once built the centralizer
-    # shape 5 times, the component group 4 times and eps_psi twice
+def _count_parameter_builds(monkeypatch, capsys, command):
+    """The report of `command` on doc11 and how often it built the
+    centralizer shape, the component group and eps_psi."""
     calls = collections.Counter()
     for module, name in ((centralizer, "centralizer_shape"), (centralizer, "component_group"),
                          (signs, "epsilon_character"), (signs, "_epsilon_character")):
@@ -509,10 +509,29 @@ def test_multiplicity_report_builds_each_parameter_datum_once(monkeypatch, capsy
         for bound in (cli, centralizer, signs, cli.multiplicity):
             if getattr(bound, name, None) is original:
                 monkeypatch.setattr(bound, name, counted)
-    code, out, _ = run_cli(["multiplicity", "--input", str(FIXTURES[10])], capsys)
+    code, out, _ = run_cli([command, "--input", str(FIXTURES[10])], capsys)
     assert code == 0
-    assert json.loads(out)["packet"] == {"members": 4, "selected": 2}
+    return json.loads(out), calls
+
+
+def test_multiplicity_report_builds_each_parameter_datum_once(monkeypatch, capsys):
+    # doc11 has two inert places: the report once built the centralizer
+    # shape 5 times, the component group 4 times and eps_psi twice
+    report, calls = _count_parameter_builds(monkeypatch, capsys, "multiplicity")
+    assert report["packet"] == {"members": 4, "selected": 2}
     assert calls == {"centralizer_shape": 1, "component_group": 1, "_epsilon_character": 1}
+
+
+@pytest.mark.parametrize("command, want", [
+    # eps_psi needs no component group: it is trivial on sigma_bar by construction
+    ("epsilon", {"centralizer_shape": 1, "epsilon_character": 1, "_epsilon_character": 1}),
+    # the diagram is read off the shape the report already built
+    ("centralizer", {"centralizer_shape": 1, "component_group": 1}),
+])
+def test_sign_and_diagram_reports_build_the_shape_once(monkeypatch, capsys, command, want):
+    report, calls = _count_parameter_builds(monkeypatch, capsys, command)
+    assert report["command"] == command
+    assert calls == want
 
 
 def test_multiplicity_reports_defaulted_pairs(tmp_path, capsys):
@@ -892,14 +911,21 @@ def test_check_failures_exit_3_with_one_line(monkeypatch, capsys):
                    "raises raised ValueError('planted error')\n")
 
 
-def test_inexact_normalizer_diagram_exits_3(monkeypatch, capsys):
-    def inexact(psi, tag):
-        return types.SimpleNamespace(exact=False, splitting_ok=True)
+def test_check_compares_the_diagram_with_the_enumerated_normalizer(monkeypatch, capsys):
+    # a closed form off by one is caught by the enumeration in `check`
+    from uendo import checks
 
-    monkeypatch.setattr(cli.central, "levi_diagram", inexact)
-    code, out, err = run_cli(["centralizer", "--input", str(FIXTURES[0])], capsys)
+    original = centralizer.levi_diagram
+
+    def wrong_n(shape):
+        d = original(shape)
+        return centralizer.LeviDiagram(d.w0_order, d.w_order, d.n_order + 1, d.s_order,
+                                       d.s1_order, d.r_labels)
+
+    monkeypatch.setattr(checks.central, "levi_diagram", wrong_n)
+    code, out, err = run_cli(["check"], capsys)
     _assert_one_line_error(code, out, err, 3)
-    assert err == "invariant failure: normalizer diagram failed exactness\n"
+    assert err == "invariant failure: normalizer diagram order mismatch at (1, 1)\n"
 
 
 def test_print_command(tmp_path, capsys):
@@ -1297,7 +1323,7 @@ def _small_report_oracle(command, text):
     cli._require_factoring(sem)
     if command == "centralizer":
         shape = centralizer_shape(psi, tag)
-        diagram = centralizer.levi_diagram(psi, tag)
+        diagram = centralizer.levi_diagram(shape)
         return {"command": "centralizer",
                 "orthogonal": [[sp.label, l] for sp, l in shape.orthogonal],
                 "symplectic": [[sp.label, l] for sp, l in shape.symplectic],

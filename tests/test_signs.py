@@ -5,7 +5,13 @@ import random
 import pytest
 
 import uendo.signs
-from uendo.centralizer import NormalizerModel, centralizer_shape, component_group, element_table
+from uendo.centralizer import (
+    NormalizerModel,
+    centralizer_shape,
+    component_group,
+    element_table,
+    levi_diagram,
+)
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -294,6 +300,61 @@ def test_epsilon_central_value_random_family():
         char = epsilon_character(psi, tag, table)
         assert char.evaluate(group.sigma_bar) == 1
         tested += 1
+
+
+def _property_family(size, seed=20261019):
+    """`size` seeded (psi, tag, shape) that factor: two to four constituents,
+    self-dual ones of either cuspidal parity with SL(2) dimension 1 to 3 and
+    partnered GL pairs, multiplicities 1 to 5, and either datum parity."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < size:
+        cons = []
+        for i in range(rng.randint(2, 4)):
+            if rng.random() < 0.25:
+                cons += _gl_pair("g%d" % i, rng.randint(1, 5))
+            else:
+                parity = rng.choice((ORTHOGONAL, SYMPLECTIC))
+                cons.append((sd("c%d" % i, 1, parity, rng.randint(1, 3)), rng.randint(1, 5)))
+        psi = GlobalParameter(cons)
+        parity = rng.choice((1, -1))
+        tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
+        if factors_through(psi, tag):
+            out.append((psi, tag, centralizer_shape(psi, tag)))
+    return out
+
+
+def test_sign_character_is_trivial_on_sigma_bar_pair_by_pair():
+    # A candidate pair has opposite mu signs and n + n' odd, so both of its
+    # constituents are orthogonal or both symplectic.  On sigma_bar it adds
+    # l' count [l odd] + l count [l' odd] to the sign character, which is even
+    # in every case; in `_sign_structure` that is the pair's eps^(G/M) and
+    # eps1 bits differing on an even number of odd factors.
+    family = _property_family(400)
+    pairs = both_orthogonal_odd = both_bits = with_gl = 0
+    for psi, tag, shape in family:
+        with_gl += bool(shape.general_linear)
+        try:
+            _, _, structure = uendo.signs._sign_structure(psi, tag)
+        except ValueError:  # square-integrable: no proper Levi
+            continue
+        multiplicity = {sp.label: l for sp, l in shape.orthogonal}
+        for k, kp, eps1_bits, _, gm_bits, _, _ in structure:
+            assert (gm_bits ^ eps1_bits).bit_count() % 2 == 0, (psi, tag, k, kp)
+            assert (k.label in multiplicity) == (kp.label in multiplicity), (psi, tag, k, kp)
+            pairs += 1
+            both_bits += (gm_bits ^ eps1_bits).bit_count() == 2
+            both_orthogonal_odd += (k.label in multiplicity and
+                                    (multiplicity[k.label] % 2 or multiplicity[kp.label] % 2))
+    assert pairs > 100 and both_orthogonal_odd > 50 and both_bits > 10 and with_gl > 50, (
+        pairs, both_orthogonal_odd, both_bits, with_gl)
+
+
+def test_levi_diagram_is_exact_on_the_property_family():
+    # |S| |W0| = 2^(#O - [#odd > 0]) |W| / 2^(#even O) = |W| |S1| = |N|
+    for psi, tag, shape in _property_family(400):
+        d = levi_diagram(shape)
+        assert d.n_order == d.s_order * d.w0_order == d.s1_order * d.w_order, (psi, tag)
 
 
 class _LoggingTable(RootNumberTable):
@@ -691,11 +752,11 @@ def _relative_signs_by_elements(psi, tag, table):
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
-    if model.w_order() == 1:
+    if levi_diagram(shape).w_order == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
     pairs = [(a, b, count) for a, b, count in _candidate_pairs(shape)
              if table.epsilon(a[0], b[0]) == -1]
-    eps = _epsilon_character(shape, model.group, table)
+    eps = _epsilon_character(shape, table)
     core = {sp.label for sp, l in shape.orthogonal if l % 2}
     odd_core = set()
     against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
@@ -794,9 +855,9 @@ def _seeded_levi_case(rng):
     tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
     if not factors_through(psi, tag):
         return None
-    model = NormalizerModel(centralizer_shape(psi, tag))
-    n_order = model.w_order() * 2 ** max(len(model.odd_labels) - 1, 0)
-    if model.w_order() == 1 or n_order > 3000 or any(r > 3 for _, r in model.blocks):
+    shape = centralizer_shape(psi, tag)
+    model, diagram = NormalizerModel(shape), levi_diagram(shape)
+    if diagram.w_order == 1 or diagram.n_order > 3000 or any(r > 3 for _, r in model.blocks):
         return None
     sds = [sp for sp, _ in psi.self_dual]
     entries = {
@@ -842,7 +903,6 @@ def test_relative_signs_build_no_normalizer_model(monkeypatch):
 
     monkeypatch.setattr(NormalizerModel, "__init__", refuse)
     monkeypatch.setattr("uendo.centralizer.component_group", refuse)
-    monkeypatch.setattr("uendo.signs.component_group", refuse)
     uendo.signs._sign_structure.cache_clear()
     uendo.signs._signs_on_table.cache_clear()
     for psi, tag, entries, want in cases:
@@ -869,7 +929,7 @@ def test_relative_signs_refuse_exactly_the_trivial_weyl_groups():
                 if not factors_through(psi, tag):
                     continue
                 for _ in range(2):  # cold, then with the memo as it stands
-                    if NormalizerModel(centralizer_shape(psi, tag)).w_order() == 1:
+                    if levi_diagram(centralizer_shape(psi, tag)).w_order == 1:
                         with pytest.raises(ValueError) as err:
                             relative_signs(psi, tag, RootNumberTable())
                         assert str(err.value) == "parameter is square-integrable; no proper Levi"

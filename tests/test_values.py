@@ -66,7 +66,7 @@ SAMPLES = {
     FiniteTwoGroup: dict(labels=("a", "b"), sigma_bar=(-1, 1)),
     NormalizerElement: dict(blocks=ELEMENT.blocks, odd_bits=(-1,)),
     LeviDiagram: dict(w0_order=2, w_order=2, n_order=2, s_order=1, s1_order=1,
-                      r_labels=("a",), exact=True, splitting_ok=True),
+                      r_labels=("a",)),
     AdjointTerm: dict(kind=("Asai+", "a"), duality="orthogonal", su2_dims=(1,), lam="sym2(a)"),
     SignCharacter: dict(labels=("a",), exponents=(1,), value_at_s_psi=-1,
                         defaulted=(("a", "b"),)),
