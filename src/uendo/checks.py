@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from . import centralizer as central
-from . import endoscopy, localcalc, multiplicity, signs, tadic
+from . import endoscopy, localcalc, signs, tadic
 from .params import (
     ORTHOGONAL,
     SYMPLECTIC,

@@ -123,6 +123,60 @@ class ParameterDocument(Value):
         return self._hash
 
 
+# ---------------------------------------------------------------------------
+# Grammar: the productions of the module docstring, one line each, as
+# `_Parser._read` reads them.  A string item is a token taken as written; any
+# other is given the parser and the token and returns its value or fails.
+
+
+def _ident(p: _Parser, tok: Optional[str]) -> str:
+    if tok is None or not _is_ident(tok):
+        p._fail("expected 'IDENT'")
+    return tok
+
+
+def _int(p: _Parser, tok: Optional[str]) -> int:
+    if tok is None or not tok[0].isdecimal():
+        p._fail("expected 'INT'")
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() reads
+        p._fail("expected an INT of at most %d digits" % sys.get_int_max_str_digits())
+
+
+def _sign(p: _Parser, tok: Optional[str]) -> int:
+    if tok not in ("+", "-"):
+        p._fail("expected a sign")
+    return 1 if tok == "+" else -1
+
+
+def _signed_one(p: _Parser, tok: Optional[str]) -> int:
+    """A sign written as -1 or +1 (the bare sign is also accepted)."""
+    sign = _sign(p, tok)
+    if p.tokens[p.pos + 1] == "1":
+        p.pos += 1
+    return sign
+
+
+def _one_of(*words: str):
+    """A reader of one of `words`, returned as written."""
+    message = "expected %s or %r" % (", ".join(map(repr, words[:-1])), words[-1])
+
+    def read(p: _Parser, tok: Optional[str]) -> str:
+        if tok not in words:
+            p._fail(message)
+        return tok
+    return read
+
+
+_DATUM = ("group", "U", "(", _int, ")", "parity", _sign)
+_DECL = ("mu", _ident, ":", "deg", "=", _int, ",", "sd", "=", _one_of("+", "-", "none"))
+_MULT = (_int, "*")
+_TERM = (_ident, "(", "x", ")", "nu", "(", _int, ")")
+_ROOT = (_ident, ",", _ident, ":", _signed_one)
+_PLACE = (_ident, ":", _one_of("inert", "split"))
+
+
 class _Parser:
     """Recursive descent over the string tokens of `text`, a document
     without its comments.  Each token consumed passes a check that an
@@ -155,134 +209,52 @@ class _Parser:
         shown = repr(tok) if len(tok) <= 64 else "%r... (%d characters)" % (tok[:16], len(tok))
         raise self._error(message + ", got " + shown, self.pos)
 
-    def _take(self, text: str) -> None:
-        if self.tokens[self.pos] != text:
-            self._fail("expected %r" % text)
-        self.pos += 1
-
     def _at(self, text: str) -> bool:
         return self.tokens[self.pos] == text
 
-    def _ident(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok is None or not _is_ident(tok):
-            self._fail("expected 'IDENT'")
-        self.pos += 1
-        return tok
-
-    def _at_int(self) -> bool:
-        tok = self.tokens[self.pos]
-        return tok is not None and tok[0].isdecimal()
-
-    def _int(self) -> int:
-        if not self._at_int():
-            self._fail("expected 'INT'")
-        try:
-            value = int(self.tokens[self.pos])
-        except ValueError:  # more digits than int() reads
-            self._fail("expected an INT of at most %d digits" % sys.get_int_max_str_digits())
-        self.pos += 1
-        return value
-
-    def _sign(self) -> int:
-        tok = self.tokens[self.pos]
-        if tok not in ("+", "-"):
-            self._fail("expected a sign")
-        self.pos += 1
-        return 1 if tok == "+" else -1
-
-    def _signed_one(self) -> int:
-        """A sign written as -1 or +1 (the bare sign is also accepted)."""
-        sign = self._sign()
-        if self._at("1"):
+    def _read(self, production: tuple) -> list:
+        """The values of the production's items that are not tokens, in order."""
+        values = []
+        for item in production:
+            tok = self.tokens[self.pos]
+            if item.__class__ is not str:
+                values.append(item(self, tok))
+            elif tok != item:
+                self._fail("expected %r" % item)
             self.pos += 1
-        return sign
+        return values
+
+    def _block(self, head: tuple, entry: tuple, closer: str) -> tuple:
+        """The entries of the block `head entry* closer`, or none if it is absent."""
+        if not self._at(head[0]):
+            return ()
+        self._read(head)
+        entries = []
+        while not self._at(closer):  # an entry fails at the end of input
+            entries.append(tuple(self._read(entry)))
+        self.pos += 1
+        return tuple(entries)
 
     def document(self) -> ParameterDocument:
-        self._take("group")
-        self._take("U")
-        self._take("(")
-        n = self._int()
-        self._take(")")
-        self._take("parity")
-        parity = self._sign()
+        n, parity = self._read(_DATUM)
         decls = []
         while self._at("mu"):
-            decls.append(self._decl())
-        self._take("psi")
-        self._take("=")
+            decls.append(Decl(*self._read(_DECL)))
+        self._read(("psi", "="))
         terms = [self._term()]
         while self._at("+"):
             self.pos += 1
             terms.append(self._term())
-        roots: List[Tuple[str, str, int]] = []
-        if self._at("roots"):
-            roots = self._roots()
-        places: List[Tuple[str, str]] = []
-        if self._at("places"):
-            places = self._places()
+        roots = self._block(("roots", "{"), _ROOT, "}")
+        places = self._block(("places", "["), _PLACE, "]")
         if self.tokens[self.pos] is not None:
             self._fail("unexpected trailing input")
-        return ParameterDocument(n, parity, tuple(decls), tuple(terms), tuple(roots), tuple(places))
-
-    def _decl(self) -> Decl:
-        self._take("mu")
-        label = self._ident()
-        self._take(":")
-        self._take("deg")
-        self._take("=")
-        deg = self._int()
-        self._take(",")
-        self._take("sd")
-        self._take("=")
-        sd = self.tokens[self.pos]
-        if sd not in ("+", "-", "none"):
-            self._fail("expected '+', '-' or 'none'")
-        self.pos += 1
-        return Decl(label, deg, sd)
+        return ParameterDocument(n, parity, tuple(decls), tuple(terms), roots, places)
 
     def _term(self) -> Term:
-        mult = 1
-        if self._at_int():
-            mult = self._int()
-            self._take("*")
-        label = self._ident()
-        self._take("(")
-        self._take("x")
-        self._take(")")
-        self._take("nu")
-        self._take("(")
-        nu = self._int()
-        self._take(")")
-        return Term(mult, label, nu)
-
-    def _roots(self) -> List[Tuple[str, str, int]]:
-        self._take("roots")
-        self._take("{")
-        out = []
-        while not self._at("}"):
-            a = self._ident()
-            self._take(",")
-            b = self._ident()
-            self._take(":")
-            out.append((a, b, self._signed_one()))
-        self._take("}")
-        return out
-
-    def _places(self) -> List[Tuple[str, str]]:
-        self._take("places")
-        self._take("[")
-        out = []
-        while not self._at("]"):
-            name = self._ident()
-            self._take(":")
-            kind = self.tokens[self.pos]
-            if kind not in ("inert", "split"):
-                self._fail("expected 'inert' or 'split'")
-            self.pos += 1
-            out.append((name, kind))
-        self._take("]")
-        return out
+        tok = self.tokens[self.pos]
+        mult = self._read(_MULT)[0] if tok and tok[0].isdecimal() else 1
+        return Term(mult, *self._read(_TERM))
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,14 +359,12 @@ def _elaborate(doc: ParameterDocument) -> Semantics:
         entries[frozenset((a, b))] = s
     table = signs.RootNumberTable(entries)
     table.validate_against(psi)
-    names = set()
-    places = []
+    places = {}
     for name, kind in doc.places:
-        if name in names:
+        if name in places:
             raise SemanticError("place %r declared twice" % name)
-        names.add(name)
-        places.append(multiplicity.Place(name, kind))
-    return Semantics(psi, tag, table, tuple(places))
+        places[name] = multiplicity.Place(name, kind)
+    return Semantics(psi, tag, table, tuple(places.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -831,4 +801,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # `checks` imports this module by name; hand it this copy, not a second one
+    sys.modules.setdefault("uendo.cli", sys.modules[__name__])
     sys.exit(main())

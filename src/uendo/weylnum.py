@@ -111,8 +111,6 @@ class Factor(Value):
         if self.kind == SP:
             return 2
         if self.kind == SO:
-            if self.size == 1:
-                return 1
             if self.size % 2 == 1:
                 return 1
             return 2  # SO(even >= 4)

@@ -318,6 +318,50 @@ def test_parse_matches_reference_front_end():
     assert parsed > 100
 
 
+# One line per production, one token per item: the optional INT "*" of the
+# first term, both block openers, a root with and without its "1", and both
+# place kinds.
+_PRODUCTION_LINES = (
+    ("group", "U", "(", "3", ")", "parity", "-"),
+    ("mu", "a", ":", "deg", "=", "1", ",", "sd", "=", "+"),
+    ("mu", "b", ":", "deg", "=", "2", ",", "sd", "=", "none"),
+    ("psi", "=", "2", "*", "a", "(", "x", ")", "nu", "(", "1", ")",
+     "+", "b", "(", "x", ")", "nu", "(", "1", ")"),
+    ("roots", "{", "a", ",", "b", ":", "-", "1", "b", ",", "a", ":", "+", "}"),
+    ("places", "[", "v", ":", "inert", "w", ":", "split", "]"),
+)
+
+
+def _broken_at_each_item():
+    """Each document of `_PRODUCTION_LINES` with one item replaced by a
+    token of the wrong kind, and each cut off just before that item."""
+    for row, line in enumerate(_PRODUCTION_LINES):
+        for col, tok in enumerate(line):
+            for wrong in ("z" if tok.isdecimal() else "9", None):
+                cut = line[:col] if wrong is None else line[:col] + (wrong,) + line[col + 1:]
+                lines = _PRODUCTION_LINES[:row] + (cut,)
+                if wrong is not None:
+                    lines += _PRODUCTION_LINES[row + 1:]
+                yield "\n".join(" ".join(words) for words in lines)
+
+
+def test_parse_errors_at_every_item_match_reference_front_end():
+    messages = set()
+    for text in _broken_at_each_item():
+        want = _outcome(_reference_parse, text)
+        assert _outcome(cli.parse, text) == want, repr(text)
+        if not isinstance(want, cli.ParameterDocument):
+            messages.add(want[0].split(" (at end")[0].split(", got")[0])
+    # every literal token but those only looked ahead for ("mu", "+",
+    # "roots", "places") and the closers, which end a loop of entries
+    expected = {"expected %r" % tok for tok in ("group", "U", "(", ")", "parity", ":", "deg",
+                                                "=", ",", "sd", "psi", "*", "x", "nu", "{", "[")}
+    expected |= {"expected 'INT'", "expected 'IDENT'", "expected a sign",
+                 "expected '+', '-' or 'none'", "expected 'inert' or 'split'",
+                 "unexpected trailing input"}
+    assert expected <= messages, sorted(expected - messages)
+
+
 NON_DECIMAL_DIGIT_DOCS = {
     "int": "group U(%s) parity +\nmu a: deg=1, sd=+\npsi = a (x) nu(1)\n",
     "label": "group U(1) parity +\nmu %s: deg=1, sd=+\npsi = a (x) nu(1)\n",
@@ -884,6 +928,17 @@ def test_module_entry_point_matches_in_process_call(capsys):
                           text=True, timeout=60,
                           env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
     assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, capsys)
+
+
+def test_module_entry_point_check_imports_the_cli_once(capsys):
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "uendo.cli", "check"],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (done.returncode, json.loads(done.stdout)["status"]) == (0, "ok")
+    assert (done.returncode, done.stdout) == run_cli(["check"], capsys)[:2]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "uendo.checks" in imported and "uendo.cli" not in imported
 
 
 def test_check_command_green(capsys):
