@@ -24,6 +24,7 @@ from __future__ import annotations
 import errno
 import functools
 import itertools
+import operator
 import os
 import re
 import stat
@@ -573,13 +574,16 @@ _TADIC_HEAD = ('{\n  "command": "tadic",\n  "field": %s,\n  "k": %d,\n  "n": %d,
                '  "tempered": %s,\n  "terms": [')
 _TADIC_TERM = '{\n  "coefficient": %d,\n  "symbols": [\n    %s\n  ]\n}'
 _TADIC_SYMBOL = '{\n  "k": %d,\n  "lambda": {\n    "den": %d,\n    "num": %d\n  }\n}'
+_TADIC_CHUNK = 1024  # terms per piece of a tadic report, about 1 MB at n = 8
 
 
 def report_tadic(n: int, k: int, field: str) -> Iterator[str]:
-    """The report's JSON text in pieces, from the ranked expansion: each
-    distinct symbol is rendered once, and each piece after the first is one
-    term, in canonical order.  The expansion and its tempered part are
-    computed before this returns, so a `ValueError` precedes any piece."""
+    """The report's JSON text in pieces, from the expansion's keys: each
+    distinct symbol is rendered once, and a piece is one join of a list
+    indexed by the codes of `_TADIC_CHUNK` keys (below 256 for n <=
+    TADIC_MAX_N, so read as latin-1 bytes), each key after its sign's head
+    code.  The expansion, its tempered part and the first piece are computed
+    before this returns, so a `ValueError` precedes any piece."""
     case = tadic.ARCH if field == "arch" else tadic.NONARCH
     combo = tadic.expand("r", n, k, case)
     star_term, star_coeff = tadic.tempered_part(combo)
@@ -593,14 +597,26 @@ def report_tadic(n: int, k: int, field: str) -> Iterator[str]:
 
     term, sep, texts = layout(2, combo.symbols)
     head, tail = term.split("%s")
-    heads = {c: ",\n    " + head % c for c in (1, -1)}  # the only coefficients
-    terms = (heads[c] + sep.join(map(texts.__getitem__, ranks)) + tail
-             for ranks, c in combo.ranked)
     star, star_sep, star_texts = layout(1, star_term.symbols)
     tempered = star % (star_coeff, star_sep.join(star_texts))
-    # the first piece ends with the first term, which has no comma before it
-    first = _TADIC_HEAD % (encode_basestring_ascii(field), k, n, tempered) + next(terms)[1:]
-    return itertools.chain((first,), terms, ("\n  ]\n}\n",))
+    # tadic's codes (-1, +1, the separator, the ranks), the heads of -1 and +1,
+    # then the report's head with the first term's, which has no comma
+    texts = [tail, tail, sep] + texts + [",\n    " + head % c for c in (-1, 1)]
+    heads = {tadic._SIGN[-1]: chr(len(texts) - 2), tadic._SIGN[1]: chr(len(texts) - 1)}
+    texts.append(_TADIC_HEAD % (encode_basestring_ascii(field), k, n, tempered)
+                 + texts[ord(heads[combo.keys[0][-1]])][1:])
+
+    def piece(start: int) -> str:
+        chunk = combo.keys[start:start + _TADIC_CHUNK]
+        spliced = [None] * (2 * len(chunk))
+        spliced[::2] = map(heads.__getitem__, map(operator.itemgetter(-1), chunk))
+        spliced[1::2] = chunk
+        if start == 0:
+            spliced[0] = chr(len(texts) - 1)
+        return "".join(map(texts.__getitem__, "".join(spliced).encode("latin-1")))
+
+    pieces = map(piece, range(0, len(combo.keys), _TADIC_CHUNK))
+    return itertools.chain((next(pieces),), pieces, ("\n  ]\n}\n",))
 
 
 def run_check() -> Tuple[str]:

@@ -23,14 +23,15 @@ produces the unique tempered term
     theta_r^(n,*)(k) = box-sum over i <= n* of theta_r(k + n + 1 - 2i, 0),
 
 with n* = min(n, k+1) non-archimedean and n* = n archimedean; the factor
-theta_r(k + n - 1, 0) occurs in it exactly once.
+theta_r(k + n - 1, 0) occurs in it exactly once.  An expansion holds each
+term as a string of codes (see `_SIGN`), and sorts them as text.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .values import Value, set_field
 
@@ -92,41 +93,46 @@ class IsobaricTerm(Value):
         return cls(tuple(kept))
 
 
+# A term's key: its symbols' ranks, ascending, each as chr(_BASE + rank) and
+# _SEP between two, then _SIGN[coefficient].  The sign codes sort below _SEP and
+# every rank, so keys sort as their (ranks, coefficient) pairs.  The codes below
+# _BASE are those of -1, +1 and _SEP, in this order.
+_SIGN = {-1: "\x00", 1: "\x01"}
+_SEP = "\x02"
+_BASE = 3
+_COEFFICIENT = {code: c for c, code in _SIGN.items()}
+
+
 class FormalCharacterCombination:
-    """Integer combination of isobaric terms with nonzero coefficients, in
-    ranked form: `symbols` in canonical order (at least those of the terms)
-    and `ranked`, the sorted pairs (ranks of a term's symbols, coefficient).
-    The dict `coeffs` of `IsobaricTerm` keys is built when first read."""
+    """Integer combination of isobaric terms with coefficients +-1: `symbols`,
+    the distinct symbols in canonical order (at least those of the terms), and
+    `keys`, one string per term (see `_SIGN`), sorted, which is the canonical
+    term order.  The (ranks of a term's symbols, coefficient) pairs `ranked`
+    and the dict `coeffs` of `IsobaricTerm` keys are built when first read."""
 
-    def __init__(self, symbols, ranked):
-        self.symbols, self.ranked = tuple(symbols), list(ranked)
+    def __init__(self, symbols, keys):
+        self.symbols, self.keys = tuple(symbols), list(keys)
 
-    def term(self, ranks: Tuple[int, ...]) -> IsobaricTerm:
-        return IsobaricTerm(tuple(self.symbols[r] for r in ranks))
+    def term(self, key: str) -> IsobaricTerm:
+        return IsobaricTerm(tuple(self.symbols[ord(code) - _BASE] for code in key[:-1:2]))
+
+    @functools.cached_property
+    def ranked(self) -> List[Tuple[Tuple[int, ...], int]]:
+        return [(tuple(ord(code) - _BASE for code in key[:-1:2]), _COEFFICIENT[key[-1]])
+                for key in self.keys]
 
     @functools.cached_property
     def coeffs(self) -> Dict[IsobaricTerm, int]:
-        return {self.term(ranks): c for ranks, c in self.ranked}
-
-
-def term_for_permutation(base: str, n: int, k: int, field_case: str, perm) -> Optional[IsobaricTerm]:
-    """The box-sum attached to one Weyl element (perm maps i -> w(i),
-    zero-indexed internally)."""
-    symbols = []
-    for i0, wi0 in enumerate(perm):
-        i, wi = i0 + 1, wi0 + 1
-        symbols.append(
-            _normalize_symbol(base, k - (i - wi), Fraction((n + 1) - (i + wi)), field_case)
-        )
-    return IsobaricTerm.build(symbols)
+        return {self.term(key): _COEFFICIENT[key[-1]] for key in self.keys}
 
 
 def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombination:
     """Signed sum over the symmetric group after the boundary conventions,
     its terms in canonical order and every coefficient +-1 (see the module
     docstring): a Leibniz expansion of the table of normalized symbols grown
-    one row at a time, its partial terms grouped by the mask of columns
-    still free into a list of + terms and a list of - terms."""
+    one row at a time, its partial terms, strings of rank codes, grouped by
+    the mask of columns still free into a list of + terms and a list of -
+    terms.  Each term, from one permutation, sorts its codes into its key."""
     if n < 1:
         raise ValueError("n must be positive")
     if field_case == NONARCH and k < 0:
@@ -134,17 +140,18 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
     if field_case not in (ARCH, NONARCH):
         raise ValueError("unknown field case %r" % field_case)
     # cell (i, j) holds theta(k - d, n + 1 - s), d = i - j, s = i + j: canonical
-    # order is d up, then s down; None marks a zero cell, () an empty one, (r,) rank r
+    # order is d up, then s down; None marks a zero cell, "" an empty one and
+    # chr(_BASE + r) the symbol of rank r
     order, table = [], [[None] * n for _ in range(n)]
     for d in range(1 - n, n):
         for s in range(2 * n - abs(d), abs(d), -2):
             symbol = _normalize_symbol(base, k - d, n + 1 - s, field_case)
             if symbol is None:
-                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = ()
+                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = ""
             elif symbol != 0:
-                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = (len(order),)
+                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = chr(_BASE + len(order))
                 order.append(symbol)
-    groups = {(1 << n) - 1: ([()], [])}
+    groups = {(1 << n) - 1: ([""], [])}
     for row in table:
         grown = {}
         while groups:  # each group is dropped once extended
@@ -160,25 +167,10 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
                     plus, minus = minus, plus
         groups = grown
     (plus, minus), = groups.values()
-    for terms in (plus, minus):  # sorted in place: an unsorted term dies as its key is made
-        for i, t in enumerate(terms):
-            terms[i] = tuple(sorted(t))
-    coeffs = dict.fromkeys(plus, 1)
-    coeffs.update(dict.fromkeys(minus, -1))
-    return FormalCharacterCombination(order, [(key, coeffs[key]) for key in sorted(coeffs)])
-
-
-def w_star(n: int, k: int, field_case: str) -> Tuple[int, ...]:
-    """The distinguished Weyl element, zero-indexed."""
-    if field_case == ARCH or n <= k + 1:
-        return tuple(n - 1 - i for i in range(n))
-    out = []
-    for i in range(1, n + 1):
-        if i <= k + 1:
-            out.append(n + 1 - i)
-        else:
-            out.append(i - (k + 1))
-    return tuple(v - 1 for v in out)
+    keys = [_SEP.join(sorted(t)) + _SIGN[1] for t in plus]
+    keys += [_SEP.join(sorted(t)) + _SIGN[-1] for t in minus]
+    keys.sort()
+    return FormalCharacterCombination(order, keys)
 
 
 def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
@@ -194,13 +186,13 @@ def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
 
 
 def tempered_part(c: FormalCharacterCombination) -> Tuple[IsobaricTerm, int]:
-    """The unique all-lambda-zero term, by its ranks, with its coefficient."""
-    zero = {r for r, s in enumerate(c.symbols) if s.lam == 0}
-    found = [(ranks, coeff) for ranks, coeff in c.ranked if zero.issuperset(ranks)]
+    """The unique all-lambda-zero term, by its key, with its coefficient."""
+    zero = {chr(_BASE + r) for r, s in enumerate(c.symbols) if s.lam == 0}
+    zero.update(_SEP, *_SIGN.values())
+    found = [key for key in c.keys if zero.issuperset(key)]
     if len(found) != 1:
         raise AssertionError("tempered part is not a single term")
-    ranks, coeff = found[0]
-    return c.term(ranks), coeff
+    return c.term(found[0]), _COEFFICIENT[found[0][-1]]
 
 
 def sq_int_multiplicity(term: IsobaricTerm, base: str, n: int, k: int) -> int:
@@ -208,12 +200,3 @@ def sq_int_multiplicity(term: IsobaricTerm, base: str, n: int, k: int) -> int:
     return sum(
         1 for s in term.symbols if s.base == base and s.k == k + n - 1 and s.lam == 0
     )
-
-
-def mod2_reduce(c: FormalCharacterCombination) -> Dict[IsobaricTerm, int]:
-    """Coefficients modulo 2, zero classes absent."""
-    out = {}
-    for term, coeff in c.coeffs.items():
-        if coeff % 2:
-            out[term] = coeff % 2
-    return out

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_tadic import mod2_reduce, w_star
 from uendo import cli
 from uendo.centralizer import (
     brute_force_order,
@@ -46,7 +47,7 @@ from uendo.params import (
     factors_through,
 )
 from uendo.signs import RootNumberTable, epsilon_character, relative_signs
-from uendo.tadic import NONARCH, ARCH as TARCH, expand, mod2_reduce, sq_int_multiplicity, tempered_part, theta_star, w_star
+from uendo.tadic import NONARCH, ARCH as TARCH, expand, sq_int_multiplicity, tempered_part, theta_star
 from uendo.weylnum import (
     ComponentDatum,
     ConnectedShape,
@@ -328,7 +329,7 @@ def test_criterion_9_tadic_suite():
                 assert term == theta_star("r", n, k, case)
                 assert coeff == perm_sign(w_star(n, k, case))
                 assert sq_int_multiplicity(term, "r", n, k) == 1
-                assert mod2_reduce(combo).get(term) == 1
+                assert mod2_reduce(combo.coeffs).get(term) == 1
     _report(9, "standard-character expansions, n <= 5, k <= 5, both cases")
 
 

@@ -1485,6 +1485,19 @@ def test_tadic_stdout_matches_json_of_the_expansion(capsys):
         assert run_cli(argv, capsys) == (0, _json_reference(_tadic_oracle(n, k, field)), ""), argv
 
 
+def test_tadic_report_reads_no_ranked_form(monkeypatch):
+    # the report is written from the keys alone
+    want = {field: _json_reference(_tadic_oracle(7, 2, field)) for field in ("arch", "nonarch")}
+
+    def unread(combo):
+        raise AssertionError("the report read a ranked form")
+
+    for name in ("ranked", "coeffs"):
+        monkeypatch.setattr(tadic.FormalCharacterCombination, name, property(unread))
+    for field, text in want.items():
+        assert "".join(cli.report_tadic(7, 2, field)) == text, field
+
+
 def test_tadic_report_builds_no_term_but_the_tempered_one(monkeypatch, capsys):
     built, calls = [], []
     init = tadic.IsobaricTerm.__init__

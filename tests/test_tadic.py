@@ -10,14 +10,14 @@ from uendo.tadic import (
     FormalCharacterCombination,
     IsobaricTerm,
     StandardSymbol,
+    _BASE,
+    _SEP,
+    _SIGN,
     _normalize_symbol,
     expand,
-    mod2_reduce,
     sq_int_multiplicity,
     tempered_part,
-    term_for_permutation,
     theta_star,
-    w_star,
 )
 
 
@@ -27,6 +27,46 @@ def sym(k, lam, case=NONARCH):
 
 def term(*symbols):
     return IsobaricTerm.build(list(symbols))
+
+
+def key(ranks, coeff):
+    """A term's key, as `expand` writes it."""
+    return _SEP.join(chr(_BASE + r) for r in ranks) + _SIGN[coeff]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one permutation's term, the distinguished Weyl element, and the
+# reduction of a combination modulo 2
+
+
+def term_for_permutation(base, n, k, field_case, perm):
+    """The box-sum attached to one Weyl element (perm maps i -> w(i),
+    zero-indexed internally)."""
+    symbols = []
+    for i0, wi0 in enumerate(perm):
+        i, wi = i0 + 1, wi0 + 1
+        symbols.append(
+            _normalize_symbol(base, k - (i - wi), Fraction((n + 1) - (i + wi)), field_case)
+        )
+    return IsobaricTerm.build(symbols)
+
+
+def w_star(n, k, field_case):
+    """The distinguished Weyl element, zero-indexed."""
+    if field_case == ARCH or n <= k + 1:
+        return tuple(n - 1 - i for i in range(n))
+    out = []
+    for i in range(1, n + 1):
+        if i <= k + 1:
+            out.append(n + 1 - i)
+        else:
+            out.append(i - (k + 1))
+    return tuple(v - 1 for v in out)
+
+
+def mod2_reduce(coeffs):
+    """A term -> coefficient mapping modulo 2, zero classes absent."""
+    return {t: coeff % 2 for t, coeff in coeffs.items() if coeff % 2}
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +123,8 @@ def test_expand_validates_input():
 def test_expand_accounting_no_silent_loss():
     # the level-by-level expansion against the signed sum of the raw
     # per-permutation terms: the same terms, symbols in canonical order,
-    # and the same ranked form, term order included.  A permutation's term is
+    # and the same ranked form, term order included, from strictly increasing
+    # keys.  A permutation's term is
     # built from the cells it picks, each normalized once per case as
     # `term_for_permutation` does, which must agree at n <= 5.  A cell equal
     # to a symbol of the expansion is replaced by that symbol, so that the
@@ -111,6 +152,18 @@ def test_expand_accounting_no_silent_loss():
         rank = {s: r for r, s in enumerate(symbols)}
         ranked = sorted((tuple(rank[s] for s in t.symbols), c) for t, c in raw.items())
         assert combo.ranked == ranked, (n, k, case)
+        assert all(a < b for a, b in zip(combo.keys, combo.keys[1:])), (n, k, case)
+
+
+def test_keys_sort_as_their_ranks_and_coefficients():
+    # no term of an expansion has the ranks of another followed by more, so
+    # no expansion compares a key with a longer key it begins; these do, and
+    # the sign codes must sort below the separator and every rank
+    pairs = [((0,), 1), ((0, 1), -1), ((0, 1, 2), 1), ((0, 2), 1), ((1,), -1), ((1,), 1),
+             ((1, 2), -1), ((2,), 1)]
+    keys = sorted(key(ranks, coeff) for ranks, coeff in reversed(pairs))
+    symbols = [sym(3, 0), sym(2, 1), sym(1, 0)]
+    assert FormalCharacterCombination(symbols, keys).ranked == sorted(pairs)
 
 
 def _expansions(n_max):
@@ -206,9 +259,15 @@ def test_tempered_part_examples():
 
 
 def test_tempered_uniqueness_guard():
-    fake = FormalCharacterCombination([sym(3, 0), sym(1, 0)], [((0,), 1), ((1,), 1)])
-    with pytest.raises(AssertionError):
-        tempered_part(fake)
+    # ranks 0, 1, 2 are theta(3, 0), theta(2, 1) and theta(1, 0)
+    symbols = [sym(3, 0), sym(2, 1), sym(1, 0)]
+    one = FormalCharacterCombination(symbols, [key((0, 2), 1), key((1,), -1)])
+    assert tempered_part(one) == (term(sym(3, 0), sym(1, 0)), 1)
+    two = FormalCharacterCombination(symbols, [key((0,), 1), key((2,), -1)])
+    none = FormalCharacterCombination(symbols, [key((0, 1), 1), key((1,), -1)])
+    for fake in (two, none):
+        with pytest.raises(AssertionError, match="tempered part is not a single term"):
+            tempered_part(fake)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +304,7 @@ def test_sq_int_multiplicity_family_and_disjointness():
 
 
 def test_mod2_examples():
-    combo = FormalCharacterCombination([sym(2, 0), sym(1, 0)], [((0,), 2), ((1,), -1)])
-    reduced = mod2_reduce(combo)
+    reduced = mod2_reduce({term(sym(2, 0)): 2, term(sym(1, 0)): -1})
     assert reduced == {term(sym(1, 0)): 1}
 
 
@@ -255,6 +313,6 @@ def test_mod2_tempered_coefficient_is_one():
         for n in range(1, 6):
             for k in range(0, 4):
                 combo = expand("r", n, k, case)
-                reduced = mod2_reduce(combo)
+                reduced = mod2_reduce(combo.coeffs)
                 t, _ = tempered_part(combo)
                 assert reduced.get(t) == 1
