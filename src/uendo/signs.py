@@ -16,7 +16,11 @@ centralizer parts over the blocks that are symplectic, have root number
 epsilon(1/2, mu_k x mu_k'^c) = -1, and have an even-dimensional SL(2)
 constituent: the exponent of det(s_k) is l_k' times the number of
 even-dimensional constituents of nu(n_k) (x) nu(n_k'), which is
-min(n_k, n_k') when n_k + n_k' is odd and zero otherwise.
+min(n_k, n_k') when n_k + n_k' is odd and zero otherwise.  So only the
+Rankin-Selberg blocks between self-dual constituents of opposite cuspidal
+parity with that count nonzero matter, and the module never lists the
+blocks: the sign character is read in closed form off these candidate
+pairs (`_candidate_pairs`).
 
 Away from square-integrable parameters the same bookkeeping runs relative
 to the Levi determined by the parameter: the character pulled back from the
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .centralizer import (
     CentralizerShape,
@@ -52,18 +56,8 @@ from .centralizer import (
     element_table,
     torus_blocks,
 )
-from .params import (
-    NOT_SELF_DUAL,
-    GlobalParameter,
-    SimpleDatumTag,
-    SimpleParameter,
-    factors_through,
-)
+from .params import NOT_SELF_DUAL, GlobalParameter, SimpleDatumTag, SimpleParameter
 from .values import Value, set_field
-
-ORTH = "orthogonal"
-SYMP = "symplectic"
-NSD = "not-self-dual"
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +72,6 @@ def su2_tensor_dims(a: int, b: int) -> Tuple[int, ...]:
 def even_constituent_count(a: int, b: int) -> int:
     """Closed form: min(a, b) if a + b is odd, else 0."""
     return min(a, b) if (a + b) % 2 else 0
-
-
-def sym2_dims(n: int) -> Tuple[int, ...]:
-    """Dimensions in Sym^2 nu(n): 2n-1, 2n-5, ..."""
-    return tuple(d for d in range(2 * n - 1, 0, -4))
-
-
-def alt2_dims(n: int) -> Tuple[int, ...]:
-    """Dimensions in Alt^2 nu(n): 2n-3, 2n-7, ..."""
-    return tuple(d for d in range(2 * n - 3, 0, -4))
 
 
 # ---------------------------------------------------------------------------
@@ -138,94 +122,6 @@ class RootNumberTable:
 
 
 # ---------------------------------------------------------------------------
-# Adjoint decomposition
-
-
-class AdjointTerm(Value):
-    """One sigma-isotypic group of the adjoint decomposition.
-
-    kind: ("RS", k, k'), ("RSdual", k, k*), ("Asai+", k) or ("Asai-", k);
-    duality: orthogonal, symplectic, or not-self-dual;
-    su2_dims: the SL(2) dimensions attached to this sigma and lambda;
-    lam: descriptor of the centralizer part.
-    """
-
-    __slots__ = ("kind", "duality", "su2_dims", "lam")
-
-    def __init__(self, kind: Tuple[str, ...], duality: str, su2_dims: Tuple[int, ...], lam: str):
-        set_field(self, "kind", kind)
-        set_field(self, "duality", duality)
-        set_field(self, "su2_dims", su2_dims)
-        set_field(self, "lam", lam)
-
-
-def _pair_duality(k: SimpleParameter, kp: SimpleParameter) -> str:
-    if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
-        return NSD
-    return SYMP if k.mu_sign != kp.mu_sign else ORTH
-
-
-def adjoint_decomposition(psi: GlobalParameter, tag: SimpleDatumTag) -> Tuple[AdjointTerm, ...]:
-    """Term list of the adjoint block decomposition.
-
-    Off-diagonal pairs of distinct orbit representatives produce one
-    Rankin-Selberg term with the full tensor dimensions.  Each orbit
-    representative also produces its diagonal family: Asai terms split along
-    the symmetric/alternating SL(2) decomposition (a labelling convention:
-    the plus label rides with the symmetric part on the sym2 side), plus a
-    dual-pair Rankin-Selberg term for partnered orbits.  Terms with empty
-    SL(2) content are dropped.  Non-self-dual terms stand for the dual pair
-    (term, term*) jointly.
-    """
-    if not factors_through(psi, tag):
-        raise ValueError("parameter does not factor through the datum")
-    reps = list(psi.self_dual) + list(psi.dual_pair_orbits)
-    reps.sort(key=lambda p: (p[0].deg_mu, p[0].su2_dim, p[0].label))
-    terms: List[AdjointTerm] = []
-    for (k, lk), (kp, lkp) in itertools.combinations(reps, 2):
-        terms.append(
-            AdjointTerm(
-                kind=("RS", k.label, kp.label),
-                duality=_pair_duality(k, kp),
-                su2_dims=su2_tensor_dims(k.su2_dim, kp.su2_dim),
-                lam="std(%s)(x)std(%s)" % (k.label, kp.label),
-            )
-        )
-    for k, lk in reps:
-        n = k.su2_dim
-        sym, alt = sym2_dims(n), alt2_dims(n)
-        asai_duality = ORTH if k.duality != NOT_SELF_DUAL else NSD
-        plus_dims: List[Tuple[int, str]] = [(d, "sym2(%s)" % k.label) for d in sym]
-        minus_dims: List[Tuple[int, str]] = [(d, "sym2(%s)" % k.label) for d in alt]
-        if lk >= 2:
-            plus_dims += [(d, "alt2(%s)" % k.label) for d in alt]
-            minus_dims += [(d, "alt2(%s)" % k.label) for d in sym]
-        for sign, dims in (("Asai+", plus_dims), ("Asai-", minus_dims)):
-            by_lam: Dict[str, List[int]] = {}
-            for d, lam in dims:
-                by_lam.setdefault(lam, []).append(d)
-            for lam in sorted(by_lam):
-                terms.append(
-                    AdjointTerm(
-                        kind=(sign, k.label),
-                        duality=asai_duality,
-                        su2_dims=tuple(sorted(by_lam[lam])),
-                        lam=lam,
-                    )
-                )
-        if k.duality == NOT_SELF_DUAL:
-            terms.append(
-                AdjointTerm(
-                    kind=("RSdual", k.label, k.partner),
-                    duality=ORTH,
-                    su2_dims=su2_tensor_dims(n, n),
-                    lam="std(%s)(x)std(%s)" % (k.label, k.partner),
-                )
-            )
-    return tuple(terms)
-
-
-# ---------------------------------------------------------------------------
 # The sign character
 
 
@@ -263,18 +159,31 @@ def _evaluate(exponents: Sequence[int], vector: Sequence[int]) -> int:
 
 def _candidate_pairs(shape: CentralizerShape):
     """Unordered pairs of self-dual constituents that can carry symplectic
-    root-number blocks with even SL(2) parts, with their multiplicities and
-    counts, in `itertools.combinations` order: opposite cuspidal parity and
-    a nonzero even-constituent count.  This is the one pair filter of the
-    module; only these pairs are asked of a root-number table, and
-    `SignCharacter.defaulted` lists those that the table lacks."""
-    sd = shape.orthogonal + shape.symplectic
+    root-number blocks with even SL(2) parts, in `itertools.combinations`
+    order over the orthogonal then the symplectic factors: opposite cuspidal
+    parity and a nonzero even-constituent count.  This is the one pair
+    filter of the module; only these pairs are asked of a root-number table,
+    and `SignCharacter.defaulted` lists those that the table lacks.
+
+    Each entry is ((k, l_k), (k', l_k'), count, toggles) with count the
+    even-constituent count.  Per even constituent the pair contributes
+    det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k), so `toggles` lists the
+    indices into `shape.orthogonal` of the orthogonal factors whose
+    sign-character exponent the pair flips when its root number is -1: k
+    when l_k' count is odd, k' when l_k count is odd.  This is the one place
+    that knows that rule; `_epsilon_character` and `_sign_structure` read it.
+    """
+    n_orth = len(shape.orthogonal)
     out = []
-    for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
+    for (i, (k, lk)), (j, (kp, lkp)) in itertools.combinations(
+            enumerate(shape.orthogonal + shape.symplectic), 2):
         if k.mu_sign != kp.mu_sign:
             count = even_constituent_count(k.su2_dim, kp.su2_dim)
             if count:
-                out.append(((k, lk), (kp, lkp), count))
+                # (x,) * e lists x when e is odd; i < j, so k is orthogonal when k' is
+                toggles = ((i,) * (lkp * count % 2) + (j,) * (lk * count % 2)
+                           if j < n_orth else ())
+                out.append(((k, lk), (kp, lkp), count, toggles))
     return out
 
 
@@ -307,22 +216,18 @@ def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignC
     l count [l' odd]: (l + l') count when l and l' are both odd, a multiple
     of the even one when one is even, and even in every case.
     """
-    labels = shape.plus_labels
-    exps = {lab: 0 for lab in labels}
+    exponents = [0] * len(shape.orthogonal)
     defaulted = []
-    for (k, lk), (kp, lkp), count in _candidate_pairs(shape):
+    for (k, _), (kp, _), _, toggles in _candidate_pairs(shape):
         if table.epsilon(k, kp) == 1:
             if frozenset((k.label, kp.label)) not in table.entries:
                 defaulted.append(tuple(sorted((k.label, kp.label))))
             continue
-        # det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k) per constituent
-        if k.label in exps:
-            exps[k.label] = (exps[k.label] + lkp * count) % 2
-        if kp.label in exps:
-            exps[kp.label] = (exps[kp.label] + lk * count) % 2
-    exponents = tuple(exps[lab] for lab in labels)
-    return SignCharacter(labels, exponents, _evaluate(exponents, s_psi_vector(shape)),
-                         tuple(sorted(defaulted)))
+        for idx in toggles:
+            exponents[idx] ^= 1
+    exponents = tuple(exponents)
+    return SignCharacter(shape.plus_labels, exponents,
+                         _evaluate(exponents, s_psi_vector(shape)), tuple(sorted(defaulted)))
 
 
 def epsilon_full_product(
@@ -453,9 +358,9 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     even-constituent count, it toggles
       - eps1 on the bits and blocks of both constituents when both are in
         the core and count is odd;
-      - the sign character's exponent of an orthogonal constituent k by
-        l_k' count (and of k' by l_k count), which lands on k's free bit
-        when l_k is odd and on its block's flip parity when it is even;
+      - the sign character's exponent of each orthogonal factor in the
+        pair's `toggles`, which lands on the factor's free bit when its
+        multiplicity is odd and on its block's flip parity when it is even;
       - beta_b on the block of k when k' is in the core and count is odd
         (and the other way round), for non-GL blocks of rank at least 1.
     The memo lives for the process and holds every parameter passed to
@@ -469,23 +374,21 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(meta)}
     odd_bit = {lab: 1 << bit for bit, lab in enumerate(shape.odd_plus_labels)}
     core = odd_bit.keys()  # the odd-multiplicity orthogonal constituents
-    # per orthogonal constituent, where its sign-character exponent lands
-    coordinate = {sp.label: (odd_bit[sp.label], 0) if l % 2 else (0, block_of[sp.label])
-                  for sp, l in shape.orthogonal}
+    # per orthogonal factor, where its sign-character exponent lands
+    coordinate = [(odd_bit[sp.label], 0) if l % 2 else (0, block_of[sp.label])
+                  for sp, l in shape.orthogonal]
     flipping = {sp.label for kind, sp, _, rank in meta if kind != "GL" and rank >= 1}
     pairs = []
-    for (k, lk), (kp, lkp), count in _candidate_pairs(shape):
+    for (k, _), (kp, _), count, toggles in _candidate_pairs(shape):
         a, b, odd = k.label, kp.label, count % 2
         eps1_bits = eps1_blocks = beta = 0
         if odd and a in core and b in core:
             eps1_bits = odd_bit[a] | odd_bit[b]
             eps1_blocks = block_of[a] | block_of[b]
         gm_bits, gm_blocks = eps1_bits, eps1_blocks
-        # det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k) per constituent
-        for lab, exponent in ((a, lkp * count), (b, lk * count)):
-            if exponent % 2 and lab in coordinate:
-                gm_bits ^= coordinate[lab][0]
-                gm_blocks ^= coordinate[lab][1]
+        for idx in toggles:
+            gm_bits ^= coordinate[idx][0]
+            gm_blocks ^= coordinate[idx][1]
         if odd:
             if b in core and a in flipping:
                 beta ^= block_of[a]

@@ -174,15 +174,17 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
 
 
 def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
-    """Box-sum over i <= n* of theta_r(k + n + 1 - 2i, 0)."""
+    """Box-sum over i <= n* of theta_r(k + n + 1 - 2i, 0).
+
+    The symbols are built as they stand, with no pass through
+    `_normalize_symbol`: none is empty or zero.  An archimedean symbol never
+    is, and in the non-archimedean case the smallest first entry, at i = n*,
+    is k + 1 - n >= 0 when n* = n <= k + 1 and n - k - 1 >= 0 when
+    n* = k + 1 < n, never -1 or below.  The first entries fall as i grows, so
+    the symbols are already in the canonical order of `IsobaricTerm`."""
     n_star = n if field_case == ARCH else min(n, k + 1)
-    symbols = [
-        _normalize_symbol(base, k + n + 1 - 2 * i, 0, field_case)
-        for i in range(1, n_star + 1)
-    ]
-    term = IsobaricTerm.build(symbols)
-    assert term is not None
-    return term
+    return IsobaricTerm(tuple(StandardSymbol(base, k + n + 1 - 2 * i, Fraction(0), field_case)
+                              for i in range(1, n_star + 1)))
 
 
 def tempered_part(c: FormalCharacterCombination) -> Tuple[IsobaricTerm, int]:

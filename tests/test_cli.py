@@ -621,6 +621,21 @@ def _assert_one_line_error(code, out, err, want):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["centralizer", "arthur", "epsilon", "multiplicity"])
+def test_non_factoring_parameter_is_refused_by_the_cli_check(command, tmp_path, capsys):
+    # an sd=+ constituent nu(2) lands on Sp(1) in U(3) parity +; the CLI's own
+    # refusal runs before `centralizer_shape`, whose message differs
+    target = tmp_path / "doc.txt"
+    target.write_text("group U(3) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                      "psi = a (x) nu(1) + b (x) nu(2)\n")
+    sem = cli.elaborate(cli.parse(target.read_text()))
+    assert not cli.factors_through(sem.psi, sem.tag)
+    with pytest.raises(ValueError, match="through the datum$"):
+        centralizer_shape(sem.psi, sem.tag)
+    assert run_cli([command, "--input", str(target)], capsys) == (
+        2, "", "error: parameter does not factor through the declared datum\n")
+
+
 def test_endoscopy_nonpositive_n_is_semantic_error(capsys):
     _assert_one_line_error(*run_cli(["endoscopy", "--n", "0"], capsys), 2)
 

@@ -26,8 +26,6 @@ from uendo.signs import (
     RootNumberTable,
     _candidate_pairs,
     _epsilon_character,
-    adjoint_decomposition,
-    alt2_dims,
     epsilon_character,
     epsilon_full_product,
     even_constituent_count,
@@ -35,7 +33,6 @@ from uendo.signs import (
     relative_signs,
     s_psi_vector,
     su2_tensor_dims,
-    sym2_dims,
 )
 from uendo.weylnum import is_negative, signed_perms
 
@@ -80,14 +77,6 @@ def test_even_count_closed_form(a, b):
     brute = sum(1 for d in brute_tensor_dims(a, b) if d % 2 == 0)
     assert even_constituent_count(a, b) == brute
     assert brute == (min(a, b) if (a + b) % 2 else 0)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_sym_alt_split(n):
-    assert tuple(sorted(sym2_dims(n) + alt2_dims(n))) == brute_tensor_dims(n, n)
-    assert sum(sym2_dims(n)) == n * (n + 1) // 2
-    assert sum(alt2_dims(n)) == n * (n - 1) // 2
-    assert all(d % 2 for d in sym2_dims(n) + alt2_dims(n))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +150,6 @@ def test_table_rejects_same_parity_minus_one():
         t.epsilon(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Adjoint decomposition
-
-
 def u3_data(eps_sign):
     mu1 = sd("m1", 1, ORTHOGONAL, 2)
     mu2 = sd("m2", 1, SYMPLECTIC, 1)
@@ -172,65 +157,6 @@ def u3_data(eps_sign):
     tag = SimpleDatumTag(3, -1)
     table = RootNumberTable({frozenset(("m1", "m2")): eps_sign})
     return psi, tag, table
-
-
-def test_adjoint_u3_example():
-    psi, tag, _ = u3_data(-1)
-    terms = adjoint_decomposition(psi, tag)
-    rs = [t for t in terms if t.kind[0] == "RS"]
-    assert len(rs) == 1
-    assert rs[0].duality == "symplectic"
-    assert rs[0].su2_dims == (2,)  # nu2 (x) nu1 = nu2
-    diag = [t for t in terms if t.kind[0].startswith("Asai")]
-    assert diag and all(d % 2 for t in diag for d in t.su2_dims)
-
-
-def test_adjoint_single_generic_constituent():
-    psi = GlobalParameter([(sd("m", 3), 1)])
-    tag = SimpleDatumTag(3, 1)
-    terms = adjoint_decomposition(psi, tag)
-    assert all(t.kind[0].startswith("Asai") for t in terms)
-    assert all(t.su2_dims == (1,) for t in terms)
-
-
-def test_adjoint_dual_pair_is_orthogonal():
-    a = SimpleParameter("g", 1, NOT_SELF_DUAL, 2, partner="gx")
-    b = SimpleParameter("gx", 1, NOT_SELF_DUAL, 2, partner="g")
-    c = sd("c", 2)
-    psi = GlobalParameter([(a, 1), (b, 1), (c, 1)])
-    tag = SimpleDatumTag(6, -1)
-    terms = adjoint_decomposition(psi, tag)
-    dual = [t for t in terms if t.kind[0] == "RSdual"]
-    assert len(dual) == 1
-    assert dual[0].duality == "orthogonal"
-    assert all(d % 2 for d in dual[0].su2_dims)
-
-
-def test_adjoint_diagonal_terms_odd_dimensional():
-    for n in range(1, 5):
-        for l in (1, 2, 3):
-            psi = GlobalParameter([(sd("m", 2, ORTHOGONAL, n), l)])
-            parity = (-1) ** (n - 1)
-            N = psi.total_degree
-            tag = SimpleDatumTag(N, parity * (-1) ** (N - 1))
-            terms = adjoint_decomposition(psi, tag)
-            for t in terms:
-                if t.kind[0].startswith("Asai") or t.kind[0] == "RSdual":
-                    assert all(d % 2 for d in t.su2_dims)
-
-
-def test_adjoint_symplectic_terms_need_opposite_cuspidal_parity():
-    # same cuspidal parity: the cross term is orthogonal
-    psi = GlobalParameter([(sd("a", 1, ORTHOGONAL, 2), 1), (sd("b", 1, ORTHOGONAL, 1), 1)])
-    tag = SimpleDatumTag(3, None or 1)
-    tag = SimpleDatumTag(3, 1 * (-1) ** 0)  # any factoring datum
-    # constituent parities: a: -1, b: +1: need a datum where both fit
-    psi2 = GlobalParameter([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, ORTHOGONAL, 1), 1)])
-    tag2 = SimpleDatumTag(5, 1)
-    assert factors_through(psi2, tag2)
-    terms = adjoint_decomposition(psi2, tag2)
-    rs = [t for t in terms if t.kind[0] == "RS"]
-    assert rs and all(t.duality == "orthogonal" for t in rs)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +370,19 @@ def test_is_epsilon_parameter_examples():
     assert not is_epsilon_parameter(no_parity)
     no_count = GlobalParameter([(sd("a", 1, ORTHOGONAL, 3), 1), (sd("b", 1, ORTHOGONAL, 2), 1)])
     assert not is_epsilon_parameter(no_count)
+    # the refusals before the parity and count tests: a multiplicity above
+    # 1, one or three constituents, and a pair that is not self-dual (an
+    # sd=none constituent comes with its partner, so that is the only such pair)
+    (k, _), (kp, _) = yes.constituents
+    assert not is_epsilon_parameter(GlobalParameter([(k, 1), (kp, 2)]))
+    assert not is_epsilon_parameter(GlobalParameter([(k, 2), (kp, 1)]))
+    assert not is_epsilon_parameter(GlobalParameter([(k, 1)]))
+    assert not is_epsilon_parameter(
+        GlobalParameter([(k, 1), (kp, 1), (sd("c", 2, ORTHOGONAL, 1), 1)]))
+    gl_pair = GlobalParameter(_gl_pair("g", 1))
+    assert len(gl_pair.constituents) == 2
+    assert all(sp.duality == NOT_SELF_DUAL for sp, _ in gl_pair.constituents)
+    assert not is_epsilon_parameter(gl_pair)
 
 
 def test_is_epsilon_parameter_equivalent_condition():
@@ -454,21 +393,6 @@ def test_is_epsilon_parameter_equivalent_condition():
         direct = even_constituent_count(n1, n2) % 2 == 1
         closed = (n1 + n2) % 2 == 1 and min(n1, n2) % 2 == 1
         assert is_epsilon_parameter(psi) == direct == closed
-
-
-def test_epsilon_parameter_term_is_orthogonal_with_odd_even_count():
-    psi = GlobalParameter([(sd("a", 1, ORTHOGONAL, 2), 1), (sd("b", 1, ORTHOGONAL, 1), 1)])
-    tag = SimpleDatumTag(3, (-1) ** 2 * -1)
-    # constituent parities: a: -1, b: +1; they cannot share a datum, so use
-    # the decomposition relative to the twisted-group bookkeeping: build the
-    # terms on the datum where each side factors after doubling
-    psi2 = GlobalParameter([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, ORTHOGONAL, 1), 2)])
-    tag2 = SimpleDatumTag(psi2.total_degree, -1)
-    terms = adjoint_decomposition(psi2, tag2)
-    rs = [t for t in terms if t.kind[0] == "RS"]
-    assert len(rs) == 1
-    assert rs[0].duality == "orthogonal"
-    assert sum(1 for d in rs[0].su2_dims if d % 2 == 0) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +678,7 @@ def _relative_signs_by_elements(psi, tag, table):
     model = NormalizerModel(shape)
     if levi_diagram(shape).w_order == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    pairs = [(a, b, count) for a, b, count in _candidate_pairs(shape)
+    pairs = [(a, b, count) for a, b, count, _ in _candidate_pairs(shape)
              if table.epsilon(a[0], b[0]) == -1]
     eps = _epsilon_character(shape, table)
     core = {sp.label for sp, l in shape.orthogonal if l % 2}
@@ -987,7 +911,7 @@ def test_relative_signs_counts_each_pair_once():
     psi, tag = _levi_case([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, SYMPLECTIC, 1), 1),
                            (sd("c", 1, ORTHOGONAL, 1), 2), (sd("d", 1, SYMPLECTIC, 1), 2)], -1)
     candidates = [(a[0].label, b[0].label)
-                  for a, b, _ in _candidate_pairs(centralizer_shape(psi, tag))]
+                  for a, b, _, _ in _candidate_pairs(centralizer_shape(psi, tag))]
     assert candidates == [("b", "a"), ("d", "a")] and len(_tables_for(psi)) == 3
     for warm in (False, True):
         if not warm:

@@ -30,7 +30,7 @@ from uendo.params import (
     SimpleDatumTag,
     SimpleParameter,
 )
-from uendo.signs import AdjointTerm, RelativeSigns, SignCharacter
+from uendo.signs import RelativeSigns, SignCharacter
 from uendo.tadic import NONARCH, IsobaricTerm, StandardSymbol
 from uendo.values import Value
 from uendo.weylnum import (
@@ -67,7 +67,6 @@ SAMPLES = {
     NormalizerElement: dict(blocks=ELEMENT.blocks, odd_bits=(-1,)),
     LeviDiagram: dict(w0_order=2, w_order=2, n_order=2, s_order=1, s1_order=1,
                       r_labels=("a",)),
-    AdjointTerm: dict(kind=("Asai+", "a"), duality="orthogonal", su2_dims=(1,), lam="sym2(a)"),
     SignCharacter: dict(labels=("a",), exponents=(1,), value_at_s_psi=-1,
                         defaulted=(("a", "b"),)),
     RelativeSigns: dict(eps1={ELEMENT: 1}, eps_gm={ELEMENT.blocks: -1},
@@ -112,7 +111,7 @@ def _build(cls):
 def test_every_value_class_has_a_sample():
     found = {c for c in _subclasses(Value) if c.__module__.startswith("uendo.")}
     assert found == set(SAMPLES)
-    assert len(found) == 31
+    assert len(found) == 30
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
