@@ -88,7 +88,7 @@ def _coefficient_and_counts(
     coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component_shape(shape))
     if not (places and classify(psi, tag).in_2):
         return coeff, None, eps.defaulted
-    return coeff, _packet_counts(group, eps, GlobalPlacesModel(shape, places)), eps.defaulted
+    return coeff, _packet_counts(eps, GlobalPlacesModel(shape, places)), eps.defaulted
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +194,18 @@ def packet_counts(
 ) -> Tuple[int, int]:
     """(members, selected): 2^d members for the d pulled-back basis characters
     of the inert places, and 2^(d - rank) of them selected when eps_psi lies
-    in their span, 0 otherwise; each is checked well defined on the group."""
-    return _packet_counts(*_group_and_epsilon(psi, tag, table), model)
+    in their span, 0 otherwise.
+
+    Each pulled-back character is defined on the component group (of even
+    weight on the odd-multiplicity labels): a local label's multiplicity has
+    the parity of its odd sources, since a repeated source cancels in the
+    mask and adds an even amount to the multiplicity.  So an even local
+    label pulls back to an even weight, and two odd ones together too."""
+    return _packet_counts(_group_and_epsilon(psi, tag, table)[1], model)
 
 
-def _packet_counts(group: FiniteTwoGroup, eps, model: GlobalPlacesModel) -> Tuple[int, int]:
-    odd = sum(1 << i for i, s in enumerate(group.sigma_bar) if s == -1)
+def _packet_counts(eps, model: GlobalPlacesModel) -> Tuple[int, int]:
     images = [mask for locmap in model.maps.values() for mask in locmap.character_images()]
-    if any((mask & odd).bit_count() % 2 for mask in images):
-        raise ValueError("global character not defined on the component group")
     rank = _gf2_rank(images)
     target = sum(e << i for i, e in enumerate(eps.exponents))
     selected = 0 if _gf2_rank(images + [target]) > rank else 2 ** (len(images) - rank)

@@ -165,25 +165,30 @@ def _candidate_pairs(shape: CentralizerShape):
     filter of the module; only these pairs are asked of a root-number table,
     and `SignCharacter.defaulted` lists those that the table lacks.
 
+    Pairs are walked within each family only.  A constituent's sign is
+    mu_sign (-1)^(n - 1), so opposite mu signs with n + n' odd (a nonzero
+    count) give two constituents of equal sign: no pair of an orthogonal
+    and a symplectic factor passes the filter.
+
     Each entry is ((k, l_k), (k', l_k'), count, toggles) with count the
     even-constituent count.  Per even constituent the pair contributes
     det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k), so `toggles` lists the
     indices into `shape.orthogonal` of the orthogonal factors whose
     sign-character exponent the pair flips when its root number is -1: k
-    when l_k' count is odd, k' when l_k count is odd.  This is the one place
-    that knows that rule; `_epsilon_character` and `_sign_structure` read it.
+    when l_k' count is odd, k' when l_k count is odd; a symplectic pair
+    flips none.  This is the one place that knows that rule;
+    `_epsilon_character` and `_sign_structure` read it.
     """
-    n_orth = len(shape.orthogonal)
     out = []
-    for (i, (k, lk)), (j, (kp, lkp)) in itertools.combinations(
-            enumerate(shape.orthogonal + shape.symplectic), 2):
-        if k.mu_sign != kp.mu_sign:
-            count = even_constituent_count(k.su2_dim, kp.su2_dim)
-            if count:
-                # (x,) * e lists x when e is odd; i < j, so k is orthogonal when k' is
-                toggles = ((i,) * (lkp * count % 2) + (j,) * (lk * count % 2)
-                           if j < n_orth else ())
-                out.append(((k, lk), (kp, lkp), count, toggles))
+    for family, orthogonal in ((shape.orthogonal, True), (shape.symplectic, False)):
+        for (i, (k, lk)), (j, (kp, lkp)) in itertools.combinations(enumerate(family), 2):
+            if k.mu_sign != kp.mu_sign:
+                count = even_constituent_count(k.su2_dim, kp.su2_dim)
+                if count:
+                    # (x,) * e lists x when e is odd
+                    toggles = ((i,) * (lkp * count % 2) + (j,) * (lk * count % 2)
+                               if orthogonal else ())
+                    out.append(((k, lk), (kp, lkp), count, toggles))
     return out
 
 
@@ -255,17 +260,16 @@ def epsilon_full_product(
 
 def is_epsilon_parameter(psi: GlobalParameter) -> bool:
     """Two simple self-dual constituents of equal cuspidal parity whose
-    SL(2) tensor product has an odd number of even-dimensional parts."""
+    SL(2) tensor product has an odd number of even-dimensional parts.
+
+    No test of self-duality is needed: two constituents of which one is not
+    self-dual are a partnered pair, which shares its SL(2) dimension, so
+    their even-constituent count is 0 and the last test returns False."""
     if len(psi.constituents) != 2:
         return False
     (k, lk), (kp, lkp) = psi.constituents
-    if lk != 1 or lkp != 1:
-        return False
-    if k.duality == NOT_SELF_DUAL or kp.duality == NOT_SELF_DUAL:
-        return False
-    if k.mu_sign != kp.mu_sign:
-        return False
-    return even_constituent_count(k.su2_dim, kp.su2_dim) % 2 == 1
+    return (lk == lkp == 1 and k.mu_sign == kp.mu_sign
+            and even_constituent_count(k.su2_dim, kp.su2_dim) % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

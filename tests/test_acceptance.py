@@ -11,8 +11,6 @@ import pathlib
 import random
 from fractions import Fraction
 
-import pytest
-
 from test_tadic import mod2_reduce, w_star
 from uendo import cli
 from uendo.centralizer import (
@@ -23,8 +21,6 @@ from uendo.centralizer import (
 )
 from uendo.endoscopy import collapse_check, enumerate_standard, enumerate_twisted
 from uendo.localcalc import (
-    ARCH,
-    UNRAMIFIED,
     ArchCharacter,
     MonomialLocalParameter,
     UnramifiedCharacter,
@@ -345,7 +341,7 @@ def test_criterion_10_matrix_criterion():
     for n in range(1, 5):
         for eta, pool in pools.items():
             for exps in itertools.combinations(pool, n):
-                p = MonomialLocalParameter(tuple(ArchCharacter(a) for a in exps), ARCH)
+                p = MonomialLocalParameter(tuple(ArchCharacter(a) for a in exps))
                 found, etas = verify_duality(p)
                 assert found and etas == (eta,)
                 kappa = eta * (-1) ** (n - 1)
@@ -362,7 +358,7 @@ def test_criterion_10_matrix_criterion():
             chars = [fix]
             for a, b in pairs[:extra]:
                 chars.extend((a, b))
-            p = MonomialLocalParameter(tuple(chars), UNRAMIFIED)
+            p = MonomialLocalParameter(tuple(chars))
             found, etas = verify_duality(p)
             n = len(chars)
             assert found and etas == (eta,)

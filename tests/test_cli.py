@@ -1,7 +1,6 @@
 import argparse
 import collections
 import functools
-import io
 import itertools
 import json
 import pathlib

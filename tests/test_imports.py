@@ -1,4 +1,5 @@
-"""Every top-level import of a `uendo` module is used in that module."""
+"""Every top-level import of a `uendo` module or a test module is used in
+that module, unless its line carries `# noqa: F401`."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 import uendo
 
 MODULES = sorted(pathlib.Path(uendo.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _annotations(tree):
@@ -34,9 +36,12 @@ def _used_names(tree):
 def unused_imports(source):
     tree = ast.parse(source)
     used = _used_names(tree)
+    lines = source.splitlines()
     unused = []
     for stmt in tree.body:
         if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[stmt.lineno - 1]:
             continue
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             for alias in stmt.names:
@@ -49,10 +54,16 @@ def unused_imports(source):
 def test_finder_sees_plain_from_and_annotation_uses():
     source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
               "from typing import List, Optional\nfrom x import y\n"
+              "import json  # noqa: F401\n"
               "def f(a: List[int]) -> 'Optional[int]':\n    return os.path.sep\n")
     assert unused_imports(source) == ["line 3: regex", "line 5: y"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: "tests/" + path.name)
+def test_test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []

@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from uendo.localcalc import (
-    ARCH,
-    UNRAMIFIED,
     ArchCharacter,
     ArchParameter,
     MonomialLocalParameter,
@@ -19,7 +17,6 @@ from uendo.localcalc import (
     phi_identities_hold,
     phi_matrix,
     predicted_parity,
-    unramified_parity,
     verify_duality,
 )
 from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
@@ -35,12 +32,6 @@ def test_arch_parity_examples():
     assert arch_parity(-3) == ORTHOGONAL
     with pytest.raises(ValueError):
         arch_parity(Fraction(1, 3))
-
-
-def test_unramified_parity_examples():
-    assert unramified_parity("trivial") == ORTHOGONAL
-    assert unramified_parity("nontrivial-quadratic") == SYMPLECTIC
-    assert unramified_parity("order-3") == NOT_SELF_DUAL
 
 
 def test_unramified_character_parity():
@@ -112,18 +103,16 @@ def test_eta_for_explicit_phi2():
 
 
 def test_verify_duality_arch_uniform_parities():
-    p = MonomialLocalParameter((ArchCharacter(0), ArchCharacter(1)), ARCH)
+    p = MonomialLocalParameter((ArchCharacter(0), ArchCharacter(1)))
     found, etas = verify_duality(p)
     assert found and etas == (1,)
-    q = MonomialLocalParameter(
-        (ArchCharacter(Fraction(1, 2)), ArchCharacter(Fraction(-1, 2))), ARCH
-    )
+    q = MonomialLocalParameter((ArchCharacter(Fraction(1, 2)), ArchCharacter(Fraction(-1, 2))))
     found, etas = verify_duality(q)
     assert found and etas == (-1,)
 
 
 def test_verify_duality_arch_mixed_has_no_parity():
-    p = MonomialLocalParameter((ArchCharacter(0), ArchCharacter(Fraction(1, 2))), ARCH)
+    p = MonomialLocalParameter((ArchCharacter(0), ArchCharacter(Fraction(1, 2))))
     found, etas = verify_duality(p)
     assert found and etas == ()
 
@@ -131,17 +120,30 @@ def test_verify_duality_arch_mixed_has_no_parity():
 def test_verify_duality_unramified_pairings():
     # a dual pair q, -q with q of order 3: both parities realizable
     p = MonomialLocalParameter(
-        (UnramifiedCharacter(Fraction(1, 3)), UnramifiedCharacter(Fraction(2, 3))),
-        UNRAMIFIED,
-    )
+        (UnramifiedCharacter(Fraction(1, 3)), UnramifiedCharacter(Fraction(2, 3))))
     found, etas = verify_duality(p)
     assert found and etas == (1, -1)
     # not closed under duals: not conjugate self-dual
-    q = MonomialLocalParameter(
-        (UnramifiedCharacter(Fraction(1, 3)), UnramifiedCharacter(0)), UNRAMIFIED
-    )
+    q = MonomialLocalParameter((UnramifiedCharacter(Fraction(1, 3)), UnramifiedCharacter(0)))
     found, etas = verify_duality(q)
     assert not found
+
+
+def test_verify_duality_order_three_character_alone_is_not_self_dual():
+    p = MonomialLocalParameter((UnramifiedCharacter(Fraction(1, 3)),))
+    assert verify_duality(p) == (False, ())
+    # the empty sum is conjugate self-dual with either parity
+    assert verify_duality(MonomialLocalParameter(())) == (True, (1, -1))
+
+
+def test_characters_share_one_interface():
+    for a in (Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(2)):
+        c = ArchCharacter(a)
+        assert c.dual() == c and c.w2 == a % 1
+    for q in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+        c = UnramifiedCharacter(q)
+        assert c.dual() == UnramifiedCharacter(-q) and c.dual().dual() == c and c.w2 == q
+        assert c.is_self_dual == (c.dual() == c) == (c.parity != NOT_SELF_DUAL)
 
 
 def _arch_charsets(n):
@@ -174,7 +176,7 @@ def test_parity_prediction_archimedean():
     # parity of the datum it descends to
     for n in range(1, 5):
         for chars, parity in _arch_charsets(n):
-            p = MonomialLocalParameter(chars, ARCH)
+            p = MonomialLocalParameter(chars)
             found, etas = verify_duality(p)
             assert found
             assert etas == (parity,)
@@ -185,7 +187,7 @@ def test_parity_prediction_archimedean():
 def test_parity_prediction_unramified():
     for n in range(1, 5):
         for chars in _unram_charsets(n):
-            p = MonomialLocalParameter(chars, UNRAMIFIED)
+            p = MonomialLocalParameter(chars)
             found, etas = verify_duality(p)
             assert found
             fixed = [c for c in chars if c.is_self_dual]

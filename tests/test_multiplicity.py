@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uendo import multiplicity
-from uendo.centralizer import centralizer_shape, component_group
+from uendo.centralizer import LocalizationMap, centralizer_shape, component_group
 from uendo.multiplicity import (
     GlobalPlacesModel,
     PacketMember,
@@ -266,15 +266,6 @@ def test_single_injective_place_selects_exactly_one_member():
     assert selected == 1
 
 
-def test_base_change_dispatcher():
-    from uendo.localcalc import ArchParameter, UnramifiedCharacter, base_change
-
-    p = ArchParameter((0, 1))
-    assert base_change(p, 1, 0).exponents == p.exponents
-    chars = (UnramifiedCharacter(0),)
-    assert base_change(chars, -1)[0].q == Fraction(1, 2)
-
-
 def test_decompose_multiplicities_zero_or_one():
     seed = [sd("a", 1), sd("b", 1), sd("c", 2)]
     tag = SimpleDatumTag(4, -1)
@@ -501,13 +492,29 @@ def test_packet_counts_match_enumeration_on_seeded_refinements():
     assert {(False, True, True), (True, True, True)} <= counted
 
 
-def test_packet_counts_refuse_an_image_of_odd_weight_on_the_odd_labels(monkeypatch):
-    # a pulled-back image never has odd weight there (a local label's
-    # multiplicity has the parity of its odd sources), so force one
-    psi = GlobalParameter([(sd("a"), 1), (sd("b", 2), 1)])
-    tag = tag_for(psi)
-    model = GlobalPlacesModel(centralizer_shape(psi, tag), [Place("v", "inert")])
-    assert packet_counts(psi, tag, RootNumberTable(), model) == (2, 1)
-    monkeypatch.setattr(multiplicity.LocalizationMap, "character_images", lambda self: [0b01])
-    with pytest.raises(ValueError, match="global character not defined on the component group"):
-        packet_counts(psi, tag, RootNumberTable(), model)
+def test_pulled_back_characters_have_even_weight_on_the_odd_labels():
+    # `packet_counts` reads each image as a character of the component group,
+    # which needs even weight on the odd-multiplicity labels: a local label's
+    # multiplicity has the parity of its odd sources counted with repetition,
+    # and a repeated source cancels in the mask
+    rng = random.Random(3061)
+    images = 0
+    seen = set()
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        labels = ["p%d" % i for i in range(n)]
+        psi = GlobalParameter([(sd(lab), rng.randint(1, 3)) for lab in labels])
+        shape = centralizer_shape(psi, tag_for(psi))
+        odd = sum(1 << i for i, s in enumerate(component_group(shape).sigma_bar) if s == -1)
+        pool = ["z%d" % i for i in range(rng.randint(1, n + 1))]
+        refinement = {lab: tuple(rng.choices(pool, k=rng.randint(1, 3))) for lab in labels}
+        locmap = LocalizationMap(shape, refinement)
+        for mask in locmap.character_images():
+            assert (mask & odd).bit_count() % 2 == 0, (psi, refinement)
+            images += 1
+        sources = locmap.local_sources.values()
+        seen.add((any(len(set(s)) < len(s) for s in sources),
+                  any(len(set(s)) > 1 for s in sources), odd != 0))
+    assert images > 1000
+    # repeated sources and merged labels, each with odd-multiplicity labels
+    assert {(True, True, True), (True, False, True), (False, True, True)} <= seen

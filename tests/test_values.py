@@ -15,7 +15,6 @@ from uendo.centralizer import CentralizerShape, FiniteTwoGroup, LeviDiagram, Nor
 from uendo.cli import Decl, ParameterDocument, Semantics, Term
 from uendo.endoscopy import Correspondence, StandardDatum, TwistedDatum
 from uendo.localcalc import (
-    ARCH,
     ArchCharacter,
     ArchParameter,
     MonomialLocalParameter,
@@ -85,7 +84,7 @@ SAMPLES = {
     ArchCharacter: dict(a=Fraction(1, 2)),
     UnramifiedCharacter: dict(q=Fraction(1, 3)),
     ArchParameter: dict(exponents=(Fraction(1, 2), Fraction(-1, 2)), shift=Fraction(1)),
-    MonomialLocalParameter: dict(characters=(ArchCharacter(0), ArchCharacter(1)), case=ARCH),
+    MonomialLocalParameter: dict(characters=(ArchCharacter(0), ArchCharacter(1))),
     Decl: dict(label="a", deg=1, sd="+"),
     Term: dict(mult=2, label="a", nu=1),
     ParameterDocument: dict(N=2, parity=1, decls=(Decl("a", 1, "+"),), terms=(Term(2, "a", 1),),
@@ -278,8 +277,9 @@ def test_parameter_document_hashes_its_fields_once(monkeypatch):
     (lambda: ArchCharacter(Fraction(1, 3)), "exponent must be half-integral"),
     (lambda: ArchParameter((Fraction(1, 3),)), "exponent must be half-integral"),
     (lambda: ArchParameter((Fraction(1, 2),), Fraction(1, 4)), "exponent must be half-integral"),
-    (lambda: MonomialLocalParameter((), "complex"), "case must be archimedean or unramified"),
-    (lambda: MonomialLocalParameter((ArchCharacter(1), ArchCharacter(1)), ARCH),
+    (lambda: MonomialLocalParameter((ArchCharacter(0), UnramifiedCharacter(0))),
+     "monomial search needs characters of one kind"),
+    (lambda: MonomialLocalParameter((ArchCharacter(1), ArchCharacter(1))),
      "monomial search needs multiplicity-free characters"),
 ])
 def test_validation_messages(build, message):
