@@ -162,10 +162,6 @@ class MonomialLocalParameter(Value):
             raise ValueError("monomial search needs characters of one kind")
         set_field(self, "characters", characters)
 
-    @property
-    def N(self) -> int:
-        return len(self.characters)
-
 
 def verify_duality(p: MonomialLocalParameter) -> Tuple[bool, Tuple[int, ...]]:
     """Exhaustive structure matching for the pairing matrix.

@@ -36,8 +36,9 @@ The relative signs on the normalizer N are parities of masked bit counts:
 `centralizer.element_table` gives each element of N a mask of the torus
 blocks with an odd number of sign flips and one of its odd component bits
 that are -1, and a parameter's signs reduce to five masks.  What depends
-only on (psi, tag), the shape, the block signature and each candidate
-pair's contribution to the masks, is built once per (psi, tag) and
+only on (psi, tag), the block signature and each candidate pair's
+contribution to the masks, is built once per (psi, tag) in one pass over
+the parity split and the candidate pairs, with no centralizer shape, and
 memoized; a call validates the table, asks it about the candidate pairs
 and folds the masks.  The tests keep the loop over
 `NormalizerModel.elements` as the oracle.
@@ -49,24 +50,13 @@ import itertools
 from functools import lru_cache
 from typing import Dict, FrozenSet, Sequence, Tuple
 
-from .centralizer import (
-    CentralizerShape,
-    NormalizerElement,
-    centralizer_shape,
-    element_table,
-    torus_blocks,
-)
-from .params import NOT_SELF_DUAL, GlobalParameter, SimpleDatumTag, SimpleParameter
+from .centralizer import CentralizerShape, NormalizerElement, centralizer_shape, element_table
+from .params import NOT_SELF_DUAL, GlobalParameter, SimpleDatumTag, SimpleParameter, parity_split
 from .values import Value, set_field
 
 
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan bookkeeping
-
-
-def su2_tensor_dims(a: int, b: int) -> Tuple[int, ...]:
-    """Dimensions in nu(a) (x) nu(b): |a-b|+1, |a-b|+3, ..., a+b-1."""
-    return tuple(range(abs(a - b) + 1, a + b, 2))
 
 
 def even_constituent_count(a: int, b: int) -> int:
@@ -157,38 +147,45 @@ def _evaluate(exponents: Sequence[int], vector: Sequence[int]) -> int:
     return val
 
 
-def _candidate_pairs(shape: CentralizerShape):
+def _candidate_pairs(orthogonal, symplectic):
     """Unordered pairs of self-dual constituents that can carry symplectic
     root-number blocks with even SL(2) parts, in `itertools.combinations`
-    order over the orthogonal then the symplectic factors: opposite cuspidal
-    parity and a nonzero even-constituent count.  This is the one pair
-    filter of the module; only these pairs are asked of a root-number table,
-    and `SignCharacter.defaulted` lists those that the table lacks.
+    order over the orthogonal then the symplectic factors (the two halves of
+    `params.parity_split`): opposite cuspidal parity and a nonzero
+    even-constituent count.  This is the one pair filter of the module; only
+    these pairs are asked of a root-number table, and
+    `SignCharacter.defaulted` lists those that the table lacks.
 
-    Pairs are walked within each family only.  A constituent's sign is
-    mu_sign (-1)^(n - 1), so opposite mu signs with n + n' odd (a nonzero
-    count) give two constituents of equal sign: no pair of an orthogonal
-    and a symplectic factor passes the filter.
+    Pairs are walked within each family only, and the count alone decides.
+    A constituent's sign is mu_sign (-1)^(n - 1), and the constituents of
+    one family share it, so within a family opposite mu signs is exactly
+    n + n' odd, a nonzero count; across the families opposite mu signs give
+    n + n' even, a zero count, so no pair of an orthogonal and a symplectic
+    factor passes the filter.
 
-    Each entry is ((k, l_k), (k', l_k'), count, toggles) with count the
-    even-constituent count.  Per even constituent the pair contributes
-    det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k), so `toggles` lists the
-    indices into `shape.orthogonal` of the orthogonal factors whose
+    Each entry is ((k, l_k, b_k), (k', l_k', b_k'), count, toggles) with b
+    a member's torus-block index (its index among the orthogonal factors,
+    or the number of orthogonal factors plus its index among the symplectic
+    ones) and count the even-constituent count.  Per even constituent the
+    pair contributes det lambda(s) = det(s_k)^(l_k') det(s_k')^(l_k), so
+    `toggles` lists the orthogonal factors, by block index, whose
     sign-character exponent the pair flips when its root number is -1: k
     when l_k' count is odd, k' when l_k count is odd; a symplectic pair
     flips none.  This is the one place that knows that rule;
     `_epsilon_character` and `_sign_structure` read it.
     """
     out = []
-    for family, orthogonal in ((shape.orthogonal, True), (shape.symplectic, False)):
-        for (i, (k, lk)), (j, (kp, lkp)) in itertools.combinations(enumerate(family), 2):
-            if k.mu_sign != kp.mu_sign:
-                count = even_constituent_count(k.su2_dim, kp.su2_dim)
-                if count:
-                    # (x,) * e lists x when e is odd
-                    toggles = ((i,) * (lkp * count % 2) + (j,) * (lk * count % 2)
-                               if orthogonal else ())
-                    out.append(((k, lk), (kp, lkp), count, toggles))
+    for family, start, orthogonal_family in ((orthogonal, 0, True),
+                                             (symplectic, len(orthogonal), False)):
+        # each factor's SL(2) dimension, read once
+        factors = [(sp, l, start + idx, sp.su2_dim) for idx, (sp, l) in enumerate(family)]
+        for (k, lk, a, n), (kp, lkp, b, n_p) in itertools.combinations(factors, 2):
+            count = even_constituent_count(n, n_p)
+            if count:
+                # (x,) * e lists x when e is odd
+                toggles = ((a,) * (lkp * count % 2) + (b,) * (lk * count % 2)
+                           if orthogonal_family else ())
+                out.append(((k, lk, a), (kp, lkp, b), count, toggles))
     return out
 
 
@@ -223,7 +220,7 @@ def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignC
     """
     exponents = [0] * len(shape.orthogonal)
     defaulted = []
-    for (k, _), (kp, _), _, toggles in _candidate_pairs(shape):
+    for (k, _, _), (kp, _, _), _, toggles in _candidate_pairs(shape.orthogonal, shape.symplectic):
         if table.epsilon(k, kp) == 1:
             if frozenset((k.label, kp.label)) not in table.entries:
                 defaulted.append(tuple(sorted((k.label, kp.label))))
@@ -233,29 +230,6 @@ def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignC
     exponents = tuple(exponents)
     return SignCharacter(shape.plus_labels, exponents,
                          _evaluate(exponents, s_psi_vector(shape)), tuple(sorted(defaulted)))
-
-
-def epsilon_full_product(
-    psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable, vector: Sequence[int]
-) -> int:
-    """Independent evaluation running over every SL(2) constituent of the
-    symplectic root-number blocks, not only the even-dimensional ones.  Odd
-    constituents contribute trivially through the even multiplicities of
-    the symplectic factors, so this agrees with `epsilon_character`."""
-    shape = centralizer_shape(psi, tag)
-    coords = {sp.label: x for (sp, _), x in zip(shape.orthogonal, vector)}
-    sd = list(shape.orthogonal) + list(shape.symplectic)
-    val = 1
-    for (k, lk), (kp, lkp) in itertools.combinations(sd, 2):
-        if k.mu_sign == kp.mu_sign:
-            continue
-        if table.epsilon(k, kp) != -1:
-            continue
-        for _ in su2_tensor_dims(k.su2_dim, kp.su2_dim):
-            det_k = coords.get(k.label, 1)
-            det_kp = coords.get(kp.label, 1)
-            val *= det_k ** lkp * det_kp ** lk
-    return val
 
 
 def is_epsilon_parameter(psi: GlobalParameter) -> bool:
@@ -324,8 +298,9 @@ def relative_signs(
     The signs are five masks against the rows of `element_table`: component
     bits and blocks for eps1 and for eps^(G/M), and the blocks with
     beta_b = -1, each the XOR of what the candidate pairs with root number
-    -1 contribute.  Once per (psi, tag), `_sign_structure` builds the
-    shape, refuses a square-integrable parameter and lists the candidate
+    -1 contribute.  Once per (psi, tag), `_sign_structure` reads the
+    block signature off the parity split in one pass, refuses a parameter
+    that does not factor or is square-integrable, and lists the candidate
     pairs with their contributions.  Every call validates the table, asks
     it about the candidate pairs only, folds the masks and reads the loop
     over N from `_signs_on_table`, memoized on the block signature and the
@@ -353,53 +328,75 @@ def relative_signs(
 @lru_cache(maxsize=None)
 def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     """The part of `relative_signs` that does not depend on the root numbers:
-    (block signature, number of odd orthogonal factors, pairs), all read
-    off the centralizer shape.
+    (block signature, number of odd orthogonal factors, pairs), built in one
+    pass over `params.parity_split` and the partnered orbits, then one over
+    `_candidate_pairs`.
+
+    The torus blocks are the orthogonal factors (rank floor(l/2)), the
+    symplectic ones (rank l/2) and the partnered orbits (GL, rank l), in
+    that order, as `centralizer.torus_blocks` lists them.  W = prod W_block
+    is trivial exactly when every block has rank 0 or is GL(1), that is
+    when every multiplicity is 1: a symplectic factor has even l, so l >= 2
+    and rank >= 1.
 
     A pair is (k, k', eps1 bits, eps1 blocks, eps^(G/M) bits, eps^(G/M)
     blocks, beta blocks) for each `_candidate_pairs` entry, in order: the
-    masks it toggles when its root number is -1.  With count its
-    even-constituent count, it toggles
+    masks it toggles when its root number is -1.  The core is the
+    odd-multiplicity orthogonal factors.  With count its even-constituent
+    count, a pair toggles
       - eps1 on the bits and blocks of both constituents when both are in
         the core and count is odd;
       - the sign character's exponent of each orthogonal factor in the
         pair's `toggles`, which lands on the factor's free bit when its
         multiplicity is odd and on its block's flip parity when it is even;
       - beta_b on the block of k when k' is in the core and count is odd
-        (and the other way round), for non-GL blocks of rank at least 1.
+        (and the other way round), for blocks of rank at least 1, that is
+        l_k >= 2 (a pair has no GL member).
+    Refusals come in this order: degree mismatch (from `parity_split`),
+    an odd symplectic multiplicity, then a square-integrable parameter.
     The memo lives for the process and holds every parameter passed to
     `relative_signs`, with ints and the parameter's own constituents only.
     """
-    shape = centralizer_shape(psi, tag)
-    meta = torus_blocks(shape)
-    # W = prod W_block is trivial when every block has rank 0 or is GL(1)
-    if all(rank == 0 or (kind, rank) == ("GL", 1) for kind, _, _, rank in meta):
+    orthogonal, symplectic = parity_split(psi, tag)
+    blocks = []
+    odd_bit = []  # per non-GL block: its odd component bit, 0 off the core
+    n_odd = 0
+    proper = False  # some block has a nontrivial Weyl group
+    for _, l in orthogonal:
+        odd_bit.append(l % 2 << n_odd)
+        n_odd += l % 2
+        blocks.append(("O", l // 2))
+        proper = proper or l > 1
+    for _, l in symplectic:
+        if l % 2:
+            raise ValueError("parameter does not factor through the datum")
+        odd_bit.append(0)
+        blocks.append(("Sp", l // 2))
+        proper = True
+    for _, l in psi.dual_pair_orbits:
+        blocks.append(("GL", l))
+        proper = proper or l > 1
+    if not proper:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    block_of = {sp.label: 1 << idx for idx, (_, sp, _, _) in enumerate(meta)}
-    odd_bit = {lab: 1 << bit for bit, lab in enumerate(shape.odd_plus_labels)}
-    core = odd_bit.keys()  # the odd-multiplicity orthogonal constituents
-    # per orthogonal factor, where its sign-character exponent lands
-    coordinate = [(odd_bit[sp.label], 0) if l % 2 else (0, block_of[sp.label])
-                  for sp, l in shape.orthogonal]
-    flipping = {sp.label for kind, sp, _, rank in meta if kind != "GL" and rank >= 1}
     pairs = []
-    for (k, _), (kp, _), count, toggles in _candidate_pairs(shape):
-        a, b, odd = k.label, kp.label, count % 2
+    for (k, lk, a), (kp, lkp, b), count, toggles in _candidate_pairs(orthogonal, symplectic):
         eps1_bits = eps1_blocks = beta = 0
-        if odd and a in core and b in core:
-            eps1_bits = odd_bit[a] | odd_bit[b]
-            eps1_blocks = block_of[a] | block_of[b]
+        if count % 2:
+            if odd_bit[a] and odd_bit[b]:
+                eps1_bits = odd_bit[a] | odd_bit[b]
+                eps1_blocks = 1 << a | 1 << b
+            if odd_bit[b] and lk > 1:
+                beta ^= 1 << a
+            if odd_bit[a] and lkp > 1:
+                beta ^= 1 << b
         gm_bits, gm_blocks = eps1_bits, eps1_blocks
         for idx in toggles:
-            gm_bits ^= coordinate[idx][0]
-            gm_blocks ^= coordinate[idx][1]
-        if odd:
-            if b in core and a in flipping:
-                beta ^= block_of[a]
-            if a in core and b in flipping:
-                beta ^= block_of[b]
+            if odd_bit[idx]:
+                gm_bits ^= odd_bit[idx]
+            else:
+                gm_blocks ^= 1 << idx
         pairs.append((k, kp, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta))
-    return tuple((kind, rank) for kind, _, _, rank in meta), len(odd_bit), tuple(pairs)
+    return tuple(blocks), n_odd, tuple(pairs)
 
 
 @lru_cache(maxsize=None)

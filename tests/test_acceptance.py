@@ -11,6 +11,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+from families import random_table
 from test_tadic import mod2_reduce, w_star
 from uendo import cli
 from uendo.centralizer import (
@@ -208,14 +209,6 @@ def test_criterion_6_collapse_identity():
     _report(6, "collapse identity over %d component elements" % checked)
 
 
-def _random_table(psi, rng):
-    entries = {}
-    for a, b in itertools.combinations([s for s, _ in psi.self_dual], 2):
-        if a.mu_sign != b.mu_sign:
-            entries[frozenset((a.label, b.label))] = rng.choice((1, -1))
-    return RootNumberTable(entries)
-
-
 def test_criterion_7_epsilon_character():
     # generic parameters: always trivial
     rng = random.Random(404)
@@ -231,7 +224,7 @@ def test_criterion_7_epsilon_character():
         tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
         if not factors_through(psi, tag):
             continue
-        assert epsilon_character(psi, tag, _random_table(psi, rng)).is_trivial
+        assert epsilon_character(psi, tag, random_table(psi, rng)).is_trivial
     # the worked three-variable example, both table values
     mu1, mu2 = sd("m1", 1, ORTHOGONAL, 2), sd("m2", 1, SYMPLECTIC, 1)
     psi = GlobalParameter([(mu1, 1), (mu2, 1)])
@@ -258,7 +251,7 @@ def test_criterion_7_epsilon_character():
         if not factors_through(psi, tag):
             continue
         group = component_group(centralizer_shape(psi, tag))
-        char = epsilon_character(psi, tag, _random_table(psi, rng))
+        char = epsilon_character(psi, tag, random_table(psi, rng))
         assert char.evaluate(group.sigma_bar) == 1
         tested += 1
     _report(7, "sign character: generic, worked example, %d central checks" % tested)

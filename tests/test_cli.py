@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from oracles import su2_tensor_dims
 from uendo import centralizer, cli, endoscopy, multiplicity, signs, tadic, weylnum
 from uendo.centralizer import centralizer_shape, component_group
 
@@ -1371,7 +1372,7 @@ def _defaulted_pairs_oracle(psi, table):
     have no root-number entry."""
     pairs = []
     for (a, _), (b, _) in itertools.combinations(psi.self_dual, 2):
-        dims = signs.su2_tensor_dims(a.su2_dim, b.su2_dim)
+        dims = su2_tensor_dims(a.su2_dim, b.su2_dim)
         if (a.mu_sign != b.mu_sign and any(d % 2 == 0 for d in dims)
                 and frozenset((a.label, b.label)) not in table.entries):
             pairs.append(sorted((a.label, b.label)))

@@ -1,5 +1,6 @@
 """Every top-level import of a `uendo` module or a test module is used in
-that module, unless its line carries `# noqa: F401`."""
+that module, unless its line carries `# noqa: F401`, and every private
+top-level function or class of `uendo` is read somewhere in `uendo`."""
 
 import ast
 import pathlib
@@ -67,3 +68,37 @@ def test_module_has_no_unused_import(path):
 @pytest.mark.parametrize("path", TESTS, ids=lambda path: "tests/" + path.name)
 def test_test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources):
+    """The private top-level functions and classes, as 'module: name', that
+    no module of `sources` (a dict of module name to source) reads by name,
+    as an attribute or in an import, apart from the definition itself."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return ["%s: %s" % (name, stmt.name)
+            for name, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and stmt.name not in read]
+
+
+def test_private_finder_sees_calls_attributes_and_imports():
+    sources = {"a": "def _used():\n    pass\ndef _dead():\n    '''_dead'''\n"
+                    "class _Attr:\n    pass\ndef public():\n    return _used()\n",
+               "b": "from a import _imported\nimport a\nx = a._Attr\n"
+                    "def _imported():\n    pass\nclass _Lonely:\n    pass\n"}
+    assert unreferenced_private_definitions(sources) == ["a: _dead", "b: _Lonely"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_private_definitions(sources) == []

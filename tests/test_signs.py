@@ -5,6 +5,8 @@ import random
 import pytest
 
 import uendo.signs
+from families import random_table
+from oracles import epsilon_full_product, su2_tensor_dims
 from uendo.centralizer import (
     NormalizerModel,
     centralizer_shape,
@@ -20,6 +22,7 @@ from uendo.params import (
     SimpleDatumTag,
     SimpleParameter,
     factors_through,
+    parity_split,
 )
 from uendo.signs import (
     RelativeSigns,
@@ -27,12 +30,10 @@ from uendo.signs import (
     _candidate_pairs,
     _epsilon_character,
     epsilon_character,
-    epsilon_full_product,
     even_constituent_count,
     is_epsilon_parameter,
     relative_signs,
     s_psi_vector,
-    su2_tensor_dims,
 )
 from uendo.weylnum import is_negative, signed_perms
 
@@ -187,17 +188,8 @@ def test_epsilon_generic_always_trivial():
         tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
         if not factors_through(psi, tag):
             continue
-        table = _random_table(psi, rng)
+        table = random_table(psi, rng)
         assert epsilon_character(psi, tag, table).is_trivial
-
-
-def _random_table(psi, rng):
-    entries = {}
-    sds = [sp for sp, _ in psi.self_dual]
-    for a, b in itertools.combinations(sds, 2):
-        if a.mu_sign != b.mu_sign:
-            entries[frozenset((a.label, b.label))] = rng.choice((1, -1))
-    return RootNumberTable(entries)
 
 
 def _random_shape(rng, max_cons=4, max_n=4, max_l=3):
@@ -220,7 +212,7 @@ def test_epsilon_central_value_random_family():
         tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
         if not factors_through(psi, tag):
             continue
-        table = _random_table(psi, rng)
+        table = random_table(psi, rng)
         shape = centralizer_shape(psi, tag)
         group = component_group(shape)
         char = epsilon_character(psi, tag, table)
@@ -308,7 +300,7 @@ def test_pair_filter_asks_table_only_for_even_opposite_pairs():
         if not factors_through(psi, tag):
             continue
         shape = centralizer_shape(psi, tag)
-        entries = _random_table(psi, rng).entries
+        entries = random_table(psi, rng).entries
         table = _LoggingTable({k: v for k, v in entries.items() if rng.random() < 0.5})
         char = epsilon_character(psi, tag, table)
         sds = [sp for sp, _ in shape.orthogonal + shape.symplectic]
@@ -333,7 +325,7 @@ def test_epsilon_two_formulas_agree():
         tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
         if not factors_through(psi, tag):
             continue
-        table = _random_table(psi, rng)
+        table = random_table(psi, rng)
         shape = centralizer_shape(psi, tag)
         group = component_group(shape)
         char = epsilon_character(psi, tag, table)
@@ -678,13 +670,14 @@ def _relative_signs_by_elements(psi, tag, table):
     model = NormalizerModel(shape)
     if levi_diagram(shape).w_order == 1:
         raise ValueError("parameter is square-integrable; no proper Levi")
-    pairs = [(a, b, count) for a, b, count, _ in _candidate_pairs(shape)
+    pairs = [(a, b, count)
+             for a, b, count, _ in _candidate_pairs(shape.orthogonal, shape.symplectic)
              if table.epsilon(a[0], b[0]) == -1]
     eps = _epsilon_character(shape, table)
     core = {sp.label for sp, l in shape.orthogonal if l % 2}
     odd_core = set()
     against_core = dict.fromkeys((sp.label for sp, _ in model.orth + model.symp), 0)
-    for (k, _), (kp, _), count in pairs:
+    for (k, _, _), (kp, _, _), count in pairs:
         if k.label in core and kp.label in core and count % 2:
             odd_core ^= {k.label, kp.label}
         if kp.label in core:
@@ -911,7 +904,7 @@ def test_relative_signs_counts_each_pair_once():
     psi, tag = _levi_case([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, SYMPLECTIC, 1), 1),
                            (sd("c", 1, ORTHOGONAL, 1), 2), (sd("d", 1, SYMPLECTIC, 1), 2)], -1)
     candidates = [(a[0].label, b[0].label)
-                  for a, b, _, _ in _candidate_pairs(centralizer_shape(psi, tag))]
+                  for a, b, _, _ in _candidate_pairs(*parity_split(psi, tag))]
     assert candidates == [("b", "a"), ("d", "a")] and len(_tables_for(psi)) == 3
     for warm in (False, True):
         if not warm:
@@ -965,7 +958,8 @@ def test_relative_signs_memo_hit_builds_no_shape(monkeypatch):
         raise AssertionError("shape rebuilt on a memo hit")
 
     monkeypatch.setattr("uendo.signs.centralizer_shape", refuse)
-    monkeypatch.setattr("uendo.signs.torus_blocks", refuse)
+    monkeypatch.setattr("uendo.signs.parity_split", refuse)
+    monkeypatch.setattr("uendo.centralizer.torus_blocks", refuse)
     for table in _tables_for(psi):
         rec = relative_signs(psi, tag, RootNumberTable(table.entries))
         assert set(rec.r_minus) == set(first.r_minus)
@@ -996,3 +990,105 @@ def test_validate_against_refusal_messages():
             with pytest.raises(ValueError) as err:
                 table.validate_against(psi)
             assert str(err.value) == message, entries
+
+
+def test_sign_structure_reads_the_parity_split_once_per_parameter(monkeypatch):
+    # a cold pass builds no centralizer shape, never lists the torus blocks,
+    # and splits each distinct (psi, tag) and walks its pairs exactly once,
+    # however many tables and repeated draws ask about it; the answers are
+    # the oracle's
+    rng = random.Random(20261020)
+    cases = []
+    while len(cases) < 160:
+        case = _seeded_levi_case(rng)
+        if case is not None:
+            psi, tag, entries, _ = case
+            for table in (RootNumberTable(entries), RootNumberTable()):
+                cases.append((psi, tag, table, _relative_signs_by_elements(psi, tag, table)))
+    distinct = {(psi, tag) for psi, tag, _, _ in cases}
+    calls = {"parity_split": 0, "_candidate_pairs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("centralizer shape or torus blocks built")
+
+    for name in calls:
+        monkeypatch.setattr(uendo.signs, name, counted(name, getattr(uendo.signs, name)))
+    monkeypatch.setattr(uendo.centralizer.CentralizerShape, "__init__", refuse)
+    monkeypatch.setattr(uendo.centralizer, "torus_blocks", refuse)
+    uendo.signs._sign_structure.cache_clear()
+    for psi, tag, table, want in cases:
+        assert relative_signs(psi, tag, table) == want, (psi, tag)
+    assert calls == {"parity_split": len(distinct), "_candidate_pairs": len(distinct)}
+    assert 40 < len(distinct) < 80, len(distinct)  # some draws repeat
+
+
+def test_pair_rule_matches_brute_force_filter_on_seeded_shapes():
+    # `_candidate_pairs` against every pair of self-dual factors, orthogonal
+    # then symplectic, kept when the tensor of their SL(2) parts has an
+    # even-dimensional constituent: the members with their block indices,
+    # the even count, and the orthogonal factors whose exponent
+    # det(s_k)^(l_k' count) det(s_k')^(l_k count) flips.  Pairs of an
+    # orthogonal and a symplectic factor are tried and never kept.
+    rng = random.Random(20261021)
+    tested = mixed_opposite = with_gl = kept = toggling = 0
+    while tested < 300:
+        cons = []
+        for i in range(rng.randint(2, 5)):
+            if rng.random() < 0.25:
+                cons += _gl_pair("g%d" % i, rng.randint(1, 3))
+            else:
+                parity = rng.choice((ORTHOGONAL, SYMPLECTIC))
+                cons.append((sd("c%d" % i, 1, parity, rng.randint(1, 4)), rng.randint(1, 5)))
+        psi = GlobalParameter(cons)
+        parity = rng.choice((1, -1))
+        tag = SimpleDatumTag(psi.total_degree, parity * (-1) ** (psi.total_degree - 1))
+        orthogonal, symplectic = parity_split(psi, tag)
+        factors = [(sp, l, idx, idx < len(orthogonal))
+                   for idx, (sp, l) in enumerate(orthogonal + symplectic)]
+        want = []
+        for (k, lk, a, orth), (kp, lkp, b, orth_p) in itertools.combinations(factors, 2):
+            if k.mu_sign == kp.mu_sign:
+                continue
+            count = sum(d % 2 == 0 for d in su2_tensor_dims(k.su2_dim, kp.su2_dim))
+            mixed_opposite += orth != orth_p
+            if count:
+                assert orth == orth_p, (psi, tag, k, kp)
+                flips = ((a, lkp * count), (b, lk * count)) if orth else ()
+                want.append(((k, lk, a), (kp, lkp, b), count,
+                             tuple(idx for idx, e in flips if e % 2)))
+        got = _candidate_pairs(orthogonal, symplectic)
+        assert got == want, (psi, tag)
+        tested += 1
+        with_gl += bool(psi.dual_pair_orbits)
+        kept += len(got)
+        toggling += sum(bool(toggles) for *_, toggles in got)
+    assert mixed_opposite > 100 and with_gl > 100 and kept > 200 and toggling > 50, (
+        mixed_opposite, with_gl, kept, toggling)
+
+
+def test_relative_signs_refusals_keep_their_messages_and_order():
+    # the degree is checked first, then that the symplectic multiplicities
+    # are even, then that the Levi is proper: `both` has every multiplicity
+    # 1, so it would be refused as square-integrable if it factored; each
+    # refusal is raised cold and again on a repeat
+    a, b = sd("a"), sd("b", 1, ORTHOGONAL, 2)
+    both = GlobalParameter([(a, 1), (b, 1)])  # b is symplectic under kappa = 1
+    square_integrable = GlobalParameter([(a, 1), (sd("c"), 1)])
+    cases = [
+        (both, SimpleDatumTag(4, 1), "degree mismatch: parameter has N=3, datum N=4"),
+        (both, SimpleDatumTag(3, 1), "parameter does not factor through the datum"),
+        (square_integrable, SimpleDatumTag(2, -1),
+         "parameter is square-integrable; no proper Levi"),
+    ]
+    uendo.signs._sign_structure.cache_clear()
+    for _ in range(2):
+        for psi, tag, message in cases:
+            with pytest.raises(ValueError) as err:
+                relative_signs(psi, tag, RootNumberTable())
+            assert str(err.value) == message
