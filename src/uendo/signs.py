@@ -216,17 +216,18 @@ def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignC
     On sigma_bar, -1 on the odd-multiplicity orthogonal factors, a symplectic
     pair adds nothing and an orthogonal one adds l' count [l odd] +
     l count [l' odd]: (l + l') count when l and l' are both odd, a multiple
-    of the even one when one is even, and even in every case.
+    of the even one when one is even, and even in every case.  Each pair's
+    table entry is read once, by key: missing, it defaults to +1.
     """
     exponents = [0] * len(shape.orthogonal)
     defaulted = []
     for (k, _, _), (kp, _, _), _, toggles in _candidate_pairs(shape.orthogonal, shape.symplectic):
-        if table.epsilon(k, kp) == 1:
-            if frozenset((k.label, kp.label)) not in table.entries:
-                defaulted.append(tuple(sorted((k.label, kp.label))))
-            continue
-        for idx in toggles:
-            exponents[idx] ^= 1
+        sign = table.entries.get(frozenset((k.label, kp.label)))
+        if sign is None:
+            defaulted.append(tuple(sorted((k.label, kp.label))))
+        elif sign == -1:
+            for idx in toggles:
+                exponents[idx] ^= 1
     exponents = tuple(exponents)
     return SignCharacter(shape.plus_labels, exponents,
                          _evaluate(exponents, s_psi_vector(shape)), tuple(sorted(defaulted)))
@@ -301,20 +302,20 @@ def relative_signs(
     -1 contribute.  Once per (psi, tag), `_sign_structure` reads the
     block signature off the parity split in one pass, refuses a parameter
     that does not factor or is square-integrable, and lists the candidate
-    pairs with their contributions.  Every call validates the table, asks
-    it about the candidate pairs only, folds the masks and reads the loop
-    over N from `_signs_on_table`, memoized on the block signature and the
-    masks; the dicts returned are copies.  Refusals are raised on every
-    call, never cached.  The pairs whose root numbers default to +1 are
-    reported by `epsilon_character`, not here.  Each pair's eps^(G/M) and
-    eps1 bits differ on an even number of odd factors, since the sign
-    character is trivial on sigma_bar (see `_epsilon_character`).
+    pairs with their keys and contributions.  Every call validates the
+    table, reads each candidate pair's entry once, folds the masks and
+    reads the loop over N from `_signs_on_table`, memoized on the block
+    signature and the masks; the dicts returned are copies.  Refusals are
+    raised on every call, never cached.  The pairs whose root numbers
+    default to +1 are reported by `epsilon_character`, not here.  Each
+    pair's eps^(G/M) and eps1 bits differ on an even number of odd
+    factors, since the sign character is trivial on sigma_bar.
     """
     table.validate_against(psi)
     blocks, n_odd, pairs = _sign_structure(psi, tag)
     eps1_bits = eps1_blocks = gm_bits = gm_blocks = beta_blocks = 0
-    for k, kp, p_eps1_bits, p_eps1_blocks, p_gm_bits, p_gm_blocks, p_beta in pairs:
-        if table.epsilon(k, kp) == -1:
+    for key, p_eps1_bits, p_eps1_blocks, p_gm_bits, p_gm_blocks, p_beta in pairs:
+        if table.entries.get(key) == -1:
             eps1_bits ^= p_eps1_bits
             eps1_blocks ^= p_eps1_blocks
             gm_bits ^= p_gm_bits
@@ -339,9 +340,10 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     when every multiplicity is 1: a symplectic factor has even l, so l >= 2
     and rank >= 1.
 
-    A pair is (k, k', eps1 bits, eps1 blocks, eps^(G/M) bits, eps^(G/M)
+    A pair is (key, eps1 bits, eps1 blocks, eps^(G/M) bits, eps^(G/M)
     blocks, beta blocks) for each `_candidate_pairs` entry, in order: the
-    masks it toggles when its root number is -1.  The core is the
+    root-number table's key, the frozenset of the two labels, and the masks
+    the pair toggles when its root number is -1.  The core is the
     odd-multiplicity orthogonal factors.  With count its even-constituent
     count, a pair toggles
       - eps1 on the bits and blocks of both constituents when both are in
@@ -355,7 +357,7 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
     Refusals come in this order: degree mismatch (from `parity_split`),
     an odd symplectic multiplicity, then a square-integrable parameter.
     The memo lives for the process and holds every parameter passed to
-    `relative_signs`, with ints and the parameter's own constituents only.
+    `relative_signs`, with ints and frozensets of its labels only.
     """
     orthogonal, symplectic = parity_split(psi, tag)
     blocks = []
@@ -395,7 +397,8 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
                 gm_bits ^= odd_bit[idx]
             else:
                 gm_blocks ^= 1 << idx
-        pairs.append((k, kp, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta))
+        pairs.append((frozenset((k.label, kp.label)), eps1_bits, eps1_blocks, gm_bits, gm_blocks,
+                      beta))
     return tuple(blocks), n_odd, tuple(pairs)
 
 

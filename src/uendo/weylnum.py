@@ -32,25 +32,29 @@ elements (Carter, Compositio Math. 25, 1972).  The sum over cycle types is
 a coefficient of a power series, (1 - t)^(-1/4) and its kin, read off in
 O(rank) terms.  `weyl_set` and `sgn0` keep the explicit enumeration; the
 tests use it as the oracle for the cycle-type sums at small rank.  A Weyl
-element is stored as one (perm, signs) pair per factor, from
-`signed_perms`, the package's one signed-permutation type; the twisted GL
-action is the all-(-1) sign vector, and `sgn0` reads a root's image off the
-pair by index lookup, with no matrices.
+element is a bare tuple of one (perm, signs) pair per factor, from
+`signed_perms`, the package's one signed-permutation type, as in the Weyl
+keys of `centralizer.element_table`; the twisted GL action is the all-(-1)
+sign vector, and `sgn0` reads a root's image off the pair by index lookup,
+with no matrices.
 
 Elliptic elements are enumerated through +-1 eigenvalue patterns: an
 eigenvalue pair {t, 1/t}, t != +-1, would put a GL factor in the
-centralizer and hence an infinite center.  The classes, their centralizers
-and their component counts are products over the factors, and sigma is
-multiplicative over factors, so e(S) is a product of one cached value per
-factor and coset, like i(S), and sigma(S) a product of one cached value per
-factor, each solved from i = e on that factor alone; no sum runs over
-products of classes.  Each product is taken on integer pairs: the
-numerators multiply together, the denominators together, and one Fraction
-is reduced at the end.  A central quotient changes neither i nor e,
-e(S/Z) = e(S), and doubles sigma, sigma(S/Z) = 2 sigma(S).  The identity
-i(S) = e(S) over the supported menu is the correctness certificate for both
-expansions and is asserted in the tests, which keep the recursion over
-products of classes as the oracle for sigma and e.
+centralizer and hence an infinite center.  On one factor a class is a split
+of the standard representation into +-1 eigenspaces, and one rule over a
+table of the groups, O or Sp, on the two eigenspaces gives every kind's
+classes.  The classes, their centralizers and their component counts are
+products over the factors, and sigma is multiplicative over factors, so
+e(S) is a product of one cached value per factor and coset, like i(S), and
+sigma(S) a product of one cached value per factor, each solved from i = e
+on that factor alone; no sum runs over products of classes.  Each product
+is taken on integer pairs: the numerators multiply together, the
+denominators together, and one Fraction is reduced at the end.  A central
+quotient changes neither i nor e, e(S/Z) = e(S), and doubles sigma,
+sigma(S/Z) = 2 sigma(S).  The identity i(S) = e(S) over the supported menu
+is the correctness certificate for both expansions and is asserted in the
+tests, which keep the recursion over products of classes as the oracle for
+sigma and e.
 """
 
 from __future__ import annotations
@@ -104,17 +108,6 @@ class Factor(Value):
         if self.kind == SO:
             return self.size % 2 == 0
         return True
-
-    @property
-    def center_order(self) -> int:
-        """Order of the center when finite (kinds with center_dim 0)."""
-        if self.kind == SP:
-            return 2
-        if self.kind == SO:
-            if self.size % 2 == 1:
-                return 1
-            return 2  # SO(even >= 4)
-        raise ValueError("infinite center")
 
 
 def gl(a: int) -> Factor:
@@ -212,30 +205,23 @@ def _factor_sign_vectors(factor: Factor, twisted: bool):
     return None
 
 
-class WeylElement(Value):
-    """One element of the Weyl set: a (perm, signs) pair per factor."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]):
-        set_field(self, "blocks", blocks)
-
-
 def weyl_set(c: ComponentDatum):
-    """Complete enumeration of W(S) = Norm(T, S)/T as lattice actions."""
+    """Complete enumeration of W(S) = Norm(T, S)/T as lattice actions: each
+    element is a tuple of one (perm, signs) pair per factor, the encoding of
+    the Weyl keys of `centralizer.element_table`."""
     per_factor = [
         signed_perms(f.rank, _factor_sign_vectors(f, t))
         for f, t in zip(c.base.factors, c.coset)
     ]
-    return [WeylElement(blocks) for blocks in itertools.product(*per_factor)]
+    return list(itertools.product(*per_factor))
 
 
-def sgn0(c: ComponentDatum, w: WeylElement) -> int:
+def sgn0(c: ComponentDatum, w) -> int:
     """(-1) to the number of positive roots of (S^0, T) sent to negative:
     e_i - e_j (i < j) on every factor, e_i + e_j off GL, and e_i (2 e_i on
     Sp) on Sp and SO(odd)."""
     flips = 0
-    for f, (perm, signs) in zip(c.base.factors, w.blocks):
+    for f, (perm, signs) in zip(c.base.factors, w):
         for i in range(f.rank):
             for j in range(i + 1, f.rank):
                 flips += is_negative(perm[i], signs[i], perm[j], -signs[j])
@@ -317,7 +303,7 @@ def i_number(c: ComponentDatum) -> Fraction:
 class _EllClass(Value):
     """One elliptic class of a single factor component.
 
-    descriptor: the kind and the sizes of the two eigenspace blocks;
+    descriptor: the kind's tag and the dimensions of the +1 and -1 spaces;
     cent_factors: factors of the identity component of the centralizer;
     pi0: component count of the full centralizer in S^0.
     """
@@ -330,55 +316,32 @@ class _EllClass(Value):
         set_field(self, "pi0", pi0)
 
 
+# Per kind (GL under the twist): the class descriptor's tag, the groups, O or
+# Sp, on the +1 and the -1 eigenspace, and 1 where the determinant is fixed.
+_EIGENSPACES = {GL: ("glinv", SO, SP, 0), SP: ("sp", SP, SP, 0), SO: ("so", SO, SO, 1)}
+
+
 def _factor_elliptic_classes(factor: Factor, twisted: bool):
-    out = []
-    if factor.kind == GL:
-        if not twisted:
-            return out  # scalars give an infinite center
-        a = factor.size
-        for mplus in range(a, -1, -1):
-            rest = a - mplus
-            if rest % 2:
-                continue
-            if mplus == 2:
-                continue  # SO(2) in the centralizer: infinite center
-            cent = []
-            if mplus >= 3:
-                cent.append(so(mplus))
-            if rest >= 2:
-                cent.append(sp(rest))
-            out.append(_EllClass(("glinv", mplus, rest), tuple(cent), 2 if mplus >= 1 else 1))
-        return out
-    if factor.kind == SP:
-        if twisted:
-            raise ValueError("Sp factors have no outer coset")
-        n = factor.size
-        for nplus in range(0, n + 1, 2):
-            nminus = n - nplus
-            cent = []
-            if nplus >= 2:
-                cent.append(sp(nplus))
-            if nminus >= 2:
-                cent.append(sp(nminus))
-            out.append(_EllClass(("sp", nplus, nminus), tuple(cent), 1))
-        return out
-    # SO(m): the coset fixes the determinant, so the -1 eigenvalue count
-    # is even on the identity component and odd on the O(m) coset.
+    """The factor's elliptic classes, one per split of the standard
+    representation into +-1 eigenspaces, by q = dim of the -1 space: even,
+    or of the coset's parity where the determinant is fixed (on SO(m)).  An
+    O(2) eigenspace (SO(2), an infinite center) is skipped; each other space
+    of dimension x >= 2 puts SO(x) or Sp(x) in the centralizer, and each
+    nonempty O space doubles pi_0, which a fixed determinant halves."""
+    if factor.kind == GL and not twisted:
+        return []  # scalars give an infinite center
+    if factor.kind == SP and twisted:
+        raise ValueError("Sp factors have no outer coset")
+    tag, plus_kind, minus_kind, det_fixed = _EIGENSPACES[factor.kind]
     m = factor.size
-    want_parity = 1 if twisted else 0
-    for mminus in range(m + 1):
-        if mminus % 2 != want_parity:
+    out = []
+    for q in range(twisted * det_fixed, m + 1, 2):
+        spaces = ((plus_kind, m - q), (minus_kind, q))
+        if (SO, 2) in spaces:
             continue
-        mplus = m - mminus
-        if mplus == 2 or mminus == 2:
-            continue  # SO(2) in the centralizer
-        cent = []
-        if mplus >= 3:
-            cent.append(so(mplus))
-        if mminus >= 3:
-            cent.append(so(mminus))
-        pi0 = 2 if (mplus >= 1 and mminus >= 1) else 1
-        out.append(_EllClass(("so", mplus, mminus), tuple(cent), pi0))
+        cent = tuple(Factor(kind, x) for kind, x in spaces if x >= 2)
+        pi0 = 2 ** (sum(kind == SO and x > 0 for kind, x in spaces) - det_fixed)
+        out.append(_EllClass((tag, m - q, q), cent, pi0))
     return out
 
 
@@ -459,16 +422,20 @@ def _sigma_factor(kind: str, size: int) -> Fraction:
     """sigma of one simple factor, by solving i = e for its identity
     component (Arthur 2013, section 4.1).
 
-    The central elliptic classes, with all eigenvalues +1 or all -1, are one
-    per central element and each contributes sigma of the factor itself;
-    every other class has a centralizer of strictly smaller factors, whose
-    sigma values are products of this function at smaller sizes.
+    The central elliptic classes, with all eigenvalues +1 or all -1 (an
+    empty eigenspace), are one per central element and each contributes
+    sigma of the factor itself; every other class has a centralizer of
+    strictly smaller factors, whose sigma values are products of this
+    function at smaller sizes.
     """
     factor = Factor(kind, size)
     if factor.center_dim:
         return Fraction(0)
+    central = 0
     rest = Fraction(0)
     for cl in _factor_elliptic_classes(factor, False):
-        if 0 not in cl.descriptor[1:]:
+        if 0 in cl.descriptor[1:]:
+            central += 1
+        else:
             rest += _sigma_of(cl.cent_factors) / cl.pi0
-    return (_factor_i_number(kind, size, False) - rest) / factor.center_order
+    return (_factor_i_number(kind, size, False) - rest) / central

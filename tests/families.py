@@ -6,7 +6,22 @@ changes every such test's data at once."""
 
 import itertools
 
+from uendo.params import ORTHOGONAL, SimpleDatumTag, SimpleParameter
 from uendo.signs import RootNumberTable
+
+
+def sd(label, deg=1, parity=ORTHOGONAL, n=1):
+    """The simple self-dual constituent mu (x) nu(n), with mu of degree
+    `deg` and of duality type `parity` (ORTHOGONAL or SYMPLECTIC)."""
+    return SimpleParameter(label, deg, parity, n)
+
+
+def tag_for(psi, parity=1):
+    """The datum (N, kappa) on the parameter's degree N whose parity
+    (-1)^(N - 1) kappa is `parity`: the constituents of that sign are its
+    orthogonal factors."""
+    n = psi.total_degree
+    return SimpleDatumTag(n, parity * (-1) ** (n - 1))
 
 
 def random_table(psi, rng):

@@ -11,7 +11,7 @@ import pathlib
 import random
 from fractions import Fraction
 
-from families import random_table
+from families import random_table, sd
 from test_tadic import mod2_reduce, w_star
 from uendo import cli
 from uendo.centralizer import (
@@ -40,7 +40,6 @@ from uendo.params import (
     SYMPLECTIC,
     GlobalParameter,
     SimpleDatumTag,
-    SimpleParameter,
     factors_through,
 )
 from uendo.signs import RootNumberTable, epsilon_character, relative_signs
@@ -55,10 +54,6 @@ from uendo.weylnum import (
     so,
     sp,
 )
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
 
 
 def _report(n, name):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from families import sd
 from uendo.centralizer import (
     CentralizerShape,
     FiniteTwoGroup,
@@ -16,16 +17,11 @@ from uendo.centralizer import (
 )
 from uendo.params import (
     NOT_SELF_DUAL,
-    ORTHOGONAL,
     SYMPLECTIC,
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
 )
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
 
 
 def build(mults_plus, mults_minus=(), mults_gl=(), degs_plus=None):

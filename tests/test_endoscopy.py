@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from families import sd, tag_for
 from uendo.centralizer import centralizer_shape, component_group
 from uendo.endoscopy import (
     collapse_check,
@@ -19,10 +20,6 @@ from uendo.params import (
     SimpleParameter,
     factors_through,
 )
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +90,9 @@ def test_iota_values_range():
 # Correspondence
 
 
-def _tag_for(psi, parity=1):
-    n = psi.total_degree
-    return SimpleDatumTag(n, parity * (-1) ** (n - 1))
-
-
 def test_correspond_identity_element():
     psi = GlobalParameter([(sd("a", 2), 1), (sd("b", 1), 1)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     corr = correspond(psi, tag, {})
     assert corr.datum.split == (3, 0)
     assert corr.psi_plus == psi and corr.psi_minus is None
@@ -109,7 +101,7 @@ def test_correspond_identity_element():
 def test_correspond_two_constituent_split():
     a, b = sd("a", 2), sd("b", 1)
     psi = GlobalParameter([(a, 1), (b, 1)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     corr = correspond(psi, tag, {"a": (1, 0), "b": (0, 1)})
     assert corr.psi_plus == GlobalParameter([(a, 1)])
     assert corr.psi_minus == GlobalParameter([(b, 1)])
@@ -122,7 +114,7 @@ def test_correspond_two_constituent_split():
 def test_correspond_multiplicity_two_split():
     a = sd("a", 2)
     psi = GlobalParameter([(a, 2)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     corr = correspond(psi, tag, {"a": (1, 1)})
     assert corr.psi_plus == GlobalParameter([(a, 1)])
     assert corr.psi_minus == GlobalParameter([(a, 1)])
@@ -145,7 +137,7 @@ def test_correspond_gl_orbit_pairs_move_together():
     b = SimpleParameter("gx", 1, NOT_SELF_DUAL, 1, partner="g")
     c = sd("c", 2)
     psi = GlobalParameter([(a, 1), (b, 1), (c, 1)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     corr = correspond(psi, tag, {"g": (0, 1)})
     assert corr.psi_minus == GlobalParameter([(a, 1), (b, 1)])
     assert corr.psi_plus == GlobalParameter([(c, 1)])
@@ -154,7 +146,7 @@ def test_correspond_gl_orbit_pairs_move_together():
 def test_correspond_central_translation_swaps_roles():
     a, b = sd("a", 2), sd("b", 1)
     psi = GlobalParameter([(a, 1), (b, 1)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     s = {"a": (1, 0), "b": (0, 1)}
     zs = {"a": (0, 1), "b": (1, 0)}
     c1 = correspond(psi, tag, s)
@@ -182,7 +174,7 @@ def _random_factoring_parameter(rng, N):
                 cons.append((SimpleParameter(label, deg, duality, nu), mult))
             left -= size
         psi = GlobalParameter(cons)
-        tag = _tag_for(psi, rng.choice((1, -1)))
+        tag = tag_for(psi, rng.choice((1, -1)))
         if factors_through(psi, tag):
             return psi, tag
 
@@ -218,7 +210,7 @@ def test_collapse_identity_square_integrable_families():
     for degs in degs_options:
         cons = [(sd("c%d" % i, deg), 1) for i, deg in enumerate(degs)]
         psi = GlobalParameter(cons)
-        tag = _tag_for(psi)
+        tag = tag_for(psi)
         records = collapse_check(psi, tag)
         shape = centralizer_shape(psi, tag)
         assert len(records) == component_group(shape).order
@@ -229,7 +221,7 @@ def test_collapse_identity_square_integrable_families():
 def test_collapse_orbit_factor_is_two_only_for_balanced_distinct_halves():
     a, b = sd("a", 1), sd("b", 1)
     psi = GlobalParameter([(a, 1), (b, 1)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     records = collapse_check(psi, tag)
     orbit_sizes = sorted(corr.orbit for _, corr, _ in records)
     assert orbit_sizes == [1, 2]  # identity split and the balanced split
@@ -238,6 +230,6 @@ def test_collapse_orbit_factor_is_two_only_for_balanced_distinct_halves():
 def test_collapse_rejects_non_square_integrable():
     a = sd("a", 1)
     psi = GlobalParameter([(a, 2)])
-    tag = _tag_for(psi)
+    tag = tag_for(psi)
     with pytest.raises(ValueError):
         collapse_check(psi, tag)

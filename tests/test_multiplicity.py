@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from families import sd, tag_for
 from uendo import multiplicity
 from uendo.centralizer import LocalizationMap, centralizer_shape, component_group
 from uendo.multiplicity import (
@@ -22,19 +23,9 @@ from uendo.params import (
     SYMPLECTIC,
     GlobalParameter,
     SimpleDatumTag,
-    SimpleParameter,
 )
 from uendo.signs import RootNumberTable, SignCharacter, _evaluate, epsilon_character
 from uendo.weylnum import sigma
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
-
-
-def tag_for(psi, parity=1):
-    n = psi.total_degree
-    return SimpleDatumTag(n, parity * (-1) ** (n - 1))
 
 
 # ---------------------------------------------------------------------------

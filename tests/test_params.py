@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from families import sd
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -14,10 +15,6 @@ from uendo.params import (
     constituent_sign,
     factors_through,
 )
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
 
 
 def nsd_pair(label, deg=1, n=1):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import uendo.signs
-from families import random_table
+from families import random_table, sd
 from oracles import epsilon_full_product, su2_tensor_dims
 from uendo.centralizer import (
     NormalizerModel,
@@ -36,10 +36,6 @@ from uendo.signs import (
     s_psi_vector,
 )
 from uendo.weylnum import is_negative, signed_perms
-
-
-def sd(label, deg=1, parity=ORTHOGONAL, n=1):
-    return SimpleParameter(label, deg, parity, n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +253,14 @@ def test_sign_character_is_trivial_on_sigma_bar_pair_by_pair():
         except ValueError:  # square-integrable: no proper Levi
             continue
         multiplicity = {sp.label: l for sp, l in shape.orthogonal}
-        for k, kp, eps1_bits, _, gm_bits, _, _ in structure:
-            assert (gm_bits ^ eps1_bits).bit_count() % 2 == 0, (psi, tag, k, kp)
-            assert (k.label in multiplicity) == (kp.label in multiplicity), (psi, tag, k, kp)
+        for key, eps1_bits, _, gm_bits, _, _ in structure:
+            a, b = key
+            assert (gm_bits ^ eps1_bits).bit_count() % 2 == 0, (psi, tag, key)
+            assert (a in multiplicity) == (b in multiplicity), (psi, tag, key)
             pairs += 1
             both_bits += (gm_bits ^ eps1_bits).bit_count() == 2
-            both_orthogonal_odd += (k.label in multiplicity and
-                                    (multiplicity[k.label] % 2 or multiplicity[kp.label] % 2))
+            both_orthogonal_odd += (a in multiplicity and
+                                    (multiplicity[a] % 2 or multiplicity[b] % 2))
     assert pairs > 100 and both_orthogonal_odd > 50 and both_bits > 10 and with_gl > 50, (
         pairs, both_orthogonal_odd, both_bits, with_gl)
 
@@ -275,16 +272,32 @@ def test_levi_diagram_is_exact_on_the_property_family():
         assert d.n_order == d.s_order * d.w0_order == d.s1_order * d.w_order, (psi, tag)
 
 
-class _LoggingTable(RootNumberTable):
-    """A root-number table that records every pair it is asked about."""
+class _LoggingEntries(dict):
+    """Root-number entries that record every key read with `get`."""
 
-    def __init__(self, entries=None):
+    def __init__(self, entries):
         super().__init__(entries)
         self.asked = []
 
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+class _LoggingTable(RootNumberTable):
+    """A root-number table that records every pair whose entry is read, and
+    refuses `epsilon`: the sign code reads each entry once, by key."""
+
+    def __init__(self, entries=None):
+        super().__init__(entries)
+        self.entries = _LoggingEntries(self.entries)
+
+    @property
+    def asked(self):
+        return self.entries.asked
+
     def epsilon(self, k, kp):
-        self.asked.append((k.label, kp.label))
-        return super().epsilon(k, kp)
+        raise AssertionError("root number asked through epsilon")
 
 
 def test_pair_filter_asks_table_only_for_even_opposite_pairs():
@@ -309,7 +322,7 @@ def test_pair_filter_asks_table_only_for_even_opposite_pairs():
             for k, kp in itertools.combinations(sds, 2)
             if k.mu_sign != kp.mu_sign and even_constituent_count(k.su2_dim, kp.su2_dim)
         ]
-        assert table.asked == want
+        assert table.asked == [frozenset(p) for p in want]
         assert char.defaulted == tuple(sorted(
             tuple(sorted(p)) for p in want if frozenset(p) not in table.entries))
         tested += 1
@@ -903,9 +916,9 @@ def test_relative_signs_counts_each_pair_once():
     # asked about those pairs
     psi, tag = _levi_case([(sd("a", 1, ORTHOGONAL, 2), 2), (sd("b", 1, SYMPLECTIC, 1), 1),
                            (sd("c", 1, ORTHOGONAL, 1), 2), (sd("d", 1, SYMPLECTIC, 1), 2)], -1)
-    candidates = [(a[0].label, b[0].label)
+    candidates = [frozenset((a[0].label, b[0].label))
                   for a, b, _, _ in _candidate_pairs(*parity_split(psi, tag))]
-    assert candidates == [("b", "a"), ("d", "a")] and len(_tables_for(psi)) == 3
+    assert candidates == [{"b", "a"}, {"d", "a"}] and len(_tables_for(psi)) == 3
     for warm in (False, True):
         if not warm:
             uendo.signs._sign_structure.cache_clear()

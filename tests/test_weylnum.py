@@ -1,14 +1,16 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 import uendo.weylnum
 from uendo.weylnum import (
     ComponentDatum,
     ConnectedShape,
-    WeylElement,
     e_number,
     elliptic_classes,
     gl,
@@ -20,7 +22,10 @@ from uendo.weylnum import (
     weyl_set,
 )
 from uendo.weylnum import (
+    GL,
+    SO,
     SP,
+    Factor,
     _factor_e_number,
     _factor_elliptic_classes,
     _factor_i_number,
@@ -62,10 +67,10 @@ def _block_matrix(perm, signs):
 
 def _matrix(w):
     """The block-diagonal matrix of a Weyl element, one block per factor."""
-    n = sum(len(perm) for perm, _ in w.blocks)
+    n = sum(len(perm) for perm, _ in w)
     rows = [[0] * n for _ in range(n)]
     off = 0
-    for block in w.blocks:
+    for block in w:
         m = _block_matrix(*block)
         for i, row in enumerate(m):
             for j, x in enumerate(row):
@@ -144,7 +149,7 @@ def test_sgn0_multiplicative_against_w0():
     ws = weyl_set(twisted)
     for w0 in w0s:
         for w in ws:
-            prod = WeylElement(tuple(_compose(a, b) for a, b in zip(w0.blocks, w.blocks)))
+            prod = tuple(_compose(a, b) for a, b in zip(w0, w))
             assert _matrix(prod) == _matmul(_matrix(w0), _matrix(w))
             assert sgn0(twisted, prod) == sgn0(base, w0) * sgn0(twisted, w)
 
@@ -368,6 +373,44 @@ def test_elliptic_classes_structure_sp4():
     assert descs == {(("sp", 0, 4),), (("sp", 2, 2),), (("sp", 4, 0),)}
 
 
+def _class_records(max_size):
+    """Per kind, coset and size, the sorted (descriptor, centralizer factors
+    as (kind, size), pi0) records of the factor's elliptic classes."""
+    records = []
+    for kind in (GL, SP, SO):
+        for size in range(2 if kind == SP else 1, max_size + 1, 2 if kind == SP else 1):
+            for twisted in (False, True):
+                if kind == SP and twisted:
+                    continue
+                classes = _factor_elliptic_classes(Factor(kind, size), twisted)
+                records.append((kind, size, twisted, sorted(
+                    (cl.descriptor, tuple((f.kind, f.size) for f in cl.cent_factors), cl.pi0)
+                    for cl in classes)))
+    return records
+
+
+def test_factor_elliptic_classes_are_pinned():
+    # every kind, coset and size <= 40 against a digest of the class lists
+    # as first written kind by kind; e and sigma alone would not fix
+    # conventions such as leaving SO(1) out of the centralizer
+    records = _class_records(40)
+    assert len(records) == 180 and sum(len(r[3]) for r in records) == 1433
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "b446a0380a38c5286d75bb23dce57636aea8c8f191b9f4806e56e9130a0ef208"
+    assert _class_records(4)[:4] == [
+        ("GL", 1, False, []),
+        ("GL", 1, True, [(("glinv", 1, 0), (), 2)]),
+        ("GL", 2, False, []),
+        ("GL", 2, True, [(("glinv", 0, 2), (("Sp", 2),), 1)]),
+    ]
+    assert _class_records(4)[-2:] == [
+        ("SO", 4, False, [(("so", 0, 4), (("SO", 4),), 1), (("so", 4, 0), (("SO", 4),), 1)]),
+        ("SO", 4, True, [(("so", 1, 3), (("SO", 3),), 2), (("so", 3, 1), (("SO", 3),), 2)]),
+    ]
+    with pytest.raises(ValueError, match="Sp factors have no outer coset"):
+        _factor_elliptic_classes(sp(4), True)
+
+
 # ---------------------------------------------------------------------------
 # The cycle-type i(S) against the enumeration oracle
 
@@ -404,7 +447,7 @@ def _enumerated_i_number(c):
     total = Fraction(0)
     for w in ws:
         d = 1
-        for block in w.blocks:
+        for block in w:
             d *= _det_minus_one(block)
         if d:
             total += Fraction(sgn0(c, w), abs(d))
@@ -586,7 +629,7 @@ def _sigma_semisimple(shape):
     i_val = i_number(identity_component(shape))
     central = 1
     for f in shape.factors:
-        central *= f.center_order
+        central *= 2 if f.has_minus_one else 1
     rest = _weighted_sigma_sum({
         (cent, pi0): n
         for (cent, pi0, is_central), n in _identity_class_tally(shape.factors).items()
