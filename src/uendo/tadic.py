@@ -25,13 +25,31 @@ produces the unique tempered term
 with n* = min(n, k+1) non-archimedean and n* = n archimedean; the factor
 theta_r(k + n - 1, 0) occurs in it exactly once.  An expansion holds each
 term as a string of codes (see `_SIGN`), and sorts them as text.
+
+The canonical order of the cells, d = i - j ascending and then s = i + j
+descending, does not involve k, and in the archimedean case every cell holds
+a symbol, so the archimedean keys depend on n alone; only the symbols change
+with k.  A non-archimedean table is the archimedean one with cells dropped:
+for k < n - 1 the R' cells with d <= k hold symbols and take the first R'
+ranks, the empty diagonal d = k + 1 takes the next n - k - 1, and the zero
+cells come after it.  So its keys are the archimedean keys whose last rank
+is below R' + n - k - 1, each with its trailing empty-diagonal codes and
+their separators stripped; for k >= n - 1 they are the archimedean keys.
+The filtered keys stay sorted because no term's ranks are a proper prefix
+of another term's.  Say a term's symbol cells leave rows R and columns C
+uncovered.  Its empty cells match R to C along d = k + 1, so
+sum R - sum C = |R|(k + 1).  Any completion of R and C by cells with
+d <= k + 1 has that same sum, so it lies on d = k + 1 entirely and adds no
+symbol.  The archimedean keys are grown once per n and kept in a memo
+(`_arch_keys`) of the four most recently asked n, about 3 MB at n = 8;
+every expansion, of either field, is read from it.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .values import Value, set_field
 
@@ -60,17 +78,6 @@ class StandardSymbol(Value):
         return self._hash
 
 
-def _normalize_symbol(base: str, k: int, lam, field_case: str):
-    """None for the empty symbol, 0 for the zero symbol, else the symbol."""
-    lam = Fraction(lam)
-    if field_case == NONARCH:
-        if k == -1:
-            return None
-        if k < -1:
-            return 0
-    return StandardSymbol(base, k, lam, field_case)
-
-
 class IsobaricTerm(Value):
     """A box-sum of standard symbols in canonical order, by (base, -k, lambda)."""
 
@@ -78,19 +85,6 @@ class IsobaricTerm(Value):
 
     def __init__(self, symbols: Tuple[StandardSymbol, ...]):
         set_field(self, "symbols", symbols)
-
-    @classmethod
-    def build(cls, symbols) -> Optional["IsobaricTerm"]:
-        """Normalize factors; None when some factor is the zero symbol."""
-        kept = []
-        for s in symbols:
-            if s == 0:
-                return None
-            if s is None:
-                continue
-            kept.append(s)
-        kept.sort(key=lambda s: (s.base, -s.k, s.lam))
-        return cls(tuple(kept))
 
 
 # A term's key: its symbols' ranks, ascending, each as chr(_BASE + rank) and
@@ -107,8 +101,7 @@ class FormalCharacterCombination:
     """Integer combination of isobaric terms with coefficients +-1: `symbols`,
     the distinct symbols in canonical order (at least those of the terms), and
     `keys`, one string per term (see `_SIGN`), sorted, which is the canonical
-    term order.  The (ranks of a term's symbols, coefficient) pairs `ranked`
-    and the dict `coeffs` of `IsobaricTerm` keys are built when first read."""
+    term order."""
 
     def __init__(self, symbols, keys):
         self.symbols, self.keys = tuple(symbols), list(keys)
@@ -116,41 +109,24 @@ class FormalCharacterCombination:
     def term(self, key: str) -> IsobaricTerm:
         return IsobaricTerm(tuple(self.symbols[ord(code) - _BASE] for code in key[:-1:2]))
 
-    @functools.cached_property
-    def ranked(self) -> List[Tuple[Tuple[int, ...], int]]:
-        return [(tuple(ord(code) - _BASE for code in key[:-1:2]), _COEFFICIENT[key[-1]])
-                for key in self.keys]
 
-    @functools.cached_property
-    def coeffs(self) -> Dict[IsobaricTerm, int]:
-        return {self.term(key): _COEFFICIENT[key[-1]] for key in self.keys}
+def _cells(n: int) -> List[Tuple[int, int]]:
+    """The cells (d, s) of the n x n table, d = i - j and s = i + j, in
+    canonical order: d up, then s down.  Cell (i, j) holds
+    theta(k - d, n + 1 - s), and the symbol of rank r is that of cell r."""
+    return [(d, s) for d in range(1 - n, n) for s in range(2 * n - abs(d), abs(d), -2)]
 
 
-def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombination:
-    """Signed sum over the symmetric group after the boundary conventions,
-    its terms in canonical order and every coefficient +-1 (see the module
-    docstring): a Leibniz expansion of the table of normalized symbols grown
-    one row at a time, its partial terms, strings of rank codes, grouped by
-    the mask of columns still free into a list of + terms and a list of -
-    terms.  Each term, from one permutation, sorts its codes into its key."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if field_case == NONARCH and k < 0:
-        raise ValueError("nonarchimedean expansions need k >= 0")
-    if field_case not in (ARCH, NONARCH):
-        raise ValueError("unknown field case %r" % field_case)
-    # cell (i, j) holds theta(k - d, n + 1 - s), d = i - j, s = i + j: canonical
-    # order is d up, then s down; None marks a zero cell, "" an empty one and
-    # chr(_BASE + r) the symbol of rank r
-    order, table = [], [[None] * n for _ in range(n)]
-    for d in range(1 - n, n):
-        for s in range(2 * n - abs(d), abs(d), -2):
-            symbol = _normalize_symbol(base, k - d, n + 1 - s, field_case)
-            if symbol is None:
-                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = ""
-            elif symbol != 0:
-                table[(s + d) // 2 - 1][(s - d) // 2 - 1] = chr(_BASE + len(order))
-                order.append(symbol)
+@functools.lru_cache(maxsize=4)
+def _arch_keys(n: int) -> Tuple[str, ...]:
+    """The sorted keys of the archimedean n x n table, for every k: a Leibniz
+    expansion grown one row at a time, its partial terms, strings of rank
+    codes, grouped by the mask of columns still free into a list of + terms
+    and a list of - terms.  Each term, from one permutation, sorts its codes
+    into its key."""
+    table = [[""] * n for _ in range(n)]
+    for r, (d, s) in enumerate(_cells(n)):
+        table[(s + d) // 2 - 1][(s - d) // 2 - 1] = chr(_BASE + r)
     groups = {(1 << n) - 1: ([""], [])}
     for row in table:
         grown = {}
@@ -160,24 +136,44 @@ def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombina
             for j in range(n):
                 if free >> j & 1:
                     cell = row[j]
-                    if cell is not None:
-                        into = grown.setdefault(free ^ 1 << j, ([], []))
-                        into[0].extend([t + cell for t in plus])
-                        into[1].extend([t + cell for t in minus])
+                    into = grown.setdefault(free ^ 1 << j, ([], []))
+                    into[0].extend([t + cell for t in plus])
+                    into[1].extend([t + cell for t in minus])
                     plus, minus = minus, plus
         groups = grown
     (plus, minus), = groups.values()
     keys = [_SEP.join(sorted(t)) + _SIGN[1] for t in plus]
     keys += [_SEP.join(sorted(t)) + _SIGN[-1] for t in minus]
     keys.sort()
-    return FormalCharacterCombination(order, keys)
+    return tuple(keys)
+
+
+def expand(base: str, n: int, k: int, field_case: str) -> FormalCharacterCombination:
+    """Signed sum over the symmetric group after the boundary conventions,
+    its terms in canonical order and every coefficient +-1 (see the module
+    docstring): the archimedean keys of n, from `_arch_keys`, as they stand
+    or, non-archimedean, filtered to the terms that avoid the zero cells,
+    each stripped of its empty-diagonal codes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if field_case == NONARCH and k < 0:
+        raise ValueError("nonarchimedean expansions need k >= 0")
+    if field_case not in (ARCH, NONARCH):
+        raise ValueError("unknown field case %r" % field_case)
+    cells, keys = _cells(n), _arch_keys(n)
+    if field_case == NONARCH and k < n - 1:
+        cells = [(d, s) for d, s in cells if d <= k]
+        empty = "".join(chr(_BASE + r) for r in range(len(cells), len(cells) + n - k - 1))
+        strip, last = _SEP + empty, empty[-1]
+        keys = [key[:-1].rstrip(strip) + key[-1] for key in keys if key[-2] <= last]
+    return FormalCharacterCombination(
+        [StandardSymbol(base, k - d, Fraction(n + 1 - s), field_case) for d, s in cells], keys)
 
 
 def theta_star(base: str, n: int, k: int, field_case: str) -> IsobaricTerm:
     """Box-sum over i <= n* of theta_r(k + n + 1 - 2i, 0).
 
-    The symbols are built as they stand, with no pass through
-    `_normalize_symbol`: none is empty or zero.  An archimedean symbol never
+    None of the symbols is empty or zero.  An archimedean symbol never
     is, and in the non-archimedean case the smallest first entry, at i = n*,
     is k + 1 - n >= 0 when n* = n <= k + 1 and n - k - 1 >= 0 when
     n* = k + 1 < n, never -1 or below.  The first entries fall as i grows, so

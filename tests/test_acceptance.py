@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from families import random_table, sd
-from test_tadic import mod2_reduce, w_star
+from test_tadic import coeffs, mod2_reduce, w_star
 from uendo import cli
 from uendo.centralizer import (
     brute_force_order,
@@ -313,7 +313,7 @@ def test_criterion_9_tadic_suite():
                 assert term == theta_star("r", n, k, case)
                 assert coeff == perm_sign(w_star(n, k, case))
                 assert sq_int_multiplicity(term, "r", n, k) == 1
-                assert mod2_reduce(combo.coeffs).get(term) == 1
+                assert mod2_reduce(coeffs(combo)).get(term) == 1
     _report(9, "standard-character expansions, n <= 5, k <= 5, both cases")
 
 

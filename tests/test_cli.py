@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 from oracles import su2_tensor_dims
+from test_tadic import coeffs
 from uendo import centralizer, cli, endoscopy, multiplicity, signs, tadic, weylnum
 from uendo.centralizer import centralizer_shape, component_group
 
@@ -1486,7 +1487,7 @@ def _tadic_oracle(n, k, field):
         return {"coefficient": coeff, "symbols": [symbol(s) for s in t.symbols]}
 
     return {"command": "tadic", "n": n, "k": k, "field": field,
-            "terms": [term(t, coeff) for t, coeff in combo.coeffs.items()],
+            "terms": [term(t, coeff) for t, coeff in coeffs(combo).items()],
             "tempered": term(star_term, star_coeff)}
 
 
@@ -1500,17 +1501,19 @@ def test_tadic_stdout_matches_json_of_the_expansion(capsys):
         assert run_cli(argv, capsys) == (0, _json_reference(_tadic_oracle(n, k, field)), ""), argv
 
 
-def test_tadic_report_reads_no_ranked_form(monkeypatch):
-    # the report is written from the keys alone
-    want = {field: _json_reference(_tadic_oracle(7, 2, field)) for field in ("arch", "nonarch")}
-
-    def unread(combo):
-        raise AssertionError("the report read a ranked form")
-
-    for name in ("ranked", "coeffs"):
-        monkeypatch.setattr(tadic.FormalCharacterCombination, name, property(unread))
-    for field, text in want.items():
-        assert "".join(cli.report_tadic(7, 2, field)) == text, field
+def test_tadic_report_reads_no_ranked_form():
+    # the report is written from the keys alone: an expansion holds its
+    # symbols and keys and nothing else, and `tadic` has no ranked form, no
+    # dict of terms and no term builder; those are test oracles
+    for field in ("arch", "nonarch"):
+        want = _json_reference(_tadic_oracle(7, 2, field))
+        assert "".join(cli.report_tadic(7, 2, field)) == want, field
+    for field in (tadic.ARCH, tadic.NONARCH):
+        assert set(vars(tadic.expand("r", 7, 2, field))) == {"symbols", "keys"}
+    for cls, name in ((tadic.FormalCharacterCombination, "ranked"),
+                      (tadic.FormalCharacterCombination, "coeffs"),
+                      (tadic.IsobaricTerm, "build")):
+        assert not hasattr(cls, name), name
 
 
 def test_tadic_report_builds_no_term_but_the_tempered_one(monkeypatch, capsys):

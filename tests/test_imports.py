@@ -88,32 +88,45 @@ def _defined_names(stmt):
 
 def unreferenced_private_definitions(sources):
     """The private top-level functions, classes and assigned names, as
-    'module: name', that no module of `sources` (a dict of module name to
-    source) reads by name, as an attribute or in an import, apart from the
-    definition itself."""
+    'module: name', that nothing in `sources` (a dict of module name to
+    source) reads, apart from the definition itself.  Reads resolve per
+    module: a bare name that a module loads counts for that module,
+    `from m import _x` (relative or not) counts for module m, and an
+    attribute read `._x` counts for every module."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set()
-    for tree in trees.values():
+    read, attributes = set(), set()
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
+                read.add((module, node.id))
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                read.update((source, alias.name) for alias in node.names)
     return ["%s: %s" % (name, defined)
             for name, tree in trees.items() for stmt in tree.body
             for defined in _defined_names(stmt)
             if defined.startswith("_") and not defined.startswith("__")
-            and defined not in read]
+            and defined not in attributes and (name, defined) not in read]
 
 
 def test_private_finder_sees_calls_attributes_and_imports():
-    sources = {"a": "def _used():\n    pass\ndef _dead():\n    '''_dead'''\n"
+    sources = {"a": "from .b import _imported\ndef _used():\n    pass\n"
+                    "def _dead():\n    '''_dead'''\n"
                     "class _Attr:\n    pass\ndef public():\n    return _used()\n",
-               "b": "from a import _imported\nimport a\nx = a._Attr\n"
+               "b": "import a\nx = a._Attr\n"
                     "def _imported():\n    pass\nclass _Lonely:\n    pass\n"}
     assert unreferenced_private_definitions(sources) == ["a: _dead", "b: _Lonely"]
+
+
+def test_private_finder_resolves_names_per_module():
+    # a name defined in two modules and loaded in one is unread in the other;
+    # importing it from a module counts for that module, not the importer
+    sources = {"a": "_DUP = 1\n_OWN = 2\ndef f():\n    return _DUP\n",
+               "b": "_DUP = 3\n_OWN = 4\n",
+               "c": "from pkg.b import _OWN\n"}
+    assert unreferenced_private_definitions(sources) == ["a: _OWN", "b: _DUP"]
 
 
 def test_private_finder_sees_assigned_names():

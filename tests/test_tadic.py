@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from uendo import tadic
 from uendo.tadic import (
     ARCH,
     NONARCH,
@@ -11,9 +13,9 @@ from uendo.tadic import (
     IsobaricTerm,
     StandardSymbol,
     _BASE,
+    _COEFFICIENT,
     _SEP,
     _SIGN,
-    _normalize_symbol,
     expand,
     sq_int_multiplicity,
     tempered_part,
@@ -26,7 +28,7 @@ def sym(k, lam, case=NONARCH):
 
 
 def term(*symbols):
-    return IsobaricTerm.build(list(symbols))
+    return build_term(symbols)
 
 
 def key(ranks, coeff):
@@ -35,8 +37,41 @@ def key(ranks, coeff):
 
 
 # ---------------------------------------------------------------------------
-# Oracles: one permutation's term, the distinguished Weyl element, and the
-# reduction of a combination modulo 2
+# Oracles: the boundary conventions, a term built from any factors, the
+# (ranks, coefficient) pairs and the dict of terms of a combination, one
+# permutation's term, the distinguished Weyl element, and the reduction of a
+# combination modulo 2
+
+
+def normalize_symbol(base, k, lam, field_case):
+    """None for the empty symbol, 0 for the zero symbol, else the symbol."""
+    lam = Fraction(lam)
+    if field_case == NONARCH:
+        if k == -1:
+            return None
+        if k < -1:
+            return 0
+    return StandardSymbol(base, k, lam, field_case)
+
+
+def build_term(symbols):
+    """The term of some normalized factors in canonical order, by
+    (base, -k, lambda); None when some factor is the zero symbol."""
+    if any(s == 0 for s in symbols):
+        return None
+    kept = sorted((s for s in symbols if s is not None), key=lambda s: (s.base, -s.k, s.lam))
+    return IsobaricTerm(tuple(kept))
+
+
+def ranked(combo):
+    """The (ranks of a term's symbols, coefficient) pairs, in key order."""
+    return [(tuple(ord(code) - _BASE for code in key[:-1:2]), _COEFFICIENT[key[-1]])
+            for key in combo.keys]
+
+
+def coeffs(combo):
+    """The combination as a dict of terms to coefficients, in key order."""
+    return {combo.term(key): _COEFFICIENT[key[-1]] for key in combo.keys}
 
 
 def term_for_permutation(base, n, k, field_case, perm):
@@ -46,9 +81,9 @@ def term_for_permutation(base, n, k, field_case, perm):
     for i0, wi0 in enumerate(perm):
         i, wi = i0 + 1, wi0 + 1
         symbols.append(
-            _normalize_symbol(base, k - (i - wi), Fraction((n + 1) - (i + wi)), field_case)
+            normalize_symbol(base, k - (i - wi), Fraction((n + 1) - (i + wi)), field_case)
         )
-    return IsobaricTerm.build(symbols)
+    return build_term(symbols)
 
 
 def w_star(n, k, field_case):
@@ -89,7 +124,7 @@ def test_symbol_hash_ignores_how_lambda_was_given():
 def test_expand_n1_is_single_symbol():
     for case, k in ((NONARCH, 0), (NONARCH, 3), (ARCH, -2), (ARCH, 5)):
         combo = expand("r", 1, k, case)
-        assert list(combo.coeffs.items()) == [(term(sym(k, 0, case)), 1)]
+        assert list(coeffs(combo).items()) == [(term(sym(k, 0, case)), 1)]
 
 
 def test_expand_nonarch_n2_k0():
@@ -98,7 +133,7 @@ def test_expand_nonarch_n2_k0():
         term(sym(0, 1), sym(0, -1)): 1,
         term(sym(1, 0)): -1,  # the theta(-1, .) factor is dropped
     }
-    assert combo.coeffs == expected
+    assert coeffs(combo) == expected
 
 
 def test_expand_arch_n2():
@@ -108,7 +143,7 @@ def test_expand_arch_n2():
             term(sym(k, 1, ARCH), sym(k, -1, ARCH)): 1,
             term(sym(k + 1, 0, ARCH), sym(k - 1, 0, ARCH)): -1,
         }
-        assert combo.coeffs == expected
+        assert coeffs(combo) == expected
 
 
 def test_expand_validates_input():
@@ -135,23 +170,23 @@ def test_expand_accounting_no_silent_loss():
     for n, case, k in cases:
         combo = expand("r", n, k, case)
         same = {s: s for s in combo.symbols}
-        cells = [[_normalize_symbol("r", k - (i - j), Fraction((n + 1) - (i + j)), case)
+        cells = [[normalize_symbol("r", k - (i - j), Fraction((n + 1) - (i + j)), case)
                   for j in range(1, n + 1)] for i in range(1, n + 1)]
         cells = [[same.get(cell, cell) for cell in row] for row in cells]
         raw = {}
         for perm in itertools.permutations(range(n)):
-            t = IsobaricTerm.build([row[w] for row, w in zip(cells, perm)])
+            t = build_term([row[w] for row, w in zip(cells, perm)])
             if n <= 5:
                 assert t == term_for_permutation("r", n, k, case, perm), (n, k, case, perm)
             if t is not None:
                 raw[t] = raw.get(t, 0) + _perm_sign(perm)
         raw = {t: c for t, c in raw.items() if c}
-        assert combo.coeffs == raw, (n, k, case)
+        assert coeffs(combo) == raw, (n, k, case)
         symbols = list(combo.symbols)
         assert symbols == sorted(set(symbols), key=lambda s: (s.base, -s.k, s.lam))
         rank = {s: r for r, s in enumerate(symbols)}
-        ranked = sorted((tuple(rank[s] for s in t.symbols), c) for t, c in raw.items())
-        assert combo.ranked == ranked, (n, k, case)
+        want = sorted((tuple(rank[s] for s in t.symbols), c) for t, c in raw.items())
+        assert ranked(combo) == want, (n, k, case)
         assert all(a < b for a, b in zip(combo.keys, combo.keys[1:])), (n, k, case)
 
 
@@ -163,7 +198,7 @@ def test_keys_sort_as_their_ranks_and_coefficients():
              ((1, 2), -1), ((2,), 1)]
     keys = sorted(key(ranks, coeff) for ranks, coeff in reversed(pairs))
     symbols = [sym(3, 0), sym(2, 1), sym(1, 0)]
-    assert FormalCharacterCombination(symbols, keys).ranked == sorted(pairs)
+    assert ranked(FormalCharacterCombination(symbols, keys)) == sorted(pairs)
 
 
 def _expansions(n_max):
@@ -177,7 +212,7 @@ def _expansions(n_max):
 def test_expand_coefficients_are_plus_or_minus_one():
     # each term comes from exactly one permutation, so nothing cancels
     for n, k, case, combo in _expansions(6):
-        assert {c for _, c in combo.ranked} <= {1, -1}, (n, k, case)
+        assert {c for _, c in ranked(combo)} <= {1, -1}, (n, k, case)
 
 
 def test_expand_term_count_is_the_count_of_surviving_permutations():
@@ -188,7 +223,79 @@ def test_expand_term_count_is_the_count_of_surviving_permutations():
             want = math.factorial(n)
         else:
             want = (k + 2) ** (n - k - 1) * math.factorial(k + 1)
-        assert len(combo.ranked) == want, (n, k, case)
+        assert len(ranked(combo)) == want, (n, k, case)
+
+
+# ---------------------------------------------------------------------------
+# the memo of archimedean keys
+
+
+def test_arch_keys_do_not_depend_on_k():
+    for n in range(1, 7):
+        first = expand("r", n, -3, ARCH).keys
+        for k in range(-2, 10):
+            assert expand("r", n, k, ARCH).keys == first, (n, k)
+
+
+def _filtered_arch_keys(n, k):
+    """The archimedean keys of n read back as ranks, those with a rank on a
+    zero cell (i - j > k + 1) dropped and the ranks on the empty diagonal
+    i - j = k + 1 removed, written as keys again, in the archimedean order."""
+    cells = [i - j for i in range(1, n + 1) for j in range(1, n + 1)]
+    cells.sort()  # d = i - j ascending: the rank of a cell lies in its d's run
+    kept = []
+    for ranks, coeff in ranked(expand("r", n, 0, ARCH)):
+        if all(cells[r] <= k + 1 for r in ranks):
+            kept.append(key([r for r in ranks if cells[r] <= k], coeff))
+    return kept
+
+
+def test_nonarch_keys_are_the_filtered_arch_keys():
+    for n in range(1, 8):
+        for k in range(0, 10):
+            assert expand("r", n, k, NONARCH).keys == _filtered_arch_keys(n, k), (n, k)
+
+
+def test_no_nonarch_term_has_the_ranks_of_another_followed_by_more():
+    # the fact that keeps the filtered keys sorted (see the module docstring)
+    for n in range(1, 8):
+        for k in range(0, 10):
+            terms = {ranks for ranks, _ in ranked(expand("r", n, k, NONARCH))}
+            for ranks in terms:
+                for m in range(1, len(ranks)):
+                    assert ranks[:m] not in terms, (n, k, ranks)
+
+
+def test_arch_keys_are_grown_once_per_n(monkeypatch):
+    grown = []
+
+    def counted(n, grow=tadic._arch_keys.__wrapped__):
+        grown.append(n)
+        return grow(n)
+
+    monkeypatch.setattr(tadic, "_arch_keys", functools.lru_cache(maxsize=4)(counted))
+    for n in range(1, 6):
+        for k in range(0, 6):
+            expand("r", n, k, NONARCH)
+            expand("r", n, k - 2, ARCH)
+    assert grown == [1, 2, 3, 4, 5]
+
+
+def test_returned_keys_are_copies():
+    for n, k, case in ((5, 2, ARCH), (5, 4, NONARCH), (5, 1, NONARCH)):
+        want = list(expand("r", n, k, case).keys)
+        expand("r", n, k, case).keys.clear()
+        mutated = expand("r", n, k, case).keys
+        mutated[0], mutated[1:] = "", ["x"]
+        assert expand("r", n, k, case).keys == want, (n, k, case)
+
+
+def test_memo_holds_at_most_four_n():
+    for n in range(1, 9):
+        expand("r", n, 2, NONARCH)
+        info = tadic._arch_keys.cache_info()
+        assert info.maxsize == 4 and info.currsize == min(n, 4), n
+    assert tadic._arch_keys.cache_info().misses == 8
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +420,6 @@ def test_mod2_tempered_coefficient_is_one():
         for n in range(1, 6):
             for k in range(0, 4):
                 combo = expand("r", n, k, case)
-                reduced = mod2_reduce(combo.coeffs)
+                reduced = mod2_reduce(coeffs(combo))
                 t, _ = tempered_part(combo)
                 assert reduced.get(t) == 1
