@@ -16,7 +16,11 @@ characters and '_'.  A token that starts with any other character, such as
 a digit that is not decimal ('²'), is a parse error.
 
 Exit codes: 1 parse error, 2 semantic validation failure, 3 internal
-invariant failure.  Rationals are serialized as {"num": ..., "den": ...}.
+invariant failure.  An input that cannot be read and an output that cannot
+be written, such as a pipe whose reader has gone (`uendo tadic ... | head`),
+also exit 2, with one `cannot read input: ...` or `cannot write output: ...`
+line on stderr and no traceback.  Rationals are serialized as
+{"num": ..., "den": ...}.
 """
 
 from __future__ import annotations
@@ -803,17 +807,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "print":
             if doc is None:
                 raise SemanticError("print needs an input document")
-            sys.stdout.write(print_document(doc))
-            return 0
-        report = run(args.command, doc, args)
+            report = (print_document(doc),)
+        else:
+            report = run(args.command, doc, args)
     except SemanticError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print("invariant failure: %s" % exc, file=sys.stderr)
         return 3
-    sys.stdout.writelines(report)
+
+    try:
+        sys.stdout.writelines(report)
+        sys.stdout.flush()
+    except OSError as exc:
+        _drop_stdout()
+        print("cannot write output: %s" % exc, file=sys.stderr)
+        return 2
     return 0
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at `os.devnull`, so that what is left
+    in its buffer goes there when the interpreter flushes it at exit,
+    instead of failing again and printing "Exception ignored"."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # a stream with no descriptor has no exit flush to fail
+        pass
 
 
 if __name__ == "__main__":

@@ -21,18 +21,20 @@ SYMPLECTIC = "conjugate-symplectic"
 NOT_SELF_DUAL = "not-self-dual"
 
 _DUALITIES = (ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL)
+_MU_SIGN = {ORTHOGONAL: 1, SYMPLECTIC: -1}  # a self-dual mu's parity as a sign
 
 
 class SimpleParameter(Value):
     """One simple constituent mu (x) nu(n) of a formal parameter.
 
-    `duality` is the duality class of the cuspidal part mu alone; the class
-    of the full constituent is computed by `constituent_parity`.  `partner`
+    `duality` is the duality class of the cuspidal part mu alone; the sign
+    of the full constituent, `constituent_sign`, is worked out once, when
+    the constituent is built, and kept in the cache slot `_sign`.  `partner`
     names the dual label mu* and is required exactly when mu is not
     self-dual.
     """
 
-    __slots__ = ("label", "deg_mu", "duality", "su2_dim", "partner")
+    __slots__ = ("label", "deg_mu", "duality", "su2_dim", "partner", "_sign")
 
     def __init__(self, label: str, deg_mu: int, duality: str, su2_dim: int = 1,
                  partner: Optional[str] = None):
@@ -49,6 +51,10 @@ class SimpleParameter(Value):
         set_field(self, "duality", duality)
         set_field(self, "su2_dim", su2_dim)
         set_field(self, "partner", partner)
+        # nu(n) is orthogonal for n odd and symplectic for n even, and
+        # parities multiply
+        mu = _MU_SIGN.get(duality)
+        set_field(self, "_sign", mu if mu is None or su2_dim % 2 else -mu)
 
     @property
     def degree(self) -> int:
@@ -57,33 +63,21 @@ class SimpleParameter(Value):
     @property
     def mu_sign(self) -> Optional[int]:
         """Parity of mu as a sign, or None if mu is not self-dual."""
-        if self.duality == ORTHOGONAL:
-            return 1
-        if self.duality == SYMPLECTIC:
-            return -1
-        return None
-
-
-def constituent_parity(sp: SimpleParameter) -> str:
-    """Duality class of mu (x) nu(n): nu(n) is orthogonal for n odd and
-    symplectic for n even, and parities multiply."""
-    if sp.duality == NOT_SELF_DUAL:
-        return NOT_SELF_DUAL
-    sign = sp.mu_sign * (-1) ** (sp.su2_dim - 1)
-    return ORTHOGONAL if sign == 1 else SYMPLECTIC
+        return _MU_SIGN.get(self.duality)
 
 
 def constituent_sign(sp: SimpleParameter) -> Optional[int]:
-    """Same as `constituent_parity` but as +1/-1, None if not self-dual."""
-    if sp.duality == NOT_SELF_DUAL:
-        return None
-    return sp.mu_sign * (-1) ** (sp.su2_dim - 1)
+    """Parity of mu (x) nu(n) as +1/-1, None if mu is not self-dual."""
+    return sp._sign
 
 
 class SimpleDatumTag(Value):
-    """A simple twisted datum (U(N), kappa); its parity is (-1)^(N-1) kappa."""
+    """A simple twisted datum (U(N), kappa); its parity is (-1)^(N-1) kappa.
 
-    __slots__ = ("N", "kappa")
+    Its hash is computed once, when it is built, since it keys the memos of
+    `signs`; copying and pickling rebuild it through `__init__`."""
+
+    __slots__ = ("N", "kappa", "_hash")
 
     def __init__(self, N: int, kappa: int):
         if N < 1:
@@ -92,6 +86,10 @@ class SimpleDatumTag(Value):
             raise ValueError("kappa must be +1 or -1")
         set_field(self, "N", N)
         set_field(self, "kappa", kappa)
+        set_field(self, "_hash", hash((N, kappa)))  # a key of the sign memos
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def parity(self) -> int:
@@ -220,7 +218,7 @@ def parity_split(psi: GlobalParameter, tag: SimpleDatumTag):
     parity = tag.parity
     split = ([], [])  # agree, opposite
     for pair in psi.constituents:
-        sign = constituent_sign(pair[0])
+        sign = pair[0]._sign
         if sign is not None:
             split[sign != parity].append(pair)
     return tuple(split[0]), tuple(split[1])

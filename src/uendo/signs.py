@@ -40,7 +40,9 @@ only on (psi, tag), the block signature and each candidate pair's
 contribution to the masks, is built once per (psi, tag) in one pass over
 the parity split and the candidate pairs, with no centralizer shape, and
 memoized; a call validates the table, asks it about the candidate pairs
-and folds the masks.  The tests keep the loop over
+and folds the masks.  The finished `RelativeSigns` record is memoized per
+block signature and masks, read-only and shared: a call returns it as it
+stands, with no copy.  The tests keep the loop over
 `NormalizerModel.elements` as the oracle.
 """
 
@@ -48,7 +50,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from .centralizer import CentralizerShape, NormalizerElement, centralizer_shape, element_table
 from .params import NOT_SELF_DUAL, GlobalParameter, SimpleDatumTag, SimpleParameter, parity_split
@@ -96,8 +99,27 @@ class RootNumberTable:
 
     def validate_against(self, psi: GlobalParameter) -> None:
         """Reject entries that touch undeclared or non-self-dual labels or
-        pair labels of equal cuspidal parity with sign -1."""
+        pair labels of equal cuspidal parity with sign -1.
+
+        Each entry costs two lookups in the parameter's label map: two
+        self-dual labels have equal cuspidal parity exactly when their
+        dualities are equal.  Only an entry that fails is handed to
+        `_refuse`, which walks the table again with each pair sorted and
+        raises on the first bad entry, so the messages and their order do
+        not depend on the fast path."""
         by_label = psi._by_label  # label -> (constituent, multiplicity)
+        for key, val in self.entries.items():
+            a, b = key
+            ka = by_label.get(a)
+            kb = by_label.get(b)
+            if (ka is None or kb is None or ka[0].duality == NOT_SELF_DUAL
+                    or kb[0].duality == NOT_SELF_DUAL
+                    or (val == -1 and ka[0].duality == kb[0].duality)):
+                self._refuse(by_label)
+
+    def _refuse(self, by_label) -> None:
+        """Raise on the first bad entry in table order, checking the smaller
+        label of a pair first."""
         for key, val in self.entries.items():
             a, b = sorted(key)
             for lab in (a, b):
@@ -253,17 +275,26 @@ def is_epsilon_parameter(psi: GlobalParameter) -> bool:
 
 class RelativeSigns(Value):
     """eps1 on N, eps^(G/M) on W, and the crossing sign r^- on W, with the
-    consistency flags of the factorization."""
+    consistency flags of the factorization.
+
+    The record is read-only all the way down: each of the three mappings is
+    a `MappingProxyType` over a private copy of the dict it was built from,
+    so one record can be shared by every caller.  Copying and pickling
+    rebuild it through `__init__` from plain dicts."""
 
     __slots__ = ("eps1", "eps_gm", "r_minus", "fibers_constant", "spectral_identity")
 
-    def __init__(self, eps1: Dict[NormalizerElement, int], eps_gm: Dict[tuple, int],
-                 r_minus: Dict[tuple, int], fibers_constant: bool, spectral_identity: bool):
-        set_field(self, "eps1", eps1)
-        set_field(self, "eps_gm", eps_gm)
-        set_field(self, "r_minus", r_minus)
+    def __init__(self, eps1: Mapping[NormalizerElement, int], eps_gm: Mapping[tuple, int],
+                 r_minus: Mapping[tuple, int], fibers_constant: bool, spectral_identity: bool):
+        set_field(self, "eps1", MappingProxyType(dict(eps1)))
+        set_field(self, "eps_gm", MappingProxyType(dict(eps_gm)))
+        set_field(self, "r_minus", MappingProxyType(dict(r_minus)))
         set_field(self, "fibers_constant", fibers_constant)
         set_field(self, "spectral_identity", spectral_identity)
+
+    def __reduce__(self):
+        return RelativeSigns, (dict(self.eps1), dict(self.eps_gm), dict(self.r_minus),
+                               self.fibers_constant, self.spectral_identity)
 
 
 def relative_signs(
@@ -304,10 +335,13 @@ def relative_signs(
     that does not factor or is square-integrable, and lists the candidate
     pairs with their keys and contributions.  Every call validates the
     table, reads each candidate pair's entry once, folds the masks and
-    reads the loop over N from `_signs_on_table`, memoized on the block
-    signature and the masks; the dicts returned are copies.  Refusals are
-    raised on every call, never cached.  The pairs whose root numbers
-    default to +1 are reported by `epsilon_character`, not here.  Each
+    returns the record of `_signs_on_table`, memoized on the block
+    signature and the masks.  That record is shared by every call with the
+    same signature and masks and is read-only: its three mappings refuse
+    assignment with `TypeError`, and `dict(rec.eps1)` gives a copy to
+    change.  Refusals are raised on every call, never cached.  The pairs
+    whose root numbers default to +1 are reported by `epsilon_character`,
+    not here.  Each
     pair's eps^(G/M) and eps1 bits differ on an even number of odd
     factors, since the sign character is trivial on sigma_bar.
     """
@@ -321,9 +355,8 @@ def relative_signs(
             gm_bits ^= p_gm_bits
             gm_blocks ^= p_gm_blocks
             beta_blocks ^= p_beta
-    eps1, eps_gm, r_minus, fibers_constant, spectral = _signs_on_table(
-        blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
-    return RelativeSigns(dict(eps1), dict(eps_gm), dict(r_minus), fibers_constant, spectral)
+    return _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks,
+                           beta_blocks)
 
 
 @lru_cache(maxsize=None)
@@ -403,10 +436,12 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
 
 
 @lru_cache(maxsize=None)
-def _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks):
-    """eps1, eps^(G/M), r^- and the two flags on the rows of
+def _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks,
+                    beta_blocks) -> RelativeSigns:
+    """The record of eps1, eps^(G/M), r^- and the two flags on the rows of
     `element_table(blocks, n_odd)`: a sign is -1 when its masks select an
-    odd number of set bits of the row's bit and flip masks."""
+    odd number of set bits of the row's bit and flip masks.  The record is
+    read-only, so the memo hands the same one to every caller."""
     eps1: Dict[NormalizerElement, int] = {}
     eps_gm: Dict[tuple, int] = {}
     r_minus: Dict[tuple, int] = {}
@@ -421,4 +456,4 @@ def _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, b
         elif eps_gm[w_key] != g_val:
             fibers_constant = False
     spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
-    return eps1, eps_gm, r_minus, fibers_constant, spectral
+    return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)

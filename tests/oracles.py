@@ -3,6 +3,7 @@
 import itertools
 
 from uendo.centralizer import centralizer_shape
+from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
 
 
 def su2_tensor_dims(a, b):
@@ -30,3 +31,30 @@ def epsilon_full_product(psi, tag, table, vector):
             det_kp = coords.get(kp.label, 1)
             val *= det_k ** lkp * det_kp ** lk
     return val
+
+
+def constituent_parity(sp):
+    """Duality class of mu (x) nu(n): nu(n) is orthogonal for n odd and
+    symplectic for n even, and parities multiply."""
+    if sp.duality == NOT_SELF_DUAL:
+        return NOT_SELF_DUAL
+    sign = sp.mu_sign * (-1) ** (sp.su2_dim - 1)
+    return ORTHOGONAL if sign == 1 else SYMPLECTIC
+
+
+def validate_root_numbers(entries, psi):
+    """`RootNumberTable.validate_against` entry by entry with each pair
+    sorted: the first bad entry in table order is refused, and within a
+    pair the smaller label is checked first."""
+    by_label = psi._by_label
+    for key, val in entries.items():
+        a, b = sorted(key)
+        for lab in (a, b):
+            if lab not in by_label:
+                raise ValueError("root-number label %r not declared" % lab)
+            if by_label[lab][0].duality == NOT_SELF_DUAL:
+                raise ValueError("root-number label %r is not self-dual" % lab)
+        if by_label[a][0].mu_sign == by_label[b][0].mu_sign and val == -1:
+            raise ValueError(
+                "same-parity pair (%s, %s) cannot carry root number -1" % (a, b)
+            )

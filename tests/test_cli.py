@@ -1,6 +1,7 @@
 import argparse
 import collections
 import functools
+import io
 import itertools
 import json
 import pathlib
@@ -955,6 +956,51 @@ def test_module_entry_point_check_imports_the_cli_once(capsys):
     assert (done.returncode, done.stdout) == run_cli(["check"], capsys)[:2]
     imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
     assert "uendo.checks" in imported and "uendo.cli" not in imported
+
+
+def test_closed_output_pipe_is_one_line_and_exit_2():
+    # the reader goes away after 100 bytes of a 4.4 MB report, as with
+    # `uendo tadic --n 7 --k 2 --field arch | head`: no traceback, nothing
+    # from the interpreter's exit flush, and the exit code of an input
+    # that cannot be read
+    src = pathlib.Path(cli.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uendo.cli", "tadic", "--n", "7", "--k", "2", "--field", "arch"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert (code, err) == (2, "cannot write output: [Errno 32] Broken pipe\n")
+
+
+class _BrokenStdout:
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def writelines(self, pieces):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.parametrize("argv", [["print", "--input", str(FIXTURES[0])],
+                                  ["classify", "--input", str(FIXTURES[0])],
+                                  ["tadic", "--n", "3", "--k", "1", "--field", "arch"]])
+def test_unwritable_output_is_one_line_and_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    code = cli.main(argv)
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, "cannot write output: [Errno 32] Broken pipe\n")
 
 
 def test_check_command_green(capsys):

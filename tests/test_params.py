@@ -1,8 +1,10 @@
+import copy
 import itertools
 
 import pytest
 
 from families import sd
+from oracles import constituent_parity
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -11,7 +13,6 @@ from uendo.params import (
     SimpleDatumTag,
     SimpleParameter,
     classify,
-    constituent_parity,
     constituent_sign,
     factors_through,
 )
@@ -37,6 +38,19 @@ def test_constituent_parity_examples():
 def test_constituent_sign_formula(musign, n):
     parity = ORTHOGONAL if musign == 1 else SYMPLECTIC
     assert constituent_sign(sd("a", 2, parity, n)) == musign * (-1) ** (n - 1)
+
+
+@pytest.mark.parametrize("duality,n", list(itertools.product(
+    (ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL), range(1, 7))))
+def test_cached_sign_matches_the_parity_oracle(duality, n):
+    # the sign kept when the constituent is built against mu_sign (-1)^(n-1),
+    # worked out afresh; copies rebuild it
+    partner = "ax" if duality == NOT_SELF_DUAL else None
+    a = SimpleParameter("a", 2, duality, n, partner)
+    parity = {1: ORTHOGONAL, -1: SYMPLECTIC, None: NOT_SELF_DUAL}[constituent_sign(a)]
+    assert parity == constituent_parity(a)
+    assert constituent_sign(copy.deepcopy(a)) == constituent_sign(a)
+    assert "_sign" not in repr(a)
 
 
 def test_simple_parameter_validation():

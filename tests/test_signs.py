@@ -1,12 +1,15 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 
 import uendo.signs
 from families import random_table, sd
-from oracles import epsilon_full_product, su2_tensor_dims
+from oracles import epsilon_full_product, su2_tensor_dims, validate_root_numbers
 from uendo.centralizer import (
     NormalizerModel,
     centralizer_shape,
@@ -870,15 +873,52 @@ def test_relative_signs_refuse_exactly_the_trivial_weyl_groups():
     assert refused >= 8 and answered >= 20, (refused, answered)
 
 
-def test_relative_signs_results_are_copies():
+def test_relative_signs_results_are_read_only():
+    # the memo hands one record to every caller: each way of changing its
+    # mappings or fields is refused, and the next call still matches the
+    # element oracle
     psi, tag, _ = RANK_CASES[0]
     for entries in (table.entries for table in _tables_for(psi)):
         rec = relative_signs(psi, tag, RootNumberTable(entries))
-        for elem in rec.eps1:
-            rec.eps1[elem] = 0
-        rec.eps_gm.clear()
-        rec.r_minus.popitem()
+        assert rec is relative_signs(psi, tag, RootNumberTable(entries))
+        for mapping in (rec.eps1, rec.eps_gm, rec.r_minus):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = 0
+            with pytest.raises(TypeError):
+                del mapping[key]
+            with pytest.raises(TypeError):
+                mapping |= {key: 0}
+            # a read-only mapping has no mutating methods to call
+            for method in ("clear", "pop", "popitem", "setdefault", "update"):
+                assert not hasattr(mapping, method), method
+        for name in RelativeSigns._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, {})
         _assert_matches_oracle(psi, tag, entries)
+
+
+def test_relative_signs_records_survive_copying_and_pickling():
+    psi, tag, _ = RANK_CASES[3]
+    for table in _tables_for(psi):
+        rec = relative_signs(psi, tag, RootNumberTable(table.entries))
+        for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(clone) is RelativeSigns and clone == rec and repr(clone) == repr(rec)
+            for name in ("eps1", "eps_gm", "r_minus"):
+                mapping = getattr(clone, name)
+                assert type(mapping) is MappingProxyType
+                assert list(mapping.items()) == list(getattr(rec, name).items())
+            with pytest.raises(TypeError):
+                clone.eps1[next(iter(clone.eps1))] = 0
+
+
+def test_relative_signs_record_keeps_its_own_dicts():
+    # a record built from dicts does not see later changes to them
+    eps1, eps_gm, r_minus = {"e": 1}, {"w": -1}, {"w": 1}
+    rec = RelativeSigns(eps1, eps_gm, r_minus, True, False)
+    eps1["e"], eps_gm["x"] = -1, 1
+    r_minus.clear()
+    assert rec == RelativeSigns({"e": 1}, {"w": -1}, {"w": 1}, True, False)
 
 
 def test_relative_signs_same_signature_different_labels():
@@ -1003,6 +1043,52 @@ def test_validate_against_refusal_messages():
             with pytest.raises(ValueError) as err:
                 table.validate_against(psi)
             assert str(err.value) == message, entries
+
+
+def _raised(check):
+    """The message that `check()` raises, or None."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_against_matches_the_sorted_pair_oracle():
+    # seeded tables over parameters with self-dual labels of both parities
+    # and partnered ones, mixing valid entries with undeclared labels,
+    # non-self-dual labels, same-parity -1 entries and entries with two bad
+    # labels: the method raises exactly the oracle's message, or neither
+    # raises
+    rng = random.Random(20261034)
+    seen = {None: 0, "not declared": 0, "not self-dual": 0, "same-parity": 0}
+    two_bad = 0
+    for _ in range(900):
+        cons = []
+        for i in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                cons += _gl_pair("g%d" % i, 1)
+            else:
+                parity = rng.choice((ORTHOGONAL, SYMPLECTIC))
+                cons.append((sd("c%d" % i, 1, parity, rng.randint(1, 2)), 1))
+        psi = GlobalParameter(cons)
+        self_dual = [sp.label for sp, _ in psi.self_dual]
+        pool = sorted(psi._by_label) + ["u%d" % i for i in range(rng.randint(0, 2))]
+        entries = {}
+        for _ in range(rng.randint(0, 4)):
+            # half the draws pair two self-dual labels, valid unless they
+            # share a parity and get -1
+            labels = self_dual if len(self_dual) > 1 and rng.random() < 0.5 else pool
+            a, b = rng.sample(labels, 2) if len(labels) > 1 else (labels[0], "u9")
+            entries[frozenset((a, b))] = rng.choice((1, -1))
+            bad = [lab for lab in (a, b) if lab not in psi._by_label
+                   or psi._by_label[lab][0].duality == NOT_SELF_DUAL]
+            two_bad += len(bad) == 2
+        table = RootNumberTable(entries)
+        want = _raised(lambda: validate_root_numbers(table.entries, psi))
+        assert _raised(lambda: table.validate_against(psi)) == want, (psi, entries)
+        seen[next((k for k in seen if k and want and k in want), None)] += 1
+    assert min(seen.values()) > 50 and two_bad > 50, (seen, two_bad)
 
 
 def test_sign_structure_reads_the_parity_split_once_per_parameter(monkeypatch):
