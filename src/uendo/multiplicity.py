@@ -178,15 +178,15 @@ def spectral_multiplicity(
     model: GlobalPlacesModel,
 ) -> int:
     """Multiplicity |S|^-1 sum_x eps(x) <x, pi> of a packet member; 0 or 1."""
-    group, eps = _group_and_epsilon(psi, tag, table)
+    _require_square_integrable(psi, tag)
+    group = component_group(centralizer_shape(psi, tag))
+    eps = epsilon_character(psi, tag, table)
     return int(_member_global_character(member, model, group) == eps.exponents)
 
 
-def _group_and_epsilon(psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable):
-    """The component group and eps_psi of a square-integrable parameter."""
+def _require_square_integrable(psi: GlobalParameter, tag: SimpleDatumTag) -> None:
     if not classify(psi, tag).in_2:
         raise ValueError("spectral multiplicity needs a square-integrable parameter")
-    return component_group(centralizer_shape(psi, tag)), epsilon_character(psi, tag, table)
 
 
 def packet_counts(
@@ -194,14 +194,16 @@ def packet_counts(
 ) -> Tuple[int, int]:
     """(members, selected): 2^d members for the d pulled-back basis characters
     of the inert places, and 2^(d - rank) of them selected when eps_psi lies
-    in their span, 0 otherwise.
+    in their span, 0 otherwise.  Only eps_psi is built: the counts need no
+    component group.
 
     Each pulled-back character is defined on the component group (of even
     weight on the odd-multiplicity labels): a local label's multiplicity has
     the parity of its odd sources, since a repeated source cancels in the
     mask and adds an even amount to the multiplicity.  So an even local
     label pulls back to an even weight, and two odd ones together too."""
-    return _packet_counts(_group_and_epsilon(psi, tag, table)[1], model)
+    _require_square_integrable(psi, tag)
+    return _packet_counts(epsilon_character(psi, tag, table), model)
 
 
 def _packet_counts(eps, model: GlobalPlacesModel) -> Tuple[int, int]:
@@ -251,7 +253,27 @@ def decompose_discrete_spectrum(
     Square-integrable parameters are multiplicity-free sums of self-dual
     constituents of the datum parity; qualifying subsets of the seed with
     the right total degree are enumerated exhaustively.
+
+    The table is checked once per call, against the seed, with the messages
+    of `RootNumberTable.validate_against`: every label it names must be a
+    seed label of a self-dual constituent, and a pair of equal cuspidal
+    parity cannot carry -1.  A label repeated in the seed is read at its
+    first constituent.  An entry may name seed labels that a subset lacks:
+    each subset's eps_psi reads only the entries on its own candidate pairs.
+
+    Every qualifying subset is square-integrable, so none is refused.  Its
+    constituents are self-dual, so it has no partnered orbit and no GL
+    factor; they all have the datum parity, so none lands in the opposite
+    half of the parity split, there is no Sp factor and the parameter
+    factors through the datum; and no label repeats, so every multiplicity
+    is 1 and every orthogonal factor is O(1).  Those are the conditions of
+    `classify(...).in_2`.  Each subset's centralizer shape is built once;
+    the places model and eps_psi are read off that shape.
     """
+    labels: Dict[str, Tuple[SimpleParameter, int]] = {}
+    for sp in seed:
+        labels.setdefault(sp.label, (sp, 1))
+    table.validate_labels(labels)
     usable = [
         sp
         for sp in seed
@@ -265,8 +287,9 @@ def decompose_discrete_spectrum(
             if sum(sp.degree for sp in combo) != tag.N:
                 continue
             psi = GlobalParameter([(sp, 1) for sp in combo])
-            model = GlobalPlacesModel(centralizer_shape(psi, tag), places)
-            members, selected = packet_counts(psi, tag, table, model)
+            shape = centralizer_shape(psi, tag)
+            members, selected = _packet_counts(_epsilon_character(shape, table),
+                                               GlobalPlacesModel(shape, places))
             out.append(SpectrumLine(psi, selected, members))
     out.sort(key=lambda line: repr(line.psi))
     return out

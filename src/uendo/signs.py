@@ -48,7 +48,6 @@ stands, with no copy.  The tests keep the loop over
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
@@ -98,16 +97,19 @@ class RootNumberTable:
         return self.entries.get(key, 1)
 
     def validate_against(self, psi: GlobalParameter) -> None:
-        """Reject entries that touch undeclared or non-self-dual labels or
-        pair labels of equal cuspidal parity with sign -1.
+        """Reject entries that touch labels the parameter does not declare
+        or non-self-dual labels, or pair labels of equal cuspidal parity
+        with sign -1: `validate_labels` on the parameter's label map."""
+        self.validate_labels(psi._by_label)
 
-        Each entry costs two lookups in the parameter's label map: two
-        self-dual labels have equal cuspidal parity exactly when their
-        dualities are equal.  Only an entry that fails is handed to
-        `_refuse`, which walks the table again with each pair sorted and
-        raises on the first bad entry, so the messages and their order do
-        not depend on the fast path."""
-        by_label = psi._by_label  # label -> (constituent, multiplicity)
+    def validate_labels(self, by_label: Mapping[str, Tuple[SimpleParameter, int]]) -> None:
+        """`validate_against` on a map label -> (constituent, multiplicity).
+
+        Each entry costs two lookups in the map: two self-dual labels have
+        equal cuspidal parity exactly when their dualities are equal.  Only
+        an entry that fails is handed to `_refuse`, which walks the table
+        again with each pair sorted and raises on the first bad entry, so
+        the messages and their order do not depend on the fast path."""
         for key, val in self.entries.items():
             a, b = key
             ka = by_label.get(a)
@@ -183,7 +185,9 @@ def _candidate_pairs(orthogonal, symplectic):
     one family share it, so within a family opposite mu signs is exactly
     n + n' odd, a nonzero count; across the families opposite mu signs give
     n + n' even, a zero count, so no pair of an orthogonal and a symplectic
-    factor passes the filter.
+    factor passes the filter.  Each family is walked by index, i < j, which
+    is the order `itertools.combinations` gives, with no list of factors
+    built first; the count comes from `even_constituent_count`.
 
     Each entry is ((k, l_k, b_k), (k', l_k', b_k'), count, toggles) with b
     a member's torus-block index (its index among the orthogonal factors,
@@ -199,15 +203,19 @@ def _candidate_pairs(orthogonal, symplectic):
     out = []
     for family, start, orthogonal_family in ((orthogonal, 0, True),
                                              (symplectic, len(orthogonal), False)):
-        # each factor's SL(2) dimension, read once
-        factors = [(sp, l, start + idx, sp.su2_dim) for idx, (sp, l) in enumerate(family)]
-        for (k, lk, a, n), (kp, lkp, b, n_p) in itertools.combinations(factors, 2):
-            count = even_constituent_count(n, n_p)
-            if count:
-                # (x,) * e lists x when e is odd
-                toggles = ((a,) * (lkp * count % 2) + (b,) * (lk * count % 2)
-                           if orthogonal_family else ())
-                out.append(((k, lk, a), (kp, lkp, b), count, toggles))
+        size = len(family)
+        for i in range(size - 1):
+            k, lk = family[i]
+            n = k.su2_dim
+            for j in range(i + 1, size):
+                kp, lkp = family[j]
+                count = even_constituent_count(n, kp.su2_dim)
+                if count:
+                    a, b = start + i, start + j
+                    # (x,) * e lists x when e is odd
+                    toggles = ((a,) * (lkp * count % 2) + (b,) * (lk * count % 2)
+                               if orthogonal_family else ())
+                    out.append(((k, lk, a), (kp, lkp, b), count, toggles))
     return out
 
 
@@ -230,7 +238,9 @@ def epsilon_character(
 
 def _epsilon_character(shape: CentralizerShape, table: RootNumberTable) -> SignCharacter:
     """`epsilon_character` on a built shape and a table validated against
-    the parameter: one pass over the candidate pairs.
+    the parameter, or against labels that include the parameter's: one pass
+    over the candidate pairs, which read only the entries on their own
+    labels.
 
     The character is trivial on sigma_bar, so it is defined on the component
     group.  A candidate pair has opposite mu signs and n + n' odd, so its two

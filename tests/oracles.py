@@ -4,6 +4,7 @@ import itertools
 
 from uendo.centralizer import centralizer_shape
 from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
+from uendo.signs import even_constituent_count
 
 
 def su2_tensor_dims(a, b):
@@ -58,3 +59,22 @@ def validate_root_numbers(entries, psi):
             raise ValueError(
                 "same-parity pair (%s, %s) cannot carry root number -1" % (a, b)
             )
+
+
+def candidate_pairs_by_combinations(orthogonal, symplectic):
+    """`signs._candidate_pairs` as an `itertools.combinations` walk over a
+    list of each family's factors with their block indices and SL(2)
+    dimensions: the same entries in the same order."""
+    out = []
+    for family, start, orthogonal_family in ((orthogonal, 0, True),
+                                             (symplectic, len(orthogonal), False)):
+        # each factor's SL(2) dimension, read once
+        factors = [(sp, l, start + idx, sp.su2_dim) for idx, (sp, l) in enumerate(family)]
+        for (k, lk, a, n), (kp, lkp, b, n_p) in itertools.combinations(factors, 2):
+            count = even_constituent_count(n, n_p)
+            if count:
+                # (x,) * e lists x when e is odd
+                toggles = ((a,) * (lkp * count % 2) + (b,) * (lk * count % 2)
+                           if orthogonal_family else ())
+                out.append(((k, lk, a), (kp, lkp, b), count, toggles))
+    return out

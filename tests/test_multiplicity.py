@@ -19,10 +19,12 @@ from uendo.multiplicity import (
     stable_coefficient,
 )
 from uendo.params import (
+    NOT_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
     GlobalParameter,
     SimpleDatumTag,
+    SimpleParameter,
 )
 from uendo.signs import RootNumberTable, SignCharacter, _evaluate, epsilon_character
 from uendo.weylnum import sigma
@@ -265,16 +267,125 @@ def test_decompose_multiplicities_zero_or_one():
         assert 0 <= line.members_selected <= line.members_total
 
 
+def test_decompose_checks_the_table_against_the_seed():
+    # {c} has the datum's degree and neither label of the entry, which the
+    # per-subset check refused as undeclared; against the seed the table is
+    # valid, and its -1 entry deselects the one member of a + b
+    a = SimpleParameter("a", 1, ORTHOGONAL, 1)
+    b = SimpleParameter("b", 1, SYMPLECTIC, 2)
+    c = SimpleParameter("c", 3, ORTHOGONAL, 1)
+    tag = SimpleDatumTag(3, 1)
+    minus = RootNumberTable({frozenset("ab"): -1})
+    places = [Place("v", "split")]
+    assert epsilon_character(GlobalParameter([(a, 1), (b, 1)]), tag, minus).exponents == (1, 1)
+    assert [(line.members_selected, line.members_total)
+            for line in decompose_discrete_spectrum([a, b], tag, minus, places)] == [(0, 1)]
+    got = {repr(line.psi): (line.members_selected, line.members_total)
+           for line in decompose_discrete_spectrum([a, b, c], tag, minus, places)}
+    plain = {repr(line.psi): (line.members_selected, line.members_total)
+             for line in decompose_discrete_spectrum([a, b, c], tag, RootNumberTable(), places)}
+    assert got == {"GlobalParameter<a(x)nu(1) + b(x)nu(2)>": (0, 1),
+                   "GlobalParameter<c(x)nu(1)>": (1, 1)}
+    assert plain == dict(got, **{"GlobalParameter<a(x)nu(1) + b(x)nu(2)>": (1, 1)})
+
+
+def test_decompose_refuses_bad_tables_with_the_messages_of_the_parameter_check():
+    # a label outside the seed, a non-self-dual seed label and a same-parity
+    # -1 pair are refused once per call, first bad entry in table order and
+    # the smaller label of a pair first, with `validate_against`'s messages;
+    # a bad table is refused even when no subset has the datum's degree
+    a = SimpleParameter("a", 1, ORTHOGONAL, 1)
+    b = SimpleParameter("b", 1, SYMPLECTIC, 2)
+    c = SimpleParameter("c", 3, ORTHOGONAL, 1)
+    n = SimpleParameter("n", 1, NOT_SELF_DUAL, 1, partner="m")
+    seed = [c, b, a, n]
+    cases = [
+        ({("a", "z"): 1}, "root-number label 'z' not declared"),
+        ({("n", "a"): 1}, "root-number label 'n' is not self-dual"),
+        ({("c", "a"): -1}, "same-parity pair (a, c) cannot carry root number -1"),
+        ({("a", "b"): -1, ("y", "x"): 1, ("b", "n"): 1},
+         "root-number label 'x' not declared"),
+        ({("c", "a"): 1, ("z", "n"): 1, ("b", "a"): -1},
+         "root-number label 'n' is not self-dual"),
+    ]
+    for entries, message in cases:
+        table = RootNumberTable({frozenset(key): val for key, val in entries.items()})
+        for tag in (SimpleDatumTag(3, 1), SimpleDatumTag(7, 1)):
+            with pytest.raises(ValueError) as err:
+                decompose_discrete_spectrum(seed, tag, table, [Place("v", "inert")])
+            assert str(err.value) == message, (entries, tag)
+
+
+def test_decompose_matches_packet_counts_on_each_subset():
+    # every line against `packet_counts` on its own parameter, with the table
+    # restricted to that parameter's labels, over every subset of the seed
+    # that is a square-integrable parameter of the datum's degree; the seeds
+    # mix both dualities, SL(2) dimensions 1-3 and a partnered pair, and the
+    # tables carry -1 and +1 entries on seed labels of opposite parity
+    rng = random.Random(3517)
+    lines_checked = 0
+    seen = set()
+    for _ in range(150):
+        seed = [SimpleParameter("s%d" % i, rng.randint(1, 2),
+                                rng.choice((ORTHOGONAL, SYMPLECTIC)), rng.randint(1, 3))
+                for i in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            seed += [SimpleParameter("g", 1, NOT_SELF_DUAL, 1, partner="h"),
+                     SimpleParameter("h", 1, NOT_SELF_DUAL, 1, partner="g")]
+        rng.shuffle(seed)
+        self_dual = [sp for sp in seed if sp.duality != NOT_SELF_DUAL]
+        entries = {frozenset((x.label, y.label)): rng.choice((1, -1))
+                   for x, y in itertools.combinations(self_dual, 2)
+                   if x.mu_sign != y.mu_sign and rng.random() < 0.7}
+        if not entries:
+            continue
+        table = RootNumberTable(entries)
+        places = [Place("v%d" % j, rng.choice(("inert", "inert", "split")))
+                  for j in range(rng.randint(0, 3))]
+        degree = sum(sp.degree for sp in self_dual)
+        for N in range(1, degree + 1):
+            tag = SimpleDatumTag(N, rng.choice((1, -1)))
+            want, minus = [], {}
+            for r in range(1, len(seed) + 1):
+                for combo in itertools.combinations(seed, r):
+                    if (any(sp.duality == NOT_SELF_DUAL for sp in combo)
+                            or sum(sp.degree for sp in combo) != N):
+                        continue
+                    psi = GlobalParameter([(sp, 1) for sp in combo])
+                    if not multiplicity.classify(psi, tag).in_2:
+                        continue
+                    labels = {sp.label for sp in combo}
+                    restricted = RootNumberTable({k: v for k, v in entries.items()
+                                                  if k <= labels})
+                    model = GlobalPlacesModel(centralizer_shape(psi, tag), places)
+                    want.append((repr(psi),) + packet_counts(psi, tag, restricted, model))
+                    minus[repr(psi)] = -1 in restricted.entries.values()
+            lines = decompose_discrete_spectrum(seed, tag, table, places)
+            assert [(repr(line.psi), line.members_total, line.members_selected)
+                    for line in lines] == sorted(want), (seed, tag, entries)
+            for line in lines:
+                assert multiplicity.classify(line.psi, tag).in_2
+                seen.add((line.members_selected < line.members_total, minus[repr(line.psi)]))
+            lines_checked += len(lines)
+    # lines with and without -1 entries on their labels, each with members
+    # deselected
+    assert lines_checked > 200 and {(True, True), (True, False)} <= seen, (lines_checked, seen)
+
+
 def test_packet_work_is_done_once_per_parameter(monkeypatch):
-    # eps and the component group are computed once per parameter, and each
-    # member's multiplicity is the one `spectral_multiplicity` gives alone
+    # eps is computed once per parameter, and each member's multiplicity is
+    # the one `spectral_multiplicity` gives alone; `decompose_discrete_spectrum`
+    # reads eps on the shape it built, once per line, through
+    # `_epsilon_character`, and builds that shape once per line
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return epsilon_character(*args)
+    def counting(fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(multiplicity, "epsilon_character", counted)
+    monkeypatch.setattr(multiplicity, "epsilon_character", counting(epsilon_character))
     for eps_sign in (1, -1):
         psi, tag, table, shape, model = two_constituent_setup(eps_sign)
         members = enumerate_members(model)
@@ -287,9 +398,14 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
         assert len(calls) == len(members) == 4
     seed = [sd("a", 1), sd("b", 1), sd("c", 2)]
     places = [Place("v1", "inert"), Place("v2", "split"), Place("v3", "inert")]
+    monkeypatch.setattr(multiplicity, "_epsilon_character",
+                        counting(multiplicity._epsilon_character))
+    shapes = []
+    monkeypatch.setattr(multiplicity, "centralizer_shape",
+                        lambda *args: shapes.append(args) or centralizer_shape(*args))
     calls.clear()
     lines = decompose_discrete_spectrum(seed, SimpleDatumTag(4, -1), RootNumberTable(), places)
-    assert len(calls) == len(lines) >= 1
+    assert len(calls) == len(shapes) == len(lines) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ import pytest
 
 import uendo.signs
 from families import random_table, sd
-from oracles import epsilon_full_product, su2_tensor_dims, validate_root_numbers
+from oracles import (
+    candidate_pairs_by_combinations,
+    epsilon_full_product,
+    su2_tensor_dims,
+    validate_root_numbers,
+)
 from uendo.centralizer import (
     NormalizerModel,
     centralizer_shape,
@@ -1169,6 +1174,39 @@ def test_pair_rule_matches_brute_force_filter_on_seeded_shapes():
         toggling += sum(bool(toggles) for *_, toggles in got)
     assert mixed_opposite > 100 and with_gl > 100 and kept > 200 and toggling > 50, (
         mixed_opposite, with_gl, kept, toggling)
+
+
+def test_pair_walk_by_index_matches_the_combinations_walk():
+    # the walk by index gives the entries of the `itertools.combinations`
+    # walk, in its order, on seeded shapes with both families, multiplicities
+    # 1-4, SL(2) dimensions 1-6 and partnered orbits
+    rng = random.Random(20261022)
+    tested = both_families = with_gl = kept = toggling = 0
+    dims, mults = set(), set()
+    while tested < 400:
+        cons = []
+        for i in range(rng.randint(1, 6)):
+            if rng.random() < 0.2:
+                cons += _gl_pair("g%d" % i, rng.randint(1, 4))
+            else:
+                n, l = rng.randint(1, 6), rng.randint(1, 4)
+                cons.append((sd("c%d" % i, rng.randint(1, 2),
+                                rng.choice((ORTHOGONAL, SYMPLECTIC)), n), l))
+                dims.add(n)
+                mults.add(l)
+        psi = GlobalParameter(cons)
+        tag = SimpleDatumTag(psi.total_degree, rng.choice((1, -1)))
+        orthogonal, symplectic = parity_split(psi, tag)
+        got = _candidate_pairs(orthogonal, symplectic)
+        assert got == candidate_pairs_by_combinations(orthogonal, symplectic), (psi, tag)
+        tested += 1
+        both_families += len(orthogonal) >= 2 and len(symplectic) >= 2
+        with_gl += bool(psi.dual_pair_orbits)
+        kept += len(got)
+        toggling += sum(bool(toggles) for *_, toggles in got)
+    assert dims == set(range(1, 7)) and mults == set(range(1, 5))
+    assert both_families > 50 and with_gl > 100 and kept > 300 and toggling > 50, (
+        both_families, with_gl, kept, toggling)
 
 
 def test_relative_signs_refusals_keep_their_messages_and_order():
