@@ -277,6 +277,9 @@ def levi_diagram(shape: CentralizerShape) -> LeviDiagram:
     an even number of signs.  S^1 is the sign vectors on the odd indices
     modulo sigma_bar, -1 on all of them, and N is W times the odd component
     bits modulo the central flip: |S^1| = 2^max(#odd - 1, 0), |N| = |W| |S^1|.
+    S, the sign vectors on the orthogonal factors modulo sigma_bar, is
+    `component_group(shape)`, whose order is read off without building it:
+    |S| = 2^(#O - [#odd > 0]) = 2^#even |S^1| = |R| |S^1|.
     """
     w_order = w0_order = 1
     for kind, _, l, rank in torus_blocks(shape):
@@ -284,9 +287,10 @@ def levi_diagram(shape: CentralizerShape) -> LeviDiagram:
         w_order *= order
         w0_order *= order // 2 if kind == "O" and l % 2 == 0 else order
     s1_order = 2 ** max(len(shape.odd_plus_labels) - 1, 0)
+    r_labels = shape.even_plus_labels
     return LeviDiagram(w0_order=w0_order, w_order=w_order, n_order=w_order * s1_order,
-                       s_order=component_group(shape).order, s1_order=s1_order,
-                       r_labels=shape.even_plus_labels)
+                       s_order=2 ** len(r_labels) * s1_order, s1_order=s1_order,
+                       r_labels=r_labels)
 
 
 # ---------------------------------------------------------------------------

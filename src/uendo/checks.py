@@ -88,7 +88,8 @@ def _check_component_group():
         rows = central.element_table(
             tuple((kind, rank) for kind, _, _, rank in central.torus_blocks(shape)),
             len(shape.odd_plus_labels))
-        if (diagram.n_order, diagram.w_order) != (len(rows), len({row[1] for row in rows})):
+        if (diagram.n_order, diagram.w_order, diagram.s_order) != (
+                len(rows), len({row[1] for row in rows}), group.order):
             return "normalizer diagram order mismatch at %r" % (mults,)
     return None
 

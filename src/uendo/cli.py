@@ -44,6 +44,7 @@ from .params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
+    ChainMembership,
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
@@ -293,8 +294,27 @@ def print_document(doc: ParameterDocument) -> str:
 # Semantics
 
 
+# centralizer, arthur, epsilon and multiplicity refuse a parameter with more
+# constituents than this, counted with multiplicity, before computing anything
+# from it: the orders they print grow like the factorial of that count, and
+# epsilon's root-number pairs like its square.  It is the one bound on a
+# parameter's size: a constituent of multiplicity l gives a factor O(l), Sp(l)
+# or GL(l), and an sd=none one counts twice, so no factor is larger than
+# O(256), Sp(256) or GL(128), of rank 128.
+PARAMETER_MAX_SIZE = 256
+
+
 class Semantics(Value):
-    __slots__ = ("psi", "tag", "table", "places")
+    """An elaborated document, and the analysis of its parameter against its
+    datum that the reports read.  Each part of the analysis is built on its
+    first read and kept in a cache slot, so every report of a document that
+    the elaborate memo keeps reads one build.  The shape is read only past
+    the size and factoring checks, and the group, the identity component and
+    eps_psi only off the shape, so a refused parameter keeps nothing; nor is
+    a False factoring verdict kept."""
+
+    __slots__ = ("psi", "tag", "table", "places",
+                 "_factors", "_shape", "_group", "_identity_component", "_eps", "_chain_flags")
 
     def __init__(self, psi: GlobalParameter, tag: SimpleDatumTag, table: signs.RootNumberTable,
                  places: Tuple[multiplicity.Place, ...]):
@@ -302,6 +322,58 @@ class Semantics(Value):
         set_field(self, "tag", tag)
         set_field(self, "table", table)
         set_field(self, "places", places)
+        set_field(self, "_factors", False)
+        for slot in ("_shape", "_group", "_identity_component", "_eps", "_chain_flags"):
+            set_field(self, slot, None)
+
+    @property
+    def factors(self) -> bool:
+        """Whether the parameter factors through the datum."""
+        if not self._factors:
+            set_field(self, "_factors", factors_through(self.psi, self.tag))
+        return self._factors
+
+    @property
+    def shape(self) -> central.CentralizerShape:
+        """The centralizer's shape; a parameter over the size budget or not
+        of the datum is refused with a `SemanticError`."""
+        if self._shape is None:
+            if sum(l for _, l in self.psi.constituents) > PARAMETER_MAX_SIZE:
+                raise SemanticError("parameter is over the size budget of %d constituents "
+                                    "counted with multiplicity" % PARAMETER_MAX_SIZE)
+            if not self.factors:
+                raise SemanticError("parameter does not factor through the declared datum")
+            set_field(self, "_shape", central.centralizer_shape(self.psi, self.tag))
+        return self._shape
+
+    @property
+    def group(self) -> central.FiniteTwoGroup:
+        """The component group S-bar_psi."""
+        if self._group is None:
+            set_field(self, "_group", central.component_group(self.shape))
+        return self._group
+
+    @property
+    def identity_component(self) -> ConnectedShape:
+        """S^0_psi modulo the central +-1, whose sigma is sigma-bar^0."""
+        if self._identity_component is None:
+            set_field(self, "_identity_component",
+                      multiplicity.identity_component_shape(self.shape))
+        return self._identity_component
+
+    @property
+    def eps(self) -> signs.SignCharacter:
+        """eps_psi, off the shape and the table `elaborate` validated."""
+        if self._eps is None:
+            set_field(self, "_eps", signs._epsilon_character(self.shape, self.table))
+        return self._eps
+
+    @property
+    def chain_flags(self) -> ChainMembership:
+        """The chain flags of the parameter relative to the datum."""
+        if self._chain_flags is None:
+            set_field(self, "_chain_flags", classify(self.psi, self.tag))
+        return self._chain_flags
 
 
 def elaborate(doc: ParameterDocument) -> Semantics:
@@ -402,28 +474,8 @@ def _flags(flags) -> str:
 
 
 def report_classify(sem: Semantics) -> Tuple[str]:
-    return (_CLASSIFY % (sem.tag.N, _json_bool(factors_through(sem.psi, sem.tag)),
-                         _flags(classify(sem.psi, sem.tag)), sem.tag.parity,
-                         _flags(classify(sem.psi))),)
-
-
-# centralizer, arthur, epsilon and multiplicity refuse a parameter with more
-# constituents than this, counted with multiplicity, before computing anything
-# from it: the orders they print grow like the factorial of that count, and
-# epsilon's root-number pairs like its square.  It is the one bound on a
-# parameter's size: a constituent of multiplicity l gives a factor O(l), Sp(l)
-# or GL(l), and an sd=none one counts twice, so no factor is larger than
-# O(256), Sp(256) or GL(128), of rank 128.
-PARAMETER_MAX_SIZE = 256
-
-
-def _require_factoring(sem: Semantics):
-    """Refuse a parameter over the size budget or not of the datum."""
-    if sum(l for _, l in sem.psi.constituents) > PARAMETER_MAX_SIZE:
-        raise SemanticError("parameter is over the size budget of %d constituents counted "
-                            "with multiplicity" % PARAMETER_MAX_SIZE)
-    if not factors_through(sem.psi, sem.tag):
-        raise SemanticError("parameter does not factor through the declared datum")
+    return (_CLASSIFY % (sem.tag.N, _json_bool(sem.factors), _flags(sem.chain_flags),
+                         sem.tag.parity, _flags(classify(sem.psi))),)
 
 
 # The v1 layout of a centralizer report and of one (label, multiplicity) pair.
@@ -435,8 +487,7 @@ _PAIR = '[\n      %s,\n      %d\n    ]'
 
 
 def report_centralizer(sem: Semantics) -> Tuple[str]:
-    _require_factoring(sem)
-    shape = central.centralizer_shape(sem.psi, sem.tag)
+    shape = sem.shape
     diagram = central.levi_diagram(shape)
     factors = [_json_list([_PAIR % (encode_basestring_ascii(sp.label), l) for sp, l in part], 1)
                for part in (shape.general_linear, shape.orthogonal, shape.symplectic)]
@@ -464,13 +515,11 @@ def report_arthur(sem: Semantics) -> Iterator[str]:
     orthogonal factors of each size it twists, its class, so each class's
     values and text are made once.  A piece is one row of signs of the first
     half of the orthogonal factors, joined with every row of the second."""
-    _require_factoring(sem)
-    shape = central.centralizer_shape(sem.psi, sem.tag)
-    group = central.component_group(shape)
+    shape, group = sem.shape, sem.group
     if group.order > ARTHUR_MAX_ROWS:
         raise SemanticError("arthur has %d component rows, over the size budget of %d rows"
                             % (group.order, ARTHUR_MAX_ROWS))
-    base = multiplicity.identity_component_shape(shape)
+    base = sem.identity_component
     orthogonal, rest = base.factors[:len(shape.orthogonal)], base.factors[len(shape.orthogonal):]
     sizes, pivot = [f.size for f in orthogonal], group.pivot
 
@@ -554,8 +603,7 @@ def _defaulted_pairs(pairs: Tuple[Tuple[str, str], ...]) -> str:
 
 
 def report_epsilon(sem: Semantics) -> Tuple[str]:
-    _require_factoring(sem)
-    char = signs.epsilon_character(sem.psi, sem.tag, sem.table)
+    char = sem.eps
     return (_EPSILON % (_defaulted_pairs(char.defaulted),
                         _json_list(["%d" % x for x in char.exponents], 1),
                         _json_bool(signs.is_epsilon_parameter(sem.psi)),
@@ -564,11 +612,12 @@ def report_epsilon(sem: Semantics) -> Tuple[str]:
 
 
 def report_multiplicity(sem: Semantics) -> Tuple[str]:
-    _require_factoring(sem)
-    coeff, counts, defaulted = multiplicity._coefficient_and_counts(
-        sem.psi, sem.tag, sem.table, sem.places)
+    shape = sem.shape
+    places = sem.places if sem.places and sem.chain_flags.in_2 else ()
+    coeff, counts = multiplicity._coefficient_and_counts(
+        shape, sem.group, sem.identity_component, sem.eps, places)
     packet = "" if counts is None else _PACKET % counts
-    return (_MULTIPLICITY % (_defaulted_pairs(defaulted), packet, coeff.denominator,
+    return (_MULTIPLICITY % (_defaulted_pairs(sem.eps.defaulted), packet, coeff.denominator,
                              coeff.numerator),)
 
 

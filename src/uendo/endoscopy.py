@@ -124,10 +124,17 @@ def correspond(
     `s` maps each constituent label (orthogonal and symplectic factors: one
     per self-dual constituent; general linear factors: one per partnered
     orbit representative) to the multiplicities (p, m) of its +1 and -1
-    eigenvalues.  Symplectic factors need both p and m even; a partnered
-    orbit contributes both members with the same split.
+    eigenvalues; a factor it omits has s = 1.  Symplectic factors need both
+    p and m even; a partnered orbit contributes both members with the same
+    split.  A key that labels no factor, such as the partner of an orbit's
+    representative, is refused.
     """
     shape = centralizer_shape(psi, tag)
+    factors = {sp.label for part in (shape.orthogonal, shape.symplectic, shape.general_linear)
+               for sp, _ in part}
+    for label in s:
+        if label not in factors:
+            raise ValueError("%r is not a factor label of the parameter" % label)
     plus_parts: List[Tuple] = []
     minus_parts: List[Tuple] = []
 

@@ -45,7 +45,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, _epsilon_character, _evaluate, epsilon_character
+from .signs import RootNumberTable, SignCharacter, _epsilon_character, _evaluate, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -72,23 +72,25 @@ def stable_coefficient(
     """The stable coefficient; 0 when the parameter does not factor."""
     if psi.total_degree != tag.N or not factors_through(psi, tag):
         return Fraction(0)
-    return _coefficient_and_counts(psi, tag, table or RootNumberTable(), ())[0]
+    table = table or RootNumberTable()
+    table.validate_against(psi)
+    shape = centralizer_shape(psi, tag)
+    return _coefficient_and_counts(shape, component_group(shape), identity_component_shape(shape),
+                                   _epsilon_character(shape, table), ())[0]
 
 
 def _coefficient_and_counts(
-    psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable, places: Sequence[Place]
-) -> Tuple[Fraction, Optional[Tuple[int, int]], Tuple[Tuple[str, str], ...]]:
+    shape: CentralizerShape, group: FiniteTwoGroup, identity_component: ConnectedShape,
+    eps: SignCharacter, places: Sequence[Place]
+) -> Tuple[Fraction, Optional[Tuple[int, int]]]:
     """The stable coefficient of a parameter that factors through the datum,
-    its `packet_counts` if it is square-integrable and has places (else None)
-    and `eps_psi.defaulted`; the shape, the group and eps_psi are built once."""
-    table.validate_against(psi)
-    shape = centralizer_shape(psi, tag)
-    group = component_group(shape)
-    eps = _epsilon_character(shape, table)
-    coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component_shape(shape))
-    if not (places and classify(psi, tag).in_2):
-        return coeff, None, eps.defaulted
-    return coeff, _packet_counts(eps, GlobalPlacesModel(shape, places)), eps.defaulted
+    from its built shape, component group, identity component and eps_psi,
+    and its `packet_counts` over `places`, None when there are none; a caller
+    passes places only for a square-integrable parameter."""
+    coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component)
+    if not places:
+        return coeff, None
+    return coeff, _packet_counts(eps, GlobalPlacesModel(shape, places))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,12 @@ def decompose_discrete_spectrum(
     parity cannot carry -1.  A label repeated in the seed is read at its
     first constituent.  An entry may name seed labels that a subset lacks:
     each subset's eps_psi reads only the entries on its own candidate pairs.
+    An inert place's refinement is checked once in the same way: every key
+    must be the label of a seed constituent of the datum parity, the only
+    constituents a subset has as orthogonal factors.  Each subset's places
+    then carry the refinement restricted to its own labels, so a subset
+    lacking a refined label refuses nothing, and one of its labels without a
+    refinement is refused by `LocalizationMap`.
 
     Every qualifying subset is square-integrable, so none is refused.  Its
     constituents are self-dual, so it has no partnered orbit and no GL
@@ -279,6 +287,12 @@ def decompose_discrete_spectrum(
         for sp in seed
         if constituent_sign(sp) == tag.parity
     ]
+    orthogonal = {sp.label for sp in usable}
+    refined = [place for place in places if place.kind == "inert" and place.refinement]
+    for place in refined:
+        for key in place.refinement:
+            if key not in orthogonal:
+                raise ValueError("refinement key %r is not an orthogonal-factor label" % key)
     out: List[SpectrumLine] = []
     for r in range(1, len(usable) + 1):
         for combo in itertools.combinations(usable, r):
@@ -288,8 +302,17 @@ def decompose_discrete_spectrum(
                 continue
             psi = GlobalParameter([(sp, 1) for sp in combo])
             shape = centralizer_shape(psi, tag)
-            members, selected = _packet_counts(_epsilon_character(shape, table),
-                                               GlobalPlacesModel(shape, places))
+            model = GlobalPlacesModel(shape, _restricted(places, combo) if refined else places)
+            members, selected = _packet_counts(_epsilon_character(shape, table), model)
             out.append(SpectrumLine(psi, selected, members))
     out.sort(key=lambda line: repr(line.psi))
     return out
+
+
+def _restricted(places: Sequence[Place], combo: Sequence[SimpleParameter]) -> List[Place]:
+    """The places with each refinement cut down to the labels of `combo`."""
+    labels = [sp.label for sp in combo]
+    return [place if place.refinement is None else
+            Place(place.name, place.kind,
+                  {lab: place.refinement[lab] for lab in labels if lab in place.refinement})
+            for place in places]

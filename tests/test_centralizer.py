@@ -291,6 +291,7 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             assert (d.n_order, d.w_order) == (len(elements), len(w_keys)), combo
             assert d.w0_order == sum(_in_w0(shape, w_key) for w_key in w_keys), combo
             assert d.s1_order == len(s1_subgroup(shape)), combo
+            assert d.s_order == brute_force_order(shape), combo
             assert enumerated_splitting_ok(shape), combo
     assert checked == 285
 

@@ -18,7 +18,7 @@ import pytest
 
 from oracles import su2_tensor_dims
 from test_tadic import coeffs
-from uendo import centralizer, cli, endoscopy, multiplicity, signs, tadic, weylnum
+from uendo import centralizer, cli, endoscopy, multiplicity, params, signs, tadic, weylnum
 from uendo.centralizer import centralizer_shape, component_group
 
 FIXTURES = sorted(pathlib.Path(__file__).with_name("fixtures").glob("doc*.txt"))
@@ -540,21 +540,34 @@ def test_multiplicity_command(tmp_path, capsys):
     assert report["packet"]["selected"] == 2
 
 
-def _count_parameter_builds(monkeypatch, capsys, command):
-    """The report of `command` on doc11 and how often it built the
-    centralizer shape, the component group and eps_psi."""
+# The builders of a document's analysis, by module.
+BUILDERS = ((params, "factors_through"), (centralizer, "centralizer_shape"),
+            (centralizer, "component_group"), (multiplicity, "identity_component_shape"),
+            (signs, "epsilon_character"), (signs, "_epsilon_character"))
+
+
+def _count_builds(monkeypatch, builders=BUILDERS):
+    """A counter of the calls of each of `builders`, patched wherever a
+    `uendo` module binds it."""
     calls = collections.Counter()
-    for module, name in ((centralizer, "centralizer_shape"), (centralizer, "component_group"),
-                         (signs, "epsilon_character"), (signs, "_epsilon_character")):
+    for module, name in builders:
         original = getattr(module, name)
 
         def counted(*args, original=original, name=name):
             calls[name] += 1
             return original(*args)
 
-        for bound in (cli, centralizer, signs, cli.multiplicity):
+        for bound in (cli, params, centralizer, signs, multiplicity):
             if getattr(bound, name, None) is original:
                 monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+def _count_parameter_builds(monkeypatch, capsys, command):
+    """The report of `command` on doc11 and how often it built the
+    centralizer shape, the component group and eps_psi."""
+    calls = _count_builds(monkeypatch, [builder for builder in BUILDERS
+                                        if builder[0] in (centralizer, signs)])
     code, out, _ = run_cli([command, "--input", str(FIXTURES[10])], capsys)
     assert code == 0
     return json.loads(out), calls
@@ -569,15 +582,47 @@ def test_multiplicity_report_builds_each_parameter_datum_once(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("command, want", [
-    # eps_psi needs no component group: it is trivial on sigma_bar by construction
-    ("epsilon", {"centralizer_shape": 1, "epsilon_character": 1, "_epsilon_character": 1}),
-    # the diagram is read off the shape the report already built
-    ("centralizer", {"centralizer_shape": 1, "component_group": 1}),
+    # eps_psi needs no component group: it is trivial on sigma_bar by
+    # construction; it is read off the document's shape, with the table that
+    # `elaborate` validated, so `epsilon_character` is not called
+    ("epsilon", {"centralizer_shape": 1, "_epsilon_character": 1}),
+    # the diagram is read off the shape, |S| in closed form
+    ("centralizer", {"centralizer_shape": 1}),
 ])
 def test_sign_and_diagram_reports_build_the_shape_once(monkeypatch, capsys, command, want):
     report, calls = _count_parameter_builds(monkeypatch, capsys, command)
     assert report["command"] == command
     assert calls == want
+
+
+def test_each_document_is_analysed_once_for_all_its_reports(monkeypatch, capsys):
+    # the five document reports and `print` of one document, twice over, in
+    # one process: each part of the analysis is built once, on its first read
+    calls = _count_builds(monkeypatch)
+    for _ in range(2):
+        for command in ("classify", "centralizer", "arthur", "epsilon", "multiplicity", "print"):
+            assert run_cli([command, "--input", str(FIXTURES[10])], capsys)[0] == 0, command
+    assert calls == {"factors_through": 1, "centralizer_shape": 1, "component_group": 1,
+                     "identity_component_shape": 1, "_epsilon_character": 1}
+
+
+def test_a_refused_document_keeps_no_analysis(monkeypatch, tmp_path, capsys):
+    # sd=+ nu(2) lands on Sp(1) in U(3) parity +: every gated command refuses
+    # it with the same line, each time checking afresh, and nothing is kept
+    target = tmp_path / "doc.txt"
+    target.write_text("group U(3) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
+                      "psi = a (x) nu(1) + b (x) nu(2)\n")
+    calls = _count_builds(monkeypatch)
+    gated = ("centralizer", "arthur", "epsilon", "multiplicity")
+    for _ in range(2):
+        for command in gated:
+            assert run_cli([command, "--input", str(target)], capsys) == (
+                2, "", "error: parameter does not factor through the declared datum\n")
+    assert calls == {"factors_through": 2 * len(gated)}
+    sem = cli.elaborate(cli.parse(target.read_text()))
+    assert not sem._factors
+    assert (sem._shape, sem._group, sem._identity_component, sem._eps,
+            sem._chain_flags) == (None,) * 5
 
 
 def test_multiplicity_reports_defaulted_pairs(tmp_path, capsys):
@@ -1437,7 +1482,7 @@ def _small_report_oracle(command, text):
                 "factors_through": cli.factors_through(psi, tag),
                 "group": _flags_oracle(cli.classify(psi, tag)),
                 "twisted": _flags_oracle(cli.classify(psi))}
-    cli._require_factoring(sem)
+    sem.shape  # the size and factoring checks
     if command == "centralizer":
         shape = centralizer_shape(psi, tag)
         diagram = centralizer.levi_diagram(shape)

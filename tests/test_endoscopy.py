@@ -143,6 +143,17 @@ def test_correspond_gl_orbit_pairs_move_together():
     assert corr.psi_plus == GlobalParameter([(c, 1)])
 
 
+@pytest.mark.parametrize("s, label", [({"zz": (1, 0)}, "zz"), ({"gx": (0, 1)}, "gx")])
+def test_correspond_refuses_a_label_of_no_factor(s, label):
+    # an unknown label, and the partner of the GL orbit's representative g,
+    # were once ignored, and s read as 1 there
+    g = SimpleParameter("g", 1, NOT_SELF_DUAL, 1, partner="gx")
+    gx = SimpleParameter("gx", 1, NOT_SELF_DUAL, 1, partner="g")
+    psi = GlobalParameter([(g, 1), (gx, 1), (sd("c", 2), 1)])
+    with pytest.raises(ValueError, match="^%r is not a factor label of the parameter$" % label):
+        correspond(psi, tag_for(psi), s)
+
+
 def test_correspond_central_translation_swaps_roles():
     a, b = sd("a", 2), sd("b", 1)
     psi = GlobalParameter([(a, 1), (b, 1)])

@@ -1,7 +1,8 @@
 """Every top-level import of a `uendo` module or a test module is used in
-that module, unless its line carries `# noqa: F401`, and every private
+that module, unless its line carries `# noqa: F401`, every private
 top-level function, class or assigned name of `uendo` is read somewhere in
-`uendo`."""
+`uendo`, and no report of `uendo.cli` calls a builder of the analysis that
+its document's `Semantics` keeps."""
 
 import ast
 import pathlib
@@ -142,3 +143,40 @@ def test_private_finder_sees_assigned_names():
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreferenced_private_definitions(sources) == []
+
+
+# The builders of a document's analysis, which `cli.Semantics` keeps: a
+# report reads them through its cache slots, so each is built once for all
+# the reports of one document.
+ANALYSIS_BUILDERS = frozenset(("factors_through", "centralizer_shape", "component_group",
+                               "identity_component_shape", "epsilon_character",
+                               "_epsilon_character"))
+
+
+def reports_calling_builders(source):
+    """'report: builder' for every call of an analysis builder, by bare name
+    or as an attribute, in a top-level `report_*` function of `source`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("report_"):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ANALYSIS_BUILDERS:
+                        found.append("%s: %s" % (stmt.name, name))
+    return found
+
+
+def test_builder_finder_sees_names_and_attributes():
+    source = ("def report_a(sem):\n    return central.component_group(sem.shape)\n"
+              "def report_b(sem):\n    def inner():\n        return _epsilon_character(1, 2)\n"
+              "    return inner, sem.eps, sem.group\n"
+              "def helper(sem):\n    return centralizer_shape(sem.psi, sem.tag)\n")
+    assert reports_calling_builders(source) == ["report_a: component_group",
+                                                "report_b: _epsilon_character"]
+
+
+def test_reports_read_the_analysis_of_their_document():
+    source = (pathlib.Path(uendo.__file__).parent / "cli.py").read_text()
+    assert reports_calling_builders(source) == []

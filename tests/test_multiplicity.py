@@ -289,6 +289,39 @@ def test_decompose_checks_the_table_against_the_seed():
     assert plain == dict(got, **{"GlobalParameter<a(x)nu(1) + b(x)nu(2)>": (1, 1)})
 
 
+def test_decompose_checks_each_refinement_against_the_seed():
+    # a refinement over the seed's labels was checked against each subset,
+    # so {c} refused the keys a and b; each line now reads the refinement cut
+    # down to its own labels, a and b coalesced into x on a + b
+    a = SimpleParameter("a", 1, ORTHOGONAL, 1)
+    b = SimpleParameter("b", 1, SYMPLECTIC, 2)
+    c = SimpleParameter("c", 3, ORTHOGONAL, 1)
+    tag = SimpleDatumTag(3, 1)
+    refinement = {"a": ("x",), "b": ("x",), "c": ("y",)}
+    for table in (RootNumberTable(), RootNumberTable({frozenset("ab"): -1})):
+        lines = decompose_discrete_spectrum([a, b, c], tag, table,
+                                            [Place("v", "inert", refinement)])
+        assert [repr(line.psi) for line in lines] == [
+            "GlobalParameter<a(x)nu(1) + b(x)nu(2)>", "GlobalParameter<c(x)nu(1)>"]
+        for line, own, local in zip(lines, ({"a": ("x",), "b": ("x",)}, {"c": ("y",)}),
+                                    ("x", "y")):
+            model = GlobalPlacesModel(centralizer_shape(line.psi, tag),
+                                      [Place("v", "inert", own)])
+            assert model.maps["v"].local_labels == (local,)
+            entries = {key: val for key, val in table.entries.items() if key <= own.keys()}
+            assert (line.members_total, line.members_selected) == packet_counts(
+                line.psi, tag, RootNumberTable(entries), model)
+    # a key that is no seed label of the datum parity is refused once, and a
+    # subset label the refinement lacks by `LocalizationMap`, as before
+    for refinement, message in (
+            ({"a": ("x",), "b": ("x",), "c": ("y",), "z": ("y",)},
+             "refinement key 'z' is not an orthogonal-factor label"),
+            ({"a": ("x",), "b": ("x",)}, "refinement missing for 'c'")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            decompose_discrete_spectrum([a, b, c], tag, RootNumberTable(),
+                                        [Place("v", "inert", refinement)])
+
+
 def test_decompose_refuses_bad_tables_with_the_messages_of_the_parameter_check():
     # a label outside the seed, a non-self-dual seed label and a same-parity
     # -1 pair are refused once per call, first bad entry in table order and
