@@ -15,6 +15,12 @@ IDENT starts with a letter or '_' and goes on with letters, numeric
 characters and '_'.  A token that starts with any other character, such as
 a digit that is not decimal ('²'), is a parse error.
 
+A document is read with one pattern match per production at its text
+position; each pattern is compiled at import from the production's tuple
+below, so the grammar is stated once.  Only a document that the patterns do
+not read goes through the token walk, `_Parser`, which reads the same tuples
+token by token to place its error.
+
 Exit codes: 1 parse error, 2 semantic validation failure, 3 internal
 invariant failure.  An input that cannot be read and an output that cannot
 be written, such as a pipe whose reader has gone (`uendo tadic ... | head`),
@@ -34,7 +40,6 @@ import re
 import stat
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -130,9 +135,10 @@ class ParameterDocument(Value):
 
 
 # ---------------------------------------------------------------------------
-# Grammar: the productions of the module docstring, one line each, as
-# `_Parser._read` reads them.  A string item is a token taken as written; any
-# other is given the parser and the token and returns its value or fails.
+# Grammar: the productions of the module docstring, one line each.  A string
+# item is a token taken as written.  Any other is a reader, which
+# `_Parser._read` gives the parser and the token and which returns its value
+# or fails; its `pattern` matches the text of a token it accepts.
 
 
 def _ident(p: _Parser, tok: Optional[str]) -> str:
@@ -164,6 +170,11 @@ def _signed_one(p: _Parser, tok: Optional[str]) -> int:
     return sign
 
 
+def _literal(tok: str) -> str:
+    """The pattern of a token taken as written: a word ends where its token does."""
+    return re.escape(tok) if tok in _PUNCT else tok + r"(?!\w)"
+
+
 def _one_of(*words: str):
     """A reader of one of `words`, returned as written."""
     message = "expected %s or %r" % (", ".join(map(repr, words[:-1])), words[-1])
@@ -172,20 +183,104 @@ def _one_of(*words: str):
         if tok not in words:
             p._fail(message)
         return tok
+    read.pattern = "(%s)" % "|".join(map(_literal, words))
     return read
 
 
+# The whitespace before a token.
+_SPACE = "[ \t\r\n]*+"
+_ident.pattern = r"([^\W\d]\w*+)"  # a word of _TOKEN, checked by `_is_valid` in `_match`
+_int.pattern = r"(\d++)"
+_sign.pattern = "([+-])"
+_signed_one.pattern = "([+-])(?:%s1(?!\\d))?" % _SPACE
+
 _DATUM = ("group", "U", "(", _int, ")", "parity", _sign)
 _DECL = ("mu", _ident, ":", "deg", "=", _int, ",", "sd", "=", _one_of("+", "-", "none"))
+_PSI = ("psi", "=")
 _MULT = (_int, "*")
 _TERM = (_ident, "(", "x", ")", "nu", "(", _int, ")")
-_ROOT = (_ident, ",", _ident, ":", _signed_one)
-_PLACE = (_ident, ":", _one_of("inert", "split"))
+# A block's head, its entry and its closer.
+_ROOTS = (("roots", "{"), (_ident, ",", _ident, ":", _signed_one), "}")
+_PLACES = (("places", "["), (_ident, ":", _one_of("inert", "split")), "]")
+
+
+def _pattern(production: tuple) -> str:
+    """The pattern of the production's items in turn, each after whitespace."""
+    return "".join(_SPACE + (_literal(item) if item.__class__ is str else item.pattern)
+                   for item in production)
+
+
+def _block_patterns(head: tuple, entry: tuple, closer: str) -> tuple:
+    return re.compile(_pattern(head)), re.compile(_pattern(entry)), re.compile(_pattern((closer,)))
+
+
+# One pattern per production, matched at a text position: the datum, a
+# declaration, the first term with `psi =` and each later one with its `+`
+# (each with the INT "*" it may start with), each block's head, entry and
+# closer, and the end of input.
+_DATUM_AT = re.compile(_pattern(_DATUM))
+_DECL_AT = re.compile(_pattern(_DECL))
+_TERM_PATTERN = "(?:%s)?%s" % (_pattern(_MULT), _pattern(_TERM))
+_FIRST_TERM_AT = re.compile(_pattern(_PSI) + _TERM_PATTERN)
+_NEXT_TERM_AT = re.compile(_pattern(("+",)) + _TERM_PATTERN)
+_BLOCKS_AT = (_block_patterns(*_ROOTS), _block_patterns(*_PLACES))
+_END_AT = re.compile(_SPACE + r"\Z")
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _match(text: str) -> Optional[ParameterDocument]:
+    """The document of `text`, a document without its comments, read with
+    one pattern match per production; None when a pattern misses, a token
+    is invalid (a word read as an IDENT that is not one) or an INT has more
+    digits than int() reads, for `_Parser` to place the error."""
+    # in ASCII, a word that does not start with a digit starts with a letter or '_'
+    if not text.isascii() and not all(map(_is_valid, _TOKEN.findall(text))):
+        return None
+    m = _DATUM_AT.match(text)
+    if m is None:
+        return None
+    n, parity = m.groups()
+    pos = m.end()
+    decls, terms = [], []
+    at = _FIRST_TERM_AT
+    try:
+        n = int(n)
+        while (m := _DECL_AT.match(text, pos)) is not None:
+            label, deg, sd = m.groups()
+            decls.append(Decl(label, int(deg), sd))
+            pos = m.end()
+        while (m := at.match(text, pos)) is not None:
+            mult, label, nu = m.groups()
+            terms.append(Term(1 if mult is None else int(mult), label, int(nu)))
+            pos = m.end()
+            at = _NEXT_TERM_AT
+    except ValueError:  # more digits than int() reads
+        return None
+    if not terms:
+        return None
+    blocks = []
+    for head, entry, closer in _BLOCKS_AT:
+        entries = []
+        if (m := head.match(text, pos)) is not None:
+            pos = m.end()
+            while (m := entry.match(text, pos)) is not None:
+                entries.append(m.groups())
+                pos = m.end()
+            if (m := closer.match(text, pos)) is None:
+                return None
+            pos = m.end()
+        blocks.append(entries)
+    if _END_AT.match(text, pos) is None:
+        return None
+    roots, places = blocks
+    return ParameterDocument(n, _SIGNS[parity], tuple(decls), tuple(terms),
+                             tuple([(a, b, _SIGNS[s]) for a, b, s in roots]), tuple(places))
 
 
 class _Parser:
     """Recursive descent over the string tokens of `text`, a document
-    without its comments.  Each token consumed passes a check that an
+    without its comments, which places the error of a document that
+    `_match` does not read.  Each token consumed passes a check that an
     invalid token fails, so the tokens are checked for one only when the
     parse fails; a token's line and column are found only for its error."""
 
@@ -246,13 +341,13 @@ class _Parser:
         decls = []
         while self._at("mu"):
             decls.append(Decl(*self._read(_DECL)))
-        self._read(("psi", "="))
+        self._read(_PSI)
         terms = [self._term()]
         while self._at("+"):
             self.pos += 1
             terms.append(self._term())
-        roots = self._block(("roots", "{"), _ROOT, "}")
-        places = self._block(("places", "["), _PLACE, "]")
+        roots = self._block(*_ROOTS)
+        places = self._block(*_PLACES)
         if self.tokens[self.pos] is not None:
             self._fail("unexpected trailing input")
         return ParameterDocument(n, parity, tuple(decls), tuple(terms), roots, places)
@@ -269,7 +364,9 @@ def parse(text: str) -> ParameterDocument:
     text for the life of the process, so each distinct text is parsed once;
     the document is frozen, so callers share it.  An error is not stored
     and is raised again on every call."""
-    return _Parser(_COMMENT.sub("", text)).document()
+    text = _COMMENT.sub("", text)
+    doc = _match(text)
+    return _Parser(text).document() if doc is None else doc
 
 
 def print_document(doc: ParameterDocument) -> str:
@@ -460,6 +557,26 @@ def _json_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _quoted(word: str) -> str:
+    """A label or a --field word as a JSON string in ASCII, as `json`
+    writes it.  Such a word holds no '"', '\\' or control character, so
+    only a non-ASCII character is escaped: as \\uXXXX, or as a surrogate
+    pair beyond U+FFFF."""
+    if word.isascii():
+        return '"' + word + '"'
+    return '"' + "".join(map(_escaped, word)) + '"'
+
+
+def _escaped(char: str) -> str:
+    code = ord(char)
+    if code < 0x80:
+        return char
+    if code < 0x10000:
+        return "\\u%04x" % code
+    code -= 0x10000
+    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+
+
 # The v1 layout of a classify report and of its two sets of chain flags.
 _CLASSIFY = ('{\n  "N": %d,\n  "command": "classify",\n  "factors_through": %s,\n'
              '  "group": %s,\n  "parity": %d,\n  "twisted": %s\n}\n')
@@ -489,7 +606,7 @@ _PAIR = '[\n      %s,\n      %d\n    ]'
 def report_centralizer(sem: Semantics) -> Tuple[str]:
     shape = sem.shape
     diagram = central.levi_diagram(shape)
-    factors = [_json_list([_PAIR % (encode_basestring_ascii(sp.label), l) for sp, l in part], 1)
+    factors = [_json_list([_PAIR % (_quoted(sp.label), l) for sp, l in part], 1)
                for part in (shape.general_linear, shape.orthogonal, shape.symplectic)]
     return (_CENTRALIZER % (diagram.s_order, diagram.n_order, diagram.r_order, diagram.s_order,
                             diagram.s1_order, diagram.w_order, diagram.w0_order, *factors),)
@@ -598,7 +715,7 @@ _PACKET = '  "packet": {\n    "members": %d,\n    "selected": %d\n  },\n'
 
 def _defaulted_pairs(pairs: Tuple[Tuple[str, str], ...]) -> str:
     """The sorted label pairs whose root numbers defaulted to +1, as JSON."""
-    items = [_json_list(list(map(encode_basestring_ascii, pair)), 2) for pair in pairs]
+    items = [_json_list(list(map(_quoted, pair)), 2) for pair in pairs]
     return _json_list(items, 1)
 
 
@@ -607,7 +724,7 @@ def report_epsilon(sem: Semantics) -> Tuple[str]:
     return (_EPSILON % (_defaulted_pairs(char.defaulted),
                         _json_list(["%d" % x for x in char.exponents], 1),
                         _json_bool(signs.is_epsilon_parameter(sem.psi)),
-                        _json_list(list(map(encode_basestring_ascii, char.labels)), 1),
+                        _json_list(list(map(_quoted, char.labels)), 1),
                         _json_bool(char.is_trivial), char.value_at_s_psi),)
 
 
@@ -656,7 +773,7 @@ def report_tadic(n: int, k: int, field: str) -> Iterator[str]:
     # then the report's head with the first term's, which has no comma
     texts = [tail, tail, sep] + texts + [",\n    " + head % c for c in (-1, 1)]
     heads = {tadic._SIGN[-1]: chr(len(texts) - 2), tadic._SIGN[1]: chr(len(texts) - 1)}
-    texts.append(_TADIC_HEAD % (encode_basestring_ascii(field), k, n, tempered)
+    texts.append(_TADIC_HEAD % (_quoted(field), k, n, tempered)
                  + texts[ord(heads[combo.keys[0][-1]])][1:])
 
     def piece(start: int) -> str:

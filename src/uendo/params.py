@@ -12,6 +12,7 @@ to a unitary datum (N, kappa).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .values import Value, set_field
@@ -22,6 +23,8 @@ NOT_SELF_DUAL = "not-self-dual"
 
 _DUALITIES = (ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL)
 _MU_SIGN = {ORTHOGONAL: 1, SYMPLECTIC: -1}  # a self-dual mu's parity as a sign
+_CANONICAL = attrgetter("deg_mu", "su2_dim", "label")  # the order of a parameter's constituents
+_LABEL = attrgetter("label")
 
 
 class SimpleParameter(Value):
@@ -29,12 +32,13 @@ class SimpleParameter(Value):
 
     `duality` is the duality class of the cuspidal part mu alone; the sign
     of the full constituent, `constituent_sign`, is worked out once, when
-    the constituent is built, and kept in the cache slot `_sign`.  `partner`
-    names the dual label mu* and is required exactly when mu is not
-    self-dual.
+    the constituent is built, and kept in the cache slot `_sign`; so is its
+    hash, in `_hash`, since constituents key the dictionaries of every
+    `GlobalParameter`.  `partner` names the dual label mu* and is required
+    exactly when mu is not self-dual.
     """
 
-    __slots__ = ("label", "deg_mu", "duality", "su2_dim", "partner", "_sign")
+    __slots__ = ("label", "deg_mu", "duality", "su2_dim", "partner", "_sign", "_hash")
 
     def __init__(self, label: str, deg_mu: int, duality: str, su2_dim: int = 1,
                  partner: Optional[str] = None):
@@ -55,6 +59,10 @@ class SimpleParameter(Value):
         # parities multiply
         mu = _MU_SIGN.get(duality)
         set_field(self, "_sign", mu if mu is None or su2_dim % 2 else -mu)
+        set_field(self, "_hash", hash((label, deg_mu, duality, su2_dim, partner)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -114,36 +122,36 @@ class GlobalParameter:
         for sp, mult in constituents:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-            if sp in merged:
-                merged[sp] += mult
-            else:
-                merged[sp] = mult
-        labels = {}
-        for sp in merged:
+            merged[sp] = merged.get(sp, 0) + mult
+        # one pass finds duplicate labels, the constituents to partner and
+        # the total degree; partners are checked once every label is known
+        labels, partnered, total_degree = {}, [], 0
+        for sp, mult in merged.items():
             if sp.label in labels:
                 raise ValueError("duplicate label %r" % sp.label)
             labels[sp.label] = sp
-        for sp, mult in merged.items():
             if sp.duality == NOT_SELF_DUAL:
-                mate = labels.get(sp.partner)
-                if mate is None:
-                    raise ValueError("missing partner %r" % sp.partner)
-                if mate.partner != sp.label:
-                    raise ValueError("partnering is not an involution")
-                if (mate.deg_mu, mate.su2_dim) != (sp.deg_mu, sp.su2_dim):
-                    raise ValueError("partners must share degree data")
-                if mate.duality != NOT_SELF_DUAL:
-                    raise ValueError("partner of a non-self-dual mu must be non-self-dual")
-                if merged[mate] != mult:
-                    raise ValueError("partnered constituents need equal multiplicity")
-        order = sorted(merged, key=lambda s: (s.deg_mu, s.su2_dim, s.label))
-        constituents = tuple((sp, merged[sp]) for sp in order)
-        total_degree = sum(sp.degree * l for sp, l in constituents)
+                partnered.append((sp, mult))
+            total_degree += sp.deg_mu * sp.su2_dim * mult
+        for sp, mult in partnered:
+            mate = labels.get(sp.partner)
+            if mate is None:
+                raise ValueError("missing partner %r" % sp.partner)
+            if mate.partner != sp.label:
+                raise ValueError("partnering is not an involution")
+            if (mate.deg_mu, mate.su2_dim) != (sp.deg_mu, sp.su2_dim):
+                raise ValueError("partners must share degree data")
+            if mate.duality != NOT_SELF_DUAL:
+                raise ValueError("partner of a non-self-dual mu must be non-self-dual")
+            if merged[mate] != mult:
+                raise ValueError("partnered constituents need equal multiplicity")
         if total_degree < 1:
             raise ValueError("empty parameter")
+        order = sorted(merged, key=_CANONICAL)
+        constituents = tuple(zip(order, map(merged.__getitem__, order)))
         set_field(self, "constituents", constituents)
         set_field(self, "total_degree", total_degree)
-        set_field(self, "_by_label", {sp.label: (sp, l) for sp, l in constituents})
+        set_field(self, "_by_label", dict(zip(map(_LABEL, order), constituents)))
         set_field(self, "_hash", hash(constituents))
 
     __setattr__ = Value.__setattr__

@@ -9,6 +9,12 @@ is a cache, not a field.  The base supplies the rest of a frozen record: the
 `Name(field=value, ...)` repr, equality only between instances of the same
 class, the hash of the tuple of fields, `AttributeError` on assignment and
 deletion, and copying and pickling, which rebuild through `__init__`.
+
+A class whose instances key memos or dictionaries on a hot path computes
+its hash once, in `__init__`, into a `_hash` cache slot: `SimpleParameter`
+(params), `SimpleDatumTag` (params), `StandardSymbol` (tadic) and
+`ParameterDocument` (cli).  `GlobalParameter`, frozen like these but not a
+`Value`, keeps its hash the same way.
 """
 
 from operator import attrgetter

@@ -110,14 +110,22 @@ class Factor(Value):
         return True
 
 
+# One shared factor per kind and size: factors are frozen, and the identity
+# components that the CLI keeps per document would otherwise hold a copy
+# each.  A refusal is not stored and is raised again on every call.
+
+
+@lru_cache(maxsize=None, typed=True)
 def gl(a: int) -> Factor:
     return Factor(GL, a)
 
 
+@lru_cache(maxsize=None, typed=True)
 def sp(n: int) -> Factor:
     return Factor(SP, n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def so(m: int) -> Factor:
     return Factor(SO, m)
 

@@ -78,3 +78,44 @@ def candidate_pairs_by_combinations(orthogonal, symplectic):
                            if orthogonal_family else ())
                 out.append(((k, lk, a), (kp, lkp, b), count, toggles))
     return out
+
+
+def global_parameter_fields(constituents):
+    """What `GlobalParameter(constituents)` keeps, as (constituents,
+    total_degree, by_label, hash), or its `ValueError`, by the constructor's
+    first form: a merge, one pass for duplicate labels, one that checks each
+    not-self-dual constituent against its partner, then the canonical sort
+    and the total degree."""
+    merged = {}
+    for sp, mult in constituents:
+        if mult < 1:
+            raise ValueError("multiplicities must be >= 1")
+        if sp in merged:
+            merged[sp] += mult
+        else:
+            merged[sp] = mult
+    labels = {}
+    for sp in merged:
+        if sp.label in labels:
+            raise ValueError("duplicate label %r" % sp.label)
+        labels[sp.label] = sp
+    for sp, mult in merged.items():
+        if sp.duality == NOT_SELF_DUAL:
+            mate = labels.get(sp.partner)
+            if mate is None:
+                raise ValueError("missing partner %r" % sp.partner)
+            if mate.partner != sp.label:
+                raise ValueError("partnering is not an involution")
+            if (mate.deg_mu, mate.su2_dim) != (sp.deg_mu, sp.su2_dim):
+                raise ValueError("partners must share degree data")
+            if mate.duality != NOT_SELF_DUAL:
+                raise ValueError("partner of a non-self-dual mu must be non-self-dual")
+            if merged[mate] != mult:
+                raise ValueError("partnered constituents need equal multiplicity")
+    order = sorted(merged, key=lambda s: (s.deg_mu, s.su2_dim, s.label))
+    constituents = tuple((sp, merged[sp]) for sp in order)
+    total_degree = sum(sp.degree * l for sp, l in constituents)
+    if total_degree < 1:
+        raise ValueError("empty parameter")
+    by_label = {sp.label: (sp, l) for sp, l in constituents}
+    return constituents, total_degree, by_label, hash(constituents)

@@ -320,6 +320,59 @@ def test_parse_matches_reference_front_end():
     assert parsed > 100
 
 
+def _reference_fuzz_inputs():
+    """The inputs of `test_parse_matches_reference_front_end`, drawn in the
+    same order from the same seed."""
+    rng = random.Random(20261018)
+    texts = [path.read_text() for path in FIXTURES]
+    inputs = list(texts)
+    for text in texts:
+        inputs += _mutations(rng, text, 60)
+    alphabet = _GRAMMAR_CHARS + _STRAY_CHARS
+    inputs += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+               for _ in range(1500)]
+    return inputs
+
+
+# Documents whose words and numbers are not ASCII: a Greek label, an astral
+# one with a non-ASCII decimal digit in it, and Arabic-Indic digits as INTs.
+_NON_ASCII_DOCUMENTS = (
+    "group U(\u0663) parity +\nmu \u03b1: deg=1, sd=+\nmu \U0001d51f_\u0662: deg=1, sd=-\n"
+    "psi = \u03b1 (x) nu(\u0661) + 2*\U0001d51f_\u0662 (x) nu(1)\n"
+    "roots { \u03b1, \U0001d51f_\u0662 : -1 }\nplaces [ \u03bd : inert ]\n",
+    "group U(2) parity -\nmu \u00e9: deg=1, sd=none\npsi = \u00e9 (x) nu(1)\n",
+)
+
+
+def test_pattern_reader_alone_reads_every_valid_document(monkeypatch, perfbench_workloads):
+    # a pattern that misses a valid document would only slow it down, as
+    # the token walk reads it; with the walk refusing, it fails here
+    def walk(parser):
+        raise AssertionError("the token walk read %r" % parser.text)
+
+    texts = [path.read_text() for path in FIXTURES] + list(_NON_ASCII_DOCUMENTS)
+    for seed in (7, 8):
+        texts += perfbench_workloads.interactive(seed, 0)[0].values()
+    fuzzed = [text for text in _reference_fuzz_inputs()
+              if isinstance(_outcome(_reference_parse, text), cli.ParameterDocument)]
+    assert len(fuzzed) > 100
+    want = [_reference_parse(text) for text in texts + fuzzed]
+    monkeypatch.setattr(cli._Parser, "document", walk)
+    for text, doc in zip(texts + fuzzed, want):
+        assert cli.parse(text) == doc, repr(text)
+
+
+def test_a_word_that_is_no_ident_is_placed_by_the_token_walk():
+    # '\u00b2' is a word character but neither a letter nor '_': a word that
+    # starts with it is no IDENT, so the pattern reader hands the document
+    # to the walk, which places it; inside a word it is an IDENT's
+    text = "group U(1) parity +\nmu \u00b2a: deg=1, sd=+\npsi = a (x) nu(1)\n"
+    assert cli._match(text) is None
+    assert _outcome(cli.parse, text) == ("unexpected character '\u00b2' at line 2, column 4", 2, 4)
+    text = text.replace("\u00b2a", "a\u00b2").replace("= a", "= a\u00b2")
+    assert cli._match(text) == cli._Parser(text).document() == _reference_parse(text)
+
+
 # One line per production, one token per item: the optional INT "*" of the
 # first term, both block openers, a root with and without its "1", and both
 # place kinds.
@@ -1563,6 +1616,27 @@ def test_small_reports_match_json_of_their_oracles(perfbench_workloads, tmp_path
     assert seen["places", True] > seen["packet", True] and seen["places", False]
 
 
+def _seeded_label(rng):
+    """A seeded IDENT: a first character that is a letter or '_', then word
+    characters, from ASCII, the rest of the basic plane and the astral planes."""
+    def char(first):
+        while True:
+            c = chr(rng.choice((rng.randrange(0x20, 0x80), rng.randrange(0x80, 0x10000),
+                                rng.randrange(0x10000, 0x30000))))
+            if (c.isalpha() or c == "_") if first else (c.isalnum() or c == "_"):
+                return c
+    return char(True) + "".join(char(False) for _ in range(rng.randrange(4)))
+
+
+def test_quoted_words_match_json():
+    rng = random.Random(20261020)
+    labels = [_seeded_label(rng) for _ in range(3000)] + ["a", "m1*", "_x"] + list(cli._FIELDS)
+    assert sum(not label.isascii() for label in labels) > 2000
+    assert sum(max(label) > "\uffff" for label in labels) > 500
+    for label in labels:
+        assert cli._quoted(label) == json.dumps(label), label
+
+
 def test_check_stdout_matches_json():
     assert "".join(cli.run_check()) == _json_reference({"command": "check", "status": "ok"})
 
@@ -1657,7 +1731,7 @@ def test_endoscopy_stdout_matches_json_of_the_enumeration(report_validator, caps
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
     src = pathlib.Path(cli.__file__).parents[1]
     code = ("import sys; sys.path.insert(0, %r); import uendo.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale', 'json'}"
             " & set(sys.modules)))" % str(src))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)

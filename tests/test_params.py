@@ -1,10 +1,12 @@
+import collections
 import copy
 import itertools
+import random
 
 import pytest
 
 from families import sd
-from oracles import constituent_parity
+from oracles import constituent_parity, global_parameter_fields
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -84,6 +86,84 @@ def test_global_parameter_partner_closure_enforced():
         GlobalParameter([(a, 2)])
     with pytest.raises(ValueError):
         GlobalParameter([(a, 2), (ax, 1)])
+
+
+# The refusals of `GlobalParameter`, in the order the constructor checks
+# them; a self-dual partner names no partner, so it is refused as not an
+# involution before "partner of a non-self-dual mu must be non-self-dual".
+_PARAMETER_REFUSALS = (
+    "multiplicities must be >= 1",
+    "duplicate label",
+    "missing partner",
+    "partnering is not an involution",
+    "partners must share degree data",
+    "partnered constituents need equal multiplicity",
+    "empty parameter",
+)
+
+
+def _seeded_constituents(rng):
+    """A seeded list of (constituent, multiplicity): self-dual constituents
+    and partnered pairs, shuffled with some entries repeated, and most
+    often broken in one or two of the ways `_PARAMETER_REFUSALS` names."""
+    items = []
+    for j in range(rng.randint(0, 5)):
+        label, deg, n, mult = "m%d" % j, rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.4:
+            a = SimpleParameter(label, deg, NOT_SELF_DUAL, n, partner=label + "x")
+            b = SimpleParameter(label + "x", deg, NOT_SELF_DUAL, n, partner=label)
+            items += [(a, mult), (b, mult)]
+        else:
+            items.append((SimpleParameter(label, deg, rng.choice((ORTHOGONAL, SYMPLECTIC)), n),
+                          mult))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        if not items:
+            break
+        k = rng.randrange(len(items))
+        sp, mult = items[k]
+        partner = sp.partner if sp.duality == NOT_SELF_DUAL else None
+        fault = rng.randrange(7)
+        if fault == 0:
+            items[k] = (sp, rng.choice((0, -1)))
+        elif fault == 1:  # the label again, on other degree data
+            items.append((SimpleParameter(sp.label, sp.deg_mu + 1, sp.duality, sp.su2_dim,
+                                          partner), mult))
+        elif fault == 2:
+            del items[k]
+        elif fault == 3:  # the label of an existing constituent as a partner
+            other = rng.choice(items)[0].label
+            if other != sp.label:
+                items[k] = (SimpleParameter(sp.label, sp.deg_mu, NOT_SELF_DUAL, sp.su2_dim,
+                                            partner=other), mult)
+        elif fault == 4:
+            items[k] = (SimpleParameter(sp.label, sp.deg_mu, sp.duality, sp.su2_dim + 1,
+                                        partner), mult)
+        elif fault == 5:  # a self-dual constituent in the place of a partner
+            items[k] = (SimpleParameter(sp.label, sp.deg_mu, ORTHOGONAL, sp.su2_dim), mult)
+        else:
+            items[k] = (sp, mult + 1)
+    items += rng.sample(items, min(len(items), rng.randint(0, 2)))  # merged on construction
+    rng.shuffle(items)
+    return items
+
+
+def test_global_parameter_matches_its_first_form():
+    rng = random.Random(20261020)
+    refused, built = collections.Counter(), 0
+    for _ in range(4000):
+        items = _seeded_constituents(rng)
+        try:
+            want = global_parameter_fields(items)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                GlobalParameter(items)
+            assert str(got.value) == str(exc), items
+            refused[next(m for m in _PARAMETER_REFUSALS if str(exc).startswith(m))] += 1
+            continue
+        psi = GlobalParameter(items)
+        assert (psi.constituents, psi.total_degree, psi._by_label, hash(psi)) == want, items
+        built += 1
+    assert built > 500 and set(refused) == set(_PARAMETER_REFUSALS), refused
 
 
 def test_datum_tag_parity():

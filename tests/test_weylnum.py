@@ -85,6 +85,17 @@ def _compose(a, b):
     return (tuple(pa[i] for i in pb), tuple(s * sa[i] for i, s in zip(pb, sb)))
 
 
+def test_factor_builders_share_one_factor_per_kind_and_size():
+    assert so(3) is so(3) and sp(4) is sp(4) and gl(2) is gl(2)
+    assert so(3) == Factor(SO, 3) and sp(4) == Factor(SP, 4) and gl(2) == Factor(GL, 2)
+    assert so(2) is not gl(2)
+    # a refusal is not stored: every call raises it again
+    for build, size, message in ((so, 0, "SO factor"), (sp, 3, "Sp factor"), (gl, 0, "GL factor")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build(size)
+
+
 def test_weyl_set_sp2():
     d = datum([sp(2)])
     ws = weyl_set(d)
