@@ -141,8 +141,6 @@ class GlobalParameter:
                 raise ValueError("partnering is not an involution")
             if (mate.deg_mu, mate.su2_dim) != (sp.deg_mu, sp.su2_dim):
                 raise ValueError("partners must share degree data")
-            if mate.duality != NOT_SELF_DUAL:
-                raise ValueError("partner of a non-self-dual mu must be non-self-dual")
             if merged[mate] != mult:
                 raise ValueError("partnered constituents need equal multiplicity")
         if total_degree < 1:

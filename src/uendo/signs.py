@@ -32,18 +32,14 @@ the sign flips of each torus block with a closed-form value per block; the
 tests keep the per-element crossing count as the oracle on every Weyl
 element.
 
-The relative signs on the normalizer N are parities of masked bit counts:
-`centralizer.element_table` gives each element of N a mask of the torus
-blocks with an odd number of sign flips and one of its odd component bits
-that are -1, and a parameter's signs reduce to five masks.  What depends
-only on (psi, tag), the block signature and each candidate pair's
-contribution to the masks, is built once per (psi, tag) in one pass over
-the parity split and the candidate pairs, with no centralizer shape, and
-memoized; a call validates the table, asks it about the candidate pairs
-and folds the masks.  The finished `RelativeSigns` record is memoized per
-block signature and masks, read-only and shared: a call returns it as it
-stands, with no copy.  The tests keep the loop over
-`NormalizerModel.elements` as the oracle.
+The relative signs on the normalizer N are parities of masked bit counts
+over the rows of `centralizer.element_table`.  A parameter's signs reduce
+to five masks, folded per call from what is built once per (psi, tag), and
+the `RelativeSigns` record is the block signature with those masks: it
+reads the sign lemma's two flags off bit tests, walks N only when a mapping
+is read, and is shared, read-only, by every call with the same signature
+and masks.  The tests keep the table walk and the loop over
+`NormalizerModel.elements` as oracles.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
-from .centralizer import CentralizerShape, NormalizerElement, centralizer_shape, element_table
+from .centralizer import CentralizerShape, centralizer_shape, element_table
 from .params import NOT_SELF_DUAL, GlobalParameter, SimpleDatumTag, SimpleParameter, parity_split
 from .values import Value, set_field
 
@@ -283,28 +279,66 @@ def is_epsilon_parameter(psi: GlobalParameter) -> bool:
 # Relative signs on the normalizer
 
 
+def _sign(mask: int) -> int:
+    """-1 when the mask has an odd number of set bits, else 1.  The parity
+    of a ^ b is that of a plus that of b, so one call reads two masks."""
+    return -1 if mask.bit_count() % 2 else 1
+
+
 class RelativeSigns(Value):
-    """eps1 on N, eps^(G/M) on W, and the crossing sign r^- on W, with the
-    consistency flags of the factorization.
+    """eps1 on N, eps^(G/M) and the crossing sign r^- on W as five masks on
+    the rows of `element_table(blocks, n_odd)`, component bits and blocks
+    for eps1 and for eps^(G/M) and the blocks with beta_b = -1: a sign is -1
+    when its masks select an odd number of a row's set bits.
 
-    The record is read-only all the way down: each of the three mappings is
-    a `MappingProxyType` over a private copy of the dict it was built from,
-    so one record can be shared by every caller.  Copying and pickling
-    rebuild it through `__init__` from plain dicts."""
+    The sign lemma's flags are bit tests.  Over one Weyl element the rows
+    take every bit mask with bit 0 set, and over W the flip masks take every
+    mask of `flippable`, the non-GL blocks of rank at least 1.  So eps^(G/M)
+    is constant on the fibres of N -> W exactly when `gm_bits` has no bit
+    but bit 0, and r^- = eps^(G/M) on W exactly when, in addition, bit 0 is
+    clear and `gm_blocks` and `beta_blocks` agree on `flippable`.
 
-    __slots__ = ("eps1", "eps_gm", "r_minus", "fibers_constant", "spectral_identity")
+    The mappings walk the rows on first read only, into read-only views in
+    the `_tables` slot; eps^(G/M) and r^- read each Weyl key's first row.
+    """
 
-    def __init__(self, eps1: Mapping[NormalizerElement, int], eps_gm: Mapping[tuple, int],
-                 r_minus: Mapping[tuple, int], fibers_constant: bool, spectral_identity: bool):
-        set_field(self, "eps1", MappingProxyType(dict(eps1)))
-        set_field(self, "eps_gm", MappingProxyType(dict(eps_gm)))
-        set_field(self, "r_minus", MappingProxyType(dict(r_minus)))
-        set_field(self, "fibers_constant", fibers_constant)
-        set_field(self, "spectral_identity", spectral_identity)
+    __slots__ = ("blocks", "n_odd", "eps1_bits", "eps1_blocks", "gm_bits", "gm_blocks",
+                 "beta_blocks", "_tables")
 
-    def __reduce__(self):
-        return RelativeSigns, (dict(self.eps1), dict(self.eps_gm), dict(self.r_minus),
-                               self.fibers_constant, self.spectral_identity)
+    def __init__(self, blocks: Tuple[Tuple[str, int], ...], n_odd: int, eps1_bits: int,
+                 eps1_blocks: int, gm_bits: int, gm_blocks: int, beta_blocks: int):
+        masks = (eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
+        for name, value in zip(self._fields, (blocks, n_odd) + masks):
+            set_field(self, name, value)
+        set_field(self, "_tables", None)
+
+    fibers_constant = property(lambda self: self.gm_bits >> 1 == 0)
+
+    @property
+    def spectral_identity(self) -> bool:
+        flippable = sum(1 << b for b, (kind, r) in enumerate(self.blocks) if r and kind != "GL")
+        return self.gm_bits == 0 and (self.gm_blocks ^ self.beta_blocks) & flippable == 0
+
+    # eps1 on the elements of N, eps^(G/M) and r^- on the Weyl keys
+    eps1 = property(lambda self: self._signs()[0])
+    eps_gm = property(lambda self: self._signs()[1])
+    r_minus = property(lambda self: self._signs()[2])
+
+    def _signs(self):
+        if self._tables is None:
+            eps1, eps_gm, r_minus = {}, {}, {}
+            first = (1 << self.n_odd) - 1
+            for elem, w_key, flips, bits in element_table(self.blocks, self.n_odd):
+                eps1[elem] = _sign(bits & self.eps1_bits ^ flips & self.eps1_blocks)
+                if bits == first:
+                    eps_gm[w_key] = _sign(bits & self.gm_bits ^ flips & self.gm_blocks)
+                    r_minus[w_key] = _sign(flips & self.beta_blocks)
+            set_field(self, "_tables", tuple(map(MappingProxyType, (eps1, eps_gm, r_minus))))
+        return self._tables
+
+
+# One shared record per block signature and masks.
+_shared_record = lru_cache(maxsize=None)(RelativeSigns)
 
 
 def relative_signs(
@@ -337,23 +371,13 @@ def relative_signs(
         constituents c of the pair count of (k_b, c)).
     Hence r^-(w) is the product of beta_b^(flips_b) over the non-GL blocks.
 
-    The signs are five masks against the rows of `element_table`: component
-    bits and blocks for eps1 and for eps^(G/M), and the blocks with
-    beta_b = -1, each the XOR of what the candidate pairs with root number
-    -1 contribute.  Once per (psi, tag), `_sign_structure` reads the
-    block signature off the parity split in one pass, refuses a parameter
-    that does not factor or is square-integrable, and lists the candidate
-    pairs with their keys and contributions.  Every call validates the
-    table, reads each candidate pair's entry once, folds the masks and
-    returns the record of `_signs_on_table`, memoized on the block
-    signature and the masks.  That record is shared by every call with the
-    same signature and masks and is read-only: its three mappings refuse
-    assignment with `TypeError`, and `dict(rec.eps1)` gives a copy to
-    change.  Refusals are raised on every call, never cached.  The pairs
-    whose root numbers default to +1 are reported by `epsilon_character`,
-    not here.  Each
-    pair's eps^(G/M) and eps1 bits differ on an even number of odd
-    factors, since the sign character is trivial on sigma_bar.
+    The signs are the five masks of a `RelativeSigns` record, each the XOR
+    of what the candidate pairs with root number -1 contribute (a pair's
+    eps^(G/M) and eps1 bits differ on an even number of odd factors, since
+    the sign character is trivial on sigma_bar).  `_sign_structure` lists
+    the pairs once per (psi, tag); a call validates the table, reads each
+    pair's entry once and folds the masks.  Refusals are never cached, and
+    defaulted root numbers are reported by `epsilon_character`.
     """
     table.validate_against(psi)
     blocks, n_odd, pairs = _sign_structure(psi, tag)
@@ -365,8 +389,7 @@ def relative_signs(
             gm_bits ^= p_gm_bits
             gm_blocks ^= p_gm_blocks
             beta_blocks ^= p_beta
-    return _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks,
-                           beta_blocks)
+    return _shared_record(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks)
 
 
 @lru_cache(maxsize=None)
@@ -443,27 +466,3 @@ def _sign_structure(psi: GlobalParameter, tag: SimpleDatumTag):
         pairs.append((frozenset((k.label, kp.label)), eps1_bits, eps1_blocks, gm_bits, gm_blocks,
                       beta))
     return tuple(blocks), n_odd, tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def _signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks,
-                    beta_blocks) -> RelativeSigns:
-    """The record of eps1, eps^(G/M), r^- and the two flags on the rows of
-    `element_table(blocks, n_odd)`: a sign is -1 when its masks select an
-    odd number of set bits of the row's bit and flip masks.  The record is
-    read-only, so the memo hands the same one to every caller."""
-    eps1: Dict[NormalizerElement, int] = {}
-    eps_gm: Dict[tuple, int] = {}
-    r_minus: Dict[tuple, int] = {}
-    fibers_constant = True
-    for elem, w_key, flips, bits in element_table(blocks, n_odd):
-        eps1[elem] = -1 if ((bits & eps1_bits).bit_count()
-                            + (flips & eps1_blocks).bit_count()) % 2 else 1
-        g_val = -1 if ((bits & gm_bits).bit_count() + (flips & gm_blocks).bit_count()) % 2 else 1
-        if w_key not in eps_gm:
-            eps_gm[w_key] = g_val
-            r_minus[w_key] = -1 if (flips & beta_blocks).bit_count() % 2 else 1
-        elif eps_gm[w_key] != g_val:
-            fibers_constant = False
-    spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
-    return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)

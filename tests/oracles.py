@@ -2,7 +2,7 @@
 
 import itertools
 
-from uendo.centralizer import centralizer_shape
+from uendo.centralizer import centralizer_shape, element_table
 from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
 from uendo.signs import even_constituent_count
 
@@ -78,6 +78,28 @@ def candidate_pairs_by_combinations(orthogonal, symplectic):
                            if orthogonal_family else ())
                 out.append(((k, lk, a), (kp, lkp, b), count, toggles))
     return out
+
+
+def signs_on_table(blocks, n_odd, eps1_bits, eps1_blocks, gm_bits, gm_blocks, beta_blocks):
+    """eps1, eps^(G/M), r^- and the two flags of `signs.RelativeSigns` as
+    (eps1, eps_gm, r_minus, fibers_constant, spectral_identity), by a walk
+    over every row of `element_table(blocks, n_odd)`: a sign is -1 when its
+    masks select an odd number of set bits of the row's bit and flip masks,
+    eps^(G/M) and r^- are read on each Weyl element's first row, and the
+    flags compare the values row by row."""
+    eps1, eps_gm, r_minus = {}, {}, {}
+    fibers_constant = True
+    for elem, w_key, flips, bits in element_table(blocks, n_odd):
+        eps1[elem] = -1 if ((bits & eps1_bits).bit_count()
+                            + (flips & eps1_blocks).bit_count()) % 2 else 1
+        g_val = -1 if ((bits & gm_bits).bit_count() + (flips & gm_blocks).bit_count()) % 2 else 1
+        if w_key not in eps_gm:
+            eps_gm[w_key] = g_val
+            r_minus[w_key] = -1 if (flips & beta_blocks).bit_count() % 2 else 1
+        elif eps_gm[w_key] != g_val:
+            fibers_constant = False
+    spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
+    return eps1, eps_gm, r_minus, fibers_constant, spectral
 
 
 def global_parameter_fields(constituents):

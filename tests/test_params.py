@@ -90,7 +90,8 @@ def test_global_parameter_partner_closure_enforced():
 
 # The refusals of `GlobalParameter`, in the order the constructor checks
 # them; a self-dual partner names no partner, so it is refused as not an
-# involution before "partner of a non-self-dual mu must be non-self-dual".
+# involution, and the first form's check "partner of a non-self-dual mu must
+# be non-self-dual", which comes after it, never fires.
 _PARAMETER_REFUSALS = (
     "multiplicities must be >= 1",
     "duplicate label",

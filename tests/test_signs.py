@@ -12,6 +12,7 @@ from families import random_table, sd
 from oracles import (
     candidate_pairs_by_combinations,
     epsilon_full_product,
+    signs_on_table,
     su2_tensor_dims,
     validate_root_numbers,
 )
@@ -685,7 +686,8 @@ def test_r_minus_matches_per_element_crossing_sign():
 def _relative_signs_by_elements(psi, tag, table):
     """`relative_signs` evaluated element by element over
     `NormalizerModel.elements`, with per-factor sign products in place of
-    bit masks and no memo: the oracle for the element table."""
+    bit masks and no memo: the oracle for the element table, as (eps1,
+    eps_gm, r_minus, fibers_constant, spectral_identity)."""
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
     model = NormalizerModel(shape)
@@ -741,7 +743,21 @@ def _relative_signs_by_elements(psi, tag, table):
         elif eps_gm[w_key] != g_val:
             fibers_constant = False
     spectral = fibers_constant and all(r_minus[w] == eps_gm[w] for w in r_minus)
-    return RelativeSigns(eps1, eps_gm, r_minus, fibers_constant, spectral)
+    return eps1, eps_gm, r_minus, fibers_constant, spectral
+
+
+def _answers(rec):
+    """A record's three mappings, as dicts, and its two flags: the shape of
+    the oracles' answers."""
+    return (dict(rec.eps1), dict(rec.eps_gm), dict(rec.r_minus), rec.fibers_constant,
+            rec.spectral_identity)
+
+
+def _assert_same_answers(rec, want, where):
+    """The record's mappings, in order, and flags are the oracle's."""
+    for got, expected in zip((rec.eps1, rec.eps_gm, rec.r_minus), want):
+        assert list(got.items()) == list(expected.items()), where
+    assert (rec.fibers_constant, rec.spectral_identity) == want[3:], where
 
 
 def _assert_matches_oracle(psi, tag, entries):
@@ -749,28 +765,23 @@ def _assert_matches_oracle(psi, tag, entries):
     the record."""
     table = RootNumberTable(entries)
     rec = relative_signs(psi, tag, table)
-    want = _relative_signs_by_elements(psi, tag, table)
-    assert list(rec.eps1.items()) == list(want.eps1.items()), (psi, tag)
-    assert list(rec.eps_gm.items()) == list(want.eps_gm.items()), (psi, tag)
-    assert list(rec.r_minus.items()) == list(want.r_minus.items()), (psi, tag)
-    assert (rec.fibers_constant, rec.spectral_identity) == (
-        want.fibers_constant, want.spectral_identity), (psi, tag)
+    _assert_same_answers(rec, _relative_signs_by_elements(psi, tag, table), (psi, tag))
     return rec
 
 
 def test_relative_signs_match_oracle_on_sweep_family(perfbench_workloads):
     # criterion 8's family as the benchmark's sweep builds it, with both memos
-    # cold and then warm; the loop over N runs once per distinct (signature,
+    # cold and then warm; one record is built per distinct (signature,
     # masks) key, of which the family has 125, and the structure once per
     # distinct (psi, tag), of which it has 1,152
     family = perfbench_workloads.build_sweep_families()["rs"]
     assert len(family) == 2382
-    uendo.signs._signs_on_table.cache_clear()
+    uendo.signs._shared_record.cache_clear()
     uendo.signs._sign_structure.cache_clear()
     for _ in range(2):
         for psi, tag, table in family:
             _assert_matches_oracle(psi, tag, table.entries)
-    info = uendo.signs._signs_on_table.cache_info()
+    info = uendo.signs._shared_record.cache_info()
     assert info.misses <= 125 and info.hits + info.misses == 2 * len(family)
     info = uendo.signs._sign_structure.cache_info()
     assert info.misses == 1152 and info.hits + info.misses == 2 * len(family)
@@ -823,6 +834,61 @@ def test_relative_signs_match_oracle_on_seeded_shapes():
     assert with_gl > 100 and with_minus > 40 and eps1_minus > 3 and r_minus_minus > 15
 
 
+def test_flag_bit_rules_match_the_table_walk():
+    # the two flags read off bit tests against the walk over every row of
+    # the element table, on seeded block signatures with GL blocks and
+    # rank-0 blocks and on random masks; the mappings built on first read
+    # are the walk's, in its order.  Parameters reach only (True, True), as
+    # the sign lemma says they should; these draws reach every pair the
+    # walk can give
+    rng = random.Random(20261038)
+    seen = dict.fromkeys(((False, False), (True, False), (True, True)), 0)
+    with_gl = with_rank_zero = 0
+    for _ in range(600):
+        blocks = tuple((rng.choice(("O", "O", "Sp", "GL")), rng.randint(0, 2))
+                       for _ in range(rng.randint(1, 3)))
+        n_odd = rng.randint(0, 3)
+        bits, flips = (1 << n_odd) - 1, (1 << len(blocks)) - 1
+        masks = (rng.randint(0, bits), rng.randint(0, flips), rng.randint(0, bits),
+                 rng.randint(0, flips), rng.randint(0, flips))
+        if rng.random() < 0.5:  # often no bit but bit 0, so both flags can hold
+            masks = masks[:2] + (masks[2] & rng.choice((0, 1)),) + masks[3:]
+        if rng.random() < 0.3:  # often beta on the eps^(G/M) blocks
+            masks = masks[:4] + (masks[3] ^ rng.choice((0, 1 << rng.randrange(len(blocks)))),)
+        rec = RelativeSigns(blocks, n_odd, *masks)
+        want = signs_on_table(blocks, n_odd, *masks)
+        flags = (rec.fibers_constant, rec.spectral_identity)
+        assert flags == want[3:], (blocks, n_odd, masks)
+        seen[flags] += 1
+        with_gl += any(kind == "GL" for kind, _ in blocks)
+        with_rank_zero += any(rank == 0 for _, rank in blocks)
+        _assert_same_answers(rec, want, (blocks, n_odd, masks))
+    assert min(seen.values()) > 50 and with_gl > 100 and with_rank_zero > 100, seen
+
+
+def test_relative_signs_answer_the_flags_at_rank_eight_without_the_table(monkeypatch):
+    # O(16) x O(1) x O(1): |N| = 2^8 8! 2 rows, none of which the flags
+    # read; only reading a mapping walks the table
+    psi, tag = _levi_case([(sd("a", 1, ORTHOGONAL, 2), 16), (sd("b", 1, SYMPLECTIC, 1), 1),
+                           (sd("c", 1, SYMPLECTIC, 1), 1)], -1)
+
+    def refuse(*args):
+        raise AssertionError("element table built")
+
+    monkeypatch.setattr("uendo.centralizer.element_table", refuse)
+    monkeypatch.setattr(uendo.signs, "element_table", refuse)
+    # root number -1 on (a, b) sets the flip of a's block, block 2, in both
+    # eps^(G/M) and beta; on (a, c) as well, the two pairs cancel
+    for entries, mask in (({}, 0), ({frozenset("ab"): -1}, 4),
+                          ({frozenset("ab"): -1, frozenset("ac"): -1}, 0)):
+        rec = relative_signs(psi, tag, RootNumberTable(entries))
+        assert rec.blocks == (("O", 0), ("O", 0), ("O", 8)) and rec.n_odd == 2
+        assert (rec.fibers_constant, rec.spectral_identity) == (True, True), entries
+        assert rec.gm_blocks == rec.beta_blocks == mask and rec.gm_bits == 0, entries
+    with pytest.raises(AssertionError, match="element table built"):
+        rec.eps1
+
+
 def test_relative_signs_build_no_normalizer_model(monkeypatch):
     # the block signature, the odd labels and the refusal are read off the
     # shape: with NormalizerModel and component_group refusing, cold calls
@@ -842,13 +908,10 @@ def test_relative_signs_build_no_normalizer_model(monkeypatch):
     monkeypatch.setattr(NormalizerModel, "__init__", refuse)
     monkeypatch.setattr("uendo.centralizer.component_group", refuse)
     uendo.signs._sign_structure.cache_clear()
-    uendo.signs._signs_on_table.cache_clear()
+    uendo.signs._shared_record.cache_clear()
     for psi, tag, entries, want in cases:
         rec = relative_signs(psi, tag, RootNumberTable(entries))
-        for field in ("eps1", "eps_gm", "r_minus"):
-            assert list(getattr(rec, field).items()) == list(getattr(want, field).items())
-        assert (rec.fibers_constant, rec.spectral_identity) == (
-            want.fibers_constant, want.spectral_identity)
+        _assert_same_answers(rec, want, (psi, tag))
 
 
 def test_relative_signs_refuse_exactly_the_trivial_weyl_groups():
@@ -897,33 +960,48 @@ def test_relative_signs_results_are_read_only():
             # a read-only mapping has no mutating methods to call
             for method in ("clear", "pop", "popitem", "setdefault", "update"):
                 assert not hasattr(mapping, method), method
-        for name in RelativeSigns._fields:
+        for name in RelativeSigns._fields + ("eps1", "eps_gm", "r_minus", "fibers_constant",
+                                             "spectral_identity", "_tables"):
             with pytest.raises(AttributeError):
                 setattr(rec, name, {})
         _assert_matches_oracle(psi, tag, entries)
 
 
 def test_relative_signs_records_survive_copying_and_pickling():
+    # a copy is rebuilt from the signature and masks alone: its mappings,
+    # built when it is read, are the record's, and a record whose mappings
+    # were read pickles to the same bytes as a fresh one
     psi, tag, _ = RANK_CASES[3]
     for table in _tables_for(psi):
         rec = relative_signs(psi, tag, RootNumberTable(table.entries))
+        fresh = RelativeSigns(*(getattr(rec, name) for name in RelativeSigns._fields))
+        assert fresh == rec and fresh is not rec
+        assert pickle.dumps(rec) == pickle.dumps(fresh)
         for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
             assert type(clone) is RelativeSigns and clone == rec and repr(clone) == repr(rec)
+            assert (clone.fibers_constant, clone.spectral_identity) == (
+                rec.fibers_constant, rec.spectral_identity)
             for name in ("eps1", "eps_gm", "r_minus"):
                 mapping = getattr(clone, name)
                 assert type(mapping) is MappingProxyType
                 assert list(mapping.items()) == list(getattr(rec, name).items())
             with pytest.raises(TypeError):
                 clone.eps1[next(iter(clone.eps1))] = 0
+        assert pickle.dumps(rec) == pickle.dumps(fresh)
 
 
 def test_relative_signs_record_keeps_its_own_dicts():
-    # a record built from dicts does not see later changes to them
-    eps1, eps_gm, r_minus = {"e": 1}, {"w": -1}, {"w": 1}
-    rec = RelativeSigns(eps1, eps_gm, r_minus, True, False)
-    eps1["e"], eps_gm["x"] = -1, 1
-    r_minus.clear()
-    assert rec == RelativeSigns({"e": 1}, {"w": -1}, {"w": 1}, True, False)
+    # the record's mappings are views over dicts no caller holds: a copy
+    # taken with dict(...) can be changed without touching them, and the
+    # next read gives the same views
+    psi, tag, _ = RANK_CASES[0]
+    rec = relative_signs(psi, tag, RootNumberTable())
+    views = (rec.eps1, rec.eps_gm, rec.r_minus)
+    want = _answers(rec)
+    for copied in _answers(rec)[:3]:
+        copied.clear()
+    assert _answers(rec) == want == _relative_signs_by_elements(psi, tag, RootNumberTable())
+    assert all(a is b for a, b in zip((rec.eps1, rec.eps_gm, rec.r_minus), views))
 
 
 def test_relative_signs_same_signature_different_labels():
@@ -946,11 +1024,12 @@ def test_relative_signs_same_signature_different_labels():
 
 def test_relative_signs_memo_hit_matches_oracle():
     psi, tag, _ = RANK_CASES[0]
-    relative_signs(psi, tag, RootNumberTable())
-    hits = uendo.signs._signs_on_table.cache_info().hits
+    first = relative_signs(psi, tag, RootNumberTable())
+    hits = uendo.signs._shared_record.cache_info().hits
     rec = relative_signs(psi, tag, RootNumberTable())
-    assert uendo.signs._signs_on_table.cache_info().hits == hits + 1
-    assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable())
+    assert uendo.signs._shared_record.cache_info().hits == hits + 1
+    assert rec is first
+    assert _answers(rec) == _relative_signs_by_elements(psi, tag, RootNumberTable())
 
 
 def test_relative_signs_counts_each_pair_once():
@@ -971,7 +1050,8 @@ def test_relative_signs_counts_each_pair_once():
             logging = _LoggingTable(table.entries)
             rec = relative_signs(psi, tag, logging)
             assert logging.asked == candidates
-            assert rec == _relative_signs_by_elements(psi, tag, RootNumberTable(table.entries))
+            assert _answers(rec) == _relative_signs_by_elements(
+                psi, tag, RootNumberTable(table.entries))
 
 
 def test_relative_signs_refusals_are_never_cached():
@@ -1127,7 +1207,7 @@ def test_sign_structure_reads_the_parity_split_once_per_parameter(monkeypatch):
     monkeypatch.setattr(uendo.centralizer, "torus_blocks", refuse)
     uendo.signs._sign_structure.cache_clear()
     for psi, tag, table, want in cases:
-        assert relative_signs(psi, tag, table) == want, (psi, tag)
+        assert _answers(relative_signs(psi, tag, table)) == want, (psi, tag)
     assert calls == {"parity_split": len(distinct), "_candidate_pairs": len(distinct)}
     assert 40 < len(distinct) < 80, len(distinct)  # some draws repeat
 

@@ -66,9 +66,8 @@ SAMPLES = {
                       r_labels=("a",)),
     SignCharacter: dict(labels=("a",), exponents=(1,), value_at_s_psi=-1,
                         defaulted=(("a", "b"),)),
-    RelativeSigns: dict(eps1={ELEMENT: 1}, eps_gm={ELEMENT.blocks: -1},
-                        r_minus={ELEMENT.blocks: 1}, fibers_constant=True,
-                        spectral_identity=False),
+    RelativeSigns: dict(blocks=(("O", 1), ("GL", 2)), n_odd=2, eps1_bits=3, eps1_blocks=1,
+                        gm_bits=2, gm_blocks=1, beta_blocks=3),
     Place: dict(name="v", kind="inert", refinement=None),
     PacketMember: dict(local_characters=(("v", (1, -1)),)),
     SpectrumLine: dict(psi=PSI, members_selected=1, members_total=2),
