@@ -57,7 +57,7 @@ from .params import (
     factors_through,
 )
 from .values import Value, set_field
-from .weylnum import ComponentDatum, ConnectedShape, e_number, i_number, sigma
+from .weylnum import SO, ComponentDatum, ConnectedShape, e_number, i_number, sigma
 
 
 class ParseError(Exception):
@@ -407,8 +407,8 @@ class Semantics(Value):
     first read and kept in a cache slot, so every report of a document that
     the elaborate memo keeps reads one build.  The shape is read only past
     the size and factoring checks, and the group, the identity component and
-    eps_psi only off the shape, so a refused parameter keeps nothing; nor is
-    a False factoring verdict kept."""
+    eps_psi only off the shape, so a refused parameter keeps nothing but its
+    factoring verdict, True or False."""
 
     __slots__ = ("psi", "tag", "table", "places",
                  "_factors", "_shape", "_group", "_identity_component", "_eps", "_chain_flags")
@@ -419,14 +419,14 @@ class Semantics(Value):
         set_field(self, "tag", tag)
         set_field(self, "table", table)
         set_field(self, "places", places)
-        set_field(self, "_factors", False)
-        for slot in ("_shape", "_group", "_identity_component", "_eps", "_chain_flags"):
+        for slot in ("_factors", "_shape", "_group", "_identity_component", "_eps",
+                     "_chain_flags"):
             set_field(self, slot, None)
 
     @property
     def factors(self) -> bool:
         """Whether the parameter factors through the datum."""
-        if not self._factors:
+        if self._factors is None:
             set_field(self, "_factors", factors_through(self.psi, self.tag))
         return self._factors
 
@@ -615,6 +615,13 @@ def report_centralizer(sem: Semantics) -> Tuple[str]:
 # arthur writes one row per element of the component group; a larger group
 # is refused before any row is computed.
 ARTHUR_MAX_ROWS = 2 ** 16
+# sigma-bar^0 of a component group of at most ARTHUR_MEMO_ROWS rows, and its
+# arthur text once written, are kept per identity component for the life of
+# the process, in at most ARTHUR_MEMO_ENTRIES entries, the least recently
+# used dropped first.  A larger report is written afresh, piece by piece, on
+# every call, and never kept.
+ARTHUR_MEMO_ROWS = 64
+ARTHUR_MEMO_ENTRIES = 512
 
 # The v1 layout of an arthur report up to its rows, of a row up to its signs
 # and after them, and of the report's end: the bytes of
@@ -626,19 +633,42 @@ _ARTHUR = ('{\n  "command": "arthur",\n  "components": [', ',\n    {\n      "com
            '\n  ],\n  "sigma_bar0": {\n    "den": %d,\n    "num": %d\n  }\n}\n')
 
 
-def report_arthur(sem: Semantics) -> Iterator[str]:
-    """The report's JSON text in pieces, rows in `group.elements()` order; all
-    that can fail runs first.  A row's i and e depend only on how many
-    orthogonal factors of each size it twists, its class, so each class's
-    values and text are made once.  A piece is one row of signs of the first
-    half of the orthogonal factors, joined with every row of the second."""
-    shape, group = sem.shape, sem.group
+@functools.lru_cache(maxsize=ARTHUR_MEMO_ENTRIES)
+def _component_reports(base: ConnectedShape) -> list:
+    """The memo entry of an identity component: [sigma-bar^0, its arthur
+    text, None until first written].  Both depend on S^0_psi alone, never on
+    the labels, root numbers or places of psi."""
+    return [sigma(base), None]
+
+
+def report_arthur(sem: Semantics) -> Iterable[str]:
+    """The report's JSON text: one piece from the memo when the group has at
+    most ARTHUR_MEMO_ROWS rows, otherwise `_arthur_pieces`.  The row budget
+    is checked before any row is computed."""
+    group = sem.group
     if group.order > ARTHUR_MAX_ROWS:
         raise SemanticError("arthur has %d component rows, over the size budget of %d rows"
                             % (group.order, ARTHUR_MAX_ROWS))
     base = sem.identity_component
-    orthogonal, rest = base.factors[:len(shape.orthogonal)], base.factors[len(shape.orthogonal):]
-    sizes, pivot = [f.size for f in orthogonal], group.pivot
+    if group.order > ARTHUR_MEMO_ROWS:
+        return _arthur_pieces(base, sigma(base))
+    entry = _component_reports(base)
+    if entry[1] is None:
+        entry[1] = "".join(_arthur_pieces(base, entry[0]))
+    return (entry[1],)
+
+
+def _arthur_pieces(base: ConnectedShape, sigma_bar0: Fraction) -> Iterator[str]:
+    """The arthur report of the identity component `base` in pieces, rows in
+    `group.elements()` order; all that can fail runs first.  The orthogonal
+    factors are the leading SO factors of `base`, and the group's pivot is
+    the first of odd size.  A row's i and e depend only on how many
+    orthogonal factors of each size it twists, its class, so each class's
+    values and text are made once.  A piece is one row of signs of the first
+    half of the orthogonal factors, joined with every row of the second."""
+    sizes = [f.size for f in base.factors if f.kind == SO]
+    orthogonal, rest = base.factors[:len(sizes)], base.factors[len(sizes):]
+    pivot = next((index for index, size in enumerate(sizes) if size % 2), None)
 
     def numbers(factors, coset):  # (i, e) as the integers (i num, i den, e num, e den)
         datum = ComponentDatum(ConnectedShape(factors), coset)
@@ -657,7 +687,6 @@ def report_arthur(sem: Semantics) -> Iterator[str]:
                  for t in range(twistable + 1)]
         weights[size] = len(classes)
         classes = [(a * p, b * q, c * r, d * s) for p, q, r, s in steps for a, b, c, d in classes]
-    sigma_bar0 = sigma(base)
     head, row, end, tail = _ARTHUR
     end = "\n      " * bool(sizes) + end
     # each class's text takes the slot of its integers, which die as it is made
@@ -729,12 +758,19 @@ def report_epsilon(sem: Semantics) -> Tuple[str]:
 
 
 def report_multiplicity(sem: Semantics) -> Tuple[str]:
-    shape = sem.shape
-    places = sem.places if sem.places and sem.chain_flags.in_2 else ()
-    coeff, counts = multiplicity._coefficient_and_counts(
-        shape, sem.group, sem.identity_component, sem.eps, places)
-    packet = "" if counts is None else _PACKET % counts
-    return (_MULTIPLICITY % (_defaulted_pairs(sem.eps.defaulted), packet, coeff.denominator,
+    """The stable coefficient is eps_psi(s_psi) sigma-bar^0 / |S-bar_psi|,
+    one `Fraction`, with sigma-bar^0 from the memo when the group is small
+    enough to keep; the packet counts are read only for a square-integrable
+    parameter with places."""
+    shape, group, base, eps = sem.shape, sem.group, sem.identity_component, sem.eps
+    sigma_bar0 = _component_reports(base)[0] if group.order <= ARTHUR_MEMO_ROWS else sigma(base)
+    coeff = Fraction(eps.value_at_s_psi * sigma_bar0.numerator,
+                     sigma_bar0.denominator * group.order)
+    packet = ""
+    if sem.places and sem.chain_flags.in_2:
+        model = multiplicity.GlobalPlacesModel(shape, sem.places)
+        packet = _PACKET % multiplicity._packet_counts(eps, model)
+    return (_MULTIPLICITY % (_defaulted_pairs(eps.defaulted), packet, coeff.denominator,
                              coeff.numerator),)
 
 
@@ -852,8 +888,8 @@ _FLAG_REPORTS = {
 def run(command: str, doc: Optional[ParameterDocument],
         flags: SimpleNamespace) -> Iterable[str]:
     """The JSON text of one command's report in pieces, all rendered before
-    this returns except those of `arthur` and `tadic`, which are rendered as
-    they are written.  A library `ValueError`, such as from --n or --k, is a
+    this returns except those of `tadic` and of an `arthur` report of more
+    than ARTHUR_MEMO_ROWS rows, which are rendered as they are written.  A library `ValueError`, such as from --n or --k, is a
     `SemanticError`."""
     try:
         if command in _DOC_REPORTS:

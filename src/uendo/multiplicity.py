@@ -45,7 +45,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, SignCharacter, _epsilon_character, _evaluate, epsilon_character
+from .signs import RootNumberTable, _epsilon_character, _evaluate, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -75,22 +75,9 @@ def stable_coefficient(
     table = table or RootNumberTable()
     table.validate_against(psi)
     shape = centralizer_shape(psi, tag)
-    return _coefficient_and_counts(shape, component_group(shape), identity_component_shape(shape),
-                                   _epsilon_character(shape, table), ())[0]
-
-
-def _coefficient_and_counts(
-    shape: CentralizerShape, group: FiniteTwoGroup, identity_component: ConnectedShape,
-    eps: SignCharacter, places: Sequence[Place]
-) -> Tuple[Fraction, Optional[Tuple[int, int]]]:
-    """The stable coefficient of a parameter that factors through the datum,
-    from its built shape, component group, identity component and eps_psi,
-    and its `packet_counts` over `places`, None when there are none; a caller
-    passes places only for a square-integrable parameter."""
-    coeff = Fraction(1, group.order) * eps.value_at_s_psi * sigma(identity_component)
-    if not places:
-        return coeff, None
-    return coeff, _packet_counts(eps, GlobalPlacesModel(shape, places))
+    eps = _epsilon_character(shape, table)
+    return (Fraction(1, component_group(shape).order) * eps.value_at_s_psi
+            * sigma(identity_component_shape(shape)))
 
 
 # ---------------------------------------------------------------------------

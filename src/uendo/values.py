@@ -12,9 +12,9 @@ deletion, and copying and pickling, which rebuild through `__init__`.
 
 A class whose instances key memos or dictionaries on a hot path computes
 its hash once, in `__init__`, into a `_hash` cache slot: `SimpleParameter`
-(params), `SimpleDatumTag` (params), `StandardSymbol` (tadic) and
-`ParameterDocument` (cli).  `GlobalParameter`, frozen like these but not a
-`Value`, keeps its hash the same way.
+(params), `SimpleDatumTag` (params), `ConnectedShape` (weylnum),
+`StandardSymbol` (tadic) and `ParameterDocument` (cli).  `GlobalParameter`,
+frozen like these but not a `Value`, keeps its hash the same way.
 """
 
 from operator import attrgetter

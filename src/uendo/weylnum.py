@@ -135,7 +135,7 @@ class ConnectedShape(Value):
     subgroup given by one sign per factor (-1 only where the factor contains
     the scalar -1)."""
 
-    __slots__ = ("factors", "central_quotient")
+    __slots__ = ("factors", "central_quotient", "_hash")
 
     def __init__(self, factors: Tuple[Factor, ...],
                  central_quotient: Optional[Tuple[int, ...]] = None):
@@ -152,6 +152,10 @@ class ConnectedShape(Value):
                     raise ValueError("-1 is not central in %r" % (f,))
         set_field(self, "factors", factors)
         set_field(self, "central_quotient", central_quotient)
+        set_field(self, "_hash", hash((factors, central_quotient)))  # the arthur memo's key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def center_dim(self) -> int:

@@ -9,11 +9,13 @@ from uendo import cli, tadic
 
 @pytest.fixture(autouse=True)
 def cold_document_memos():
-    """Clear the CLI's document memos (`cli.parse` and the elaborate memo)
-    and the memo of archimedean `tadic` keys before each test, so that every
-    test starts cold, as a fresh CLI process does, whatever ran before it."""
+    """Clear the CLI's document memos (`cli.parse` and the elaborate memo),
+    its memo of identity components and the memo of archimedean `tadic` keys
+    before each test, so that every test starts cold, as a fresh CLI process
+    does, whatever ran before it."""
     cli.parse.cache_clear()
     cli._elaborate.cache_clear()
+    cli._component_reports.cache_clear()
     tadic._arch_keys.cache_clear()
 
 

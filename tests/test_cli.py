@@ -661,7 +661,8 @@ def test_each_document_is_analysed_once_for_all_its_reports(monkeypatch, capsys)
 
 def test_a_refused_document_keeps_no_analysis(monkeypatch, tmp_path, capsys):
     # sd=+ nu(2) lands on Sp(1) in U(3) parity +: every gated command refuses
-    # it with the same line, each time checking afresh, and nothing is kept
+    # it with the same line, from the one False verdict kept, and nothing
+    # else is kept
     target = tmp_path / "doc.txt"
     target.write_text("group U(3) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
                       "psi = a (x) nu(1) + b (x) nu(2)\n")
@@ -671,11 +672,21 @@ def test_a_refused_document_keeps_no_analysis(monkeypatch, tmp_path, capsys):
         for command in gated:
             assert run_cli([command, "--input", str(target)], capsys) == (
                 2, "", "error: parameter does not factor through the declared datum\n")
-    assert calls == {"factors_through": 2 * len(gated)}
+    assert calls == {"factors_through": 1}
     sem = cli.elaborate(cli.parse(target.read_text()))
-    assert not sem._factors
+    assert sem._factors is False
     assert (sem._shape, sem._group, sem._identity_component, sem._eps,
             sem._chain_flags) == (None,) * 5
+
+
+def test_a_document_that_does_not_factor_is_checked_once(monkeypatch, capsys):
+    # doc10 does not factor: its False verdict is kept like a True one, so
+    # the six JSON commands, twice over, run `factors_through` once
+    calls = _count_builds(monkeypatch, BUILDERS[:1])
+    codes = [run_cli([command, "--input", str(FIXTURES[9])], capsys)[0]
+             for _ in range(2) for command in JSON_DOCUMENT_COMMANDS]
+    assert codes == [0, 2, 2, 0, 2, 2] * 2
+    assert calls == {"factors_through": 1}
 
 
 def test_multiplicity_reports_defaulted_pairs(tmp_path, capsys):
@@ -1990,3 +2001,140 @@ def test_arthur_and_multiplicity_answer_the_largest_factors(tmp_path, report_val
             assert [e.message for e in report_validator.iter_errors(report)] == [], name
             if command == "arthur":
                 assert out == _json_reference(_arthur_oracle(text)), name
+
+
+# ---------------------------------------------------------------------------
+# The memo of identity components
+
+
+_PAIR_LABELS = [a + b for a in "abcdefgh" for b in "pqrstuvw"]
+
+
+def _shared_component_pair(rng):
+    """Two documents of one datum and one list of constituents, as
+    `_arthur_document` draws them, so of one identity component, under
+    different labels (assigned in the same order), root numbers and places."""
+    parity = rng.choice((1, -1))
+    skeleton = []
+    if rng.random() < 0.5:
+        # two orthogonal constituents like doc12's a and b, whose root number
+        # can make eps_psi(s_psi) = -1
+        same, other = ("+", "-")[::parity]
+        skeleton += [(1, 1, same, rng.choice((1, 3))), (1, 2, other, rng.choice((1, 3)))]
+    for _ in range(rng.randint(1, 6 - len(skeleton))):
+        sd, nu, deg = rng.choice(("+", "+", "-", "none")), rng.randint(1, 3), rng.randint(1, 2)
+        if sd == "none":
+            mult = rng.randint(1, 3)
+        elif (1 if sd == "+" else -1) * (-1) ** (nu - 1) == parity:
+            mult = rng.randint(1, 5)
+        else:
+            mult = rng.choice((2, 4))
+        skeleton.append((deg, nu, sd, mult))
+    # constituents are ordered by degree, SL(2) dimension and label
+    skeleton.sort(key=lambda item: item[:2])
+    n = sum(deg * nu * mult * (2 if sd == "none" else 1) for deg, nu, sd, mult in skeleton)
+    texts, labels = [], None
+    while len(texts) < 2:
+        drawn = sorted(rng.sample(_PAIR_LABELS, len(skeleton)))
+        if drawn == labels:
+            continue
+        labels = drawn
+        lines = ["group U(%d) parity %s" % (n, "+" if parity == 1 else "-")]
+        lines += ["mu %s: deg=%d, sd=%s" % (lab, deg, sd)
+                  for lab, (deg, _, sd, _) in zip(labels, skeleton)]
+        lines.append("psi = " + " + ".join("%d*%s (x) nu(%d)" % (mult, lab, nu)
+                                           for lab, (_, nu, _, mult) in zip(labels, skeleton)))
+        sds = {lab: item[2] for lab, item in zip(labels, skeleton)}
+        roots = ["%s, %s : %s" % (a, b, rng.choice(("+1", "-1")))
+                 for a, b in itertools.combinations(labels, 2)
+                 if {sds[a], sds[b]} == {"+", "-"} and rng.random() < 0.7]
+        if roots:
+            lines.append("roots { %s }" % " ".join(roots))
+        places = ["%s%d : %s" % (rng.choice("vw"), i, rng.choice(("inert", "split")))
+                  for i in range(rng.randint(0, 2))]
+        if places:
+            lines.append("places [ %s ]" % " ".join(places))
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_identity_component_memo_answers_as_a_cold_process(tmp_path, capsys):
+    # two documents of one identity component: arthur and multiplicity give
+    # the same bytes after the other document filled the memo, in either
+    # order, as with the memo cleared
+    rng = random.Random(3901)
+    paths = (tmp_path / "a.txt", tmp_path / "b.txt")
+    signs_differ, places_differ, hits = collections.Counter(), 0, 0
+    for _ in range(200):
+        texts = _shared_component_pair(rng)
+        sems = [cli.elaborate(cli.parse(text)) for text in texts]
+        assert sems[0].identity_component == sems[1].identity_component, texts
+        assert sems[0].psi != sems[1].psi
+        values = tuple(sem.eps.value_at_s_psi for sem in sems)
+        signs_differ[values] += 1
+        places_differ += sems[0].places != sems[1].places
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        commands = ("arthur", "multiplicity")
+        if rng.random() < 0.5:
+            commands = commands[::-1]
+
+        def outputs(order):
+            return {(index, command): run_cli([command, "--input", str(paths[index])], capsys)
+                    for index in order for command in commands}
+
+        cold = {}
+        for index in (0, 1):
+            cli._component_reports.cache_clear()
+            cold.update(outputs((index,)))
+        assert all(code == 0 and err == "" for code, _, err in cold.values()), texts
+        for order in ((0, 1), (1, 0)):
+            cli._component_reports.cache_clear()
+            assert outputs(order) == cold, (order, texts)
+            info = cli._component_reports.cache_info()
+            assert info.currsize == 1
+            hits += info.hits
+    assert hits == 200 * 2 * 3
+    assert signs_differ[1, -1] + signs_differ[-1, 1] >= 20 and signs_differ[-1, -1] >= 5
+    assert places_differ >= 100
+
+
+def test_arthur_streams_a_group_over_the_memo_rows_and_keeps_nothing():
+    # the 16 x 16 budget edge, 2^16 rows: the first piece is one row of signs
+    # of the first eight factors, and the rest are written as they are read
+    sem = cli.elaborate(cli.parse(distinct_labels_document(16, 16)))
+    pieces = iter(cli.report_arthur(sem))
+    first = next(pieces)
+    assert first.count('"component"') == 256
+    assert cli._component_reports.cache_info().currsize == 0
+    sizes = [len(piece) for piece in pieces]
+    assert (len(sizes), len(first) + sum(sizes)) == (256, 44_801_884)
+    # multiplicity reads sigma-bar^0 past the memo too, for 2^7 rows
+    doc = cli.parse(distinct_labels_document(7, 2))
+    assert cli.elaborate(doc).group.order == 128 > cli.ARTHUR_MEMO_ROWS
+    report = json.loads("".join(cli.run("multiplicity", doc, None)))
+    assert report["command"] == "multiplicity"
+    assert cli._component_reports.cache_info().currsize == 0
+
+
+def test_identity_component_memo_keeps_at_most_its_entries(tmp_path, capsys):
+    # GL(b) x O(m) for 600 pairs (b, m): 600 identity components of one or
+    # two rows, the first of them dropped by the time the last is kept
+    info = cli._component_reports.cache_info()
+    assert info.maxsize == cli.ARTHUR_MEMO_ENTRIES < 600
+    doc = tmp_path / "doc.txt"
+    first = None
+    for b in range(1, 31):
+        for m in range(1, 21):
+            doc.write_text("group U(%d) parity +\nmu c: deg=1, sd=none\nmu a: deg=1, sd=+\n"
+                           "psi = %d*c (x) nu(1) + %d*a (x) nu(1)\n" % (2 * b + m, b, m))
+            out = [run_cli([command, "--input", str(doc)], capsys)
+                   for command in ("multiplicity", "arthur")]
+            first = first or (doc.read_text(), out)
+            assert cli._component_reports.cache_info().currsize <= cli.ARTHUR_MEMO_ENTRIES
+    assert cli._component_reports.cache_info().currsize == cli.ARTHUR_MEMO_ENTRIES
+    doc.write_text(first[0])
+    misses = cli._component_reports.cache_info().misses
+    assert [run_cli([command, "--input", str(doc)], capsys)
+            for command in ("multiplicity", "arthur")] == first[1]
+    assert cli._component_reports.cache_info().misses == misses + 1

@@ -244,6 +244,25 @@ def test_parameter_document_hashes_its_fields_once(monkeypatch):
     assert hashed == [Decl("a", 1, "+")]
 
 
+def test_connected_shape_hashes_its_fields_once(monkeypatch):
+    shape = _build(ConnectedShape)
+    fields = (shape.factors, shape.central_quotient)
+    assert hash(shape) == hash(fields) == hash(_build(ConnectedShape))
+    # copying and pickling pass the fields to `__init__`, which hashes them afresh
+    assert shape.__reduce__() == (ConnectedShape, fields)
+    for clone in (copy.copy(shape), copy.deepcopy(shape), pickle.loads(pickle.dumps(shape))):
+        assert clone is not shape and clone == shape and hash(clone) == hash(shape)
+        assert {clone: 1}[shape] == 1
+    assert "_hash" not in repr(shape)
+    hashed = []
+    monkeypatch.setattr(Factor, "__hash__", lambda self: hashed.append(self) or 0)
+    for _ in range(3):
+        hash(shape)
+    assert hashed == []  # the arthur memo's lookups rehash no factor
+    hash(copy.copy(shape))
+    assert hashed == [so(4), sp(2)]
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: SimpleParameter("a", 0, ORTHOGONAL), "degrees must be positive"),
     (lambda: SimpleParameter("a", 1, ORTHOGONAL, 0), "degrees must be positive"),
