@@ -32,8 +32,8 @@ sign data as bit masks; the relative signs read it directly and
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
+from math import factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .params import GlobalParameter, SimpleDatumTag, SimpleParameter, parity_split
@@ -271,26 +271,34 @@ class LeviDiagram(Value):
 
 
 def levi_diagram(shape: CentralizerShape) -> LeviDiagram:
-    """The diagram's orders in closed form over `torus_blocks(shape)`: a
-    block of rank r has Weyl group of order r! when it is GL and 2^r r!
-    otherwise, and W^0 halves each even O(l) block, whose W(SO(l)) changes
-    an even number of signs.  S^1 is the sign vectors on the odd indices
+    """The diagram's orders in closed form over `torus_blocks(shape)`, read
+    in one pass over the factors, powers of 2 as shifts: a block of rank r
+    has Weyl group of order r! when it is GL and 2^r r! otherwise, and W^0
+    halves each even O(l) block, whose W(SO(l)) changes an even number of
+    signs.  S^1 is the sign vectors on the odd indices
     modulo sigma_bar, -1 on all of them, and N is W times the odd component
     bits modulo the central flip: |S^1| = 2^max(#odd - 1, 0), |N| = |W| |S^1|.
     S, the sign vectors on the orthogonal factors modulo sigma_bar, is
     `component_group(shape)`, whose order is read off without building it:
     |S| = 2^(#O - [#odd > 0]) = 2^#even |S^1| = |R| |S^1|.
     """
-    w_order = w0_order = 1
-    for kind, _, l, rank in torus_blocks(shape):
-        order = math.factorial(rank) * (1 if kind == "GL" else 2 ** rank)
-        w_order *= order
-        w0_order *= order // 2 if kind == "O" and l % 2 == 0 else order
-    s1_order = 2 ** max(len(shape.odd_plus_labels) - 1, 0)
-    r_labels = shape.even_plus_labels
-    return LeviDiagram(w0_order=w0_order, w_order=w_order, n_order=w_order * s1_order,
-                       s_order=2 ** len(r_labels) * s1_order, s1_order=s1_order,
-                       r_labels=r_labels)
+    perms, rank, n_odd, r_labels = 1, 0, 0, []  # prod r!, the O and Sp rank, #odd, R
+    for sp, l in shape.orthogonal:
+        perms *= factorial(l >> 1)
+        rank += l >> 1
+        if l & 1:
+            n_odd += 1
+        else:
+            r_labels.append(sp.label)
+    for _, l in shape.symplectic:
+        perms *= factorial(l >> 1)
+        rank += l >> 1
+    for _, l in shape.general_linear:
+        perms *= factorial(l)
+    s1_shift = n_odd - 1 if n_odd else 0
+    n_even = len(r_labels)
+    return LeviDiagram(perms << (rank - n_even), perms << rank, perms << (rank + s1_shift),
+                       1 << (n_even + s1_shift), 1 << s1_shift, tuple(r_labels))
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,17 @@ Exit codes: 1 parse error, 2 semantic validation failure, 3 internal
 invariant failure.  An input that cannot be read and an output that cannot
 be written, such as a pipe whose reader has gone (`uendo tadic ... | head`),
 also exit 2, with one `cannot read input: ...` or `cannot write output: ...`
-line on stderr and no traceback.  Rationals are serialized as
-{"num": ..., "den": ...}.
+line on stderr and no traceback.  A refusal whose line cannot be written
+keeps its exit code.  Rationals are serialized as {"num": ..., "den": ...}.
 """
 
 from __future__ import annotations
 
-import errno
 import functools
 import itertools
 import operator
 import os
 import re
-import stat
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -964,23 +962,27 @@ def _argument_parser():
 
 def _read_document(path: str) -> str:
     """The file's text, with CRLF and lone CR read as LF, as text mode
-    reads it.  Each error is the `OSError` that `open(path, "rb")` raises,
-    a directory's included, or one for a NUL byte in the path, which `open`
-    refuses with a `ValueError`."""
+    reads it: open, a read per 64 KiB, the empty read, close.  Each error is
+    the `OSError` that `open(path, "rb")` raises, or one for a NUL byte in
+    the path, which `open` refuses with a `ValueError`.  A directory opens,
+    and the `IsADirectoryError` (EISDIR) of its first read is raised again
+    with the path, as `open` words it."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except ValueError as exc:  # embedded null byte
         raise OSError(str(exc)) from None
     try:
-        if stat.S_ISDIR(os.fstat(fd).st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         chunks = []
         while chunk := os.read(fd, 1 << 16):
             chunks.append(chunk)
+    except IsADirectoryError as exc:
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
     text = b"".join(chunks).decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -996,14 +998,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.input:
             doc = parse(_read_document(args.input))
     except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 1
+        return _refuse("parse error: %s" % exc, 1)
     except UnicodeDecodeError as exc:
-        print("parse error: input is not UTF-8 text: %s" % exc, file=sys.stderr)
-        return 1
+        return _refuse("parse error: input is not UTF-8 text: %s" % exc, 1)
     except OSError as exc:
-        print("cannot read input: %s" % exc, file=sys.stderr)
-        return 2
+        return _refuse("cannot read input: %s" % exc, 2)
 
     try:
         if args.command == "print":
@@ -1013,30 +1012,40 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             report = run(args.command, doc, args)
     except SemanticError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _refuse("error: %s" % exc, 2)
     except InternalInvariantError as exc:
-        print("invariant failure: %s" % exc, file=sys.stderr)
-        return 3
+        return _refuse("invariant failure: %s" % exc, 3)
 
     try:
         sys.stdout.writelines(report)
         sys.stdout.flush()
     except OSError as exc:
-        _drop_stdout()
-        print("cannot write output: %s" % exc, file=sys.stderr)
-        return 2
+        _drop_stream(sys.stdout)
+        return _refuse("cannot write output: %s" % exc, 2)
     return 0
 
 
-def _drop_stdout() -> None:
-    """Point stdout's file descriptor at `os.devnull`, so that what is left
-    in its buffer goes there when the interpreter flushes it at exit,
-    instead of failing again and printing "Exception ignored"."""
+def _refuse(line: str, code: int) -> int:
+    """Write one refusal line on stderr and return its exit code, which a
+    stderr that cannot be written (full, closed) keeps, with no traceback."""
     try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _drop_stream(sys.stderr)
+    return code
+
+
+def _drop_stream(stream) -> None:
+    """Point the stream's file descriptor at `os.devnull`, so that what is
+    left in its buffer goes there at the interpreter's exit flush instead of
+    failing again, which prints "Exception ignored" for stdout and turns the
+    exit code into 120 for stderr."""
+    try:
+        fd = stream.fileno()
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if devnull != fd:  # a closed descriptor is the first one `os.open` hands out
+            os.dup2(devnull, fd)
+            os.close(devnull)
     except (OSError, ValueError):  # a stream with no descriptor has no exit flush to fail
         pass
 

@@ -246,18 +246,19 @@ def factors_through(psi: GlobalParameter, tag: SimpleDatumTag) -> bool:
 
 def _classify_twisted(psi: GlobalParameter) -> ChainMembership:
     # The twisted centralizer is connected, so sim = 2 and s-disc = disc.
-    all_self_dual = len(psi.dual_pair_orbits) == 0
-    mults_one = all(l == 1 for _, l in psi.constituents)
-    simple = all_self_dual and mults_one and len(psi.constituents) == 1
-    elliptic = all_self_dual and mults_one
-    return ChainMembership(
-        in_sim=simple,
-        in_2=simple,
-        in_ell=elliptic,
-        in_s_disc=all_self_dual,
-        in_disc=all_self_dual,
-        is_generic=psi.is_generic,
-    )
+    # Every non-self-dual constituent has its partner in psi, so psi has no
+    # partnered orbit exactly when every constituent is self-dual.
+    self_dual = mults_one = generic = True
+    for sp, l in psi.constituents:
+        if sp._sign is None:
+            self_dual = False
+        if l != 1:
+            mults_one = False
+        if sp.su2_dim != 1:
+            generic = False
+    elliptic = self_dual and mults_one
+    simple = elliptic and len(psi.constituents) == 1
+    return ChainMembership(simple, simple, elliptic, self_dual, self_dual, generic)
 
 
 def classify(psi: GlobalParameter, tag: Optional[SimpleDatumTag] = None) -> ChainMembership:

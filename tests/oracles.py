@@ -1,9 +1,10 @@
 """Independent evaluations that the tests check the library against."""
 
 import itertools
+import math
 
-from uendo.centralizer import centralizer_shape, element_table
-from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC
+from uendo.centralizer import LeviDiagram, centralizer_shape, element_table, torus_blocks
+from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, ChainMembership
 from uendo.signs import even_constituent_count
 
 
@@ -141,3 +142,37 @@ def global_parameter_fields(constituents):
         raise ValueError("empty parameter")
     by_label = {sp.label: (sp, l) for sp, l in constituents}
     return constituents, total_degree, by_label, hash(constituents)
+
+
+def classify_twisted_by_orbits(psi):
+    """`params.classify(psi)`, the flags relative to the twisted general
+    linear group, by their first form: self-dual means no partnered orbit
+    in `psi.dual_pair_orbits`, and the multiplicities are read by `all`."""
+    all_self_dual = len(psi.dual_pair_orbits) == 0
+    mults_one = all(l == 1 for _, l in psi.constituents)
+    simple = all_self_dual and mults_one and len(psi.constituents) == 1
+    elliptic = all_self_dual and mults_one
+    return ChainMembership(
+        in_sim=simple,
+        in_2=simple,
+        in_ell=elliptic,
+        in_s_disc=all_self_dual,
+        in_disc=all_self_dual,
+        is_generic=psi.is_generic,
+    )
+
+
+def levi_diagram_by_blocks(shape):
+    """`centralizer.levi_diagram(shape)` by its first form: the Weyl orders
+    multiplied block by block over `torus_blocks(shape)`, and S^1 and R read
+    off the shape's odd and even orthogonal labels."""
+    w_order = w0_order = 1
+    for kind, _, l, rank in torus_blocks(shape):
+        order = math.factorial(rank) * (1 if kind == "GL" else 2 ** rank)
+        w_order *= order
+        w0_order *= order // 2 if kind == "O" and l % 2 == 0 else order
+    s1_order = 2 ** max(len(shape.odd_plus_labels) - 1, 0)
+    r_labels = shape.even_plus_labels
+    return LeviDiagram(w0_order=w0_order, w_order=w_order, n_order=w_order * s1_order,
+                       s_order=2 ** len(r_labels) * s1_order, s1_order=s1_order,
+                       r_labels=r_labels)

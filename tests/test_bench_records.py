@@ -2,10 +2,13 @@
 JSON object that names the command its runs came from and the machine they
 ran on, so that a claimed gain can be run again and its figures read.  A
 record that claims a gain starts its claim with the workload and the
-end-to-end metric of `BENCHMARK.json` that it claims it on."""
+end-to-end metric of `BENCHMARK.json` that it claims it on, and says in how
+many pairs of runs the change was lower: in at least 90 % of at least five
+pairs, the pair rule of a claimed gain."""
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -36,3 +39,14 @@ def test_benchmark_record_claims_a_declared_workload_and_metric(path):
     head, colon, _ = claim.partition(":")
     workload, _, metric = head.partition(" ")
     assert colon and workload in workloads and metric in metrics, (path.name, head)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_benchmark_record_claims_by_the_pair_rule(path):
+    claim = json.loads(path.read_text()).get("claim", "none")
+    if claim == "none":
+        return
+    counts = [(int(w), int(p)) for w, p in re.findall(r"lower in (\d+) of (\d+)", claim)]
+    assert counts, (path.name, claim)
+    for won, pairs in counts:
+        assert pairs >= 5 and won >= 0.9 * pairs, (path.name, won, pairs)

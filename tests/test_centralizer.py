@@ -1,9 +1,12 @@
+import collections
 import itertools
 import math
+import random
 
 import pytest
 
-from families import sd
+from families import random_parameter, sd, tag_for
+from oracles import classify_twisted_by_orbits, levi_diagram_by_blocks
 from uendo.centralizer import (
     CentralizerShape,
     FiniteTwoGroup,
@@ -21,6 +24,7 @@ from uendo.params import (
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
+    classify,
 )
 
 
@@ -294,6 +298,27 @@ def test_levi_diagram_counts_match_enumerated_normalizer():
             assert d.s_order == brute_force_order(shape), combo
             assert enumerated_splitting_ok(shape), combo
     assert checked == 285
+
+
+def test_one_pass_flags_and_orders_match_their_first_forms():
+    # seeded draws with partnered orbits, Sp factors and O factors of odd
+    # and even multiplicity up to 4: the twisted chain flags and every field
+    # of the diagram, r_labels included, equal those of the first forms
+    rng = random.Random(4040)
+    seen = collections.Counter()
+    for _ in range(1000):
+        psi = random_parameter(rng, max_mult=rng.choice((1, 4)))
+        flags = classify(psi)
+        assert flags == classify_twisted_by_orbits(psi), psi
+        shape = centralizer_shape(psi, tag_for(psi))
+        assert levi_diagram(shape) == levi_diagram_by_blocks(shape), psi
+        seen.update(name for name, hit in (
+            ("GL", shape.general_linear), ("Sp", shape.symplectic),
+            ("odd O", shape.odd_plus_labels), ("even O", shape.even_plus_labels),
+            ("sim", flags.in_sim), ("ell, not sim", flags.in_ell and not flags.in_sim),
+            ("disc, not ell", flags.in_disc and not flags.in_ell),
+            ("not disc", not flags.in_disc), ("generic", flags.is_generic)) if hit)
+    assert min(seen.values()) >= 10 and len(seen) == 9, seen
 
 
 def test_block_orders_match_enumerated_blocks():

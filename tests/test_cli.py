@@ -1,9 +1,11 @@
 import argparse
 import collections
+import errno
 import functools
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -878,6 +880,9 @@ def test_os_read_matches_open_read(name, tmp_path, monkeypatch, capsys):
         reads.append(size)
         return read(fd, size)
 
+    def no_fstat(fd):
+        raise AssertionError("the read path calls os.fstat")
+
     for command in ("print", "classify", "arthur"):
         argv = [command, "--input", str(path)]
         with monkeypatch.context() as patched:
@@ -886,10 +891,14 @@ def test_os_read_matches_open_read(name, tmp_path, monkeypatch, capsys):
         cli.parse.cache_clear()
         with monkeypatch.context() as patched:
             patched.setattr(cli.os, "read", counted)
+            patched.setattr(cli.os, "fstat", no_fstat)
             assert run_cli(argv, capsys) == want, (name, command)
     if name in ("directory", "missing"):
         assert want[0] == 2 and want[2].startswith("cannot read input: [Errno ")
-        assert want[2].endswith(": %r\n" % str(path)) and reads == []
+        assert want[2].endswith(": %r\n" % str(path))
+        # a missing file fails at open; a directory opens, and its first read
+        # raises EISDIR
+        assert reads == ([1 << 16] * 3 if name == "directory" else []), reads
     else:
         chunks = -(-len(READ_PATH_INPUTS[name]) // (1 << 16))
         assert len(reads) == 3 * (chunks + 1)  # each command reads the chunks, then the end
@@ -1110,6 +1119,56 @@ def test_unwritable_output_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     code = cli.main(argv)
     monkeypatch.undo()
     assert (code, capsys.readouterr().err) == (2, "cannot write output: [Errno 32] Broken pipe\n")
+
+
+class _FullStderr:
+    """A stderr on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def test_unwritable_refusal_line_keeps_its_exit_code(tmp_path, monkeypatch, capsys):
+    # the refusal line is lost, its exit code is not, and nothing escapes main
+    from uendo import checks
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("group U(\n")
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(b"\xff")
+    doc10 = FIXTURES[0].with_name("doc10.txt")
+    monkeypatch.setattr(checks, "run_all", lambda: ["planted failure"])
+    cases = [(["classify", "--input", str(bad)], 1), (["print", "--input", str(broken)], 1),
+             (["classify", "--input", str(tmp_path / "missing.txt")], 2),
+             (["classify", "--input", str(tmp_path)], 2), (["tadic", "--n", "99", "--k", "1"], 2),
+             (["arthur", "--input", str(doc10)], 2), (["check"], 3)]
+    for argv, code in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(sys, "stderr", _FullStderr())
+            assert cli.main(argv) == code, argv
+        assert capsys.readouterr() == ("", ""), argv
+    with monkeypatch.context() as patched:
+        patched.setattr(sys, "stdout", _BrokenStdout())
+        patched.setattr(sys, "stderr", _FullStderr())
+        assert cli.main(["classify", "--input", str(FIXTURES[0])]) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+def test_refusal_on_a_full_stderr_exits_with_its_code():
+    # the interpreter's exit flush of the unwritten line must not fail either
+    src = pathlib.Path(cli.__file__).parents[1]
+    with open(os.devnull, "rb") as stdin, open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uendo.cli", "classify", "--input", os.devnull + "/missing"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=full, timeout=60,
+            env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def test_check_command_green(capsys):
