@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import centralizer as central
 from . import endoscopy, localcalc, signs, tadic
+from .multiplicity import Analysis
 from .params import (
     ORTHOGONAL,
     SYMPLECTIC,
@@ -51,12 +52,17 @@ def _check_sigma():
     expect = [
         (ConnectedShape(()), Fraction(1)),
         (ConnectedShape((gl(1),)), Fraction(0)),
-        (ConnectedShape((sp(2),)), Fraction(-1, 8)),
         (ConnectedShape((so(3),)), Fraction(-1, 4)),
     ]
     for shape, val in expect:
         if sigma(shape) != val:
             return "sigma(%r) != %s" % (shape, val)
+    # sigma(Sp(2r)) = [t^r] (1 + t)^(-1/8), a series sharing no code with `_sigma_factor`
+    coeff = Fraction(1)
+    for r in range(1, 17):
+        coeff *= (Fraction(-1, 8) - r + 1) / r
+        if sigma(ConnectedShape((sp(2 * r),))) != coeff:
+            return "sigma(Sp(%d)) != %s, the series coefficient" % (2 * r, coeff)
     return None
 
 
@@ -78,9 +84,8 @@ def _shape(mults_plus, mults_minus=(), mults_gl=()):
 
 def _check_component_group():
     for mults in itertools.product((1, 2, 3), repeat=2):
-        psi, tag = _shape(mults)
-        shape = central.centralizer_shape(psi, tag)
-        group = central.component_group(shape)
+        analysis = Analysis(*_shape(mults), signs.RootNumberTable())
+        shape, group = analysis.shape, analysis.group
         if group.order != central.brute_force_order(shape):
             return "component group order mismatch at %r" % (mults,)
         # the closed-form orders against the enumerated normalizer
@@ -118,13 +123,22 @@ def _check_epsilon():
     mu2 = SimpleParameter("m2", 1, SYMPLECTIC, 1)
     psi = GlobalParameter([(mu1, 1), (mu2, 1)])
     tag = SimpleDatumTag(3, -1)
-    table = signs.RootNumberTable({frozenset(("m1", "m2")): -1})
-    char = signs.epsilon_character(psi, tag, table)
-    if char.is_trivial:
+    analysis = Analysis(psi, tag, signs.RootNumberTable({frozenset(("m1", "m2")): -1}))
+    if analysis.eps.is_trivial:
         return "U(3)-style sign character unexpectedly trivial"
-    group = central.component_group(central.centralizer_shape(psi, tag))
-    if char.evaluate(group.sigma_bar) != 1:
+    if analysis.eps.evaluate(analysis.group.sigma_bar) != 1:
         return "sign character not trivial on the central element"
+    return None
+
+
+def _check_stable_coefficient():
+    # U(4) parity +, psi = 4a: S^0 = SO(4) holds the central -1, so
+    # sigma-bar^0 = 2 sigma(SO(4)) = 1/16, over |S-bar| = 2.  U(5) parity +,
+    # psi = 4a + b: O(1) keeps -1 out of S^0, so sigma(SO(4)) = 1/32, over 2.
+    for mults, want in (((4,), Fraction(1, 32)), ((4, 1), Fraction(1, 64))):
+        got = Analysis(*_shape(mults), signs.RootNumberTable()).coefficient
+        if got != want:
+            return "stable coefficient %s != %s at O%r" % (got, want, mults)
     return None
 
 
@@ -186,6 +200,7 @@ _CHECKS = [
     _check_iota,
     _check_collapse,
     _check_epsilon,
+    _check_stable_coefficient,
     _check_relative_signs,
     _check_tadic,
     _check_phi,

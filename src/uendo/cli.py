@@ -47,12 +47,10 @@ from .params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
     SYMPLECTIC,
-    ChainMembership,
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
     classify,
-    factors_through,
 )
 from .values import Value, set_field
 from .weylnum import SO, ComponentDatum, ConnectedShape, e_number, i_number, sigma
@@ -356,12 +354,16 @@ class _Parser:
         return Term(mult, *self._read(_TERM))
 
 
-@functools.lru_cache(maxsize=None)
+# The documents `parse` and `_elaborate` each keep, above an interactive pass's 622.
+DOCUMENT_MEMO_ENTRIES = 4096
+
+
+@functools.lru_cache(maxsize=DOCUMENT_MEMO_ENTRIES)
 def parse(text: str) -> ParameterDocument:
     """The document that `text` spells, or a `ParseError`.  Memoized on the
-    text for the life of the process, so each distinct text is parsed once;
-    the document is frozen, so callers share it.  An error is not stored
-    and is raised again on every call."""
+    text, so a text is parsed once while the memo keeps it; the document is
+    frozen, so callers share it.  An error is not stored and is raised
+    again on every call."""
     text = _COMMENT.sub("", text)
     doc = _match(text)
     return _Parser(text).document() if doc is None else doc
@@ -386,105 +388,21 @@ def print_document(doc: ParameterDocument) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Semantics
+# Elaboration
 
 
-# centralizer, arthur, epsilon and multiplicity refuse a parameter with more
-# constituents than this, counted with multiplicity, before computing anything
-# from it: the orders they print grow like the factorial of that count, and
-# epsilon's root-number pairs like its square.  It is the one bound on a
-# parameter's size: a constituent of multiplicity l gives a factor O(l), Sp(l)
-# or GL(l), and an sd=none one counts twice, so no factor is larger than
-# O(256), Sp(256) or GL(128), of rank 128.
-PARAMETER_MAX_SIZE = 256
-
-
-class Semantics(Value):
-    """An elaborated document, and the analysis of its parameter against its
-    datum that the reports read.  Each part of the analysis is built on its
-    first read and kept in a cache slot, so every report of a document that
-    the elaborate memo keeps reads one build.  The shape is read only past
-    the size and factoring checks, and the group, the identity component and
-    eps_psi only off the shape, so a refused parameter keeps nothing but its
-    factoring verdict, True or False."""
-
-    __slots__ = ("psi", "tag", "table", "places",
-                 "_factors", "_shape", "_group", "_identity_component", "_eps", "_chain_flags")
-
-    def __init__(self, psi: GlobalParameter, tag: SimpleDatumTag, table: signs.RootNumberTable,
-                 places: Tuple[multiplicity.Place, ...]):
-        set_field(self, "psi", psi)
-        set_field(self, "tag", tag)
-        set_field(self, "table", table)
-        set_field(self, "places", places)
-        for slot in ("_factors", "_shape", "_group", "_identity_component", "_eps",
-                     "_chain_flags"):
-            set_field(self, slot, None)
-
-    @property
-    def factors(self) -> bool:
-        """Whether the parameter factors through the datum."""
-        if self._factors is None:
-            set_field(self, "_factors", factors_through(self.psi, self.tag))
-        return self._factors
-
-    @property
-    def shape(self) -> central.CentralizerShape:
-        """The centralizer's shape; a parameter over the size budget or not
-        of the datum is refused with a `SemanticError`."""
-        if self._shape is None:
-            if sum(l for _, l in self.psi.constituents) > PARAMETER_MAX_SIZE:
-                raise SemanticError("parameter is over the size budget of %d constituents "
-                                    "counted with multiplicity" % PARAMETER_MAX_SIZE)
-            if not self.factors:
-                raise SemanticError("parameter does not factor through the declared datum")
-            set_field(self, "_shape", central.centralizer_shape(self.psi, self.tag))
-        return self._shape
-
-    @property
-    def group(self) -> central.FiniteTwoGroup:
-        """The component group S-bar_psi."""
-        if self._group is None:
-            set_field(self, "_group", central.component_group(self.shape))
-        return self._group
-
-    @property
-    def identity_component(self) -> ConnectedShape:
-        """S^0_psi modulo the central +-1, whose sigma is sigma-bar^0."""
-        if self._identity_component is None:
-            set_field(self, "_identity_component",
-                      multiplicity.identity_component_shape(self.shape))
-        return self._identity_component
-
-    @property
-    def eps(self) -> signs.SignCharacter:
-        """eps_psi, off the shape and the table `elaborate` validated."""
-        if self._eps is None:
-            set_field(self, "_eps", signs._epsilon_character(self.shape, self.table))
-        return self._eps
-
-    @property
-    def chain_flags(self) -> ChainMembership:
-        """The chain flags of the parameter relative to the datum."""
-        if self._chain_flags is None:
-            set_field(self, "_chain_flags", classify(self.psi, self.tag))
-        return self._chain_flags
-
-
-def elaborate(doc: ParameterDocument) -> Semantics:
-    """Check a parsed document and build its library objects; every
-    rejection, the library's `ValueError`s included, is a `SemanticError`.
-    The result depends only on the document and is memoized on it for the
-    life of the process, so every request for one document shares one
-    `Semantics`; rejections are not stored."""
+def elaborate(doc: ParameterDocument) -> multiplicity.Analysis:
+    """Check a parsed document and build its `Analysis`, memoized on the
+    document; every rejection, the library's `ValueError`s included, is a
+    `SemanticError`, and none is stored."""
     try:
         return _elaborate(doc)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
 
 
-@functools.lru_cache(maxsize=None)
-def _elaborate(doc: ParameterDocument) -> Semantics:
+@functools.lru_cache(maxsize=DOCUMENT_MEMO_ENTRIES)
+def _elaborate(doc: ParameterDocument) -> multiplicity.Analysis:
     """`elaborate` before a `ValueError` becomes a `SemanticError`."""
     decls = {}
     for d in doc.decls:
@@ -536,7 +454,7 @@ def _elaborate(doc: ParameterDocument) -> Semantics:
         if name in places:
             raise SemanticError("place %r declared twice" % name)
         places[name] = multiplicity.Place(name, kind)
-    return Semantics(psi, tag, table, tuple(places.values()))
+    return multiplicity.Analysis(psi, tag, table, tuple(places.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +506,10 @@ def _flags(flags) -> str:
                      _json_bool(flags.in_sim), _json_bool(flags.in_2))
 
 
-def report_classify(sem: Semantics) -> Tuple[str]:
-    return (_CLASSIFY % (sem.tag.N, _json_bool(sem.factors), _flags(sem.chain_flags),
-                         sem.tag.parity, _flags(classify(sem.psi))),)
+def report_classify(analysis: multiplicity.Analysis) -> Tuple[str]:
+    tag = analysis.tag
+    return (_CLASSIFY % (tag.N, _json_bool(analysis.factors), _flags(analysis.chain_flags),
+                         tag.parity, _flags(classify(analysis.psi))),)
 
 
 # The v1 layout of a centralizer report and of one (label, multiplicity) pair.
@@ -601,8 +520,8 @@ _CENTRALIZER = ('{\n  "command": "centralizer",\n  "component_group_order": %d,\
 _PAIR = '[\n      %s,\n      %d\n    ]'
 
 
-def report_centralizer(sem: Semantics) -> Tuple[str]:
-    shape = sem.shape
+def report_centralizer(analysis: multiplicity.Analysis) -> Tuple[str]:
+    shape = analysis.shape
     diagram = central.levi_diagram(shape)
     factors = [_json_list([_PAIR % (_quoted(sp.label), l) for sp, l in part], 1)
                for part in (shape.general_linear, shape.orthogonal, shape.symplectic)]
@@ -613,11 +532,10 @@ def report_centralizer(sem: Semantics) -> Tuple[str]:
 # arthur writes one row per element of the component group; a larger group
 # is refused before any row is computed.
 ARTHUR_MAX_ROWS = 2 ** 16
-# sigma-bar^0 of a component group of at most ARTHUR_MEMO_ROWS rows, and its
-# arthur text once written, are kept per identity component for the life of
-# the process, in at most ARTHUR_MEMO_ENTRIES entries, the least recently
-# used dropped first.  A larger report is written afresh, piece by piece, on
-# every call, and never kept.
+# The arthur text of a component group of at most ARTHUR_MEMO_ROWS rows is
+# kept per identity component, in at most ARTHUR_MEMO_ENTRIES entries, the
+# least recently used dropped first.  A larger report is written afresh,
+# piece by piece, on every call, and never kept.
 ARTHUR_MEMO_ROWS = 64
 ARTHUR_MEMO_ENTRIES = 512
 
@@ -632,31 +550,27 @@ _ARTHUR = ('{\n  "command": "arthur",\n  "components": [', ',\n    {\n      "com
 
 
 @functools.lru_cache(maxsize=ARTHUR_MEMO_ENTRIES)
-def _component_reports(base: ConnectedShape) -> list:
-    """The memo entry of an identity component: [sigma-bar^0, its arthur
-    text, None until first written].  Both depend on S^0_psi alone, never on
-    the labels, root numbers or places of psi."""
-    return [sigma(base), None]
+def _component_reports(base: ConnectedShape) -> str:
+    """The arthur text of an identity component, which depends on S^0_psi
+    alone, never on the labels, root numbers or places of psi."""
+    return "".join(_arthur_pieces(base))
 
 
-def report_arthur(sem: Semantics) -> Iterable[str]:
+def report_arthur(analysis: multiplicity.Analysis) -> Iterable[str]:
     """The report's JSON text: one piece from the memo when the group has at
     most ARTHUR_MEMO_ROWS rows, otherwise `_arthur_pieces`.  The row budget
     is checked before any row is computed."""
-    group = sem.group
+    group = analysis.group
     if group.order > ARTHUR_MAX_ROWS:
         raise SemanticError("arthur has %d component rows, over the size budget of %d rows"
                             % (group.order, ARTHUR_MAX_ROWS))
-    base = sem.identity_component
+    base = analysis.identity_component
     if group.order > ARTHUR_MEMO_ROWS:
-        return _arthur_pieces(base, sigma(base))
-    entry = _component_reports(base)
-    if entry[1] is None:
-        entry[1] = "".join(_arthur_pieces(base, entry[0]))
-    return (entry[1],)
+        return _arthur_pieces(base)
+    return (_component_reports(base),)
 
 
-def _arthur_pieces(base: ConnectedShape, sigma_bar0: Fraction) -> Iterator[str]:
+def _arthur_pieces(base: ConnectedShape) -> Iterator[str]:
     """The arthur report of the identity component `base` in pieces, rows in
     `group.elements()` order; all that can fail runs first.  The orthogonal
     factors are the leading SO factors of `base`, and the group's pivot is
@@ -664,6 +578,7 @@ def _arthur_pieces(base: ConnectedShape, sigma_bar0: Fraction) -> Iterator[str]:
     orthogonal factors of each size it twists, its class, so each class's
     values and text are made once.  A piece is one row of signs of the first
     half of the orthogonal factors, joined with every row of the second."""
+    sigma_bar0 = sigma(base)
     sizes = [f.size for f in base.factors if f.kind == SO]
     orthogonal, rest = base.factors[:len(sizes)], base.factors[len(sizes):]
     pivot = next((index for index, size in enumerate(sizes) if size % 2), None)
@@ -746,28 +661,22 @@ def _defaulted_pairs(pairs: Tuple[Tuple[str, str], ...]) -> str:
     return _json_list(items, 1)
 
 
-def report_epsilon(sem: Semantics) -> Tuple[str]:
-    char = sem.eps
+def report_epsilon(analysis: multiplicity.Analysis) -> Tuple[str]:
+    char = analysis.eps
     return (_EPSILON % (_defaulted_pairs(char.defaulted),
                         _json_list(["%d" % x for x in char.exponents], 1),
-                        _json_bool(signs.is_epsilon_parameter(sem.psi)),
+                        _json_bool(signs.is_epsilon_parameter(analysis.psi)),
                         _json_list(list(map(_quoted, char.labels)), 1),
                         _json_bool(char.is_trivial), char.value_at_s_psi),)
 
 
-def report_multiplicity(sem: Semantics) -> Tuple[str]:
-    """The stable coefficient is eps_psi(s_psi) sigma-bar^0 / |S-bar_psi|,
-    one `Fraction`, with sigma-bar^0 from the memo when the group is small
-    enough to keep; the packet counts are read only for a square-integrable
-    parameter with places."""
-    shape, group, base, eps = sem.shape, sem.group, sem.identity_component, sem.eps
-    sigma_bar0 = _component_reports(base)[0] if group.order <= ARTHUR_MEMO_ROWS else sigma(base)
-    coeff = Fraction(eps.value_at_s_psi * sigma_bar0.numerator,
-                     sigma_bar0.denominator * group.order)
+def report_multiplicity(analysis: multiplicity.Analysis) -> Tuple[str]:
+    """The packet counts are read only for a square-integrable parameter
+    with places."""
+    coeff, eps = analysis.coefficient, analysis.eps
     packet = ""
-    if sem.places and sem.chain_flags.in_2:
-        model = multiplicity.GlobalPlacesModel(shape, sem.places)
-        packet = _PACKET % multiplicity._packet_counts(eps, model)
+    if analysis.places and analysis.chain_flags.in_2:
+        packet = _PACKET % analysis.packet_counts
     return (_MULTIPLICITY % (_defaulted_pairs(eps.defaulted), packet, coeff.denominator,
                              coeff.numerator),)
 

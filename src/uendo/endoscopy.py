@@ -21,8 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .centralizer import centralizer_shape, component_group
+from .centralizer import centralizer_shape
+from .multiplicity import Analysis
 from .params import GlobalParameter, SimpleDatumTag
+from .signs import RootNumberTable
 from .values import Value, set_field
 
 
@@ -177,28 +179,26 @@ def collapse_check(psi: GlobalParameter, tag: SimpleDatumTag):
     accounts for the two orderings of psi' occurring separately in the
     endoscopic expansion.  Returns the list of per-x records.
     """
-    shape = centralizer_shape(psi, tag)
-    if shape.symplectic or shape.general_linear or any(l != 1 for _, l in shape.orthogonal):
+    analysis = Analysis(psi, tag, RootNumberTable())
+    if not analysis.chain_flags.in_2:
         raise ValueError("collapse check requires a square-integrable parameter")
-    group = component_group(shape)
-    s_order = group.order
 
     def half_order(half: Optional[GlobalParameter]) -> int:
         # |S| of a half on U(n) of psi's parity; the empty half gives 1
         if half is None:
             return 1
         n = half.total_degree
-        return component_group(centralizer_shape(half, SimpleDatumTag(
-            n, tag.parity * (-1) ** (n - 1)))).order
+        half_tag = SimpleDatumTag(n, tag.parity * (-1) ** (n - 1))
+        return Analysis(half, half_tag, RootNumberTable()).group.order
 
     records = []
-    for vec in group.elements():
+    for vec in analysis.group.elements():
         s = {
             sp.label: ((l, 0) if sign == 1 else (0, l))
-            for (sp, l), sign in zip(shape.orthogonal, vec)
+            for (sp, l), sign in zip(analysis.shape.orthogonal, vec)
         }
         corr = correspond(psi, tag, s)
         split_orders = half_order(corr.psi_plus) * half_order(corr.psi_minus)
         lhs = corr.datum.iota * corr.orbit * Fraction(1, split_orders)
-        records.append((vec, corr, lhs == Fraction(1, s_order)))
+        records.append((vec, corr, lhs == Fraction(1, analysis.group.order)))
     return records

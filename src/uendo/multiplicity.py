@@ -1,6 +1,8 @@
 """Stable multiplicity coefficients and a finite global-packet model.
 
-The stable coefficient of a parameter against a datum is
+`Analysis` is the one analysis of (psi, datum, root-number table); the CLI,
+`stable_coefficient`, `spectral_multiplicity`, the collapse check and
+`check` read it.  The stable coefficient of a parameter against a datum is
 
     m * |S_psi|^-1 * eps_psi(s_psi) * sigma(Sbar^0_psi),
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .centralizer import (
@@ -38,6 +41,7 @@ from .centralizer import (
     component_group,
 )
 from .params import (
+    ChainMembership,
     GlobalParameter,
     SimpleDatumTag,
     SimpleParameter,
@@ -45,7 +49,7 @@ from .params import (
     constituent_sign,
     factors_through,
 )
-from .signs import RootNumberTable, _epsilon_character, _evaluate, epsilon_character
+from .signs import RootNumberTable, SignCharacter, _epsilon_character, _evaluate, epsilon_character
 from .values import Value, set_field
 from .weylnum import ConnectedShape, Factor, gl, sigma, so, sp
 
@@ -66,18 +70,89 @@ def identity_component_shape(shape: CentralizerShape) -> ConnectedShape:
     return ConnectedShape(tuple(factors), quotient)
 
 
+# The shape of a parameter with more constituents than this, counted with
+# multiplicity, is refused before anything is computed from it: the orders
+# of the normalizer diagram grow like the factorial of that count, and the
+# root-number pairs of eps_psi like its square.  It is the one bound on a
+# parameter's size: a constituent of multiplicity l gives a factor O(l),
+# Sp(l) or GL(l), and an sd=none one counts twice, so no factor is larger
+# than O(256), Sp(256) or GL(128), of rank 128.
+PARAMETER_MAX_SIZE = 256
+
+
+class Analysis(Value):
+    """The analysis of `psi` against the datum `tag`, the validated root-number
+    `table` and the `places` of its packet model, each part built on its
+    first read.  The shape is built only past the size budget and the
+    factoring check, each refused with a `ValueError`, and every later part
+    off the shape, so a refused parameter keeps only its factoring verdict."""
+
+    __slots__ = ("psi", "tag", "table", "places", "__dict__")
+
+    def __init__(self, psi: GlobalParameter, tag: SimpleDatumTag, table: RootNumberTable,
+                 places: Tuple[Place, ...] = ()):
+        set_field(self, "psi", psi)
+        set_field(self, "tag", tag)
+        set_field(self, "table", table)
+        set_field(self, "places", places)
+
+    @cached_property
+    def factors(self) -> bool:
+        """Whether the parameter factors through the datum."""
+        return factors_through(self.psi, self.tag)
+
+    @cached_property
+    def shape(self) -> CentralizerShape:
+        """The centralizer's shape."""
+        if sum(l for _, l in self.psi.constituents) > PARAMETER_MAX_SIZE:
+            raise ValueError("parameter is over the size budget of %d constituents "
+                             "counted with multiplicity" % PARAMETER_MAX_SIZE)
+        if not self.factors:
+            raise ValueError("parameter does not factor through the declared datum")
+        return centralizer_shape(self.psi, self.tag)
+
+    @cached_property
+    def group(self) -> FiniteTwoGroup:
+        """The component group S-bar_psi."""
+        return component_group(self.shape)
+
+    @cached_property
+    def identity_component(self) -> ConnectedShape:
+        """S^0_psi modulo the central +-1, whose sigma is sigma-bar^0."""
+        return identity_component_shape(self.shape)
+
+    @cached_property
+    def eps(self) -> SignCharacter:
+        """eps_psi, off the shape and the table."""
+        return _epsilon_character(self.shape, self.table)
+
+    @cached_property
+    def chain_flags(self) -> ChainMembership:
+        """The chain flags of the parameter relative to the datum."""
+        return classify(self.psi, self.tag)
+
+    @cached_property
+    def coefficient(self) -> Fraction:
+        """The stable coefficient eps_psi(s_psi) sigma-bar^0 / |S-bar_psi|."""
+        sigma_bar0 = sigma(self.identity_component)
+        return Fraction(self.eps.value_at_s_psi * sigma_bar0.numerator,
+                        sigma_bar0.denominator * self.group.order)
+
+    @cached_property
+    def packet_counts(self) -> Tuple[int, int]:
+        """(members, selected) over the places, for a reader that checked in_2."""
+        return _packet_counts(self.eps, GlobalPlacesModel(self.shape, self.places))
+
+
 def stable_coefficient(
     psi: GlobalParameter, tag: SimpleDatumTag, table: Optional[RootNumberTable] = None
 ) -> Fraction:
     """The stable coefficient; 0 when the parameter does not factor."""
-    if psi.total_degree != tag.N or not factors_through(psi, tag):
+    analysis = Analysis(psi, tag, table or RootNumberTable())
+    if psi.total_degree != tag.N or not analysis.factors:
         return Fraction(0)
-    table = table or RootNumberTable()
-    table.validate_against(psi)
-    shape = centralizer_shape(psi, tag)
-    eps = _epsilon_character(shape, table)
-    return (Fraction(1, component_group(shape).order) * eps.value_at_s_psi
-            * sigma(identity_component_shape(shape)))
+    analysis.table.validate_against(psi)
+    return analysis.coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +243,9 @@ def spectral_multiplicity(
 ) -> int:
     """Multiplicity |S|^-1 sum_x eps(x) <x, pi> of a packet member; 0 or 1."""
     _require_square_integrable(psi, tag)
-    group = component_group(centralizer_shape(psi, tag))
-    eps = epsilon_character(psi, tag, table)
-    return int(_member_global_character(member, model, group) == eps.exponents)
+    table.validate_against(psi)
+    analysis = Analysis(psi, tag, table)
+    return int(_member_global_character(member, model, analysis.group) == analysis.eps.exponents)
 
 
 def _require_square_integrable(psi: GlobalParameter, tag: SimpleDatumTag) -> None:

@@ -9,10 +9,11 @@ from uendo import cli, tadic
 
 @pytest.fixture(autouse=True)
 def cold_document_memos():
-    """Clear the CLI's document memos (`cli.parse` and the elaborate memo),
-    its memo of identity components and the memo of archimedean `tadic` keys
-    before each test, so that every test starts cold, as a fresh CLI process
-    does, whatever ran before it."""
+    """Clear the CLI's document memos (`cli.parse`, and the elaborate memo,
+    which keeps each document's `multiplicity.Analysis`), its memo of the
+    `arthur` text of each identity component and the memo of archimedean
+    `tadic` keys before each test, so that every test starts cold, as a
+    fresh CLI process does, whatever ran before it."""
     cli.parse.cache_clear()
     cli._elaborate.cache_clear()
     cli._component_reports.cache_clear()

@@ -2,10 +2,19 @@
 
 import itertools
 import math
+from fractions import Fraction
 
-from uendo.centralizer import LeviDiagram, centralizer_shape, element_table, torus_blocks
-from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, ChainMembership
-from uendo.signs import even_constituent_count
+from uendo.centralizer import (
+    LeviDiagram,
+    centralizer_shape,
+    component_group,
+    element_table,
+    torus_blocks,
+)
+from uendo.multiplicity import identity_component_shape
+from uendo.params import NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, ChainMembership, factors_through
+from uendo.signs import RootNumberTable, _epsilon_character, even_constituent_count
+from uendo.weylnum import sigma
 
 
 def su2_tensor_dims(a, b):
@@ -176,3 +185,18 @@ def levi_diagram_by_blocks(shape):
     return LeviDiagram(w0_order=w0_order, w_order=w_order, n_order=w_order * s1_order,
                        s_order=2 ** len(r_labels) * s1_order, s1_order=s1_order,
                        r_labels=r_labels)
+
+
+def stable_coefficient_by_parts(psi, tag, table=None):
+    """`multiplicity.stable_coefficient` by its first form, with no
+    `Analysis`: 0 when psi does not factor, else the table validated, the
+    shape built, and eps_psi(s_psi), 1/|S-bar_psi| and sigma of the identity
+    component each read off it and multiplied."""
+    if psi.total_degree != tag.N or not factors_through(psi, tag):
+        return Fraction(0)
+    table = table or RootNumberTable()
+    table.validate_against(psi)
+    shape = centralizer_shape(psi, tag)
+    eps = _epsilon_character(shape, table)
+    return (Fraction(1, component_group(shape).order) * eps.value_at_s_psi
+            * sigma(identity_component_shape(shape)))

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from oracles import su2_tensor_dims
+from oracles import stable_coefficient_by_parts, su2_tensor_dims
 from test_tadic import coeffs
 from uendo import centralizer, cli, endoscopy, multiplicity, params, signs, tadic, weylnum
 from uendo.centralizer import centralizer_shape, component_group
@@ -676,9 +676,7 @@ def test_a_refused_document_keeps_no_analysis(monkeypatch, tmp_path, capsys):
                 2, "", "error: parameter does not factor through the declared datum\n")
     assert calls == {"factors_through": 1}
     sem = cli.elaborate(cli.parse(target.read_text()))
-    assert sem._factors is False
-    assert (sem._shape, sem._group, sem._identity_component, sem._eps,
-            sem._chain_flags) == (None,) * 5
+    assert vars(sem) == {"factors": False}
 
 
 def test_a_document_that_does_not_factor_is_checked_once(monkeypatch, capsys):
@@ -742,7 +740,7 @@ def test_non_factoring_parameter_is_refused_by_the_cli_check(command, tmp_path, 
     target.write_text("group U(3) parity +\nmu a: deg=1, sd=+\nmu b: deg=1, sd=+\n"
                       "psi = a (x) nu(1) + b (x) nu(2)\n")
     sem = cli.elaborate(cli.parse(target.read_text()))
-    assert not cli.factors_through(sem.psi, sem.tag)
+    assert not params.factors_through(sem.psi, sem.tag)
     with pytest.raises(ValueError, match="through the datum$"):
         centralizer_shape(sem.psi, sem.tag)
     assert run_cli([command, "--input", str(target)], capsys) == (
@@ -1249,7 +1247,7 @@ def test_memo_hits_report_each_request_defaulted_pairs(tmp_path, capsys):
         assert runs[0] == runs[1]
         for code, out, _ in runs[1]:
             assert code == 0 and json.loads(out)["defaulted_pairs"] == want
-        # a memo hit returns the one Semantics of the document
+        # a memo hit returns the one Analysis of the document
         sem = cli.elaborate(cli.parse(doc))
         assert cli.elaborate(cli.parse(doc)) is sem
 
@@ -1305,6 +1303,29 @@ def test_memo_hit_parses_and_elaborates_nothing(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, name, refuse)
     for command, outcome in want.items():
         assert run_cli([command, "--input", str(second)], capsys) == outcome
+
+
+def test_document_memos_keep_at_most_their_entries(tmp_path, capsys):
+    # 200 more distinct documents than the memos keep: each memo stays at its
+    # bound, above the 622 documents of an interactive pass, and the first
+    # document, dropped by then, is parsed and elaborated again to the same
+    # classify and multiplicity bytes
+    bound = cli.DOCUMENT_MEMO_ENTRIES
+    assert cli.parse.cache_info().maxsize == cli._elaborate.cache_info().maxsize == bound > 622
+    texts = ["group U(%d) parity +\nmu a: deg=%d, sd=+\nmu b: deg=1, sd=-\n"
+             "psi = a (x) nu(1) + b (x) nu(2)\n" % (n + 2, n) for n in range(1, bound + 201)]
+    doc = tmp_path / "doc.txt"
+    doc.write_text(texts[0])
+    commands = ("classify", "multiplicity")
+    first = [run_cli([command, "--input", str(doc)], capsys) for command in commands]
+    for text in texts[1:]:
+        cli.elaborate(cli.parse(text))
+    assert cli.parse.cache_info().currsize == cli._elaborate.cache_info().currsize == bound
+    misses = cli.parse.cache_info().misses, cli._elaborate.cache_info().misses
+    assert [run_cli([command, "--input", str(doc)], capsys) for command in commands] == first
+    assert first[1][0] == 0 and json.loads(first[1][1])["stable_coefficient"]["den"] == 2
+    assert (cli.parse.cache_info().misses, cli._elaborate.cache_info().misses) == (
+        misses[0] + 1, misses[1] + 1)
 
 
 def test_warm_memos_match_cold_requests(perfbench_workloads, tmp_path, capsys):
@@ -1602,10 +1623,13 @@ def _small_report_oracle(command, text):
     psi, tag, table = sem.psi, sem.tag, sem.table
     if command == "classify":
         return {"command": "classify", "N": tag.N, "parity": tag.parity,
-                "factors_through": cli.factors_through(psi, tag),
+                "factors_through": params.factors_through(psi, tag),
                 "group": _flags_oracle(cli.classify(psi, tag)),
                 "twisted": _flags_oracle(cli.classify(psi))}
-    sem.shape  # the size and factoring checks
+    try:
+        sem.shape  # the size and factoring checks
+    except ValueError as exc:  # as `cli.run` refuses it
+        raise cli.SemanticError(str(exc)) from None
     if command == "centralizer":
         shape = centralizer_shape(psi, tag)
         diagram = centralizer.levi_diagram(shape)
@@ -1624,7 +1648,7 @@ def _small_report_oracle(command, text):
                 "value_at_s_psi": char.value_at_s_psi,
                 "is_epsilon_parameter": signs.is_epsilon_parameter(psi),
                 "defaulted_pairs": _defaulted_pairs_oracle(psi, table)}
-    coeff = multiplicity.stable_coefficient(psi, tag, table)
+    coeff = stable_coefficient_by_parts(psi, tag, table)
     report = {"command": "multiplicity", "stable_coefficient": coeff,
               "defaulted_pairs": _defaulted_pairs_oracle(psi, table)}
     if sem.places and cli.classify(psi, tag).in_2:
@@ -2120,7 +2144,8 @@ def _shared_component_pair(rng):
 def test_identity_component_memo_answers_as_a_cold_process(tmp_path, capsys):
     # two documents of one identity component: arthur and multiplicity give
     # the same bytes after the other document filled the memo, in either
-    # order, as with the memo cleared
+    # order, as with the memo cleared; only arthur reads the memo, so each
+    # order has one hit, the second document's arthur
     rng = random.Random(3901)
     paths = (tmp_path / "a.txt", tmp_path / "b.txt")
     signs_differ, places_differ, hits = collections.Counter(), 0, 0
@@ -2153,7 +2178,7 @@ def test_identity_component_memo_answers_as_a_cold_process(tmp_path, capsys):
             info = cli._component_reports.cache_info()
             assert info.currsize == 1
             hits += info.hits
-    assert hits == 200 * 2 * 3
+    assert hits == 200 * 2
     assert signs_differ[1, -1] + signs_differ[-1, 1] >= 20 and signs_differ[-1, -1] >= 5
     assert places_differ >= 100
 

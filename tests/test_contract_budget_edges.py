@@ -27,7 +27,7 @@ import sys
 import pytest
 
 from test_cli import _multiplicities_document, distinct_labels_document
-from uendo import cli
+from uendo import cli, multiplicity
 
 SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
@@ -98,7 +98,7 @@ CASES = {
 
 def test_budgets_are_the_ones_pinned():
     assert (cli.ENDOSCOPY_MAX_N, cli.ARTHUR_MAX_ROWS) == (10_000, 2 ** 16)
-    assert (cli.PARAMETER_MAX_SIZE, cli.TADIC_MAX_N) == (256, 8)
+    assert (multiplicity.PARAMETER_MAX_SIZE, cli.TADIC_MAX_N) == (256, 8)
 
 
 @pytest.mark.parametrize("name", list(CASES))

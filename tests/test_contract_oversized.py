@@ -15,7 +15,7 @@ import pytest
 
 from test_cli import FIXTURES, run_cli
 from test_contract_fuzz import DOCUMENT_COMMANDS, DOCUMENTS, check_outcome, fuzz_document
-from uendo import cli
+from uendo import cli, multiplicity
 
 TIME_LIMIT_S = 1.0
 
@@ -71,7 +71,7 @@ def test_reports_of_oversized_parameters_are_refused_by_the_budget(tmp_path, cap
             code, out, err = run_cli([command, "--input", str(path)], capsys)
             assert (code, out) == (2, ""), command
             assert err == ("error: parameter is over the size budget of %d constituents "
-                           "counted with multiplicity\n" % cli.PARAMETER_MAX_SIZE), command
+                           "counted with multiplicity\n" % multiplicity.PARAMETER_MAX_SIZE), command
 
 
 def test_budget_refuses_no_document_the_corpora_answer(perfbench_workloads):
@@ -84,5 +84,5 @@ def test_budget_refuses_no_document_the_corpora_answer(perfbench_workloads):
     for text in texts:
         try:
             cli.elaborate(cli.parse(text)).shape  # the size and factoring checks
-        except (cli.ParseError, cli.SemanticError) as exc:
+        except (cli.ParseError, cli.SemanticError, ValueError) as exc:
             assert "size budget" not in str(exc), text

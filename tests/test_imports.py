@@ -2,7 +2,7 @@
 that module, unless its line carries `# noqa: F401`, every private
 top-level function, class or assigned name of `uendo` is read somewhere in
 `uendo`, and no report of `uendo.cli` calls a builder of the analysis that
-its document's `Semantics` keeps."""
+its document's `multiplicity.Analysis` keeps."""
 
 import ast
 import pathlib
@@ -145,12 +145,13 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
-# The builders of a document's analysis, which `cli.Semantics` keeps: a
-# report reads them through its cache slots, so each is built once for all
-# the reports of one document.
+# The builders of a document's analysis, which its `multiplicity.Analysis`
+# keeps: a report reads each part off the analysis, so each is built once for
+# all the reports of one document.  `sigma` is among them, so that no report
+# forms sigma-bar^0 or the stable coefficient itself.
 ANALYSIS_BUILDERS = frozenset(("factors_through", "centralizer_shape", "component_group",
                                "identity_component_shape", "epsilon_character",
-                               "_epsilon_character"))
+                               "_epsilon_character", "sigma"))
 
 
 def reports_calling_builders(source):
@@ -172,9 +173,10 @@ def test_builder_finder_sees_names_and_attributes():
     source = ("def report_a(sem):\n    return central.component_group(sem.shape)\n"
               "def report_b(sem):\n    def inner():\n        return _epsilon_character(1, 2)\n"
               "    return inner, sem.eps, sem.group\n"
+              "def report_c(sem):\n    return weylnum.sigma(sem.identity_component)\n"
               "def helper(sem):\n    return centralizer_shape(sem.psi, sem.tag)\n")
     assert reports_calling_builders(source) == ["report_a: component_group",
-                                                "report_b: _epsilon_character"]
+                                                "report_b: _epsilon_character", "report_c: sigma"]
 
 
 def test_reports_read_the_analysis_of_their_document():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from families import sd, tag_for
+from families import random_parameter, random_table, sd, tag_for
+from oracles import stable_coefficient_by_parts
 from uendo import multiplicity
 from uendo.centralizer import LocalizationMap, centralizer_shape, component_group
 from uendo.multiplicity import (
@@ -74,6 +75,23 @@ def test_stable_sigma_factor_for_symplectic_part():
     tag = SimpleDatumTag(3, 1)
     shape = centralizer_shape(psi, tag)
     assert stable_coefficient(psi, tag) == sigma(identity_component_shape(shape))
+
+
+def test_stable_coefficient_matches_its_parts_on_seeded_parameters():
+    # the coefficient `Analysis` forms against the product of its parts,
+    # each built from nothing, on both parities, so that some parameters do
+    # not factor and give 0
+    rng = random.Random(4111)
+    seen = set()
+    for _ in range(300):
+        psi = random_parameter(rng)
+        table = random_table(psi, rng)
+        for parity in (1, -1):
+            tag = tag_for(psi, parity)
+            want = stable_coefficient_by_parts(psi, tag, table)
+            assert stable_coefficient(psi, tag, table) == want, (psi, parity)
+            seen.add((want > 0) - (want < 0))
+    assert seen == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +425,8 @@ def test_decompose_matches_packet_counts_on_each_subset():
 
 def test_packet_work_is_done_once_per_parameter(monkeypatch):
     # eps is computed once per parameter, and each member's multiplicity is
-    # the one `spectral_multiplicity` gives alone; `decompose_discrete_spectrum`
+    # the one `spectral_multiplicity` gives alone, which reads eps off its
+    # `Analysis`, through `_epsilon_character`; `decompose_discrete_spectrum`
     # reads eps on the shape it built, once per line, through
     # `_epsilon_character`, and builds that shape once per line
     calls = []
@@ -419,6 +438,8 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
         return counted
 
     monkeypatch.setattr(multiplicity, "epsilon_character", counting(epsilon_character))
+    monkeypatch.setattr(multiplicity, "_epsilon_character",
+                        counting(multiplicity._epsilon_character))
     for eps_sign in (1, -1):
         psi, tag, table, shape, model = two_constituent_setup(eps_sign)
         members = enumerate_members(model)
@@ -431,8 +452,6 @@ def test_packet_work_is_done_once_per_parameter(monkeypatch):
         assert len(calls) == len(members) == 4
     seed = [sd("a", 1), sd("b", 1), sd("c", 2)]
     places = [Place("v1", "inert"), Place("v2", "split"), Place("v3", "inert")]
-    monkeypatch.setattr(multiplicity, "_epsilon_character",
-                        counting(multiplicity._epsilon_character))
     shapes = []
     monkeypatch.setattr(multiplicity, "centralizer_shape",
                         lambda *args: shapes.append(args) or centralizer_shape(*args))

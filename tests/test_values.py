@@ -12,7 +12,7 @@ import pytest
 
 import uendo.checks  # noqa: F401  (so that every value class is defined)
 from uendo.centralizer import CentralizerShape, FiniteTwoGroup, LeviDiagram, NormalizerElement
-from uendo.cli import Decl, ParameterDocument, Semantics, Term
+from uendo.cli import Decl, ParameterDocument, Term
 from uendo.endoscopy import Correspondence, StandardDatum, TwistedDatum
 from uendo.localcalc import (
     ArchCharacter,
@@ -20,7 +20,7 @@ from uendo.localcalc import (
     MonomialLocalParameter,
     UnramifiedCharacter,
 )
-from uendo.multiplicity import PacketMember, Place, SpectrumLine
+from uendo.multiplicity import Analysis, PacketMember, Place, SpectrumLine
 from uendo.params import (
     NOT_SELF_DUAL,
     ORTHOGONAL,
@@ -88,7 +88,7 @@ SAMPLES = {
                             roots=(("a", "b", -1),), places=(("v", "inert"),)),
     # a RootNumberTable compares by identity, so a plain value stands in
     # for the table in the copying checks
-    Semantics: dict(psi=PSI, tag=SimpleDatumTag(2, -1), table=(), places=(Place("v", "split"),)),
+    Analysis: dict(psi=PSI, tag=SimpleDatumTag(2, -1), table=(), places=(Place("v", "split"),)),
 }
 
 CLASSES = sorted(SAMPLES, key=lambda cls: cls.__qualname__)
