@@ -82,10 +82,9 @@ PARAMETER_MAX_SIZE = 256
 
 class Analysis(Value):
     """The analysis of `psi` against the datum `tag`, the validated root-number
-    `table` and the `places` of its packet model, each part built on its
-    first read.  The shape is built only past the size budget and the
-    factoring check, each refused with a `ValueError`, and every later part
-    off the shape, so a refused parameter keeps only its factoring verdict."""
+    `table` and the `places` of its packet model, each part built on first
+    read.  The shape is built only past the size budget and the factoring
+    check, each a `ValueError`, so a refused parameter keeps only `factors`."""
 
     __slots__ = ("psi", "tag", "table", "places", "__dict__")
 

@@ -415,8 +415,9 @@ def e_number(c: ComponentDatum) -> Fraction:
 # sigma
 
 
+@lru_cache(maxsize=512)
 def sigma(shape: ConnectedShape) -> Fraction:
-    """The constant sigma of a connected reductive group.
+    """The constant sigma of a connected reductive group, kept per shape.
 
     sigma vanishes on positive-dimensional centers, equals 1 on the trivial
     group and is multiplicative over the factors of a semisimple group,

@@ -32,7 +32,8 @@ SEEDS = (4101, 4102)
 
 
 def load_workloads():
-    """`perfbench/workloads.py`, loaded from its file."""
+    """`perfbench/workloads.py`, loaded from its file: `perfbench` is a
+    directory of scripts, not a package."""
     path = HERE.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
